@@ -266,7 +266,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// code byte-match — which is exactly what lets the CI gate hard-fail on
 /// determinism drift by string equality.
 pub mod serve_matrix {
-    use netcut_serve::{RunMeta, Scenario, ScenarioConfig, ServeSummary, Timeline};
+    use netcut_serve::{Scenario, ScenarioConfig, ServeSummary, Timeline};
     use std::fmt::Write as _;
 
     /// Human description of the reference scenario, embedded in the JSON.
@@ -337,12 +337,7 @@ pub mod serve_matrix {
             .into_iter()
             .map(|(key, cfg)| {
                 let start = std::time::Instant::now();
-                let scenario = Scenario::build(cfg);
-                let server = scenario.server();
-                let meta = RunMeta::from_server(&server, scenario.config().duration_us);
-                let (outcomes, timeline) = scenario.run_full();
-                let mut summary = ServeSummary::from_outcomes(&outcomes, &meta);
-                summary.attach_timeline(&timeline);
+                let (summary, timeline) = Scenario::build(cfg).run_summary();
                 LegResult {
                     key,
                     summary,

@@ -318,11 +318,7 @@ pub fn run(cmd: Command, strict: bool) -> Result<(), String> {
                 ..netcut_serve::ScenarioConfig::default()
             })
             .map_err(|e| e.to_string())?;
-            let server = scenario.server();
-            let meta = netcut_serve::RunMeta::from_server(&server, scenario.config().duration_us);
-            let (outcomes, timeline) = scenario.run_full();
-            let mut summary = netcut_serve::ServeSummary::from_outcomes(&outcomes, &meta);
-            summary.attach_timeline(&timeline);
+            let (summary, timeline) = scenario.run_summary();
             if let Some(path) = timeline_out {
                 // Same convention as --trace-out: `.jsonl` means the
                 // line-oriented schema, anything else a Chrome trace.

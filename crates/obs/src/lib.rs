@@ -14,11 +14,11 @@
 //!   static literals or dynamic `name{label=value}` strings ([`labeled`])
 //!   checked against the [`registry`] of known base names.
 //! * **Windowed telemetry** ([`window`], [`residual`], [`alert`]) —
-//!   per-run (not global) virtual-time machinery: counters/histograms
-//!   bucketed on integer-µs windows, predicted-vs-observed latency EWMAs
-//!   in integer ppm, and SLO burn-rate alerts with stable `OBS0xx` codes.
-//!   Everything is exact integer arithmetic, so derived timelines are
-//!   bit-identical across thread counts and platforms.
+//!   per-run (not global) virtual-time machinery: integer-µs window
+//!   histograms, predicted-vs-observed latency EWMAs in integer ppm, and
+//!   SLO burn-rate alerts with stable `OBS0xx` codes. Everything is exact
+//!   integer arithmetic, so derived timelines are bit-identical across
+//!   thread counts and platforms.
 //!
 //! Events go to an [`EventSink`] installed with [`set_sink`]: a
 //! human-readable stderr logger, a JSON-lines file (schema
@@ -65,7 +65,7 @@ pub use metrics::{
 pub use residual::{ResidualCell, ResidualTracker, DEFAULT_ALPHA_PPM, DEFAULT_WINDOW, PPM};
 pub use sink::{ChromeTraceSink, EventSink, JsonLinesSink, MemorySink, MultiSink, StderrSink};
 pub use span::SpanGuard;
-pub use window::{WindowHistogram, WindowedMetrics};
+pub use window::WindowHistogram;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

@@ -1,20 +1,10 @@
-//! Virtual-time windowed metrics: counters and integer histograms bucketed
-//! on fixed-width windows of a *caller-supplied* microsecond clock.
+//! The integer window histogram: the per-(window, shard) queue-delay
+//! distribution of the serving timeline.
 //!
-//! The process-global metrics ([`crate::counter_add`] and friends) answer
-//! "how much, overall"; a [`WindowedMetrics`] answers "how much, *when*".
-//! It is deliberately not global: a run owns its instance, feeds it the
-//! simulation's virtual timestamps, and reads the result back out — no
-//! wall clock, no shared state, so two concurrent runs (or a test matrix)
-//! never interleave and the contents are a pure function of the fed
-//! events. Window `w` covers `[w × window_us, (w + 1) × window_us)`.
-//!
-//! Metric names follow the same `name{label=value}` convention as the
-//! global registry ([`crate::labeled`]); histograms are integer-only
-//! ([`WindowHistogram`]) so every derived statistic is bit-identical
-//! across platforms.
-
-use std::collections::BTreeMap;
+//! Observations are integer microseconds of the simulation's virtual
+//! clock, and every statistic — count, sum, min, max, quantiles — is
+//! integer arithmetic, so a derived timeline is bit-identical across
+//! thread counts and platforms.
 
 /// Number of log-scaled buckets, matching [`crate::Histogram`]'s layout
 /// over the integer range (bucket `i` holds values in `[2^i, 2^(i+1))`).
@@ -116,163 +106,26 @@ impl WindowHistogram {
     }
 }
 
-/// Windowed counters and histograms over a virtual-time axis.
-///
-/// Sparse: a (metric, window) cell exists only once touched, so idle
-/// windows cost nothing; readers ask for any window and get zero/empty
-/// for untouched cells.
-#[derive(Debug, Clone, Default)]
-pub struct WindowedMetrics {
-    window_us: u64,
-    counters: BTreeMap<String, BTreeMap<u64, u64>>,
-    histograms: BTreeMap<String, BTreeMap<u64, WindowHistogram>>,
-}
-
-impl WindowedMetrics {
-    /// Creates an empty set with the given window width.
-    ///
-    /// # Panics
-    /// Panics if `window_us` is zero.
-    pub fn new(window_us: u64) -> Self {
-        assert!(window_us > 0, "window width must be positive");
-        WindowedMetrics {
-            window_us,
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-        }
-    }
-
-    /// The window width, microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
-    /// Window index holding virtual time `t_us`.
-    pub fn index_of(&self, t_us: u64) -> u64 {
-        t_us / self.window_us
-    }
-
-    /// Start of window `w`, microseconds of virtual time.
-    pub fn start_of(&self, w: u64) -> u64 {
-        w * self.window_us
-    }
-
-    /// Adds `delta` to `name`'s counter in the window holding `t_us`.
-    pub fn add(&mut self, t_us: u64, name: &str, delta: u64) {
-        let w = self.index_of(t_us);
-        let series = match self.counters.get_mut(name) {
-            Some(series) => series,
-            None => self.counters.entry(name.to_owned()).or_default(),
-        };
-        *series.entry(w).or_insert(0) += delta;
-    }
-
-    /// Records `value_us` into `name`'s histogram in the window holding
-    /// `t_us`.
-    pub fn observe(&mut self, t_us: u64, name: &str, value_us: u64) {
-        let w = self.index_of(t_us);
-        let series = match self.histograms.get_mut(name) {
-            Some(series) => series,
-            None => self.histograms.entry(name.to_owned()).or_default(),
-        };
-        series.entry(w).or_default().observe(value_us);
-    }
-
-    /// Counter value of `name` in window `w` (0 when untouched).
-    pub fn counter(&self, w: u64, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .and_then(|s| s.get(&w))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Counter total of `name` across every window.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .map_or(0, |s| s.values().copied().sum())
-    }
-
-    /// Histogram of `name` in window `w`, if any observation landed there.
-    pub fn histogram(&self, w: u64, name: &str) -> Option<&WindowHistogram> {
-        self.histograms.get(name).and_then(|s| s.get(&w))
-    }
-
-    /// Highest window index any metric touched (`None` when empty).
-    pub fn last_window(&self) -> Option<u64> {
-        let counters = self
-            .counters
-            .values()
-            .filter_map(|s| s.keys().next_back().copied());
-        let histograms = self
-            .histograms
-            .values()
-            .filter_map(|s| s.keys().next_back().copied());
-        counters.chain(histograms).max()
-    }
-
-    /// Every counter name, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labeled;
-
-    #[test]
-    fn counters_bucket_on_virtual_time() {
-        let mut wm = WindowedMetrics::new(100_000);
-        wm.add(0, "arrivals", 1);
-        wm.add(99_999, "arrivals", 1);
-        wm.add(100_000, "arrivals", 1);
-        wm.add(250_000, "arrivals", 5);
-        assert_eq!(wm.counter(0, "arrivals"), 2);
-        assert_eq!(wm.counter(1, "arrivals"), 1);
-        assert_eq!(wm.counter(2, "arrivals"), 5);
-        assert_eq!(wm.counter(3, "arrivals"), 0);
-        assert_eq!(wm.counter_total("arrivals"), 8);
-        assert_eq!(wm.last_window(), Some(2));
-        assert_eq!(wm.index_of(250_000), 2);
-        assert_eq!(wm.start_of(2), 200_000);
-    }
-
-    #[test]
-    fn labeled_series_stay_separate() {
-        let mut wm = WindowedMetrics::new(1_000);
-        for shard in 0..6u64 {
-            wm.add(500, &labeled("test.missed", "shard", shard), shard);
-        }
-        for shard in 0..6u64 {
-            assert_eq!(
-                wm.counter(0, &labeled("test.missed", "shard", shard)),
-                shard
-            );
-        }
-        assert_eq!(wm.counter_names().count(), 6);
-    }
 
     #[test]
     fn histograms_track_quantiles_per_window() {
-        let mut wm = WindowedMetrics::new(1_000);
+        let mut h = WindowHistogram::default();
         for v in [100u64, 200, 300, 400, 1_000] {
-            wm.observe(10, "queue_us", v);
+            h.observe(v);
         }
-        wm.observe(1_500, "queue_us", 7);
-        let h = wm.histogram(0, "queue_us").expect("window 0 populated");
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 100);
         assert_eq!(h.max(), 1_000);
         assert_eq!(h.mean(), 400);
         assert_eq!(h.quantile(500_000), 512); // rank 3 → [256,512) upper edge
         assert_eq!(h.quantile(990_000), 1_000); // clamped to max
-        let late = wm.histogram(1, "queue_us").expect("window 1 populated");
+        let mut late = WindowHistogram::default();
+        late.observe(7);
         assert_eq!(late.count(), 1);
         assert_eq!(late.quantile(500_000), 7);
-        assert!(wm.histogram(2, "queue_us").is_none());
     }
 
     #[test]
@@ -293,11 +146,5 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(1), 1); // upper edge 2 clamps to max 1
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_window_width_is_rejected() {
-        let _ = WindowedMetrics::new(0);
     }
 }

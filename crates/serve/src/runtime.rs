@@ -6,12 +6,10 @@
 //! The simulation advances virtual time request by request, entirely in
 //! integer microseconds — no floats, no wall-clock reads — so a run is a
 //! pure function of `(shards, requests, config)` and its summary is
-//! bit-identical across `--jobs` settings and host machines. Physical
-//! parallelism lives upstream (ladder construction and noise
-//! precomputation on `EvalContext`'s scoped-thread pool) and in the
-//! finalization *pricing* pass — a pure per-batch function sharded across
-//! [`ServerConfig::sim_jobs`] workers and merged back in dispatch order —
-//! never inside the event loop itself.
+//! bit-identical across `--jobs` settings and host machines. A run is
+//! serial from first arrival to last projection; physical parallelism
+//! lives upstream, in scenario set-up (ladder construction and noise
+//! precomputation on `EvalContext`'s scoped-thread pool).
 //!
 //! Scheduling policy, per arrival:
 //!
@@ -45,18 +43,28 @@
 //! Batches execute as one kernel, so one noise draw — the leader's — and
 //! the fault factor sampled at dispatch apply to the whole batch.
 //!
+//! # One run, one ledger
+//!
+//! The event loop only appends: a row per request to [`OutcomeSoa`], a
+//! row per dispatch to [`BatchSoa`], and each controller hot-swap to a
+//! swap log. Once the loop ends, finalization prices every batch and
+//! settles its members' rows, and everything the run reports is a
+//! projection of that [`RunLedger`]: the [`Timeline`], the once-per-run
+//! flush to the `obs` registry, and the [`RequestOutcome`]s. Batch
+//! pricing exists once ([`BatchSoa::price`]): the controller's watermark
+//! fold calls it, and so does finalization, which keeps each price in the
+//! ledger for the timeline.
+//!
 //! # Hot-path layout
 //!
 //! The loop runs at millions of simulated requests per second, so its
 //! bookkeeping is structured for raw throughput without touching the
 //! decision logic:
 //!
-//! * **Struct-of-arrays ledgers** — per-request results live in
-//!   [`OutcomeSoa`] and per-batch state in [`BatchSoa`]: parallel column
-//!   vectors indexed by outcome/batch id, with batch members threaded
-//!   through a shared linked-list arena (`first`/`last`/`next`) so a
-//!   join is two index writes, never an allocation. [`RequestOutcome`]s
-//!   are assembled once, at the end.
+//! * **Struct-of-arrays ledgers** — parallel column vectors indexed by
+//!   outcome/batch id, with batch members threaded through a linked-list
+//!   arena (`first`/`last`/`next`) so a join is two index writes, never
+//!   an allocation.
 //! * **Ladder generation table** — hot-swaps append to a table of
 //!   ladders; batches hold a `u32` index into it, so admission under any
 //!   generation is an index copy, not an `Arc` clone, and in-flight
@@ -65,10 +73,6 @@
 //!   a [`CalendarQueue`] keyed on dispatch start, drained in
 //!   `(start, dispatch order)` at each watermark — the same order the
 //!   old sort produced, without re-sorting per watermark.
-//! * **Run-local metrics** — the global counters and histograms the loop
-//!   used to update per event accumulate in a run-local [`HotMetrics`]
-//!   and flush to the `obs` registry once per run (histograms are
-//!   order-independent folds, so the registry ends bit-identical).
 use crate::batch::Batcher;
 use crate::calqueue::{CalendarQueue, EVENT_BUCKET_US};
 use crate::faults::FaultPlan;
@@ -77,7 +81,6 @@ use crate::recalib::{RecalibConfig, Recalibrator};
 use crate::request::{Request, RequestKind, PPM};
 use crate::shard::{Candidate, Shard, ShardRouter};
 use crate::timeline::{Timeline, TimelineBuilder, TimelineConfig};
-use netcut::eval::par_map_with_jobs;
 use netcut_estimate::refit_scale_ppm;
 use netcut_obs as obs;
 use obs::ResidualTracker;
@@ -147,12 +150,6 @@ pub struct ServerConfig {
     /// table (clamped to the table top), overriding `degrade` — the
     /// `--exit-table N` operating mode. `None` serves the full table.
     pub exit_pin: Option<usize>,
-    /// Worker threads for the finalization pricing pass (`0` = one per
-    /// CPU, `1` = fully serial). Pricing is a pure function of each
-    /// batch, partitioned by shard and merged back in dispatch order, so
-    /// **every value produces bit-identical outcomes** — this only trades
-    /// wall-clock time.
-    pub sim_jobs: usize,
 }
 
 impl Default for ServerConfig {
@@ -170,17 +167,12 @@ impl Default for ServerConfig {
             batch_max: 1,
             batch_slack_us: 300,
             exit_pin: None,
-            sim_jobs: 1,
         }
     }
 }
 
 /// Column sentinel for "no rung" / "no member" in the SoA ledgers.
 const NONE_U32: u32 = u32::MAX;
-
-/// Finalization goes parallel only past this many batches — below it the
-/// thread-scope setup costs more than the pricing it spreads.
-const PAR_FINALIZE_MIN_BATCHES: usize = 4096;
 
 /// Struct-of-arrays ledger of scheduled executions: column `b` describes
 /// batch `b` (a solo dispatch is a batch of one; joins grow it until its
@@ -245,6 +237,27 @@ impl BatchSoa {
         self.members.push(1);
         b
     }
+
+    /// Batch `b`'s `(service, predicted)` latencies, µs: its rung's
+    /// batched latency on its admission ladder, scaled by the leader's
+    /// noise draw and the dispatch fault factor, against the calibrated
+    /// prediction — identical to the raw curve at generation 0, corrected
+    /// after a hot-swap so OBS002 sees the recovery. EMG batches run (and
+    /// predict) their fixed cost.
+    fn price(&self, b: usize, ladders: &[TrnLadder], emg_service_us: u64) -> (u64, u64) {
+        let (base_us, predicted) = if self.rung[b] == NONE_U32 {
+            (emg_service_us, emg_service_us)
+        } else {
+            let (r, size) = (self.rung[b] as usize, self.members[b] as usize);
+            let ladder = &ladders[self.ladder_idx[b] as usize];
+            (
+                ladder.batch_latency_us(r, size),
+                ladder.predicted_batch_latency_us(r, size),
+            )
+        };
+        let service = scaled_service(base_us, self.leader_noise_ppm[b], self.fault_ppm[b]);
+        (service, predicted)
+    }
 }
 
 /// Struct-of-arrays ledger of per-request results, outcome-index order
@@ -261,6 +274,8 @@ struct OutcomeSoa {
     shard: Vec<u32>,
     batch_size: Vec<u32>,
     generation: Vec<u64>,
+    /// Served below the admission generation's top rung.
+    degraded: Vec<bool>,
     status: Vec<Status>,
 }
 
@@ -274,6 +289,7 @@ impl OutcomeSoa {
             shard: Vec::with_capacity(n),
             batch_size: Vec::with_capacity(n),
             generation: Vec::with_capacity(n),
+            degraded: Vec::with_capacity(n),
             status: Vec::with_capacity(n),
         }
     }
@@ -291,50 +307,141 @@ impl OutcomeSoa {
         self.shard.push(shard);
         self.batch_size.push(0);
         self.generation.push(generation);
+        self.degraded.push(false);
         self.status.push(status);
     }
 }
 
-/// Run-local accumulator for the global `obs` registry series the event
-/// loop feeds. Counters sum and histograms fold order-independently, so
-/// accumulating locally and flushing once leaves the registry
-/// bit-identical to per-event updates — without a mutex + map lookup per
-/// request. Zero counters and empty histograms are not flushed, so no
-/// series appears that per-event updates would not have created.
-#[derive(Default)]
-struct HotMetrics {
-    served: u64,
-    missed: u64,
-    rejected: u64,
-    dropped: u64,
-    degraded: u64,
-    batch_size: obs::Histogram,
-    latency_us: obs::Histogram,
-    queue_delay_us: obs::Histogram,
+/// Everything one run decided, as the event loop appended it and
+/// finalization settled it. Outcomes, the timeline and the registry flush
+/// are projections of this ledger; none of them feeds back into a run.
+struct RunLedger<'a> {
+    server: &'a Server,
+    requests: &'a [Request],
+    out: OutcomeSoa,
+    batches: BatchSoa,
+    /// Each batch's `(service, predicted)` latencies, µs, dispatch order —
+    /// [`BatchSoa::price`] as finalization settled it.
+    priced: Vec<(u64, u64)>,
+    /// Hot-swaps in the order the controller made them:
+    /// `(watermark_us, shard, generation, calib_ppm)`.
+    swaps: Vec<(u64, usize, u64, u64)>,
+    /// Controller triggers, including those whose refit or swap declined.
+    triggers: u64,
 }
 
-impl HotMetrics {
-    fn flush(self) {
+impl RunLedger<'_> {
+    /// Projects the windowed [`Timeline`] under `cfg`.
+    fn timeline(&self, cfg: &TimelineConfig) -> Timeline {
+        let server = self.server;
+        let mut tb = TimelineBuilder::new(*cfg, &server.shards, server.config.deadline_us);
+        for &(t_us, shard, generation, calib_ppm) in &self.swaps {
+            tb.recalibrated(t_us, shard, generation, calib_ppm);
+        }
+        let b = &self.batches;
+        for (i, &(service, predicted)) in self.priced.iter().enumerate() {
+            let rung = (b.rung[i] != NONE_U32).then_some(b.rung[i] as usize);
+            tb.batch(b.start_us[i], b.shard[i] as usize, rung, predicted, service);
+        }
+        let out = &self.out;
+        for (i, req) in self.requests.iter().enumerate() {
+            tb.request(
+                req.arrival_us,
+                out.shard[i] as usize,
+                out.status[i],
+                out.degraded[i],
+                out.queue_delay_us[i],
+            );
+        }
+        tb.finish()
+    }
+
+    /// Flushes the run to the global `obs` registry: one `counter_add` or
+    /// `histogram_merge` per series. Counters sum and histograms fold
+    /// order-independently, so this leaves the registry exactly as
+    /// per-event updates would. Zero counters are skipped (as are empty
+    /// histograms, by `histogram_merge`), so no series appears that
+    /// per-event updates would not have created.
+    fn flush_metrics(&self) {
+        let out = &self.out;
+        let mut by_status = [0u64; 4];
+        let mut degraded = 0u64;
+        let mut latency_us = obs::Histogram::default();
+        let mut queue_delay_us = obs::Histogram::default();
+        for i in 0..out.len() {
+            by_status[out.status[i] as usize] += 1;
+            if matches!(out.status[i], Status::Served | Status::Missed) {
+                latency_us.observe_us(out.latency_us[i]);
+                queue_delay_us.observe_us(out.queue_delay_us[i]);
+            }
+            degraded += u64::from(out.degraded[i]);
+        }
+        let mut batch_size = obs::Histogram::default();
+        for &members in &self.batches.members {
+            batch_size.observe_us(u64::from(members));
+        }
+        let [served, missed, rejected, dropped] = by_status;
         // Literal names at the call sites so the repo-level registry-check
         // lint keeps scanning them.
-        if self.served > 0 {
-            obs::counter_add("serve.served", self.served);
+        if served > 0 {
+            obs::counter_add("serve.served", served);
         }
-        if self.missed > 0 {
-            obs::counter_add("serve.missed", self.missed);
+        if missed > 0 {
+            obs::counter_add("serve.missed", missed);
         }
-        if self.rejected > 0 {
-            obs::counter_add("serve.rejected", self.rejected);
+        if rejected > 0 {
+            obs::counter_add("serve.rejected", rejected);
         }
-        if self.dropped > 0 {
-            obs::counter_add("serve.dropped", self.dropped);
+        if dropped > 0 {
+            obs::counter_add("serve.dropped", dropped);
         }
-        if self.degraded > 0 {
-            obs::counter_add("serve.degraded", self.degraded);
+        if degraded > 0 {
+            obs::counter_add("serve.degraded", degraded);
         }
-        obs::histogram_merge("serve.batch_size", &self.batch_size);
-        obs::histogram_merge("serve.latency_us", &self.latency_us);
-        obs::histogram_merge("serve.queue_delay_us", &self.queue_delay_us);
+        obs::histogram_merge("serve.batch_size", &batch_size);
+        obs::histogram_merge("serve.latency_us", &latency_us);
+        obs::histogram_merge("serve.queue_delay_us", &queue_delay_us);
+        if self.triggers > 0 {
+            obs::counter_add("recalib.triggers", self.triggers);
+        }
+        if !self.swaps.is_empty() {
+            obs::counter_add("recalib.swaps", self.swaps.len() as u64);
+        }
+        for &(_, _, _, calib_ppm) in &self.swaps {
+            obs::gauge_set("recalib.scale_ppm", calib_ppm as i64);
+        }
+    }
+
+    /// Assembles the public arrival-order outcome records: the SoA
+    /// columns plus the request identity fields.
+    fn outcomes(self) -> Vec<RequestOutcome> {
+        let out = self.out;
+        self.requests
+            .iter()
+            .enumerate()
+            .map(|(i, req)| RequestOutcome {
+                id: req.id,
+                kind: req.kind,
+                arrival_us: req.arrival_us,
+                queue_delay_us: out.queue_delay_us[i],
+                rung: (out.rung[i] != NONE_U32).then_some(out.rung[i] as usize),
+                service_us: out.service_us[i],
+                latency_us: out.latency_us[i],
+                shard: out.shard[i] as usize,
+                batch_size: out.batch_size[i] as usize,
+                generation: out.generation[i],
+                status: out.status[i],
+            })
+            .collect()
+    }
+
+    /// The timeline, then the registry flush, then the outcomes: the
+    /// timeline's working buffers are freed before the outcome records
+    /// are allocated.
+    fn project(self, cfg: &TimelineConfig) -> (Vec<RequestOutcome>, Timeline) {
+        let timeline = self.timeline(cfg);
+        self.flush_metrics();
+        (self.outcomes(), timeline)
     }
 }
 
@@ -427,14 +534,16 @@ impl Server {
     /// # Panics
     /// Panics if `requests` is not sorted by `arrival_us`.
     pub fn run(&self, requests: &[Request]) -> Vec<RequestOutcome> {
-        self.run_impl(requests, None, None)
+        let ledger = self.simulate(requests, None);
+        ledger.flush_metrics();
+        ledger.outcomes()
     }
 
     /// Runs the simulation and additionally records the windowed
     /// [`Timeline`] under `cfg`: per-(window, shard) disposition counts,
     /// queue quantiles, residual EWMAs, burn rates, and `OBS0xx` alerts.
     /// The outcomes are byte-identical to [`Server::run`]'s — the
-    /// timeline observes the event loop, it never steers it.
+    /// timeline is projected from the finished run, it never steers it.
     ///
     /// # Panics
     /// Panics if `requests` is not sorted by `arrival_us`.
@@ -443,9 +552,7 @@ impl Server {
         requests: &[Request],
         cfg: &TimelineConfig,
     ) -> (Vec<RequestOutcome>, Timeline) {
-        let mut tb = TimelineBuilder::new(*cfg, &self.shards, self.config.deadline_us);
-        let outcomes = self.run_impl(requests, Some(&mut tb), None);
-        (outcomes, tb.finish())
+        self.simulate(requests, None).project(cfg)
     }
 
     /// Runs the simulation with the closed-loop controller armed: at
@@ -468,17 +575,20 @@ impl Server {
         recalib: &RecalibConfig,
         recalibrator: &dyn Recalibrator,
     ) -> (Vec<RequestOutcome>, Timeline) {
-        let mut tb = TimelineBuilder::new(*cfg, &self.shards, self.config.deadline_us);
-        let outcomes = self.run_impl(requests, Some(&mut tb), Some((recalib, recalibrator)));
-        (outcomes, tb.finish())
+        self.simulate(requests, Some((recalib, recalibrator)))
+            .project(cfg)
     }
 
-    fn run_impl(
-        &self,
-        requests: &[Request],
-        mut tb: Option<&mut TimelineBuilder>,
+    /// The event loop, then finalization: appends one [`OutcomeSoa`] row
+    /// per request, one [`BatchSoa`] row per dispatch and one swap-log
+    /// entry per hot-swap, then prices every batch and settles its
+    /// members' rows. Everything a run reports is projected from the
+    /// returned ledger.
+    fn simulate<'a>(
+        &'a self,
+        requests: &'a [Request],
         recalib: Option<(&RecalibConfig, &dyn Recalibrator)>,
-    ) -> Vec<RequestOutcome> {
+    ) -> RunLedger<'a> {
         assert!(
             requests
                 .windows(2)
@@ -493,6 +603,7 @@ impl Server {
         run_span.field("degrade", self.config.degrade);
 
         let deadline = self.config.deadline_us;
+        let emg_us = self.config.emg_service_us;
         // Labeled per-shard busy-gauge names, built once per run so every
         // shard reports — there is no fixed-size name table to fall off.
         let busy_gauges: Vec<String> = if obs::enabled() {
@@ -538,7 +649,8 @@ impl Server {
             self.shards.iter().map(|s| s.ladder.clone()).collect();
         let mut cur_ladder: Vec<u32> = (0..self.shards.len() as u32).collect();
         let mut generations: Vec<u64> = vec![0; self.shards.len()];
-        let mut hot = HotMetrics::default();
+        let mut swaps: Vec<(u64, usize, u64, u64)> = Vec::new();
+        let mut triggers = 0u64;
         let mut controller = recalib.map(|(cfg, recalibrator)| {
             cfg.validate();
             let lens: Vec<usize> = self.shards.iter().map(|s| s.ladder.len()).collect();
@@ -572,23 +684,12 @@ impl Server {
                     // fold is a pure function of the run.
                     while let Some((_, b)) = ctl.pending.pop_at_or_before(watermark) {
                         let b = b as usize;
-                        if batches.rung[b] == NONE_U32 {
+                        let (r, s) = (batches.rung[b], batches.shard[b] as usize);
+                        if r == NONE_U32 || r as usize >= ctl.tracker.rungs(s) {
                             continue;
                         }
-                        let r = batches.rung[b] as usize;
-                        let s = batches.shard[b] as usize;
-                        if r >= ctl.tracker.rungs(s) {
-                            continue;
-                        }
-                        let size = batches.members[b] as usize;
-                        let ladder = &ladder_table[batches.ladder_idx[b] as usize];
-                        let observed = scaled_service(
-                            ladder.batch_latency_us(r, size),
-                            batches.leader_noise_ppm[b],
-                            batches.fault_ppm[b],
-                        );
-                        let predicted = ladder.predicted_batch_latency_us(r, size);
-                        ctl.tracker.observe(s, r, predicted, observed);
+                        let (observed, predicted) = batches.price(b, &ladder_table, emg_us);
+                        ctl.tracker.observe(s, r as usize, predicted, observed);
                     }
                     for s in 0..self.shards.len() {
                         if ctl.tracker.shard_samples(s) < ctl.cfg.min_samples
@@ -598,7 +699,7 @@ impl Server {
                         {
                             continue;
                         }
-                        obs::counter_add("recalib.triggers", 1);
+                        triggers += 1;
                         let Some(scale) = refit_scale_ppm(ctl.tracker.recent_samples(s)) else {
                             continue;
                         };
@@ -613,16 +714,12 @@ impl Server {
                         ladder_table.push(swapped);
                         cur_ladder[s] = (ladder_table.len() - 1) as u32;
                         generations[s] = generation;
+                        swaps.push((watermark, s, generation, new_calib));
                         ctl.last_swap_us[s] = Some(watermark);
                         ctl.tracker.reset_shard(s);
                         // The open batch was admitted under the old
                         // generation: close it so no batch spans a swap.
                         open[s] = None;
-                        obs::counter_add("recalib.swaps", 1);
-                        obs::gauge_set("recalib.scale_ppm", new_calib as i64);
-                        if let Some(tb) = tb.as_deref_mut() {
-                            tb.recalibrated(watermark, s, generation, new_calib);
-                        }
                     }
                 }
             }
@@ -730,10 +827,6 @@ impl Server {
             let s = cand.shard;
 
             if fault_tables[s].should_drop(now, req.id) {
-                hot.dropped += 1;
-                if let Some(tb) = tb.as_deref_mut() {
-                    tb.dropped(now, s);
-                }
                 out.push(0, s as u32, generations[s], Status::Dropped);
                 continue;
             }
@@ -750,10 +843,6 @@ impl Server {
             }
 
             if !cand.admissible {
-                hot.rejected += 1;
-                if let Some(tb) = tb.as_deref_mut() {
-                    tb.rejected(now, s);
-                }
                 out.push(
                     cand.start_us - now,
                     s as u32,
@@ -817,72 +906,14 @@ impl Server {
             out.push(0, s as u32, generations[s], Status::Served);
         }
 
-        // Finalization, phase A — pricing: batch sizes are settled, so
-        // each batch's (service, predicted) pair is a pure function of
-        // its ledger row and its admission ladder. Past the gate the work
-        // is partitioned by shard, priced on `sim_jobs` workers, and
-        // merged back into dispatch order — bit-identical at any job
-        // count because nothing here reads or writes shared state.
-        let nbatches = batches.len();
-        let price = |b: usize| -> (u64, u64) {
-            let size = batches.members[b] as usize;
-            let ladder = &ladder_table[batches.ladder_idx[b] as usize];
-            let (base_us, predicted) = if batches.rung[b] == NONE_U32 {
-                (self.config.emg_service_us, self.config.emg_service_us)
-            } else {
-                let r = batches.rung[b] as usize;
-                (
-                    ladder.batch_latency_us(r, size),
-                    // The calibrated prediction against what the noise-
-                    // and fault-scaled device actually took: identical to
-                    // the raw curve at generation 0, corrected after a
-                    // hot-swap so OBS002 sees the recovery.
-                    ladder.predicted_batch_latency_us(r, size),
-                )
-            };
-            let service =
-                scaled_service(base_us, batches.leader_noise_ppm[b], batches.fault_ppm[b]);
-            (service, predicted)
-        };
-        let priced: Vec<(u64, u64)> =
-            if self.config.sim_jobs != 1 && nbatches >= PAR_FINALIZE_MIN_BATCHES {
-                let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-                for b in 0..nbatches {
-                    by_shard[batches.shard[b] as usize].push(b as u32);
-                }
-                let shard_prices = par_map_with_jobs(
-                    self.config.sim_jobs,
-                    (0..self.shards.len()).collect(),
-                    |_, s: usize| -> Vec<(u64, u64)> {
-                        by_shard[s].iter().map(|&b| price(b as usize)).collect()
-                    },
-                );
-                let mut priced = vec![(0u64, 0u64); nbatches];
-                for (ids, prices) in by_shard.iter().zip(&shard_prices) {
-                    for (&b, &p) in ids.iter().zip(prices) {
-                        priced[b as usize] = p;
-                    }
-                }
-                priced
-            } else {
-                (0..nbatches).map(price).collect()
-            };
-
-        // Finalization, phase B — serial application, dispatch order:
-        // every batch prices on its *admission* generation's ladder —
-        // hot-swaps never touch in-flight work.
-        for b in 0..nbatches {
-            let size = batches.members[b] as usize;
-            let (service, predicted) = priced[b];
-            let start = batches.start_us[b];
-            let finish = start + service;
-            let s = batches.shard[b] as usize;
-            hot.batch_size.observe_us(size as u64);
-            let rung = batches.rung[b];
-            if let Some(tb) = tb.as_deref_mut() {
-                let rung_opt = (rung != NONE_U32).then_some(rung as usize);
-                tb.batch(start, s, rung_opt, predicted, service);
-            }
+        // Finalization: batch sizes are settled, so every batch prices
+        // once on its *admission* generation's ladder — hot-swaps never
+        // touch in-flight work — and its members' rows are filled in.
+        let mut priced = Vec::with_capacity(batches.len());
+        for b in 0..batches.len() {
+            let (service, predicted) = batches.price(b, &ladder_table, emg_us);
+            priced.push((service, predicted));
+            let (start, rung, size) = (batches.start_us[b], batches.rung[b], batches.members[b]);
             let degraded = rung != NONE_U32
                 && (rung as usize) < ladder_table[batches.ladder_idx[b] as usize].top();
             let mut m = batches.first_member[b];
@@ -895,38 +926,24 @@ impl Server {
                     "batch spans a hot-swap"
                 );
                 let arrival = requests[oi].arrival_us;
-                let queue_delay = start - arrival;
-                let latency = finish - arrival;
-                out.queue_delay_us[oi] = queue_delay;
+                let latency = start + service - arrival;
+                out.queue_delay_us[oi] = start - arrival;
                 out.rung[oi] = rung;
                 out.service_us[oi] = service;
                 out.latency_us[oi] = latency;
-                out.batch_size[oi] = size as u32;
-                let missed = latency > deadline;
-                out.status[oi] = if missed {
+                out.batch_size[oi] = size;
+                out.degraded[oi] = degraded;
+                out.status[oi] = if latency > deadline {
                     Status::Missed
                 } else {
                     Status::Served
                 };
-                if missed {
-                    hot.missed += 1;
-                } else {
-                    hot.served += 1;
-                }
-                if degraded {
-                    hot.degraded += 1;
-                }
-                if let Some(tb) = tb.as_deref_mut() {
-                    tb.completion(arrival, s, missed, degraded, queue_delay);
-                }
-                hot.latency_us.observe_us(latency);
-                hot.queue_delay_us.observe_us(queue_delay);
                 if obs::enabled() {
                     let mut span = obs::span("serve.request");
                     span.field("id", requests[oi].id);
-                    span.field("shard", s);
-                    span.field("batch_size", size);
-                    span.field("queue_delay_us", queue_delay);
+                    span.field("shard", batches.shard[b] as usize);
+                    span.field("batch_size", size as usize);
+                    span.field("queue_delay_us", start - arrival);
                     span.field("service_us", service);
                     span.field("latency_us", latency);
                     if rung != NONE_U32 {
@@ -936,30 +953,17 @@ impl Server {
                 m = next_member[oi];
             }
         }
-        hot.flush();
-
-        // Assembly: the SoA columns plus the request identity fields
-        // become the public arrival-order outcome records.
-        let outcomes: Vec<RequestOutcome> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, req)| RequestOutcome {
-                id: req.id,
-                kind: req.kind,
-                arrival_us: req.arrival_us,
-                queue_delay_us: out.queue_delay_us[i],
-                rung: (out.rung[i] != NONE_U32).then_some(out.rung[i] as usize),
-                service_us: out.service_us[i],
-                latency_us: out.latency_us[i],
-                shard: out.shard[i] as usize,
-                batch_size: out.batch_size[i] as usize,
-                generation: out.generation[i],
-                status: out.status[i],
-            })
-            .collect();
-        run_span.field("outcomes", outcomes.len());
-        run_span.field("batches", nbatches);
-        outcomes
+        run_span.field("outcomes", out.len());
+        run_span.field("batches", batches.len());
+        RunLedger {
+            server: self,
+            requests,
+            out,
+            batches,
+            priced,
+            swaps,
+            triggers,
+        }
     }
 }
 
@@ -1031,7 +1035,6 @@ mod tests {
             batch_max: 1,
             batch_slack_us: 300,
             exit_pin: None,
-            sim_jobs: 1,
         }
     }
 
@@ -1052,7 +1055,6 @@ mod tests {
         assert_eq!(c.emg_service_us, 800);
         assert!(c.degrade);
         assert_eq!(c.batch_max, 1, "batching is opt-in");
-        assert_eq!(c.sim_jobs, 1, "finalization parallelism is opt-in");
     }
 
     #[test]
@@ -1250,39 +1252,6 @@ mod tests {
             assert_eq!(x.latency_us, y.latency_us);
             assert_eq!(x.rung, y.rung);
         }
-    }
-
-    #[test]
-    fn sim_jobs_never_changes_a_single_outcome() {
-        // The finalization pricing pass is the only parallel code inside
-        // the runtime: every `sim_jobs` setting must produce bit-identical
-        // outcomes (the stress-scale cross-check lives in
-        // `tests/simcore_stress.rs`; this is the fast in-crate pin, sized
-        // past the parallel gate).
-        let reqs = Workload {
-            rps: 40_000,
-            duration_us: 300_000,
-            emg_share_ppm: 100_000,
-            seed: 11,
-        }
-        .generate();
-        assert!(reqs.len() >= PAR_FINALIZE_MIN_BATCHES, "gate must open");
-        let server = |jobs: usize| {
-            Server::new(
-                test_ladder(),
-                ServerConfig {
-                    workers: 16,
-                    sim_jobs: jobs,
-                    ..config()
-                },
-                FaultPlan::seeded_demo(11, 300_000, &netcut_sim::DeviceModel::jetson_xavier()),
-            )
-        };
-        let serial = server(1).run(&reqs);
-        let parallel = server(8).run(&reqs);
-        let all_cores = server(0).run(&reqs);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, all_cores);
     }
 
     #[test]

@@ -123,12 +123,10 @@ impl Default for ScenarioConfig {
 /// pure function, so [`Scenario::run`] always returns the same outcomes).
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// The device shards the server routes across.
-    pub shards: Vec<Shard>,
+    /// The server: device shards plus the runtime configuration.
+    server: Server,
     /// The generated request stream, shard-0 noise attached.
     pub requests: Vec<crate::request::Request>,
-    /// The runtime configuration.
-    pub server_config: ServerConfig,
     config: ScenarioConfig,
     /// The evaluation caches the exit tables were built through, kept so
     /// a mid-run recalibration re-explores on pure memo hits.
@@ -411,14 +409,12 @@ impl Scenario {
             batch_max: cfg.batch_max,
             batch_slack_us: cfg.batch_slack_us,
             exit_pin: cfg.exit_pin,
-            sim_jobs: cfg.jobs,
             ..ServerConfig::default()
         };
         span.field("requests", requests.len());
         Ok(Scenario {
-            shards,
+            server: Server::with_shards(shards, server_config),
             requests,
-            server_config,
             config: cfg,
             caches,
         })
@@ -431,17 +427,17 @@ impl Scenario {
 
     /// Shard 0's ladder (the only ladder for single-shard scenarios).
     pub fn ladder(&self) -> &TrnLadder {
-        &self.shards[0].ladder
+        self.server.ladder()
     }
 
     /// The server this scenario runs.
-    pub fn server(&self) -> Server {
-        Server::with_shards(self.shards.clone(), self.server_config.clone())
+    pub fn server(&self) -> &Server {
+        &self.server
     }
 
     /// Runs the serving simulation and returns per-request outcomes.
     pub fn run(&self) -> Vec<RequestOutcome> {
-        self.server().run(&self.requests)
+        self.server.run(&self.requests)
     }
 
     /// The timeline configuration this scenario records under.
@@ -469,7 +465,12 @@ impl Scenario {
     pub fn recalibrator(&self) -> ScenarioRecalibrator {
         ScenarioRecalibrator {
             cfg: self.config.clone(),
-            devices: self.shards.iter().map(|s| s.name.clone()).collect(),
+            devices: self
+                .server
+                .shards()
+                .iter()
+                .map(|s| s.name.clone())
+                .collect(),
             caches: self.caches.clone(),
         }
     }
@@ -481,26 +482,26 @@ impl Scenario {
     /// builds.
     pub fn run_full(&self) -> (Vec<RequestOutcome>, Timeline) {
         if self.config.recalibrate {
-            let recalibrator = self.recalibrator();
-            self.server().run_recalibrating(
+            self.server.run_recalibrating(
                 &self.requests,
                 &self.timeline_config(),
                 &self.recalib_config(),
-                &recalibrator,
+                &self.recalibrator(),
             )
         } else {
-            self.server()
+            self.server
                 .run_with_timeline(&self.requests, &self.timeline_config())
         }
     }
 
-    /// Runs the simulation and aggregates the summary, timeline attached.
-    pub fn run_summary(&self) -> ServeSummary {
-        let meta = RunMeta::from_server(&self.server(), self.config.duration_us);
+    /// Runs the simulation and aggregates the summary (timeline attached),
+    /// returning the timeline alongside it.
+    pub fn run_summary(&self) -> (ServeSummary, Timeline) {
+        let meta = RunMeta::from_server(&self.server, self.config.duration_us);
         let (outcomes, timeline) = self.run_full();
         let mut summary = ServeSummary::from_outcomes(&outcomes, &meta);
         summary.attach_timeline(&timeline);
-        summary
+        (summary, timeline)
     }
 }
 
@@ -541,7 +542,7 @@ impl Recalibrator for ScenarioRecalibrator {
 
 /// Builds and runs a scenario in one call — what the CLI and bench do.
 pub fn run_scenario(cfg: ScenarioConfig) -> ServeSummary {
-    Scenario::build(cfg).run_summary()
+    Scenario::build(cfg).run_summary().0
 }
 
 #[cfg(test)]
@@ -670,22 +671,23 @@ mod tests {
     #[test]
     fn sharded_scenario_builds_distinct_device_ladders() {
         let s = Scenario::build(quick_sharded());
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[0].name, "jetson-xavier");
-        assert_eq!(s.shards[1].name, "jetson-nano");
+        let shards = s.server().shards();
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[0].name, "jetson-xavier");
+        assert_eq!(shards[1].name, "jetson-nano");
         // The Nano is slower across the board: its fastest rung is slower
         // than the Xavier's fastest rung.
         assert!(
-            s.shards[1].ladder.rung(0).latency_us > s.shards[0].ladder.rung(0).latency_us,
+            shards[1].ladder.rung(0).latency_us > shards[0].ladder.rung(0).latency_us,
             "nano {} µs !> xavier {} µs",
-            s.shards[1].ladder.rung(0).latency_us,
-            s.shards[0].ladder.rung(0).latency_us
+            shards[1].ladder.rung(0).latency_us,
+            shards[0].ladder.rung(0).latency_us
         );
         // Shard 0 reads request-carried noise; shard 1 has its own table.
-        assert!(s.shards[0].noise_ppm.is_empty());
-        assert_eq!(s.shards[1].noise_ppm.len(), s.requests.len());
+        assert!(shards[0].noise_ppm.is_empty());
+        assert_eq!(shards[1].noise_ppm.len(), s.requests.len());
         // Batch curves attached: batch 8 amortizes (sublinear).
-        let l = &s.shards[0].ladder;
+        let l = &shards[0].ladder;
         let top = l.top();
         assert!(l.batch_latency_us(top, 8) < 8 * l.batch_latency_us(top, 1));
     }

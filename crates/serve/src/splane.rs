@@ -143,7 +143,8 @@ fn windows_of(plan: &FaultPlan) -> Vec<WindowSpec> {
 pub fn serve_artifact(name: &str, scenario: &Scenario) -> ServeArtifact {
     let cfg = scenario.config();
     let shards = scenario
-        .shards
+        .server()
+        .shards()
         .iter()
         .enumerate()
         .map(|(i, shard)| {

@@ -1,12 +1,12 @@
 //! The serving timeline: virtual-time windowed telemetry for one run.
 //!
 //! Whole-run aggregates say *how much* went wrong; the timeline says
-//! *when and where*. The runtime feeds a [`TimelineBuilder`] from inside
-//! its serial event loop — request dispositions at their arrival window,
-//! batch starts and predicted-vs-observed residual samples at the batch's
-//! dispatch window — so the finished [`Timeline`] is a pure function of
-//! the run, bit-identical across `--jobs` settings and platforms like
-//! every other serve artifact.
+//! *when and where*. It is a projection of the runtime's run ledger,
+//! taken after the event loop ends: request dispositions land in their
+//! arrival window, batch starts and predicted-vs-observed residual
+//! samples in the batch's dispatch window — so the finished [`Timeline`]
+//! is a pure function of the run, bit-identical across `--jobs` settings
+//! and platforms like every other serve artifact.
 //!
 //! Per (window, shard) the timeline reports arrivals, dispositions,
 //! degradations, batch starts, queue-delay quantiles, the shard's running
@@ -40,6 +40,7 @@
 
 use crate::calqueue::{CalendarQueue, EVENT_BUCKET_US};
 use crate::faults::FaultPlan;
+use crate::runtime::Status;
 use crate::shard::Shard;
 use netcut_obs as obs;
 use obs::alert::{Alert, AlertCode, SloPolicy, WindowObservation};
@@ -314,12 +315,12 @@ struct Cell {
     queue: WindowHistogram,
 }
 
-/// Accumulates timeline facts from inside the runtime's serial event
-/// loop. Everything is deterministic because every call site is.
+/// Accumulates timeline facts as the runtime projects its run ledger.
+/// Everything is deterministic because the projection is.
 ///
 /// Cells are a dense window-major vector indexed `w × shards + s`, grown
 /// on first touch — every event is a bump of an indexed integer field,
-/// with no string keys or map lookups on the runtime's hot path.
+/// with no string keys or map lookups.
 #[derive(Debug)]
 pub(crate) struct TimelineBuilder {
     cfg: TimelineConfig,
@@ -417,40 +418,33 @@ impl TimelineBuilder {
         ));
     }
 
-    /// A request arriving at `t_us` was dropped on `shard`.
-    pub(crate) fn dropped(&mut self, t_us: u64, shard: usize) {
-        let cell = self.cell_mut(t_us, shard);
-        cell.arrivals += 1;
-        cell.dropped += 1;
-    }
-
-    /// A request arriving at `t_us` was rejected at admission on `shard`.
-    pub(crate) fn rejected(&mut self, t_us: u64, shard: usize) {
-        let cell = self.cell_mut(t_us, shard);
-        cell.arrivals += 1;
-        cell.rejected += 1;
-    }
-
-    /// A request arriving at `arrival_us` completed on `shard`. Counted in
-    /// its *arrival* window, so the per-window disposition invariant holds.
-    pub(crate) fn completion(
+    /// A request arriving at `arrival_us` on `shard` ended in `status`.
+    /// Counted in its *arrival* window, so the per-window disposition
+    /// invariant holds; completions also record their queue delay and
+    /// whether they ran below the top rung.
+    pub(crate) fn request(
         &mut self,
         arrival_us: u64,
         shard: usize,
-        missed: bool,
+        status: Status,
         degraded: bool,
         queue_delay_us: u64,
     ) {
         let cell = self.cell_mut(arrival_us, shard);
         cell.arrivals += 1;
-        if missed {
-            cell.missed += 1;
-        } else {
-            cell.served += 1;
+        match status {
+            Status::Served => cell.served += 1,
+            Status::Missed => cell.missed += 1,
+            Status::Rejected => {
+                cell.rejected += 1;
+                return;
+            }
+            Status::Dropped => {
+                cell.dropped += 1;
+                return;
+            }
         }
-        if degraded {
-            cell.degraded += 1;
-        }
+        cell.degraded += u64::from(degraded);
         cell.queue.observe(queue_delay_us);
     }
 
@@ -642,10 +636,10 @@ mod tests {
     fn dispositions_land_in_their_arrival_window() {
         let shards = vec![shard("a", FaultPlan::none())];
         let mut b = builder(&shards);
-        b.completion(10, 0, false, false, 5);
-        b.completion(150_000, 0, true, true, 800);
-        b.rejected(160_000, 0);
-        b.dropped(250_000, 0);
+        b.request(10, 0, Status::Served, false, 5);
+        b.request(150_000, 0, Status::Missed, true, 800);
+        b.request(160_000, 0, Status::Rejected, false, 0);
+        b.request(250_000, 0, Status::Dropped, false, 0);
         b.batch(10, 0, Some(1), 700, 721);
         let tl = b.finish();
         assert_eq!(tl.windows, 3);
@@ -700,8 +694,8 @@ mod tests {
     fn recalibration_raises_obs005_and_tags_generations() {
         let shards = vec![shard("a", FaultPlan::none())];
         let mut b = builder(&shards);
-        b.completion(10, 0, false, false, 5);
-        b.completion(150_000, 0, false, false, 5);
+        b.request(10, 0, Status::Served, false, 5);
+        b.request(150_000, 0, Status::Served, false, 5);
         b.recalibrated(123_456, 0, 1, 1_300_000);
         let tl = b.finish();
         let obs005: Vec<&Alert> = tl
@@ -732,7 +726,7 @@ mod tests {
         let shards = vec![shard("a", FaultPlan::none()), shard("b", FaultPlan::none())];
         let mut b = builder(&shards);
         for i in 0..20 {
-            b.completion(i * 1_000, 0, false, false, 0);
+            b.request(i * 1_000, 0, Status::Served, false, 0);
         }
         let tl = b.finish();
         let starved: Vec<&Alert> = tl
@@ -752,7 +746,12 @@ mod tests {
         for i in 0..20 {
             // Half the window's arrivals go bad: 50% miss rate against a
             // 5% budget = 10× burn, far past the 2× alert threshold.
-            b.completion(i * 1_000, 0, i % 2 == 0, false, 0);
+            let status = if i % 2 == 0 {
+                Status::Missed
+            } else {
+                Status::Served
+            };
+            b.request(i * 1_000, 0, status, false, 0);
         }
         let tl = b.finish();
         assert_eq!(tl.rows[0].burn_ppm, 10_000_000);
@@ -770,7 +769,7 @@ mod tests {
     fn jsonl_is_stable_line_oriented_and_parseable() {
         let shards = vec![shard("a", FaultPlan::none())];
         let mut b = builder(&shards);
-        b.completion(10, 0, false, false, 5);
+        b.request(10, 0, Status::Served, false, 5);
         b.batch(10, 0, Some(0), 100, 100);
         let tl = b.finish();
         let doc = tl.to_jsonl();

@@ -65,7 +65,6 @@ fn server_config_strategy() -> impl Strategy<Value = ServerConfig> {
             batch_max: 1,
             batch_slack_us: 0,
             exit_pin: None,
-            sim_jobs: 1,
         }
     })
 }
@@ -177,7 +176,6 @@ proptest! {
                 batch_max: 1,
                 batch_slack_us: 0,
                 exit_pin: None,
-                sim_jobs: 1,
             },
             FaultPlan::none(),
         );
@@ -246,7 +244,6 @@ proptest! {
             batch_max: 1,
             batch_slack_us: 300,
             exit_pin: None,
-            sim_jobs: 1,
         };
         let unbatched = Server::new(ladder.clone(), base.clone(), FaultPlan::none());
         let no_slack = Server::new(

@@ -13,7 +13,7 @@
 //! 4. Determinism: the recalibrating scenario's summary is bit-identical
 //!    at `--jobs 1` and `--jobs 8`.
 
-use netcut_serve::{Scenario, ScenarioConfig, ServeSummary};
+use netcut_serve::{Scenario, ScenarioConfig, ServeSummary, Timeline};
 
 /// The drifting scenario all properties run against: +30% thermal
 /// throttle, demo faults off, one shard, loop closed with a short
@@ -31,21 +31,22 @@ fn drifting_config(jobs: usize) -> ScenarioConfig {
     }
 }
 
-fn run_drifting(jobs: usize) -> (Scenario, ServeSummary) {
-    let scenario = Scenario::try_build(drifting_config(jobs)).expect("drifting scenario builds");
-    let summary = scenario.run_summary();
-    (scenario, summary)
+fn drifting(jobs: usize) -> Scenario {
+    Scenario::try_build(drifting_config(jobs)).expect("drifting scenario builds")
+}
+
+fn run_drifting(jobs: usize) -> (ServeSummary, Timeline) {
+    drifting(jobs).run_summary()
 }
 
 #[test]
 fn windows_conserve_arrivals_across_swaps() {
-    let (scenario, summary) = run_drifting(1);
+    let (summary, timeline) = run_drifting(1);
     assert!(
         summary.recalibrations >= 2,
         "fixture must actually swap more than once, got {}",
         summary.recalibrations
     );
-    let (_, timeline) = scenario.run_full();
     for row in &timeline.rows {
         assert_eq!(
             row.arrivals,
@@ -60,12 +61,19 @@ fn windows_conserve_arrivals_across_swaps() {
         summary.total,
         summary.served + summary.missed + summary.rejected + summary.dropped
     );
+    // The timeline judges "degraded" against each request's admission
+    // ladder; the summary against the build-time exit table. A hot-swap
+    // must not pull the two apart.
+    assert_eq!(
+        timeline.rows.iter().map(|r| r.degraded).sum::<u64>(),
+        summary.degraded,
+        "timeline and summary disagree on degraded completions across swaps"
+    );
 }
 
 #[test]
 fn outcomes_carry_their_admission_generation() {
-    let (scenario, _) = run_drifting(1);
-    let (outcomes, timeline) = scenario.run_full();
+    let (outcomes, timeline) = drifting(1).run_full();
 
     // Nondecreasing in arrival order per shard (outcomes are in request
     // order, which is arrival order).
@@ -108,8 +116,7 @@ fn outcomes_carry_their_admission_generation() {
 
 #[test]
 fn timeline_generations_are_monotone_and_match_the_summary() {
-    let (scenario, summary) = run_drifting(1);
-    let (_, timeline) = scenario.run_full();
+    let (summary, timeline) = run_drifting(1);
     let shard_count = timeline.shard_names.len();
     for shard in 0..shard_count {
         let gens: Vec<u64> = (0..timeline.windows)
@@ -134,8 +141,8 @@ fn timeline_generations_are_monotone_and_match_the_summary() {
 
 #[test]
 fn recalibrating_summaries_are_bit_identical_across_jobs() {
-    let (scenario_seq, summary_seq) = run_drifting(1);
-    let (scenario_par, summary_par) = run_drifting(8);
+    let (summary_seq, tl_seq) = run_drifting(1);
+    let (summary_par, tl_par) = run_drifting(8);
     assert_eq!(
         summary_seq.to_json(),
         summary_par.to_json(),
@@ -143,7 +150,5 @@ fn recalibrating_summaries_are_bit_identical_across_jobs() {
     );
     assert!(summary_seq.recalibrations > 0);
     // The timelines (including OBS005 alert placement) match too.
-    let (_, tl_seq) = scenario_seq.run_full();
-    let (_, tl_par) = scenario_par.run_full();
     assert_eq!(tl_seq.to_jsonl(), tl_par.to_jsonl());
 }

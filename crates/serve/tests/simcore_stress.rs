@@ -1,14 +1,13 @@
 //! The million-request stress leg's determinism contract: the summary and
-//! the full timeline are byte-identical whether the finalization pricing
-//! pass runs on 1 worker or 8 (`ScenarioConfig::jobs` feeds
-//! `ServerConfig::sim_jobs`). This is the cross-shard-merge guarantee the
-//! SoA event loop makes — parallelism may only trade wall-clock time,
-//! never a byte of output — checked at the scale the `bench_simcore` CI
-//! leg actually runs.
+//! the full timeline are byte-identical whether the scenario is set up on
+//! 1 worker or 8. `ScenarioConfig::jobs` only changes set-up (ladder
+//! construction and noise precompute); the run itself is serial. Set-up
+//! parallelism may only trade wall-clock time, never a byte of output —
+//! checked at the scale the `bench_simcore` CI leg actually runs.
 
 use netcut_serve::{stress_scenario, Scenario, ScenarioConfig};
 
-/// The stress scenario at `seed`, with the pricing pass on `jobs` workers.
+/// The stress scenario at `seed`, set up on `jobs` workers.
 fn cfg(seed: u64, jobs: usize) -> ScenarioConfig {
     let (_, base) = stress_scenario();
     ScenarioConfig { seed, jobs, ..base }
@@ -44,7 +43,7 @@ fn stress_summary_and_timeline_identical_at_jobs_1_and_8() {
         // exactly what `run_summary` aggregates.
         let summarize = |scenario: &Scenario, outcomes, timeline| {
             let meta = netcut_serve::RunMeta::from_server(
-                &scenario.server(),
+                scenario.server(),
                 stress_scenario().1.duration_us,
             );
             let mut summary = netcut_serve::ServeSummary::from_outcomes(outcomes, &meta);

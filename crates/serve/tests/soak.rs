@@ -52,7 +52,6 @@ fn config() -> ServerConfig {
         batch_max: 1,
         batch_slack_us: 0,
         exit_pin: None,
-        sim_jobs: 1,
     }
 }
 

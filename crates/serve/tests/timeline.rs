@@ -102,14 +102,14 @@ fn pinned_ladder_burns_budget_and_alerts() {
 fn jsonl_roundtrips_through_the_summary_counts() {
     // The run-level summary and the timeline are two views of one run:
     // totals must agree.
-    let scenario = Scenario::build(quick(11, 1));
-    let summary = scenario.run_summary();
-    let (_, timeline) = scenario.run_full();
-    let arrivals: u64 = timeline.rows.iter().map(|r| r.arrivals).sum();
-    let served: u64 = timeline.rows.iter().map(|r| r.served).sum();
-    let missed: u64 = timeline.rows.iter().map(|r| r.missed).sum();
-    assert_eq!(arrivals, summary.total);
-    assert_eq!(served, summary.served);
-    assert_eq!(missed, summary.missed);
+    let (summary, timeline) = Scenario::build(quick(11, 1)).run_summary();
+    let total =
+        |f: fn(&netcut_serve::WindowRow) -> u64| -> u64 { timeline.rows.iter().map(f).sum() };
+    assert_eq!(total(|r| r.arrivals), summary.total);
+    assert_eq!(total(|r| r.served), summary.served);
+    assert_eq!(total(|r| r.missed), summary.missed);
+    assert_eq!(total(|r| r.rejected), summary.rejected);
+    assert_eq!(total(|r| r.dropped), summary.dropped);
+    assert_eq!(total(|r| r.degraded), summary.degraded);
     assert_eq!(timeline.alert_counts(), summary.alert_counts);
 }

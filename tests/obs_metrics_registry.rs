@@ -103,10 +103,10 @@ fn the_hot_serve_metrics_are_actually_in_the_tree() {
 
 #[test]
 fn the_hot_flush_literals_are_scanned_and_registered() {
-    // The event loop's registry series are accumulated run-locally and
-    // flushed once from `runtime.rs` (`HotMetrics::flush`); pin them
-    // file-by-file so a rename there can't silently drop them out of both
-    // the scan and the registry.
+    // The runtime's registry series are projected from the run ledger and
+    // flushed once from `runtime.rs` (`RunLedger::flush_metrics`); pin
+    // them file-by-file so a rename there can't silently drop them out of
+    // both the scan and the registry.
     let runtime: std::collections::HashSet<String> = metric_literals()
         .into_iter()
         .filter(|(file, _, _)| file.ends_with("serve/src/runtime.rs"))
