@@ -1,24 +1,24 @@
 //! A bucketed calendar queue over integer virtual microseconds.
 //!
 //! The serving runtime orders future events (batch folds awaiting the
-//! controller's watermark, residual samples awaiting the timeline fold)
-//! by `(timestamp, insertion order)`. A comparison-based heap pays
-//! `O(log n)` pointer-chasing per operation and — more importantly for
-//! determinism — leaves same-timestamp ordering up to heap internals. The
-//! calendar queue instead hashes each event into the bucket covering its
-//! timestamp (`key_us / bucket_width_us`), so a push is an append and a
-//! pop scans exactly one bucket. Ties on `key_us` pop in FIFO insertion
-//! order via a monotone sequence number, which makes the drain order a
-//! pure function of the push sequence — the property the runtime's
-//! goldens and the `BinaryHeap`-equivalence property test pin.
+//! controller's watermark) by `(timestamp, insertion order)`. A
+//! comparison-based heap pays `O(log n)` pointer-chasing per operation
+//! and — more importantly for determinism — leaves same-timestamp
+//! ordering up to heap internals. The calendar queue instead hashes each
+//! event into the bucket covering its timestamp
+//! (`key_us / bucket_width_us`), so a push is an append and a pop scans
+//! exactly one bucket. Ties on `key_us` pop in FIFO insertion order via
+//! a monotone sequence number, which makes the drain order a pure
+//! function of the push sequence — the property the runtime's goldens
+//! and the `BinaryHeap`-equivalence property test pin.
 //!
 //! Bucket sizing: a pop is a linear min-scan of its bucket, so the width
 //! should keep expected occupancy small — a few events per bucket. The
 //! runtime's event rates are bounded by the request rate (at most one
-//! batch dispatch and one residual sample per request), so
-//! [`EVENT_BUCKET_US`] (256 µs) holds buckets to tens of entries even at
-//! the 200k-rps stress leg while keeping the bucket array proportional to
-//! run duration (~20k buckets per simulated 5 s). Degenerate key
+//! batch dispatch per request), so [`EVENT_BUCKET_US`] (256 µs) holds
+//! buckets to tens of entries even at the 200k-rps stress leg while
+//! keeping the bucket array proportional to run duration (~20k buckets
+//! per simulated 5 s). Degenerate key
 //! distributions (everything in one bucket) degrade to the `O(n)` scan of
 //! an unsorted list but stay correct.
 //!

@@ -80,7 +80,7 @@ use crate::ladder::TrnLadder;
 use crate::recalib::{RecalibConfig, Recalibrator};
 use crate::request::{Request, RequestKind, PPM};
 use crate::shard::{Candidate, Shard, ShardRouter};
-use crate::timeline::{Timeline, TimelineBuilder, TimelineConfig};
+use crate::timeline::{ResidualSample, Timeline, TimelineBuilder, TimelineConfig};
 use netcut_estimate::refit_scale_ppm;
 use netcut_obs as obs;
 use obs::ResidualTracker;
@@ -339,9 +339,8 @@ impl RunLedger<'_> {
             tb.recalibrated(t_us, shard, generation, calib_ppm);
         }
         let b = &self.batches;
-        for (i, &(service, predicted)) in self.priced.iter().enumerate() {
-            let rung = (b.rung[i] != NONE_U32).then_some(b.rung[i] as usize);
-            tb.batch(b.start_us[i], b.shard[i] as usize, rung, predicted, service);
+        for i in 0..b.len() {
+            tb.batch(b.start_us[i], b.shard[i] as usize);
         }
         let out = &self.out;
         for (i, req) in self.requests.iter().enumerate() {
@@ -353,7 +352,23 @@ impl RunLedger<'_> {
                 out.queue_delay_us[i],
             );
         }
-        tb.finish()
+        // Ladder batches in (start, dispatch order), the residual fold
+        // order, read straight from the ledger.
+        let mut order: Vec<u32> = (0..b.len() as u32)
+            .filter(|&i| b.rung[i as usize] != NONE_U32)
+            .collect();
+        order.sort_by_key(|&i| b.start_us[i as usize]);
+        tb.finish(order.into_iter().map(|i| {
+            let i = i as usize;
+            let (observed_us, predicted_us) = self.priced[i];
+            ResidualSample {
+                start_us: b.start_us[i],
+                shard: b.shard[i] as usize,
+                rung: b.rung[i] as usize,
+                predicted_us,
+                observed_us,
+            }
+        }))
     }
 
     /// Flushes the run to the global `obs` registry: one `counter_add` or

@@ -38,7 +38,6 @@
 //! (alerts), with the trace clock *being* virtual time — microsecond
 //! timestamps straight from the simulation.
 
-use crate::calqueue::{CalendarQueue, EVENT_BUCKET_US};
 use crate::faults::FaultPlan;
 use crate::runtime::Status;
 use crate::shard::Shard;
@@ -290,14 +289,15 @@ impl Timeline {
     }
 }
 
-/// One raw residual sample, queued on its batch's start time until
-/// [`TimelineBuilder::finish`] folds them in virtual-time order.
+/// One raw residual sample: a ladder batch's predicted latency against
+/// its observed (noise- and fault-scaled) service time, at its start.
 #[derive(Debug, Clone, Copy)]
-struct ResidualSample {
-    shard: usize,
-    rung: usize,
-    predicted_us: u64,
-    observed_us: u64,
+pub(crate) struct ResidualSample {
+    pub(crate) start_us: u64,
+    pub(crate) shard: usize,
+    pub(crate) rung: usize,
+    pub(crate) predicted_us: u64,
+    pub(crate) observed_us: u64,
 }
 
 /// One dense (window, shard) accumulator cell. An untouched cell reads
@@ -339,9 +339,6 @@ pub(crate) struct TimelineBuilder {
     cached_base: usize,
     /// `true` once any event primed the cache.
     cache_live: bool,
-    /// Residual samples keyed on batch start; the queue's FIFO tie-break
-    /// reproduces the former `(start_us, push order)` sort exactly.
-    samples: CalendarQueue<ResidualSample>,
     /// Fault windows opening per shard: `(window, shard, t_us, magnitude)`.
     fault_entries: Vec<(u64, usize, u64, u64)>,
     /// Hot-swaps landing per shard:
@@ -372,7 +369,6 @@ impl TimelineBuilder {
             cached_start_us: 0,
             cached_base: 0,
             cache_live: false,
-            samples: CalendarQueue::new(EVENT_BUCKET_US),
             fault_entries,
             recalib_entries: Vec::new(),
         }
@@ -448,36 +444,17 @@ impl TimelineBuilder {
         cell.queue.observe(queue_delay_us);
     }
 
-    /// A batch started on `shard` at `start_us`. Ladder batches
-    /// (`rung.is_some()`) contribute a residual sample comparing the
-    /// predicted batch latency against the observed (noise- and
-    /// fault-scaled) service time.
-    pub(crate) fn batch(
-        &mut self,
-        start_us: u64,
-        shard: usize,
-        rung: Option<usize>,
-        predicted_us: u64,
-        observed_us: u64,
-    ) {
+    /// A batch started on `shard` at `start_us`.
+    pub(crate) fn batch(&mut self, start_us: u64, shard: usize) {
         self.cell_mut(start_us, shard).batches += 1;
-        if let Some(rung) = rung {
-            self.samples.push(
-                start_us,
-                ResidualSample {
-                    shard,
-                    rung,
-                    predicted_us,
-                    observed_us,
-                },
-            );
-        }
     }
 
-    /// Folds everything into the finished [`Timeline`]: residual samples
-    /// in virtual-time order, dense (window, shard) rows, alerts in
-    /// (window, shard, code) order.
-    pub(crate) fn finish(mut self) -> Timeline {
+    /// Folds everything into the finished [`Timeline`]: dense (window,
+    /// shard) rows, alerts in (window, shard, code) order, and the
+    /// residual `samples` — one per ladder batch, which must come in
+    /// `(start_us, dispatch order)`, the order each window's residual
+    /// state folds them in.
+    pub(crate) fn finish(mut self, samples: impl IntoIterator<Item = ResidualSample>) -> Timeline {
         let shards = self.shard_names.len();
         let last_fault = self.fault_entries.iter().map(|&(w, ..)| w).max();
         let last_recalib = self.recalib_entries.iter().map(|&(w, ..)| w).max();
@@ -493,16 +470,16 @@ impl TimelineBuilder {
         self.cells
             .resize_with((windows as usize) * shards, Cell::default);
         self.recalib_entries.sort_unstable();
+        let mut samples = samples.into_iter().peekable();
         let mut residuals = ResidualTracker::new(&self.ladder_lens, self.cfg.alpha_ppm);
         let mut rows = Vec::with_capacity((windows as usize) * shards);
         let mut alerts = Vec::new();
         let mut generations = vec![0u64; shards];
         for w in 0..windows {
             // Residual state "as of the end of window w": fold every batch
-            // that started inside it before reading the EWMAs. The queue
-            // pops in (start, push order) — the former sorted order.
+            // that started inside it before reading the EWMAs.
             let window_end_us = (w + 1) * self.cfg.window_us - 1;
-            while let Some((_, s)) = self.samples.pop_at_or_before(window_end_us) {
+            while let Some(s) = samples.next_if(|s| s.start_us <= window_end_us) {
                 residuals.observe(s.shard, s.rung, s.predicted_us, s.observed_us);
             }
             let base = (w as usize) * shards;
@@ -632,6 +609,16 @@ mod tests {
         TimelineBuilder::new(TimelineConfig::default(), shards, 900)
     }
 
+    fn sample(start_us: u64, rung: usize, predicted_us: u64, observed_us: u64) -> ResidualSample {
+        ResidualSample {
+            start_us,
+            shard: 0,
+            rung,
+            predicted_us,
+            observed_us,
+        }
+    }
+
     #[test]
     fn dispositions_land_in_their_arrival_window() {
         let shards = vec![shard("a", FaultPlan::none())];
@@ -640,8 +627,8 @@ mod tests {
         b.request(150_000, 0, Status::Missed, true, 800);
         b.request(160_000, 0, Status::Rejected, false, 0);
         b.request(250_000, 0, Status::Dropped, false, 0);
-        b.batch(10, 0, Some(1), 700, 721);
-        let tl = b.finish();
+        b.batch(10, 0);
+        let tl = b.finish([sample(10, 1, 700, 721)]);
         assert_eq!(tl.windows, 3);
         assert_eq!(tl.rows.len(), 3);
         let row0 = &tl.rows[0];
@@ -674,7 +661,7 @@ mod tests {
             seed: 0,
         };
         let shards = vec![shard("a", FaultPlan::none()), shard("b", faults)];
-        let tl = builder(&shards).finish();
+        let tl = builder(&shards).finish([]);
         // No traffic at all, but the fault entry still shapes the span.
         assert_eq!(tl.windows, 2);
         let obs004: Vec<&Alert> = tl
@@ -697,7 +684,7 @@ mod tests {
         b.request(10, 0, Status::Served, false, 5);
         b.request(150_000, 0, Status::Served, false, 5);
         b.recalibrated(123_456, 0, 1, 1_300_000);
-        let tl = b.finish();
+        let tl = b.finish([]);
         let obs005: Vec<&Alert> = tl
             .alerts
             .iter()
@@ -728,7 +715,7 @@ mod tests {
         for i in 0..20 {
             b.request(i * 1_000, 0, Status::Served, false, 0);
         }
-        let tl = b.finish();
+        let tl = b.finish([]);
         let starved: Vec<&Alert> = tl
             .alerts
             .iter()
@@ -753,7 +740,7 @@ mod tests {
             };
             b.request(i * 1_000, 0, status, false, 0);
         }
-        let tl = b.finish();
+        let tl = b.finish([]);
         assert_eq!(tl.rows[0].burn_ppm, 10_000_000);
         let burns: Vec<&Alert> = tl
             .alerts
@@ -770,8 +757,8 @@ mod tests {
         let shards = vec![shard("a", FaultPlan::none())];
         let mut b = builder(&shards);
         b.request(10, 0, Status::Served, false, 5);
-        b.batch(10, 0, Some(0), 100, 100);
-        let tl = b.finish();
+        b.batch(10, 0);
+        let tl = b.finish([sample(10, 0, 100, 100)]);
         let doc = tl.to_jsonl();
         assert_eq!(doc, tl.to_jsonl());
         let lines: Vec<&str> = doc.lines().collect();
@@ -792,7 +779,7 @@ mod tests {
     #[test]
     fn empty_run_is_an_empty_timeline() {
         let shards = vec![shard("a", FaultPlan::none())];
-        let tl = builder(&shards).finish();
+        let tl = builder(&shards).finish([]);
         assert_eq!(tl.windows, 0);
         assert!(tl.rows.is_empty());
         assert!(tl.alerts.is_empty());
