@@ -22,7 +22,10 @@
 //!     multi-iteration sampling in [`simcore::run`] is sized so only a
 //!     genuine event-loop pessimization trips the gate.
 //!   * **Acceptance violations** — the leg set or the stress leg's
-//!     ≥ 10⁶-request scale drifted ([`simcore::acceptance_violations`]).
+//!     ≥ 10⁶-request scale drifted, or the closed-loop `drift` leg's
+//!     fastest `run_full` took more than
+//!     [`simcore::CLOSED_OPEN_MAX_RATIO`] times the open `drift_norecal`
+//!     leg's, timed in alternation ([`simcore::acceptance_violations`]).
 
 use netcut_bench::simcore;
 use std::path::PathBuf;
@@ -61,7 +64,16 @@ fn main() -> ExitCode {
         fresh_path.display()
     );
 
-    let mut failures: Vec<String> = simcore::acceptance_violations(&legs);
+    let closed_open = simcore::closed_open();
+    println!(
+        "bench_simcore: closed/open {:.2}x (drift {:.2} ms, drift_norecal {:.2} ms, \
+         fastest of alternating runs; budget {}x)",
+        closed_open.ratio(),
+        closed_open.closed_ms,
+        closed_open.open_ms,
+        simcore::CLOSED_OPEN_MAX_RATIO
+    );
+    let mut failures: Vec<String> = simcore::acceptance_violations(&legs, &closed_open);
 
     if bless {
         if failures.is_empty() {

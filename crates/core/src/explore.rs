@@ -129,33 +129,6 @@ pub fn exhaustive_blockwise_with<R: Retrainer>(
     }
 }
 
-/// Re-runs the exhaustive blockwise exploration through a context that
-/// already evaluated it — the closed-loop recalibration entry point
-/// (DESIGN.md §17).
-///
-/// The sweep itself is [`exhaustive_blockwise_with`]; what this function
-/// adds is the contract: called on a context sharing caches with the
-/// build-time exploration (same session fingerprint, same sources, same
-/// seed), every candidate is a memo hit, so re-deriving the corrected
-/// Pareto front costs cache lookups, not deploy-and-retrain sweeps. A
-/// mid-run hot-swap can therefore rebuild a shard's ladder without
-/// blowing the serving plane's virtual-time budget — and because the
-/// cached points are bit-identical to the originals, the rebuilt front
-/// differs from the old one only by whatever calibration the caller then
-/// applies.
-pub fn reexplore_with<R: Retrainer>(
-    ctx: &EvalContext<'_, R>,
-    sources: &[Network],
-    head: &HeadSpec,
-    seed: u64,
-) -> Exploration {
-    let mut span = obs::span("explore.reexplore");
-    span.field("sources", sources.len());
-    let result = exhaustive_blockwise_with(ctx, sources, head, seed);
-    span.field("candidates", result.points.len());
-    result
-}
-
 /// Evaluates only the *unmodified* source networks (with transfer heads) —
 /// the off-the-shelf baseline of Fig. 1.
 pub fn off_the_shelf<R: Retrainer>(
@@ -255,26 +228,6 @@ mod tests {
         assert_eq!(result.networks_trained(), 7);
         let names: Vec<&str> = result.points.iter().map(|p| p.name.as_str()).collect();
         assert!(names.contains(&"mobilenet_v1_0.50"));
-    }
-
-    #[test]
-    fn reexplore_hits_the_memo_caches_and_reproduces_the_front() {
-        let sources = [zoo::mobilenet_v1(0.25)];
-        let session = session();
-        let retrainer = SurrogateRetrainer::paper();
-        let ctx = EvalContext::new(&session, &retrainer);
-        let first = exhaustive_blockwise_with(&ctx, &sources, &HeadSpec::default(), 7);
-        let misses_after_first = ctx.stats().misses;
-        let again = reexplore_with(&ctx, &sources, &HeadSpec::default(), 7);
-        // Every candidate is a memo hit: no new misses, points identical.
-        assert_eq!(ctx.stats().misses, misses_after_first);
-        assert!(ctx.stats().hits >= first.points.len() as u64);
-        assert_eq!(again.points.len(), first.points.len());
-        for (a, b) in first.points.iter().zip(&again.points) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
-            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        }
     }
 
     #[test]

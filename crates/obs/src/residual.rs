@@ -11,11 +11,18 @@
 //! ewma' = (alpha × sample + (PPM − alpha) × ewma) / PPM
 //! ```
 //!
-//! with `u128` intermediates and one truncation per update — so a residual
-//! trace is a pure function of the sample sequence: bit-identical across
-//! `--jobs` settings, platforms, and reruns. This is the drift signal the
-//! ROADMAP's closed-loop recalibration consumes: a cell whose EWMA walks
-//! away from `PPM` is a rung whose latency table needs re-fitting.
+//! with one truncation per update (in `u64` when the weighted sum fits,
+//! which a realistic ratio always does, `u128` otherwise — the quotient is
+//! the same) — so a residual trace is a pure function of the sample
+//! sequence: bit-identical across `--jobs` settings, platforms, and
+//! reruns. This is the drift signal the ROADMAP's closed-loop
+//! recalibration consumes: a cell whose EWMA walks away from `PPM` is a
+//! rung whose latency table needs re-fitting.
+//!
+//! Each shard also keeps a bounded window of its most recent raw samples,
+//! oldest first, for the refit to read. Its buffer holds up to twice the
+//! window and drops the oldest half at once when full, so a sample costs
+//! O(1) amortized instead of shifting the whole window.
 
 /// One part per million; the fixed-point unit of residual arithmetic.
 pub const PPM: u64 = 1_000_000;
@@ -43,6 +50,9 @@ impl ResidualCell {
     pub fn observe(&mut self, sample_ppm: u64, alpha_ppm: u64) {
         self.ewma_ppm = if self.samples == 0 {
             sample_ppm
+        } else if sample_ppm.max(self.ewma_ppm) <= u64::MAX / PPM {
+            // The weights sum to PPM, so the weighted sum fits in u64.
+            (alpha_ppm * sample_ppm + (PPM - alpha_ppm) * self.ewma_ppm) / PPM
         } else {
             ((u128::from(alpha_ppm) * u128::from(sample_ppm)
                 + u128::from(PPM - alpha_ppm) * u128::from(self.ewma_ppm))
@@ -80,9 +90,11 @@ pub struct ResidualTracker {
     alpha_ppm: u64,
     cells: Vec<Vec<ResidualCell>>,
     blended: Vec<ResidualCell>,
-    /// Per-shard bounded window of the most recent raw samples (ppm),
-    /// oldest first — the refit API's evidence. FIFO eviction at
-    /// `window_cap`.
+    /// Per-shard buffer of the most recent raw samples (ppm), oldest
+    /// first — the refit API's evidence is its last `window_cap` entries.
+    /// It holds up to `2 × window_cap` and drops the oldest `window_cap`
+    /// at once when full, so eviction costs O(1) per sample amortized
+    /// instead of a shift per sample.
     recent: Vec<Vec<u64>>,
     window_cap: usize,
 }
@@ -133,13 +145,17 @@ impl ResidualTracker {
         predicted_us: u64,
         observed_us: u64,
     ) -> u64 {
-        let sample_ppm =
-            (u128::from(observed_us) * u128::from(PPM) / u128::from(predicted_us.max(1))) as u64;
+        let sample_ppm = match observed_us.checked_mul(PPM) {
+            Some(scaled) => scaled / predicted_us.max(1),
+            None => {
+                (u128::from(observed_us) * u128::from(PPM) / u128::from(predicted_us.max(1))) as u64
+            }
+        };
         self.cells[shard][rung].observe(sample_ppm, self.alpha_ppm);
         self.blended[shard].observe(sample_ppm, self.alpha_ppm);
         let window = &mut self.recent[shard];
-        if window.len() == self.window_cap {
-            window.remove(0);
+        if window.len() == 2 * self.window_cap {
+            window.drain(..self.window_cap);
         }
         window.push(sample_ppm);
         sample_ppm
@@ -153,7 +169,8 @@ impl ResidualTracker {
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn recent_samples(&self, shard: usize) -> &[u64] {
-        &self.recent[shard]
+        let window = &self.recent[shard];
+        &window[window.len().saturating_sub(self.window_cap)..]
     }
 
     /// Capacity of the per-shard recent-sample window.
@@ -306,6 +323,13 @@ mod tests {
         // A fourth sample evicts exactly the oldest (FIFO, not LIFO).
         t.observe(0, 1, 100, 140);
         assert_eq!(t.recent_samples(0), &[1_200_000, 1_300_000, 1_400_000]);
+        // Past twice the capacity the buffer compacts; the window still
+        // reads the last three samples, oldest first, after every one.
+        let mut all = vec![1_100_000, 1_200_000, 1_300_000, 1_400_000];
+        for obs in 150..170 {
+            all.push(t.observe(0, 0, 100, obs));
+            assert_eq!(t.recent_samples(0), &all[all.len() - 3..]);
+        }
         // Windows are per shard: shard 1 is untouched.
         assert!(t.recent_samples(1).is_empty());
     }

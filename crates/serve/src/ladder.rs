@@ -245,11 +245,19 @@ impl TrnLadder {
         self.calibrate(self.batch_latency_us(rung, batch))
     }
 
+    /// `latency_us × calib_ppm / PPM`, truncating, floor 1 µs. The product
+    /// fits `u64` for any realistic latency, and a 64-bit divide by the
+    /// constant is far cheaper than a 128-bit one; `u128` is the exact
+    /// fallback on overflow, so the result never depends on the path.
     fn calibrate(&self, latency_us: u64) -> u64 {
         if self.calib_ppm == PPM {
             return latency_us;
         }
-        ((u128::from(latency_us) * u128::from(self.calib_ppm)) / u128::from(PPM)).max(1) as u64
+        let scaled = match latency_us.checked_mul(self.calib_ppm) {
+            Some(product) => product / PPM,
+            None => (u128::from(latency_us) * u128::from(self.calib_ppm) / u128::from(PPM)) as u64,
+        };
+        scaled.max(1)
     }
 
     /// The resident-memory accounting, when one was attached.
@@ -524,6 +532,22 @@ mod tests {
         }
         assert_eq!(id.select(0, 900), ladder().select(0, 900));
         assert_eq!(ladder().calib_ppm(), PPM, "constructors default neutral");
+    }
+
+    #[test]
+    fn calibration_is_exact_past_the_u64_product() {
+        // 2^44 µs × 2^21 ppm overflows u64; the u128 fallback must agree
+        // with the exact quotient.
+        let l = TrnLadder::from_rungs(vec![Rung {
+            name: "huge".into(),
+            cutpoint: 0,
+            latency_us: 1 << 44,
+            accuracy: 0.5,
+        }])
+        .with_calibration(1 << 21);
+        let exact = (u128::from(1u64 << 44) * u128::from(1u64 << 21) / u128::from(PPM)) as u64;
+        assert_eq!(l.predicted_latency_us(0), exact);
+        assert!((1u64 << 44).checked_mul(1 << 21).is_none());
     }
 
     #[test]

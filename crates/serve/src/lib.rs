@@ -71,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod calqueue;
 pub mod faults;
 pub mod ladder;
 pub mod recalib;
@@ -84,15 +83,12 @@ pub mod summary;
 pub mod timeline;
 
 pub use batch::Batcher;
-pub use calqueue::CalendarQueue;
 pub use faults::{FaultKind, FaultPlan, FaultTable, FaultWindow};
 pub use ladder::{ExitTable, LadderError, LadderMemory, Rung, TrnLadder};
 pub use recalib::{CalibrateOnly, RecalibConfig, Recalibrator};
 pub use request::{service_noise_ppm, Request, RequestKind, Workload, PPM};
 pub use runtime::{RequestOutcome, Server, ServerConfig, Status};
-pub use scenario::{
-    build_ladder, build_ladder_for, run_scenario, Scenario, ScenarioConfig, ScenarioRecalibrator,
-};
+pub use scenario::{build_ladder, build_ladder_for, run_scenario, Scenario, ScenarioConfig};
 pub use shard::{Candidate, Shard, ShardRouter};
 pub use splane::{ladder_error_report, reference_matrix, serve_artifact, stress_scenario};
 pub use summary::{RunMeta, ServeSummary, ShardMeta};

@@ -10,13 +10,13 @@
 //! calibration factor from the recent observed-latency window
 //! ([`netcut_estimate::refit_scale_ppm`] — a truncating lower median,
 //! robust to noise outliers), (2) asks its [`Recalibrator`] for a
-//! corrected ladder (the scenario-level implementation re-runs the
-//! exploration through the memoized `EvalContext`, so every candidate is
-//! a cache hit), and (3) hot-swaps the new ladder in under a bumped
-//! **generation** tag. Queued and in-flight requests finish on the
-//! generation they were admitted under — the shard's open batch is closed
-//! at the swap instant so no batch ever spans generations, and no request
-//! is dropped or re-queued.
+//! corrected ladder (scenarios re-tag the shard's resident exit table
+//! with the new factor: one uniform factor cannot reorder a Pareto
+//! front, so re-exploring would only rebuild the same table), and (3)
+//! hot-swaps the new ladder in under a bumped **generation** tag. Queued
+//! and in-flight requests finish on the generation they were admitted
+//! under — the shard's open batch is closed at the swap instant so no
+//! batch ever spans generations, and no request is dropped or re-queued.
 //!
 //! Everything is virtual time: watermarks are multiples of
 //! [`RecalibConfig::watermark_us`], never wall clock, so a recalibrating
@@ -84,22 +84,22 @@ impl RecalibConfig {
 /// Produces the corrected ladder a hot-swap installs.
 ///
 /// The runtime computes *when* to swap and *what calibration factor* the
-/// refit demands; the recalibrator decides what ladder embodies it. The
-/// scenario-level implementation re-explores through the memoized
-/// `EvalContext` and applies `calib_ppm` to the rebuilt front; the
-/// in-crate [`CalibrateOnly`] fallback just re-tags the build-time ladder.
-/// Returning `None` declines the swap (the trigger still counts, the
-/// cooldown still arms).
+/// refit demands; the recalibrator decides what ladder embodies it.
+/// [`CalibrateOnly`], which scenarios use, re-tags the build-time ladder;
+/// an implementation whose candidate set or device changed could
+/// re-explore instead. Returning `None` declines the swap: the trigger
+/// still counts and the cooldown still arms, while the shard's tracker,
+/// generation and ladder stay as they were.
 pub trait Recalibrator {
     /// Builds the ladder for `shard`'s generation `generation` at
     /// calibration factor `calib_ppm`.
     fn recalibrate(&self, shard: usize, generation: u64, calib_ppm: u64) -> Option<TrnLadder>;
 }
 
-/// The minimal recalibrator: re-issues each shard's build-time ladder
-/// with the refit calibration applied — no re-exploration. This is the
-/// pure-runtime path (and the unit-test fixture); scenarios wire the
-/// cache-hitting re-exploration instead.
+/// Re-issues each shard's build-time ladder with the refit calibration
+/// applied — no re-exploration. The refit is one uniform factor on every
+/// prediction, so it keeps the front's order and the rungs' physics; a
+/// re-derived front would be this same table.
 #[derive(Debug, Clone)]
 pub struct CalibrateOnly {
     ladders: Vec<TrnLadder>,

@@ -69,12 +69,12 @@
 //!   ladders; batches hold a `u32` index into it, so admission under any
 //!   generation is an index copy, not an `Arc` clone, and in-flight
 //!   batches still price on their admission ladder.
-//! * **Calendar queue** — the controller's batches-awaiting-fold set is
-//!   a [`CalendarQueue`] keyed on dispatch start, drained in
-//!   `(start, dispatch order)` at each watermark — the same order the
-//!   old sort produced, without re-sorting per watermark.
+//! * **Sorted pending list** — the controller's batches awaiting a
+//!   watermark are a `(start, batch)` vector: each watermark stable-sorts
+//!   it on start, folds the due prefix and keeps the rest, so the fold
+//!   runs in `(start, dispatch order)` and its memory scales with the
+//!   batches waiting, not with the run's virtual duration.
 use crate::batch::Batcher;
-use crate::calqueue::{CalendarQueue, EVENT_BUCKET_US};
 use crate::faults::FaultPlan;
 use crate::ladder::TrnLadder;
 use crate::recalib::{RecalibConfig, Recalibrator};
@@ -467,11 +467,28 @@ struct Controller<'a> {
     recalibrator: &'a dyn Recalibrator,
     tracker: ResidualTracker,
     next_check_us: u64,
-    /// Batches not yet folded into the tracker, keyed on dispatch start —
-    /// each watermark drains the due prefix in `(start, dispatch order)`,
-    /// the exact order the former per-watermark sort produced.
-    pending: CalendarQueue<u32>,
-    last_swap_us: Vec<Option<u64>>,
+    /// `(start_us, batch)` of every batch not yet folded into the tracker,
+    /// drained at each watermark by [`drain_due`].
+    pending: Vec<(u64, u32)>,
+    /// Watermark of each shard's last trigger, swap or decline: the
+    /// cooldown runs from here.
+    last_trigger_us: Vec<Option<u64>>,
+}
+
+/// Calls `fold` on every pending batch that started at or before
+/// `watermark_us`, in `(start, dispatch order)`, and keeps the rest.
+///
+/// The sort is stable, so ties on start keep vector order. That is
+/// dispatch order: entries are pushed in dispatch order, and every entry
+/// a watermark leaves behind was dispatched before every entry pushed
+/// after it.
+fn drain_due(pending: &mut Vec<(u64, u32)>, watermark_us: u64, mut fold: impl FnMut(u32)) {
+    pending.sort_by_key(|&(start_us, _)| start_us);
+    let due = pending.partition_point(|&(start_us, _)| start_us <= watermark_us);
+    for &(_, b) in &pending[..due] {
+        fold(b);
+    }
+    pending.drain(..due);
 }
 
 /// The serving runtime: device shards and a configuration.
@@ -482,8 +499,15 @@ pub struct Server {
 }
 
 /// PR4-exact service scaling: `base × noise × fault`, both factors in ppm,
-/// truncating after each multiply, floor 1 µs.
+/// truncating after each multiply, floor 1 µs. Runs in `u64` while both
+/// products fit (the same quotients, without a 128-bit divide), in
+/// `u128` otherwise.
 fn scaled_service(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
+    if let Some(product) = base_us.checked_mul(noise_ppm) {
+        if let Some(product) = (product / PPM).checked_mul(fault_ppm) {
+            return (product / PPM).max(1);
+        }
+    }
     let noisy = u128::from(base_us) * u128::from(noise_ppm) / u128::from(PPM);
     (noisy * u128::from(fault_ppm) / u128::from(PPM)).max(1) as u64
 }
@@ -675,8 +699,8 @@ impl Server {
                 tracker: ResidualTracker::new(&lens, obs::DEFAULT_ALPHA_PPM)
                     .with_window(cfg.window),
                 next_check_us: cfg.watermark_us,
-                pending: CalendarQueue::new(EVENT_BUCKET_US),
-                last_swap_us: vec![None; self.shards.len()],
+                pending: Vec::new(),
+                last_trigger_us: vec![None; self.shards.len()],
             }
         });
         // Candidate scratch, reused across arrivals — the event loop
@@ -697,24 +721,27 @@ impl Server {
                     ctl.next_check_us += ctl.cfg.watermark_us;
                     // Virtual-time order, dispatch order on ties — the
                     // fold is a pure function of the run.
-                    while let Some((_, b)) = ctl.pending.pop_at_or_before(watermark) {
+                    let tracker = &mut ctl.tracker;
+                    drain_due(&mut ctl.pending, watermark, |b| {
                         let b = b as usize;
                         let (r, s) = (batches.rung[b], batches.shard[b] as usize);
-                        if r == NONE_U32 || r as usize >= ctl.tracker.rungs(s) {
-                            continue;
+                        if r != NONE_U32 && (r as usize) < tracker.rungs(s) {
+                            let (observed, predicted) = batches.price(b, &ladder_table, emg_us);
+                            tracker.observe(s, r as usize, predicted, observed);
                         }
-                        let (observed, predicted) = batches.price(b, &ladder_table, emg_us);
-                        ctl.tracker.observe(s, r as usize, predicted, observed);
-                    }
+                    });
                     for s in 0..self.shards.len() {
                         if ctl.tracker.shard_samples(s) < ctl.cfg.min_samples
                             || ctl.tracker.max_drift_ppm(s) < ctl.cfg.drift_ppm
-                            || ctl.last_swap_us[s]
+                            || ctl.last_trigger_us[s]
                                 .is_some_and(|t| watermark < t + ctl.cfg.cooldown_us)
                         {
                             continue;
                         }
                         triggers += 1;
+                        // Every trigger arms the cooldown, swap or decline;
+                        // a decline leaves tracker, generation and ladder.
+                        ctl.last_trigger_us[s] = Some(watermark);
                         let Some(scale) = refit_scale_ppm(ctl.tracker.recent_samples(s)) else {
                             continue;
                         };
@@ -730,7 +757,6 @@ impl Server {
                         cur_ladder[s] = (ladder_table.len() - 1) as u32;
                         generations[s] = generation;
                         swaps.push((watermark, s, generation, new_calib));
-                        ctl.last_swap_us[s] = Some(watermark);
                         ctl.tracker.reset_shard(s);
                         // The open batch was admitted under the old
                         // generation: close it so no batch spans a swap.
@@ -887,7 +913,7 @@ impl Server {
                         oi as u32,
                     );
                     if let Some(ctl) = controller.as_mut() {
-                        ctl.pending.push(cand.start_us, b as u32);
+                        ctl.pending.push((cand.start_us, b as u32));
                     }
                     // Every dispatch supersedes the shard's open batch: the
                     // open batch must stay the last thing scheduled on its
@@ -1060,6 +1086,57 @@ mod tests {
             workers,
             faults,
             noise_ppm: Vec::new(),
+        }
+    }
+
+    /// The watermark fold's order contract, against the reference a
+    /// `BinaryHeap<Reverse<(start, seq)>>` pops: seeded random pushes over
+    /// a narrow start range (ties and out-of-order starts are common),
+    /// nondecreasing watermarks, and leftovers carried across watermarks.
+    #[test]
+    fn drain_due_folds_in_start_then_dispatch_order() {
+        use crate::request::splitmix64;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for seed in 0..32u64 {
+            let mut draws = 0u64;
+            let mut draw = |n: u64| {
+                draws += 1;
+                splitmix64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ draws) % n
+            };
+            let mut pending: Vec<(u64, u32)> = Vec::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let (mut seq, mut watermark) = (0u32, 0u64);
+            let mut carried = 0usize;
+            for round in 0..64 {
+                for _ in 0..draw(96) {
+                    let start = watermark + draw(48);
+                    pending.push((start, seq));
+                    heap.push(Reverse((start, seq)));
+                    seq += 1;
+                }
+                watermark += draw(24);
+                if round == 63 {
+                    watermark = u64::MAX;
+                }
+                let mut got = Vec::new();
+                drain_due(&mut pending, watermark, |b| got.push(b));
+                let mut want = Vec::new();
+                while let Some(&Reverse((start, b))) = heap.peek() {
+                    if start > watermark {
+                        break;
+                    }
+                    heap.pop();
+                    want.push(b);
+                }
+                assert_eq!(got, want, "seed {seed} round {round}");
+                // Everything not yet due stays queued for a later watermark.
+                assert_eq!(pending.len(), heap.len(), "seed {seed} round {round}");
+                assert!(pending.iter().all(|&(start, _)| start > watermark));
+                carried += pending.len();
+            }
+            assert!(pending.is_empty(), "the last watermark drains everything");
+            assert!(carried > 0, "seed {seed} never carried a leftover");
         }
     }
 

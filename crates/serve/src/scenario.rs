@@ -20,14 +20,14 @@
 
 use crate::faults::FaultPlan;
 use crate::ladder::{LadderError, LadderMemory, TrnLadder};
-use crate::recalib::{RecalibConfig, Recalibrator};
+use crate::recalib::{CalibrateOnly, RecalibConfig};
 use crate::request::{service_noise_ppm, Workload};
 use crate::runtime::{RequestOutcome, Server, ServerConfig};
 use crate::shard::Shard;
 use crate::summary::{RunMeta, ServeSummary};
 use crate::timeline::{Timeline, TimelineConfig};
 use netcut::eval::{EvalCaches, EvalContext};
-use netcut::explore::{exhaustive_blockwise_with, reexplore_with};
+use netcut::explore::exhaustive_blockwise_with;
 use netcut_graph::{zoo, HeadSpec};
 use netcut_obs as obs;
 use netcut_sim::{batch_scale_ppm, DeviceModel, Precision, Session};
@@ -77,8 +77,8 @@ pub struct ScenarioConfig {
     /// `0` injects no thermal window.
     pub thermal_ppm: u64,
     /// `true` closes the loop (`--recalibrate`): residual drift past
-    /// `recalib_drift_ppm` refits the estimator, re-explores through the
-    /// primed caches, and hot-swaps a corrected exit table.
+    /// `recalib_drift_ppm` refits the estimator and hot-swaps the exit
+    /// table re-tagged at the corrected calibration.
     pub recalibrate: bool,
     /// Residual drift that arms a recalibration, ppm
     /// (`--recalib-drift-ppm`).
@@ -128,9 +128,6 @@ pub struct Scenario {
     /// The generated request stream, shard-0 noise attached.
     pub requests: Vec<crate::request::Request>,
     config: ScenarioConfig,
-    /// The evaluation caches the exit tables were built through, kept so
-    /// a mid-run recalibration re-explores on pure memo hits.
-    caches: Arc<EvalCaches>,
 }
 
 /// The network family the serve scenario explores: MobileNetV2 ×1.0 gives
@@ -192,9 +189,8 @@ pub fn build_ladder_for(
     build_ladder_in(cfg, device, &ctx)
 }
 
-/// [`build_ladder_for`] through an existing context — the scenario build
-/// and the recalibrator both come through here, so a recalibration's
-/// re-exploration hits the caches the build primed.
+/// [`build_ladder_for`] through an existing context, so the scenario
+/// build can share one cache set across its roster devices.
 fn build_ladder_in(
     cfg: &ScenarioConfig,
     device: &DeviceModel,
@@ -202,18 +198,7 @@ fn build_ladder_in(
 ) -> Result<TrnLadder, LadderError> {
     let exploration =
         exhaustive_blockwise_with(ctx, &scenario_networks(), &HeadSpec::default(), cfg.seed);
-    finish_ladder(cfg, device, ctx, &exploration.points)
-}
-
-/// Pareto points → deployable exit table: memory accounting attached,
-/// batch curves when batching is on.
-fn finish_ladder(
-    cfg: &ScenarioConfig,
-    device: &DeviceModel,
-    ctx: &EvalContext<'_, SurrogateRetrainer>,
-    points: &[netcut::CandidatePoint],
-) -> Result<TrnLadder, LadderError> {
-    let ladder = TrnLadder::from_points(points)?;
+    let ladder = TrnLadder::from_points(&exploration.points)?;
     let memory = exit_table_memory(&ladder, cfg.batch_max);
     let ladder = ladder.with_memory(memory);
     if cfg.batch_max <= 1 {
@@ -295,9 +280,7 @@ impl Scenario {
 
         // One ladder per *unique* device on the roster (building a ladder
         // means a full exploration — don't repeat it per shard). All
-        // builds share one cache set, which the scenario keeps: a mid-run
-        // recalibration re-explores against these primed caches, so the
-        // corrected front costs memo lookups, not fresh sweeps.
+        // builds share one cache set.
         let roster: Vec<&DeviceModel> = (0..cfg.shards)
             .map(|i| &cfg.devices[i % cfg.devices.len()])
             .collect();
@@ -416,7 +399,6 @@ impl Scenario {
             server: Server::with_shards(shards, server_config),
             requests,
             config: cfg,
-            caches,
         })
     }
 
@@ -459,20 +441,18 @@ impl Scenario {
         }
     }
 
-    /// The closed-loop recalibrator for this scenario: re-explores each
-    /// shard's device through the caches the build primed and reissues
-    /// the exit table at the corrected calibration.
-    pub fn recalibrator(&self) -> ScenarioRecalibrator {
-        ScenarioRecalibrator {
-            cfg: self.config.clone(),
-            devices: self
-                .server
+    /// The closed-loop recalibrator for this scenario: re-tags each
+    /// shard's resident exit table at the corrected calibration. The refit
+    /// is one uniform factor, which cannot reorder a Pareto front, so
+    /// re-exploring would rebuild the very table the shard already holds.
+    pub fn recalibrator(&self) -> CalibrateOnly {
+        CalibrateOnly::new(
+            self.server
                 .shards()
                 .iter()
-                .map(|s| s.name.clone())
+                .map(|s| s.ladder.clone())
                 .collect(),
-            caches: self.caches.clone(),
-        }
+        )
     }
 
     /// Runs the simulation recording the windowed [`Timeline`] alongside
@@ -505,41 +485,6 @@ impl Scenario {
     }
 }
 
-/// The scenario's [`Recalibrator`]: when the serving runtime's drift
-/// controller arms, re-derive the shard's Pareto front through the
-/// [`EvalCaches`] the scenario build primed ([`reexplore_with`] — pure
-/// memo hits), rebuild the exit table exactly as the build did (memory
-/// accounting, batch curves), and return it carrying the corrected
-/// calibration. Everything is a pure function of the scenario config plus
-/// `calib_ppm`, so recalibrating runs stay bit-identical across `--jobs`.
-#[derive(Debug, Clone)]
-pub struct ScenarioRecalibrator {
-    cfg: ScenarioConfig,
-    /// Device name per shard, roster order.
-    devices: Vec<String>,
-    caches: Arc<EvalCaches>,
-}
-
-impl Recalibrator for ScenarioRecalibrator {
-    fn recalibrate(&self, shard: usize, _generation: u64, calib_ppm: u64) -> Option<TrnLadder> {
-        let name = self.devices.get(shard)?;
-        let device = self.cfg.devices.iter().find(|d| d.name == *name)?.clone();
-        let session = Session::new(device.clone(), Precision::Int8);
-        let retrainer = SurrogateRetrainer::paper();
-        let ctx = EvalContext::new(&session, &retrainer)
-            .with_jobs(self.cfg.jobs)
-            .with_shared_caches(self.caches.clone());
-        let exploration = reexplore_with(
-            &ctx,
-            &scenario_networks(),
-            &HeadSpec::default(),
-            self.cfg.seed,
-        );
-        let ladder = finish_ladder(&self.cfg, &device, &ctx, &exploration.points).ok()?;
-        Some(ladder.with_calibration(calib_ppm))
-    }
-}
-
 /// Builds and runs a scenario in one call — what the CLI and bench do.
 pub fn run_scenario(cfg: ScenarioConfig) -> ServeSummary {
     Scenario::build(cfg).run_summary().0
@@ -548,6 +493,7 @@ pub fn run_scenario(cfg: ScenarioConfig) -> ServeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recalib::Recalibrator;
     use crate::request::PPM;
 
     fn quick() -> ScenarioConfig {
@@ -752,23 +698,18 @@ mod tests {
     }
 
     #[test]
-    fn recalibrator_reexplores_on_pure_cache_hits() {
-        let s = Scenario::build(quick());
-        let misses_before = s.caches.stats().misses;
+    fn recalibrator_retags_each_shards_resident_table() {
+        let s = Scenario::build(quick_sharded());
         let recal = s.recalibrator();
-        let ladder = recal
-            .recalibrate(0, 1, 1_200_000)
-            .expect("shard 0 recalibrates");
-        assert_eq!(
-            s.caches.stats().misses,
-            misses_before,
-            "re-exploration missed the memo"
-        );
-        assert_eq!(ladder.calib_ppm(), 1_200_000);
-        // Same front, new calibration: raw latencies match the original.
-        assert_eq!(ladder.len(), s.ladder().len());
-        for r in 0..ladder.len() {
-            assert_eq!(ladder.rung(r).latency_us, s.ladder().rung(r).latency_us);
+        for (i, shard) in s.server().shards().iter().enumerate() {
+            let calib = 1_200_000 + i as u64;
+            let ladder = recal
+                .recalibrate(i, 1, calib)
+                .expect("every shard recalibrates");
+            assert_eq!(ladder.calib_ppm(), calib);
+            assert_eq!(ladder.rungs(), shard.ladder.rungs(), "shard {i}");
+            assert_eq!(ladder.batch_curves(), shard.ladder.batch_curves());
+            assert_eq!(ladder.memory(), shard.ladder.memory());
         }
     }
 

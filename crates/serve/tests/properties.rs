@@ -412,43 +412,3 @@ fn scenario_requests_identical_across_jobs() {
     }
     assert!(a.requests.iter().any(|r| r.noise_ppm != PPM));
 }
-
-// The calendar queue's drain order is exactly the reference semantics —
-// a `BinaryHeap` over `Reverse((key, insertion seq))` — on random event
-// sets interleaving pushes and pops, with key ranges narrow enough that
-// same-timestamp ties are common (the FIFO tie-break is the part a
-// bucket rewrite would most plausibly get wrong).
-proptest! {
-    #[test]
-    fn calendar_queue_matches_binary_heap_ordering(
-        bucket_width in 1u64..700,
-        ops in prop::collection::vec((any::<bool>(), 0u64..500), 1..300),
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = netcut_serve::CalendarQueue::new(bucket_width);
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (push, key) in ops {
-            if push {
-                // The payload is the insertion seq, so FIFO tie order is
-                // observable in the popped values.
-                q.push(key, seq);
-                heap.push(Reverse((key, seq)));
-                seq += 1;
-            } else {
-                let got = q.pop_min();
-                let want = heap.pop().map(|Reverse((k, s))| (k, s));
-                prop_assert_eq!(got, want);
-            }
-        }
-        loop {
-            let got = q.pop_min();
-            let want = heap.pop().map(|Reverse((k, s))| (k, s));
-            prop_assert_eq!(got, want);
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-}
