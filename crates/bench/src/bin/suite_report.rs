@@ -322,7 +322,7 @@ fn main() {
     );
 
     // Off-the-shelf landscape.
-    let shelf = timed_phase("phase.off_the_shelf_s", || lab.off_the_shelf());
+    let shelf = timed_phase("phase.off_the_shelf_us", || lab.off_the_shelf());
     let best_shelf =
         best_meeting_deadline(&shelf.points, DEADLINE_MS).expect("a network meets the deadline");
     let _ = writeln!(md, "## Off-the-shelf networks (Fig. 1)\n");
@@ -334,7 +334,7 @@ fn main() {
     );
 
     // Exhaustive sweep + frontier.
-    let sweep = timed_phase("phase.exhaustive_s", || lab.exhaustive());
+    let sweep = timed_phase("phase.exhaustive_us", || lab.exhaustive());
     let expansion = frontier_expansion(&sweep.points, &shelf.points);
     let _ = writeln!(md, "## Blockwise TRN sweep (Figs. 5–7)\n");
     let _ = writeln!(
@@ -357,8 +357,8 @@ fn main() {
     exploration_table(&mut md, &combined, true);
 
     // Estimators.
-    let measured = timed_phase("phase.measure_all_s", || measure_all(&lab));
-    let fitted = timed_phase("phase.fit_estimators_s", || fit_all(&lab, &measured, 17));
+    let measured = timed_phase("phase.measure_all_us", || measure_all(&lab));
+    let fitted = timed_phase("phase.fit_estimators_us", || fit_all(&lab, &measured, 17));
     let truth: Vec<f64> = fitted
         .test_indices
         .iter()
@@ -396,7 +396,7 @@ fn main() {
     // NetCut. Both runs evaluate through the lab's shared cache, so every
     // source measurement and any TRN already evaluated by the sweep above
     // is served from the memo instead of re-simulated.
-    let (outcome_p, outcome_a) = timed_phase("phase.netcut_s", || {
+    let (outcome_p, outcome_a) = timed_phase("phase.netcut_us", || {
         (
             NetCut::new(&fitted.profiler, &lab.retrainer).run_with(
                 &lab.sources,
@@ -491,7 +491,7 @@ fn main() {
     // touched — each source plus every blockwise TRN, raw and with the
     // HANDS head reattached. A single Error here means the numbers above
     // were computed on a structurally broken graph.
-    let (verify_summary, verified_graphs) = timed_phase("phase.verify_s", || {
+    let (verify_summary, verified_graphs) = timed_phase("phase.verify_us", || {
         let structural = netcut_verify::Analyzer::new();
         let spec = HeadSpec::default();
         let with_head = netcut_verify::Analyzer::with_expected_head(spec.clone());
@@ -526,7 +526,7 @@ fn main() {
     // scenario — the exact configurations the serving section above
     // benched — plus the workspace determinism lint against its committed
     // allowlist. A ladder-construction failure becomes an SV002 finding.
-    let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_s", || {
+    let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_us", || {
         let mut total = netcut_verify::Summary::default();
         let mut configs = 0usize;
         for (key, cfg) in netcut_serve::reference_matrix() {
@@ -542,7 +542,7 @@ fn main() {
         }
         (total, configs)
     });
-    let detlint = timed_phase("phase.detlint_s", || {
+    let detlint = timed_phase("phase.detlint_us", || {
         let root = workspace_root();
         netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
     });

@@ -179,12 +179,12 @@ pub fn git_describe() -> String {
 
 /// Runs `f` as a named phase: a span (visible in traces when a sink is
 /// installed) plus an always-on wall-clock histogram entry under `name`,
-/// in seconds.
+/// in microseconds.
 pub fn timed_phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     let _span = netcut_obs::span(name);
     let start = std::time::Instant::now();
     let out = f();
-    netcut_obs::observe(name, start.elapsed().as_secs_f64());
+    netcut_obs::observe(name, start.elapsed().as_micros() as u64);
     out
 }
 
@@ -223,7 +223,7 @@ pub fn metrics_markdown(meta: &RunMetadata) -> String {
     for (name, s) in &metrics.histograms {
         let _ = writeln!(
             md,
-            "| {name} | n={} mean={:.4} p95={:.4} max={:.4} |",
+            "| {name} | n={} mean={} p95={} max={} |",
             s.count, s.mean, s.p95, s.max
         );
     }
@@ -903,11 +903,11 @@ mod tests {
     fn timed_phase_records_wall_clock() {
         // Metrics are process-global and other tests run concurrently, so
         // assert only on this test's own histogram (never reset here).
-        let out = timed_phase("phase.test_bench_s", || 7);
+        let out = timed_phase("phase.test_bench_us", || 7);
         assert_eq!(out, 7);
         let snap = netcut_obs::snapshot();
         let h = snap
-            .histogram("phase.test_bench_s")
+            .histogram("phase.test_bench_us")
             .expect("phase recorded");
         assert!(h.count >= 1);
     }

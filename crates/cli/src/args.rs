@@ -1,5 +1,6 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use netcut_serve::ScenarioConfig;
 use netcut_sim::{DeviceModel, Precision};
 
 /// Usage text printed on parse errors.
@@ -61,11 +62,11 @@ injects a deterministic thermal-throttle window (25%-85% of the run,
 every shard) scaling observed service time by N/1e6 — the drift
 scenario; `--recalibrate` closes the control loop: when a shard's predicted-vs-observed residual
 drifts past `--recalib-drift-ppm` (default 150000), the estimator is
-refit on the recent observed window, the Pareto front re-derived from
-the primed evaluation caches, and a generation-tagged exit table
-hot-swapped in (at most once per `--recalib-cooldown-us`, default
-500000, per shard); in-flight requests finish on the generation they
-were admitted under, and each swap is an OBS005 alert in the timeline
+refit on the recent observed window and the shard's exit table is
+re-tagged at the refit calibration and hot-swapped in as a new
+generation (at most once per `--recalib-cooldown-us`, default 500000,
+per shard); in-flight requests finish on the generation they were
+admitted under, and each swap is an OBS005 alert in the timeline
 
 lint: analyzes a zoo network (or `all`, or an exported network JSON file)
 plus every blockwise TRN of it, raw and with the transfer head attached;
@@ -411,15 +412,21 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                     None => Ok(default),
                 }
             }
-            let duration_s: f64 = num(flag_value("--duration"), "--duration", 5.0)?;
+            // Every default is the library's paper scenario.
+            let d = ScenarioConfig::default();
+            let duration_s: f64 = num(
+                flag_value("--duration"),
+                "--duration",
+                d.duration_us as f64 / 1e6,
+            )?;
             if !(duration_s > 0.0 && duration_s.is_finite()) {
                 return Err("--duration must be a positive number of seconds".to_string());
             }
-            let batch_max: usize = num(flag_value("--batch-max"), "--batch-max", 1)?;
+            let batch_max: usize = num(flag_value("--batch-max"), "--batch-max", d.batch_max)?;
             if batch_max == 0 {
                 return Err("--batch-max must be at least 1 (1 = batching off)".to_string());
             }
-            let shards: usize = num(flag_value("--shards"), "--shards", 1)?;
+            let shards: usize = num(flag_value("--shards"), "--shards", d.shards)?;
             if shards == 0 {
                 return Err("--shards must be at least 1".to_string());
             }
@@ -437,7 +444,7 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                             })
                     })
                     .collect::<Result<_, _>>()?,
-                None => vec!["jetson-xavier".to_string(), "jetson-nano".to_string()],
+                None => d.devices.iter().map(|m| m.name.clone()).collect(),
             };
             if rest.contains(&"--timeline-out") && flag_value("--timeline-out").is_none() {
                 return Err("--timeline-out requires a file path".to_string());
@@ -455,16 +462,17 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
             let timeline_window_us: u64 = num(
                 flag_value("--timeline-window-us"),
                 "--timeline-window-us",
-                100_000,
+                d.timeline_window_us,
             )?;
             if timeline_window_us == 0 {
                 return Err("--timeline-window-us must be positive".to_string());
             }
-            let thermal_ppm: u64 = num(flag_value("--thermal-ppm"), "--thermal-ppm", 0)?;
+            let thermal_ppm: u64 =
+                num(flag_value("--thermal-ppm"), "--thermal-ppm", d.thermal_ppm)?;
             let recalib_drift_ppm: u64 = num(
                 flag_value("--recalib-drift-ppm"),
                 "--recalib-drift-ppm",
-                150_000,
+                d.recalib_drift_ppm,
             )?;
             if recalib_drift_ppm == 0 {
                 return Err("--recalib-drift-ppm must be positive".to_string());
@@ -472,23 +480,27 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
             let recalib_cooldown_us: u64 = num(
                 flag_value("--recalib-cooldown-us"),
                 "--recalib-cooldown-us",
-                500_000,
+                d.recalib_cooldown_us,
             )?;
             if recalib_cooldown_us == 0 {
                 return Err("--recalib-cooldown-us must be positive".to_string());
             }
             Ok(Command::Serve {
-                deadline_us: num(flag_value("--deadline-us"), "--deadline-us", 900)?,
-                rps: num(flag_value("--rps"), "--rps", 2000)?,
+                deadline_us: num(flag_value("--deadline-us"), "--deadline-us", d.deadline_us)?,
+                rps: num(flag_value("--rps"), "--rps", d.rps)?,
                 duration_s,
-                seed: num(flag_value("--seed"), "--seed", 11)?,
+                seed: num(flag_value("--seed"), "--seed", d.seed)?,
                 jobs: parse_jobs(flag_value("--jobs"))?,
-                workers: num(flag_value("--workers"), "--workers", 2)?,
+                workers: num(flag_value("--workers"), "--workers", d.workers)?,
                 degrade: !has_flag("--no-degrade"),
                 faults: !has_flag("--no-faults"),
                 json: has_flag("--json"),
                 batch_max,
-                batch_slack_us: num(flag_value("--batch-slack-us"), "--batch-slack-us", 300)?,
+                batch_slack_us: num(
+                    flag_value("--batch-slack-us"),
+                    "--batch-slack-us",
+                    d.batch_slack_us,
+                )?,
                 shards,
                 devices,
                 timeline_out: flag_value("--timeline-out").map(ToString::to_string),

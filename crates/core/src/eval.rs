@@ -72,6 +72,17 @@ struct Entry<V> {
     cost_s: f64,
 }
 
+/// How [`EvalContext::lookup`] answered.
+enum Answer {
+    /// Served from the cache.
+    Hit,
+    /// Computed and stored, or computed with the cache off.
+    Fresh,
+    /// Computed, but a racing thread stored the key first: a miss, neither
+    /// fresh nor saved.
+    Raced,
+}
+
 /// One sharded `key -> value` memo table.
 struct SubCache<V> {
     shards: Vec<Mutex<HashMap<Key, Entry<V>>>>,
@@ -89,9 +100,16 @@ impl<V: Clone> SubCache<V> {
         shard.get(key).map(|e| (e.value.clone(), e.cost_s))
     }
 
-    fn insert(&self, key: Key, value: V, cost_s: f64) {
+    /// Stores `value` unless a racing thread stored `key` first; `true`
+    /// when this call created the entry.
+    fn insert(&self, key: Key, value: V, cost_s: f64) -> bool {
         let mut shard = self.shards[key.shard()].lock().expect("eval cache shard");
-        shard.entry(key).or_insert(Entry { value, cost_s });
+        let mut created = false;
+        shard.entry(key).or_insert_with(|| {
+            created = true;
+            Entry { value, cost_s }
+        });
+        created
     }
 
     fn len(&self) -> usize {
@@ -355,34 +373,39 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         }
     }
 
-    /// Memoized lookup: returns the cached value and `true`, or computes,
-    /// stores and returns the fresh value and `false`.
+    /// Memoized lookup: returns the cached value, or computes, stores and
+    /// returns a fresh one, saying which. Two threads that miss the same
+    /// key both compute; the one whose insert loses reports
+    /// [`Answer::Raced`].
     fn lookup<V: Clone>(
         &self,
         sub: &SubCache<V>,
         key: Key,
         compute: impl FnOnce() -> V,
-    ) -> (V, bool) {
+    ) -> (V, Answer) {
         if self.use_cache {
             if let Some((value, cost_s)) = sub.get(&key) {
                 obs::counter_add("eval.cache_hit", 1);
                 let mut t = self.caches.totals.lock().expect("eval totals");
                 t.hits += 1;
                 t.saved_wall_s += cost_s;
-                return (value, true);
+                return (value, Answer::Hit);
             }
         }
         let start = Instant::now();
         let value = compute();
         let cost_s = start.elapsed().as_secs_f64();
+        let mut answer = Answer::Fresh;
         if self.use_cache {
             obs::counter_add("eval.cache_miss", 1);
-            sub.insert(key, value.clone(), cost_s);
+            if !sub.insert(key, value.clone(), cost_s) {
+                answer = Answer::Raced;
+            }
         }
         let mut t = self.caches.totals.lock().expect("eval totals");
         t.misses += 1;
         t.eval_wall_s += cost_s;
-        (value, false)
+        (value, answer)
     }
 
     /// Memoized [`Session::measure`].
@@ -407,16 +430,19 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// the key uses a fixed seed component and a hit is shared by every
     /// measurement seed probing the same TRN.
     pub fn retrain(&self, trn: &Network) -> TrainedTrn {
-        let (trained, hit) = self.lookup(&self.caches.retrain, self.key(trn, 0), || {
+        let (trained, answer) = self.lookup(&self.caches.retrain, self.key(trn, 0), || {
             self.verify_boundary(trn);
             self.retrainer.retrain(trn)
         });
         let mut t = self.caches.totals.lock().expect("eval totals");
-        if hit {
-            t.saved_train_hours += trained.train_hours;
-        } else {
-            t.fresh_train_hours += trained.train_hours;
-            t.distinct_retrains += 1;
+        match answer {
+            Answer::Hit => t.saved_train_hours += trained.train_hours,
+            Answer::Fresh => {
+                t.fresh_train_hours += trained.train_hours;
+                t.distinct_retrains += 1;
+            }
+            // A racing thread created the entry and billed this TRN.
+            Answer::Raced => {}
         }
         drop(t);
         trained
@@ -441,7 +467,8 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         // included), matching the paper's `ResNet/94`-style labels.
         let kept = trn.backbone_layer_count();
         obs::counter_add("explore.candidates", 1);
-        obs::observe("explore.train_hours", trained.train_hours);
+        let train_s = (trained.train_hours * 3600.0).round() as u64;
+        obs::observe("explore.train_s", train_s);
         if span.is_recording() {
             span.field("measured_ms", measurement.mean_ms);
             span.field("accuracy", trained.accuracy);
@@ -601,6 +628,45 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert!(stats.saved_wall_s > 0.0);
         assert_eq!(stats.distinct_retrains, 1);
+    }
+
+    /// Holds each caller until two have arrived, so both threads of a
+    /// test miss the cache before either stores its result.
+    struct BarrierRetrainer {
+        inner: SurrogateRetrainer,
+        barrier: std::sync::Barrier,
+    }
+
+    impl Retrainer for BarrierRetrainer {
+        fn retrain(&self, trn: &Network) -> TrainedTrn {
+            self.barrier.wait();
+            self.inner.retrain(trn)
+        }
+    }
+
+    #[test]
+    fn racing_misses_bill_one_retrain() {
+        let s = session();
+        let r = BarrierRetrainer {
+            inner: SurrogateRetrainer::paper(),
+            barrier: std::sync::Barrier::new(2),
+        };
+        let trn = zoo::mobilenet_v1(0.25)
+            .cut_blocks(1)
+            .unwrap()
+            .with_head(&HeadSpec::default());
+        let ctx = EvalContext::new(&s, &r);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| ctx.retrain(&trn));
+            }
+        });
+        let stats = ctx.stats();
+        assert_eq!(stats.misses, 2, "both threads computed");
+        assert_eq!(stats.distinct_retrains, 1);
+        assert_eq!(stats.fresh_train_hours, r.inner.retrain(&trn).train_hours);
+        assert_eq!(stats.saved_train_hours, 0.0);
+        assert_eq!(stats.entries, 1);
     }
 
     #[test]

@@ -188,7 +188,8 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
             },
             1,
         );
-        obs::observe("netcut.residual_ms", (est_latency - point.latency_ms).abs());
+        let residual_ms = (est_latency - point.latency_ms).abs();
+        obs::observe("netcut.residual_us", (residual_ms * 1e3).round() as u64);
         if family_span.is_recording() {
             family_span.field("cutpoint", cutpoint);
             family_span.field("predicted_ms", est_latency);

@@ -10,15 +10,15 @@
 //! * **Instant events** ([`instant`]) — point observations such as each
 //!   deadline-loop step or per-layer profile record.
 //! * **Metrics** ([`counter_add`], [`observe`]) — always-on process-wide
-//!   counters and histograms, summarized by [`snapshot`]. Names are
-//!   static literals or dynamic `name{label=value}` strings ([`labeled`])
-//!   checked against the [`registry`] of known base names.
-//! * **Windowed telemetry** ([`window`], [`residual`], [`alert`]) —
-//!   per-run (not global) virtual-time machinery: integer-µs window
-//!   histograms, predicted-vs-observed latency EWMAs in integer ppm, and
-//!   SLO burn-rate alerts with stable `OBS0xx` codes. Everything is exact
-//!   integer arithmetic, so derived timelines are bit-identical across
-//!   thread counts and platforms.
+//!   counters and integer [`Histogram`]s, summarized by [`snapshot`].
+//!   Names are static literals or dynamic `name{label=value}` strings
+//!   ([`labeled`]) checked against the [`registry`] of known base names.
+//! * **Windowed telemetry** ([`residual`], [`alert`]) — per-run (not
+//!   global) virtual-time machinery: predicted-vs-observed latency EWMAs
+//!   in integer ppm and SLO burn-rate alerts with stable `OBS0xx` codes;
+//!   per-window queue-delay distributions are the same [`Histogram`] the
+//!   registry keeps. Everything is exact integer arithmetic, so derived
+//!   timelines are bit-identical across thread counts and platforms.
 //!
 //! Events go to an [`EventSink`] installed with [`set_sink`]: a
 //! human-readable stderr logger, a JSON-lines file (schema
@@ -54,18 +54,16 @@ pub mod registry;
 pub mod residual;
 mod sink;
 mod span;
-pub mod window;
 
 pub use alert::{burn_rate_ppm, Alert, AlertCode, SloPolicy, WindowObservation};
 pub use event::{Event, EventKind, FieldValue, SCHEMA_VERSION};
 pub use metrics::{
-    counter_add, gauge_set, histogram_merge, labeled, observe, observe_us, reset as reset_metrics,
-    snapshot, Gauge, Histogram, HistogramSummary, MetricName, MetricsSnapshot,
+    counter_add, gauge_set, histogram_merge, labeled, observe, reset as reset_metrics, snapshot,
+    Gauge, Histogram, HistogramSummary, MetricName, MetricsSnapshot,
 };
 pub use residual::{ResidualCell, ResidualTracker, DEFAULT_ALPHA_PPM, DEFAULT_WINDOW, PPM};
 pub use sink::{ChromeTraceSink, EventSink, JsonLinesSink, MemorySink, MultiSink, StderrSink};
 pub use span::SpanGuard;
-pub use window::WindowHistogram;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

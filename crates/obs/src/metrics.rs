@@ -16,14 +16,16 @@
 //!
 //! # Quantile rule
 //!
-//! Histograms bucket observations by `floor(log2(value))` and estimate
-//! quantile `q` by **nearest rank**: the estimate for rank
-//! `ceil(q × count)` is the **upper edge** of the bucket holding that rank,
-//! clamped to the observed `[min, max]`. There is no interpolation inside a
-//! bucket — the estimate is exact to within one power of two, and because
-//! it is pure integer bucket arithmetic (integer observations are bucketed
-//! with `leading_zeros`, never `f64::log2`), the same observations produce
-//! bit-identical quantiles on every platform.
+//! Histograms hold integer observations (microseconds, counts, seconds —
+//! the unit is in the metric name) in power-of-two buckets: bucket `i`
+//! holds `[2^i, 2^(i+1))`, and 0 shares bucket 0. Quantile `q` is
+//! estimated by **nearest rank**: the estimate for rank `ceil(q × count)`
+//! is the **upper edge** of the bucket holding that rank, clamped to the
+//! observed `[min, max]`. There is no interpolation inside a bucket, so
+//! the estimate is exact to within a power of two for every value below
+//! 2^44 (about 200 days in µs), and because it is pure integer arithmetic
+//! the same observations produce bit-identical quantiles on every
+//! platform.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -44,19 +46,20 @@ pub fn labeled<V: std::fmt::Display>(base: &str, label: &str, value: V) -> Strin
     format!("{base}{{{label}={value}}}")
 }
 
-/// Number of log-scaled histogram buckets.
+/// Number of power-of-two buckets; values of 2^43 and above share the
+/// last one.
 const BUCKETS: usize = 44;
-/// Exponent offset: bucket 0 covers values below 2^-20 (~1e-6).
-const BUCKET_OFFSET: i32 = 20;
 
-/// Streaming histogram: count/sum/min/max plus power-of-two buckets for
-/// approximate quantiles (see the module-level quantile rule).
-#[derive(Debug, Clone)]
+/// Streaming integer histogram: count/sum/min/max plus power-of-two
+/// buckets for quantiles (see the module-level quantile rule). The global
+/// registry, the serve runtime's once-per-run flush and the timeline's
+/// per-(window, shard) queue-delay cells all use it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    sum: u128,
+    min: u64,
+    max: u64,
     buckets: [u64; BUCKETS],
 }
 
@@ -64,83 +67,28 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
             buckets: [0; BUCKETS],
         }
     }
 }
 
-fn bucket_index(value: f64) -> usize {
-    if value <= 0.0 {
-        return 0;
-    }
-    let exp = value.log2().floor() as i32 + BUCKET_OFFSET;
-    exp.clamp(0, BUCKETS as i32 - 1) as usize
-}
-
-/// Bucket index of a positive integer: `floor(log2)` via `leading_zeros`,
-/// so integer observations never touch floating point on the way in.
-fn bucket_index_int(value: u64) -> usize {
-    if value == 0 {
-        return 0;
-    }
-    let exp = 63 - i32::from(value.leading_zeros() as u8);
-    (exp + BUCKET_OFFSET).clamp(0, BUCKETS as i32 - 1) as usize
-}
-
-/// Upper edge of bucket `i`, used as the quantile estimate.
-fn bucket_upper(i: usize) -> f64 {
-    2f64.powi(i as i32 - BUCKET_OFFSET + 1)
-}
-
 impl Histogram {
     /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
+    pub fn observe(&mut self, value: u64) {
         self.count += 1;
-        self.sum += value;
+        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[bucket_index(value)] += 1;
+        let exp = value.max(1).ilog2() as usize;
+        self.buckets[exp.min(BUCKETS - 1)] += 1;
     }
 
-    /// Records one integer-microsecond observation. The bucket is computed
-    /// with integer bit arithmetic and min/max/sum stay exact (integers up
-    /// to 2^53 are exact in the f64 accumulators), so a histogram fed only
-    /// through this path renders bit-identically on every platform.
-    pub fn observe_us(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value as f64;
-        self.min = self.min.min(value as f64);
-        self.max = self.max.max(value as f64);
-        self.buckets[bucket_index_int(value)] += 1;
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`: nearest rank, bucket upper
-    /// edge, clamped to the observed min/max (the module-level rule).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Integer quantile for histograms fed through [`Self::observe_us`]:
-    /// the same nearest-rank / upper-edge / clamp rule with `q` in parts
-    /// per million, evaluated entirely in integer arithmetic.
-    pub fn quantile_us(&self, q_ppm: u64) -> u64 {
+    /// Quantile `q_ppm` (parts per million of the population) under the
+    /// module-level rule; 0 when empty.
+    pub fn quantile(&self, q_ppm: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -151,27 +99,17 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let upper_exp = i as i32 - BUCKET_OFFSET + 1;
-                let upper = if upper_exp <= 0 {
-                    1
-                } else {
-                    1u64 << upper_exp.min(63)
-                };
-                return upper.clamp(self.min as u64, self.max as u64);
+                return (1u64 << (i + 1)).clamp(self.min, self.max);
             }
         }
-        self.max as u64
+        self.max
     }
 
     /// Folds `other` into `self`. A histogram is an order-independent fold
     /// of its observation multiset, so accumulating locally in a hot loop
-    /// and merging once is bit-identical to observing one at a time (the
-    /// f64 sums stay exact for integer-µs inputs below 2^53). Merging an
-    /// empty histogram is a no-op, so min/max sentinels never leak.
+    /// and merging once is identical to observing one at a time; merging
+    /// an empty histogram changes nothing.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -181,41 +119,40 @@ impl Histogram {
         }
     }
 
-    /// Immutable summary of the histogram.
+    /// Immutable summary of the histogram; every field is 0 when empty.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
-            mean: if self.count == 0 {
-                0.0
-            } else {
-                self.sum / self.count as f64
-            },
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+            mean: self
+                .sum
+                .checked_div(u128::from(self.count))
+                .map_or(0, |m| m as u64),
+            p50: self.quantile(500_000),
+            p95: self.quantile(950_000),
         }
     }
 }
 
-/// Snapshot statistics of one histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Snapshot statistics of one histogram, in the metric's own unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Observations recorded.
     pub count: u64,
     /// Sum of all observations.
-    pub sum: f64,
+    pub sum: u128,
     /// Smallest observation.
-    pub min: f64,
+    pub min: u64,
     /// Largest observation.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (approximate, log-bucketed).
-    pub p50: f64,
-    /// 95th percentile (approximate, log-bucketed).
-    pub p95: f64,
+    pub max: u64,
+    /// Arithmetic mean, truncated.
+    pub mean: u64,
+    /// Median (bucket estimate).
+    pub p50: u64,
+    /// 95th percentile (bucket estimate).
+    pub p95: u64,
 }
 
 /// Last-set value plus the high-water mark, for level-style metrics
@@ -260,21 +197,14 @@ pub fn gauge_set(name: impl Into<MetricName>, value: i64) {
 }
 
 /// Records one observation into the named histogram.
-pub fn observe(name: impl Into<MetricName>, value: f64) {
+pub fn observe(name: impl Into<MetricName>, value: u64) {
     let name = name.into();
     with_registry(|r| r.histograms.entry(name).or_default().observe(value));
 }
 
-/// Records one integer-microsecond observation into the named histogram —
-/// the platform-exact path hot loops use (see [`Histogram::observe_us`]).
-pub fn observe_us(name: impl Into<MetricName>, value: u64) {
-    let name = name.into();
-    with_registry(|r| r.histograms.entry(name).or_default().observe_us(value));
-}
-
 /// Folds a locally-accumulated histogram into the named registry series in
 /// one registry operation — the batch flush for hot loops that would
-/// otherwise pay a mutex + map lookup per [`observe_us`] call. A no-op for
+/// otherwise pay a mutex + map lookup per [`observe`] call. A no-op for
 /// an empty histogram, so flushing never creates a phantom series.
 pub fn histogram_merge(name: impl Into<MetricName>, local: &Histogram) {
     if local.count == 0 {
@@ -346,7 +276,7 @@ impl MetricsSnapshot {
             for (name, s) in &self.histograms {
                 let _ = writeln!(
                     out,
-                    "  {name:<32} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
+                    "  {name:<32} {:>10} {:>10} {:>10} {:>10} {:>10}",
                     s.count, s.mean, s.p50, s.p95, s.max
                 );
             }
@@ -429,51 +359,63 @@ mod tests {
     fn histogram_summary_tracks_distribution() {
         let mut h = Histogram::default();
         for i in 1..=100 {
-            h.observe(i as f64);
+            h.observe(i);
         }
         let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-        // Log-bucketed quantiles are within a factor of two.
-        assert!(s.p50 >= 25.0 && s.p50 <= 100.0, "p50 = {}", s.p50);
-        assert!(s.p95 >= 64.0 && s.p95 <= 100.0, "p95 = {}", s.p95);
-    }
-
-    #[test]
-    fn integer_path_matches_float_path_buckets() {
-        // The integer entry point must land every value in the same bucket
-        // as the f64 path, for the widest plausible latency range.
-        for exp in 0..44u32 {
-            for value in [1u64 << exp, (1u64 << exp) + 1, (1u64 << exp) * 3 / 2] {
-                assert_eq!(
-                    bucket_index_int(value),
-                    bucket_index(value as f64),
-                    "value {value}"
-                );
-            }
-        }
-        assert_eq!(bucket_index_int(0), 0);
+        assert_eq!(
+            (s.count, s.sum, s.min, s.max, s.mean),
+            (100, 5_050, 1, 100, 50)
+        );
+        // Rank 50 sits in [32, 64); rank 95 in [64, 128), clamped to max.
+        assert_eq!((s.p50, s.p95), (64, 100));
     }
 
     #[test]
     fn integer_quantiles_are_exact_rank_and_clamped() {
         let mut h = Histogram::default();
         for v in [100u64, 200, 300, 400, 1_000] {
-            h.observe_us(v);
+            h.observe(v);
         }
+        let s = h.summary();
+        assert_eq!((s.count, s.min, s.max, s.mean), (5, 100, 1_000, 400));
         // Rank for p50 over 5 samples is ceil(0.5×5)=3 → the 300 µs sample's
         // bucket [256,512) → upper edge 512.
-        assert_eq!(h.quantile_us(500_000), 512);
+        assert_eq!(h.quantile(500_000), 512);
         // p99 rank 5 → bucket [512,1024) upper edge 1024 clamps to max 1000.
-        assert_eq!(h.quantile_us(990_000), 1_000);
+        assert_eq!(h.quantile(990_000), 1_000);
         // Degenerate: single value clamps to itself at every quantile.
         let mut one = Histogram::default();
-        one.observe_us(750);
-        assert_eq!(one.quantile_us(1), 750);
-        assert_eq!(one.quantile_us(1_000_000), 750);
-        assert_eq!(Histogram::default().quantile_us(500_000), 0);
+        one.observe(750);
+        assert_eq!(one.quantile(1), 750);
+        assert_eq!(one.quantile(1_000_000), 750);
+        // 0 shares bucket [0, 2), whose upper edge 2 clamps to max 1.
+        let mut low = Histogram::default();
+        low.observe(0);
+        low.observe(1);
+        assert_eq!(low.summary().min, 0);
+        assert_eq!(low.quantile(1), 1);
+        assert_eq!(Histogram::default().quantile(500_000), 0);
+    }
+
+    #[test]
+    fn seconds_scale_quantiles_stay_within_a_power_of_two() {
+        // Values past 2^23 µs (8.4 s) keep buckets of their own: each
+        // estimate is at least the exact nearest-rank value, below twice it.
+        let values = [10_000_000u64, 16_000_000, 100_000_000, 1 << 40];
+        let mut h = Histogram::default();
+        for &v in &values {
+            h.observe(v);
+        }
+        for (q_ppm, exact) in [250_000u64, 500_000, 750_000, 1_000_000]
+            .into_iter()
+            .zip(values)
+        {
+            let estimate = h.quantile(q_ppm);
+            assert!(
+                estimate >= exact && estimate < 2 * exact,
+                "q {q_ppm} ppm: {estimate} against {exact}"
+            );
+        }
     }
 
     #[test]
@@ -486,17 +428,16 @@ mod tests {
         let mut left = Histogram::default();
         let mut right = Histogram::default();
         for (i, &v) in stream.iter().enumerate() {
-            whole.observe_us(v);
+            whole.observe(v);
             if i % 2 == 0 {
-                left.observe_us(v);
+                left.observe(v);
             } else {
-                right.observe_us(v);
+                right.observe(v);
             }
         }
         left.merge(&right);
         left.merge(&Histogram::default()); // empty merge is a no-op
-        assert_eq!(left.summary(), whole.summary());
-        assert_eq!(left.quantile_us(950_000), whole.quantile_us(950_000));
+        assert_eq!(left, whole);
 
         // The registry flush: merging creates/extends the named series, and
         // an empty flush creates nothing.
@@ -504,55 +445,35 @@ mod tests {
         histogram_merge("test.merge_us", &left);
         histogram_merge("test.merge_empty", &Histogram::default());
         let snap = snapshot();
-        assert_eq!(
-            snap.histogram("test.merge_us")
-                .expect("series exists")
-                .count,
-            whole.summary().count
-        );
+        assert_eq!(snap.histogram("test.merge_us"), Some(&whole.summary()));
         assert!(snap.histogram("test.merge_empty").is_none());
         reset();
     }
 
     #[test]
-    fn histogram_ignores_non_finite() {
-        let mut h = Histogram::default();
-        h.observe(f64::NAN);
-        h.observe(f64::INFINITY);
-        h.observe(1.0);
-        assert_eq!(h.summary().count, 1);
-    }
-
-    #[test]
     fn empty_histogram_is_all_zero() {
         let s = Histogram::default().summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 0.0);
+        assert_eq!(
+            (s.count, s.sum, s.min, s.max, s.mean, s.p50, s.p95),
+            (0, 0, 0, 0, 0, 0, 0)
+        );
     }
 
     #[test]
     fn render_text_lists_metrics() {
         reset();
         counter_add("test.render", 7);
-        observe("test.render_ms", 0.5);
-        observe_us("test.render_us", 500);
+        observe("test.render_us", 500);
         let text = snapshot().render_text();
         assert!(text.contains("test.render"));
-        assert!(text.contains("test.render_ms"));
-        assert!(text.contains("test.render_us"));
         assert!(text.contains('7'));
+        let row = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("test.render_us"))
+            .expect("histogram row");
+        // count, mean, p50, p95, max — all integers.
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(fields, ["test.render_us", "1", "500", "500", "500", "500"]);
         reset();
-    }
-
-    #[test]
-    fn bucket_quantiles_clamp_to_range() {
-        let mut h = Histogram::default();
-        h.observe(0.9);
-        h.observe(0.9);
-        let s = h.summary();
-        assert!(s.p50 <= 0.9 + 1e-12);
-        assert!(s.p95 <= 0.9 + 1e-12);
     }
 }

@@ -23,8 +23,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "eval.cache_hit",
     "eval.cache_miss",
     "explore.candidates",
-    "explore.train_hours",
-    "netcut.residual_ms",
+    "explore.train_s",
+    "netcut.residual_us",
     "netcut.steps",
     "recalib.scale_ppm",
     "recalib.swaps",
@@ -39,10 +39,10 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.rejected",
     "serve.served",
     "serve.shard.busy",
-    "sim.measure.mean_ms",
+    "sim.measure.mean_us",
     "sim.measurements",
     "sim.profiles",
-    "train.retrain_hours",
+    "train.retrain_s",
     "train.retrains",
     "verify.diagnostic",
 ];
@@ -86,6 +86,6 @@ mod tests {
         assert!(!is_registered("serve.typo_metric"));
         assert!(!is_registered("serve.shardX.busy{shard=1}"));
         assert!(is_registered("test.anything_at_all"));
-        assert!(is_registered("phase.exhaustive_s"));
+        assert!(is_registered("phase.exhaustive_us"));
     }
 }

@@ -386,14 +386,14 @@ impl RunLedger<'_> {
         for i in 0..out.len() {
             by_status[out.status[i] as usize] += 1;
             if matches!(out.status[i], Status::Served | Status::Missed) {
-                latency_us.observe_us(out.latency_us[i]);
-                queue_delay_us.observe_us(out.queue_delay_us[i]);
+                latency_us.observe(out.latency_us[i]);
+                queue_delay_us.observe(out.queue_delay_us[i]);
             }
             degraded += u64::from(out.degraded[i]);
         }
         let mut batch_size = obs::Histogram::default();
         for &members in &self.batches.members {
-            batch_size.observe_us(u64::from(members));
+            batch_size.observe(u64::from(members));
         }
         let [served, missed, rejected, dropped] = by_status;
         // Literal names at the call sites so the repo-level registry-check

@@ -426,7 +426,6 @@ impl Scenario {
     pub fn timeline_config(&self) -> TimelineConfig {
         TimelineConfig {
             window_us: self.config.timeline_window_us,
-            ..TimelineConfig::default()
         }
     }
 

@@ -193,7 +193,7 @@ pub fn serve_artifact(name: &str, scenario: &Scenario) -> ServeArtifact {
             end_us: w.end_us,
         });
     }
-    let slo = scenario.timeline_config().slo;
+    let slo = netcut_obs::SloPolicy::default();
     let recalib = cfg.recalibrate.then(|| {
         let rc = scenario.recalib_config();
         RecalibSpec {

@@ -44,29 +44,21 @@ use crate::shard::Shard;
 use netcut_obs as obs;
 use obs::alert::{Alert, AlertCode, SloPolicy, WindowObservation};
 use obs::residual::ResidualTracker;
-use obs::window::WindowHistogram;
 use std::fmt::Write as _;
 
-/// Timeline parameters: window width, SLO policy, residual smoothing.
+/// Timeline parameters. Alerts are evaluated under
+/// [`SloPolicy::default`] and residuals smoothed at
+/// [`obs::DEFAULT_ALPHA_PPM`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineConfig {
     /// Window width, microseconds of virtual time.
     pub window_us: u64,
-    /// SLO policy alerts are evaluated under.
-    pub slo: SloPolicy,
-    /// Residual EWMA smoothing factor, ppm.
-    pub alpha_ppm: u64,
 }
 
 impl Default for TimelineConfig {
-    /// 100 ms windows (50 per default 5 s run), the default serving SLO
-    /// policy, 1/8 residual smoothing.
+    /// 100 ms windows (50 per default 5 s run).
     fn default() -> Self {
-        TimelineConfig {
-            window_us: 100_000,
-            slo: SloPolicy::default(),
-            alpha_ppm: obs::DEFAULT_ALPHA_PPM,
-        }
+        TimelineConfig { window_us: 100_000 }
     }
 }
 
@@ -302,7 +294,7 @@ pub(crate) struct ResidualSample {
 
 /// One dense (window, shard) accumulator cell. An untouched cell reads
 /// exactly like an untouched sparse entry used to: zero counts, and the
-/// empty [`WindowHistogram`]'s quantile/max are 0.
+/// empty [`obs::Histogram`]'s quantile/max are 0.
 #[derive(Debug, Clone, Default)]
 struct Cell {
     arrivals: u64,
@@ -312,7 +304,7 @@ struct Cell {
     dropped: u64,
     degraded: u64,
     batches: u64,
-    queue: WindowHistogram,
+    queue: obs::Histogram,
 }
 
 /// Accumulates timeline facts as the runtime projects its run ledger.
@@ -471,7 +463,8 @@ impl TimelineBuilder {
             .resize_with((windows as usize) * shards, Cell::default);
         self.recalib_entries.sort_unstable();
         let mut samples = samples.into_iter().peekable();
-        let mut residuals = ResidualTracker::new(&self.ladder_lens, self.cfg.alpha_ppm);
+        let slo = SloPolicy::default();
+        let mut residuals = ResidualTracker::new(&self.ladder_lens, obs::DEFAULT_ALPHA_PPM);
         let mut rows = Vec::with_capacity((windows as usize) * shards);
         let mut alerts = Vec::new();
         let mut generations = vec![0u64; shards];
@@ -489,6 +482,7 @@ impl TimelineBuilder {
                 .sum();
             for (s, shard_generation) in generations.iter_mut().enumerate() {
                 let cell = &self.cells[base + s];
+                let queue = cell.queue.summary();
                 let arrivals = cell.arrivals;
                 let served = cell.served;
                 let missed = cell.missed;
@@ -517,12 +511,12 @@ impl TimelineBuilder {
                     dropped,
                     degraded: cell.degraded,
                     batches: cell.batches,
-                    queue_p95_us: cell.queue.quantile(950_000),
-                    queue_max_us: cell.queue.max(),
+                    queue_p95_us: queue.p95,
+                    queue_max_us: queue.max,
                     generation: *shard_generation,
                     residual_ppm: residuals.blended(s).ewma_ppm(),
                     drift_ppm: residuals.max_drift_ppm(s),
-                    burn_ppm: obs::burn_rate_ppm(bad, arrivals, self.cfg.slo.miss_budget_ppm),
+                    burn_ppm: obs::burn_rate_ppm(bad, arrivals, slo.miss_budget_ppm),
                 };
                 let fault = self
                     .fault_entries
@@ -530,7 +524,7 @@ impl TimelineBuilder {
                     .filter(|&&(fw, fs, ..)| fw == w && fs == s)
                     .map(|&(_, _, t_us, magnitude)| (t_us, magnitude))
                     .min();
-                let mut fired = self.cfg.slo.evaluate(&WindowObservation {
+                let mut fired = slo.evaluate(&WindowObservation {
                     window: w,
                     start_us: row.start_us,
                     shard: s,
@@ -567,7 +561,7 @@ impl TimelineBuilder {
             window_us: self.cfg.window_us,
             windows,
             deadline_us: self.deadline_us,
-            slo: self.cfg.slo,
+            slo,
             shard_names: self.shard_names,
             rows,
             residuals,

@@ -17,7 +17,8 @@ fn cfg(seed: u64, jobs: usize) -> ScenarioConfig {
 fn stress_summary_and_timeline_identical_at_jobs_1_and_8() {
     if cfg!(debug_assertions) {
         // ~10⁶ requests per run; only worth the wall-clock with optimized
-        // code. The release suite (CI tier-1 and the bench job) runs it.
+        // code. CI's bench job runs it with `cargo test --release -p
+        // netcut-serve --test simcore_stress`.
         eprintln!("skipped: stress-scale determinism check runs in release only");
         return;
     }

@@ -214,7 +214,8 @@ impl Session {
             runs: TIMED_RUNS,
         };
         obs::counter_add("sim.measurements", 1);
-        obs::observe("sim.measure.mean_ms", measurement.mean_ms);
+        let mean_us = (measurement.mean_ms * 1e3).round() as u64;
+        obs::observe("sim.measure.mean_us", mean_us);
         span.field("mean_ms", measurement.mean_ms);
         span.field("std_ms", measurement.std_ms);
         span.field("p99_ms", measurement.p99_ms);

@@ -90,7 +90,8 @@ impl Retrainer for SurrogateRetrainer {
             train_hours: self.cost_model.train_hours(trn),
         };
         netcut_obs::counter_add("train.retrains", 1);
-        netcut_obs::observe("train.retrain_hours", trained.train_hours);
+        let train_s = (trained.train_hours * 3600.0).round() as u64;
+        netcut_obs::observe("train.retrain_s", train_s);
         span.field("accuracy", trained.accuracy);
         span.field("train_hours", trained.train_hours);
         trained

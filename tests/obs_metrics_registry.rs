@@ -13,7 +13,6 @@ const CALLS: &[&str] = &[
     "counter_add(\"",
     "gauge_set(\"",
     "observe(\"",
-    "observe_us(\"",
     "histogram_merge(\"",
     "labeled(\"",
 ];
