@@ -422,6 +422,20 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
             if !(duration_s > 0.0 && duration_s.is_finite()) {
                 return Err("--duration must be a positive number of seconds".to_string());
             }
+            // The run is timed in whole microseconds: a shorter duration
+            // would round to an empty run.
+            if (duration_s * 1e6).round() < 1.0 {
+                return Err("--duration must be at least one microsecond (0.000001)".to_string());
+            }
+            let deadline_us: u64 =
+                num(flag_value("--deadline-us"), "--deadline-us", d.deadline_us)?;
+            if deadline_us == 0 {
+                return Err("--deadline-us must be positive".to_string());
+            }
+            let rps: u64 = num(flag_value("--rps"), "--rps", d.rps)?;
+            if rps == 0 {
+                return Err("--rps must be positive".to_string());
+            }
             let batch_max: usize = num(flag_value("--batch-max"), "--batch-max", d.batch_max)?;
             if batch_max == 0 {
                 return Err("--batch-max must be at least 1 (1 = batching off)".to_string());
@@ -486,8 +500,8 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                 return Err("--recalib-cooldown-us must be positive".to_string());
             }
             Ok(Command::Serve {
-                deadline_us: num(flag_value("--deadline-us"), "--deadline-us", d.deadline_us)?,
-                rps: num(flag_value("--rps"), "--rps", d.rps)?,
+                deadline_us,
+                rps,
                 duration_s,
                 seed: num(flag_value("--seed"), "--seed", d.seed)?,
                 jobs: parse_jobs(flag_value("--jobs"))?,
@@ -754,6 +768,32 @@ mod tests {
         assert!(parse(&argv(&["serve", "--exit-table", "deep"])).is_err());
         assert!(parse(&argv(&["serve", "--recalib-drift-ppm", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--recalib-cooldown-us", "0"])).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_values_the_runtime_would_panic_on() {
+        // A zero rate or deadline trips a library assert, and a duration
+        // that rounds to zero microseconds is an empty run: each is a flag
+        // error instead.
+        for (flag, value, message) in [
+            ("--rps", "0", "--rps must be positive"),
+            ("--deadline-us", "0", "--deadline-us must be positive"),
+            (
+                "--duration",
+                "0.0000001",
+                "--duration must be at least one microsecond (0.000001)",
+            ),
+        ] {
+            assert_eq!(
+                parse(&argv(&["serve", flag, value])).err().as_deref(),
+                Some(message),
+                "{flag} {value}"
+            );
+        }
+        let Command::Serve { duration_s, .. } = cmd(&["serve", "--duration", "0.000001"]) else {
+            panic!("not a serve command");
+        };
+        assert_eq!(duration_s, 0.000001);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use netcut_obs as obs;
 use netcut_sim::{LatencyTable, Measurement, Session};
 use netcut_train::{Retrainer, TrainedTrn};
 use serde::Serialize;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -255,10 +256,13 @@ pub struct EvalContext<'a, R: Retrainer> {
     strict: bool,
 }
 
-/// One evaluation request for [`EvalContext::evaluate_many`].
-pub struct EvalTask {
+/// One evaluation request for [`EvalContext::evaluate_many`]. The task
+/// owns its TRN by default, so the network is freed once evaluated; an
+/// `EvalTask<&Network>` borrows it instead, for a caller that goes on
+/// using the networks it explored.
+pub struct EvalTask<N = Network> {
     /// The TRN to measure and retrain (head attached).
-    pub trn: Network,
+    pub trn: N,
     /// Backbone layer count of the TRN's *source* network, for the
     /// `layers_removed` accounting.
     pub source_layers: usize,
@@ -410,7 +414,14 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
     /// Memoized [`Session::measure`].
     pub fn measure(&self, net: &Network, seed: u64) -> Measurement {
-        self.lookup(&self.caches.measure, self.key(net, seed), || {
+        self.measure_keyed(net, self.key(net, seed))
+    }
+
+    /// [`Self::measure`] under a key the caller already built; the
+    /// measurement seed is the key's.
+    fn measure_keyed(&self, net: &Network, key: Key) -> Measurement {
+        let seed = key.seed;
+        self.lookup(&self.caches.measure, key, || {
             self.verify_boundary(net);
             self.session.measure(net, seed)
         })
@@ -430,7 +441,12 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// the key uses a fixed seed component and a hit is shared by every
     /// measurement seed probing the same TRN.
     pub fn retrain(&self, trn: &Network) -> TrainedTrn {
-        let (trained, answer) = self.lookup(&self.caches.retrain, self.key(trn, 0), || {
+        self.retrain_keyed(trn, self.key(trn, 0))
+    }
+
+    /// [`Self::retrain`] under a key the caller already built (seed 0).
+    fn retrain_keyed(&self, trn: &Network, key: Key) -> TrainedTrn {
+        let (trained, answer) = self.lookup(&self.caches.retrain, key, || {
             self.verify_boundary(trn);
             self.retrainer.retrain(trn)
         });
@@ -461,8 +477,15 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
             span.field("family", trn.base_name());
             span.field("cutpoint", trn.cutpoint());
         }
-        let measurement = self.measure(trn, seed);
-        let trained = self.retrain(trn);
+        // One structural fingerprint serves both lookups: retrain entries
+        // are the measurement key at seed 0.
+        let key = self.key(trn, seed);
+        let retrain_key = Key {
+            seed: 0,
+            ..key.clone()
+        };
+        let measurement = self.measure_keyed(trn, key);
+        let trained = self.retrain_keyed(trn, retrain_key);
         // Layer counts in the framework sense (BN/activation/pool nodes
         // included), matching the paper's `ResNet/94`-style labels.
         let kept = trn.backbone_layer_count();
@@ -489,9 +512,12 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
     /// Evaluates a batch of tasks across the configured workers, returning
     /// points in task order regardless of completion order.
-    pub fn evaluate_many(&self, tasks: Vec<EvalTask>) -> Vec<CandidatePoint> {
+    pub fn evaluate_many<N: Borrow<Network> + Send>(
+        &self,
+        tasks: Vec<EvalTask<N>>,
+    ) -> Vec<CandidatePoint> {
         self.par_map(tasks, |_, task| {
-            self.evaluate_inner(&task.trn, task.source_layers, task.seed)
+            self.evaluate_inner(task.trn.borrow(), task.source_layers, task.seed)
         })
     }
 

@@ -10,6 +10,7 @@ use netcut_graph::{HeadSpec, Network};
 use netcut_obs as obs;
 use netcut_sim::Session;
 use netcut_train::Retrainer;
+use std::borrow::Borrow;
 
 /// Measures and retrains one TRN into a [`CandidatePoint`].
 ///
@@ -104,19 +105,49 @@ pub fn exhaustive_blockwise_with<R: Retrainer>(
     head: &HeadSpec,
     seed: u64,
 ) -> Exploration {
+    explore_cuts(ctx, sources, seed, |_, source| blockwise_trns(source, head))
+}
+
+/// [`exhaustive_blockwise_with`] over TRNs the caller already cut:
+/// `trns[i]` holds the [`blockwise_trns`] of `sources[i]`. A caller that
+/// uses the TRNs after exploring them (the serve scenario sizes its exit
+/// tables from them) cuts each source once and keeps the networks.
+pub fn exhaustive_blockwise_of<R: Retrainer>(
+    ctx: &EvalContext<'_, R>,
+    sources: &[Network],
+    trns: &[Vec<Network>],
+    seed: u64,
+) -> Exploration {
+    explore_cuts(ctx, sources, seed, |i, _| &trns[i])
+}
+
+/// The evaluation loop of both exhaustive sweeps: `cut(i, source)` yields
+/// the TRNs of `sources[i]`, owned (each freed once evaluated) or borrowed
+/// (kept by the caller).
+fn explore_cuts<R, T, C>(
+    ctx: &EvalContext<'_, R>,
+    sources: &[Network],
+    seed: u64,
+    cut: C,
+) -> Exploration
+where
+    R: Retrainer,
+    T: IntoIterator,
+    T::Item: Borrow<Network> + Send,
+    C: Fn(usize, &Network) -> T,
+{
     let mut span = obs::span("explore.exhaustive");
     span.field("sources", sources.len());
-    let tasks: Vec<EvalTask> = sources
+    let tasks: Vec<EvalTask<T::Item>> = sources
         .iter()
-        .flat_map(|source| {
+        .enumerate()
+        .flat_map(|(i, source)| {
             let source_layers = source.backbone_layer_count();
-            blockwise_trns(source, head)
-                .into_iter()
-                .map(move |trn| EvalTask {
-                    trn,
-                    source_layers,
-                    seed,
-                })
+            cut(i, source).into_iter().map(move |trn| EvalTask {
+                trn,
+                source_layers,
+                seed,
+            })
         })
         .collect();
     let points = ctx.evaluate_many(tasks);

@@ -180,14 +180,11 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         let mut point = ctx.evaluate(&trn, source, self.eval_seed);
         point.estimated_ms = Some(est_latency);
         let accept = est_latency <= deadline_ms;
-        obs::counter_add(
-            if accept {
-                "netcut.proposals_accepted"
-            } else {
-                "netcut.proposals_rejected"
-            },
-            1,
-        );
+        if accept {
+            obs::counter_add("netcut.proposals_accepted", 1);
+        } else {
+            obs::counter_add("netcut.proposals_rejected", 1);
+        }
         let residual_ms = (est_latency - point.latency_ms).abs();
         obs::observe("netcut.residual_us", (residual_ms * 1e3).round() as u64);
         if family_span.is_recording() {

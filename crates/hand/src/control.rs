@@ -71,14 +71,11 @@ impl ControlLoop {
         let decision = fuse(&frame_estimates[..frames_used], self.rule);
         let similarity = angular_similarity(&decision, truth);
         let deadline_met = self.budget.sustains(visual_latency_ms);
-        netcut_obs::counter_add(
-            if deadline_met {
-                "hand.deadline_met"
-            } else {
-                "hand.deadline_missed"
-            },
-            1,
-        );
+        if deadline_met {
+            netcut_obs::counter_add("hand.deadline_met", 1);
+        } else {
+            netcut_obs::counter_add("hand.deadline_missed", 1);
+        }
         ReachOutcome {
             decision,
             similarity,

@@ -24,6 +24,10 @@ pub const METRIC_NAMES: &[&str] = &[
     "eval.cache_miss",
     "explore.candidates",
     "explore.train_s",
+    "hand.deadline_met",
+    "hand.deadline_missed",
+    "netcut.proposals_accepted",
+    "netcut.proposals_rejected",
     "netcut.residual_us",
     "netcut.steps",
     "recalib.scale_ppm",

@@ -97,7 +97,7 @@ pub struct Rung {
 ///
 /// Each rung may additionally carry a **batch-scaling curve** — the rung
 /// network's batched latency relative to batch 1, in parts per million
-/// ([`netcut_sim::batch_scale_ppm`]). The curve is what makes batching
+/// ([`netcut_sim::batch_curve_ppm`]). The curve is what makes batching
 /// decisions exact-integer: `batch_latency_us(r, n)` is the rung's measured
 /// batch-1 latency times the analytic curve, rounded once at evaluation.
 /// Ladders without curves fall back to a linear model (no amortization), so

@@ -8,11 +8,18 @@
 //! — a slower edge device keeps fewer, faster rungs under the same
 //! deadline — attaches analytic batch-scaling curves when dynamic batching
 //! is on, generates the seeded workload, precomputes per-shard noise
-//! tables on the same worker pool, and runs the serving simulation. The
-//! `jobs` knob only ever touches physically-parallel stages whose outputs
-//! are order-deterministic, so the final summary is bit-identical at any
-//! `jobs` value — the property the determinism acceptance check, the CI
-//! `--jobs` matrix leg, and the golden traces rely on.
+//! tables on a worker pool of the same size, and runs the serving
+//! simulation. The `jobs` knob only ever touches physically-parallel
+//! stages whose outputs are order-deterministic, so the final summary is
+//! bit-identical at any `jobs` value — the property the determinism
+//! acceptance check, the CI `--jobs` matrix leg, and the golden traces
+//! rely on.
+//!
+//! Set-up builds each network once. One retrainer and one cache set serve
+//! every roster device. The scenario network is cut into its blockwise
+//! TRNs once; each device explores those TRNs, and its exit table reads
+//! memory accounting and batch curves (one fusion pass per rung) from
+//! them by cutpoint.
 //!
 //! Shard 0 always runs the primary device with the *unsalted* seed and no
 //! shard noise table, so a `shards: 1, batch_max: 1` scenario reproduces
@@ -26,12 +33,14 @@ use crate::runtime::{RequestOutcome, Server, ServerConfig};
 use crate::shard::Shard;
 use crate::summary::{RunMeta, ServeSummary};
 use crate::timeline::{Timeline, TimelineConfig};
-use netcut::eval::{EvalCaches, EvalContext};
-use netcut::explore::exhaustive_blockwise_with;
-use netcut_graph::{zoo, HeadSpec};
+use netcut::eval::{par_map_with_jobs, EvalCaches, EvalContext};
+use netcut::explore::exhaustive_blockwise_of;
+use netcut::removal::blockwise_trns;
+use netcut_graph::{zoo, HeadSpec, Network};
 use netcut_obs as obs;
-use netcut_sim::{batch_scale_ppm, DeviceModel, Precision, Session};
+use netcut_sim::{batch_curve_ppm, DeviceModel, Precision, Session};
 use netcut_train::SurrogateRetrainer;
+use std::slice;
 use std::sync::Arc;
 
 /// Salt mixed into per-shard seeds (shard 0 stays unsalted so single-shard
@@ -133,8 +142,32 @@ pub struct Scenario {
 /// The network family the serve scenario explores: MobileNetV2 ×1.0 gives
 /// a 17-rung ladder spanning roughly 75–760 µs on the Xavier Int8 model —
 /// rich degradation headroom around the 900 µs paper deadline.
-pub fn scenario_networks() -> Vec<netcut_graph::Network> {
+pub fn scenario_networks() -> Vec<Network> {
     vec![zoo::mobilenet_v2(1.0)]
+}
+
+/// The scenario network, its multi-exit form and its blockwise TRNs, each
+/// built once per scenario: every roster device explores these TRNs, and
+/// its exit table reads memory accounting and batch curves from them by
+/// cutpoint.
+struct ScenarioNets {
+    source: Network,
+    /// The source with an exit head after every block.
+    multi_exit: Network,
+    /// `trns[k]` is the source cut at blockwise cutpoint `k`, head attached.
+    trns: Vec<Network>,
+}
+
+impl ScenarioNets {
+    fn cut() -> Self {
+        let head = HeadSpec::default();
+        let source = scenario_networks().swap_remove(0);
+        ScenarioNets {
+            multi_exit: source.with_exit_heads(&head),
+            trns: blockwise_trns(&source, &head),
+            source,
+        }
+    }
 }
 
 /// Per-device model-memory accounting of `ladder`: the multi-exit network
@@ -145,27 +178,16 @@ pub fn scenario_networks() -> Vec<netcut_graph::Network> {
 /// layer each), while the baseline pays weights *and* arena per rung, and
 /// trimmed rungs keep nearly the full arena because the largest
 /// activations live in the early layers every rung retains.
-fn exit_table_memory(ladder: &TrnLadder, batch_max: usize) -> LadderMemory {
-    let head = HeadSpec::default();
+fn exit_table_memory(ladder: &TrnLadder, batch_max: usize, nets: &ScenarioNets) -> LadderMemory {
     let batch = batch_max.max(1) as u64;
-    let source = &scenario_networks()[0];
-    let footprint =
-        |net: &netcut_graph::Network| net.param_bytes() + net.peak_activation_bytes() * batch;
-    let multi = source.with_exit_heads(&head);
-    let baseline: u64 = ladder
-        .rungs()
-        .iter()
-        .map(|r| {
-            let trn = source
-                .cut_blocks(r.cutpoint)
-                .expect("ladder cutpoints come from exploring this same network")
-                .with_head(&head);
-            footprint(&trn)
-        })
-        .sum();
+    let footprint = |net: &Network| net.param_bytes() + net.peak_activation_bytes() * batch;
     LadderMemory {
-        model_bytes: footprint(&multi),
-        baseline_model_bytes: baseline,
+        model_bytes: footprint(&nets.multi_exit),
+        baseline_model_bytes: ladder
+            .rungs()
+            .iter()
+            .map(|r| footprint(&nets.trns[r.cutpoint]))
+            .sum(),
     }
 }
 
@@ -174,7 +196,7 @@ fn exit_table_memory(ladder: &TrnLadder, batch_max: usize) -> LadderMemory {
 /// the exit table of one multi-exit network, attaches the per-device
 /// memory accounting ([`exit_table_memory`]), and — when `cfg.batch_max`
 /// allows batching — attaches the analytic batch-scaling curve of each
-/// exit ([`batch_scale_ppm`]).
+/// exit ([`batch_curve_ppm`]).
 ///
 /// # Errors
 /// [`LadderError::NoCandidates`] if the exploration produced no points —
@@ -186,37 +208,36 @@ pub fn build_ladder_for(
     let session = Session::new(device.clone(), Precision::Int8);
     let retrainer = SurrogateRetrainer::paper();
     let ctx = EvalContext::new(&session, &retrainer).with_jobs(cfg.jobs);
-    build_ladder_in(cfg, device, &ctx)
+    build_ladder_in(cfg, device, &ctx, &ScenarioNets::cut())
 }
 
-/// [`build_ladder_for`] through an existing context, so the scenario
-/// build can share one cache set across its roster devices.
+/// [`build_ladder_for`] through an existing context and the scenario's
+/// TRNs, so the scenario build shares one retrainer, one cache set and
+/// one set of networks across its roster devices.
 fn build_ladder_in(
     cfg: &ScenarioConfig,
     device: &DeviceModel,
     ctx: &EvalContext<'_, SurrogateRetrainer>,
+    nets: &ScenarioNets,
 ) -> Result<TrnLadder, LadderError> {
-    let exploration =
-        exhaustive_blockwise_with(ctx, &scenario_networks(), &HeadSpec::default(), cfg.seed);
+    let exploration = exhaustive_blockwise_of(
+        ctx,
+        slice::from_ref(&nets.source),
+        slice::from_ref(&nets.trns),
+        cfg.seed,
+    );
     let ladder = TrnLadder::from_points(&exploration.points)?;
-    let memory = exit_table_memory(&ladder, cfg.batch_max);
+    let memory = exit_table_memory(&ladder, cfg.batch_max, nets);
     let ladder = ladder.with_memory(memory);
     if cfg.batch_max <= 1 {
         return Ok(ladder);
     }
-    let head = HeadSpec::default();
     let batch_max = cfg.batch_max;
     // Curves are pure per-rung work: compute them on the shared pool.
     // par_map preserves input order, so the curves land rung-aligned.
     let cutpoints: Vec<usize> = ladder.rungs().iter().map(|r| r.cutpoint).collect();
     let curves = ctx.par_map(cutpoints, |_, cut| {
-        let trn = scenario_networks()[0]
-            .cut_blocks(cut)
-            .expect("ladder cutpoints come from exploring this same network")
-            .with_head(&head);
-        (1..=batch_max)
-            .map(|b| batch_scale_ppm(&trn, device, Precision::Int8, b))
-            .collect::<Vec<u64>>()
+        batch_curve_ppm(&nets.trns[cut], device, Precision::Int8, batch_max)
     });
     Ok(ladder.with_batch_curves(curves))
 }
@@ -280,20 +301,25 @@ impl Scenario {
 
         // One ladder per *unique* device on the roster (building a ladder
         // means a full exploration — don't repeat it per shard). All
-        // builds share one cache set.
+        // builds share one retrainer, one cache set and one set of TRNs,
+        // dropped once the ladders are built.
         let roster: Vec<&DeviceModel> = (0..cfg.shards)
             .map(|i| &cfg.devices[i % cfg.devices.len()])
             .collect();
-        let caches = Arc::new(EvalCaches::new());
         let mut ladders: Vec<(String, TrnLadder)> = Vec::new();
-        for device in &roster {
-            if !ladders.iter().any(|(name, _)| *name == device.name) {
-                let session = Session::new((*device).clone(), Precision::Int8);
-                let retrainer = SurrogateRetrainer::paper();
-                let ctx = EvalContext::new(&session, &retrainer)
-                    .with_jobs(cfg.jobs)
-                    .with_shared_caches(caches.clone());
-                ladders.push((device.name.clone(), build_ladder_in(&cfg, device, &ctx)?));
+        {
+            let nets = ScenarioNets::cut();
+            let retrainer = SurrogateRetrainer::paper();
+            let caches = Arc::new(EvalCaches::new());
+            for device in &roster {
+                if !ladders.iter().any(|(name, _)| *name == device.name) {
+                    let session = Session::new((*device).clone(), Precision::Int8);
+                    let ctx = EvalContext::new(&session, &retrainer)
+                        .with_jobs(cfg.jobs)
+                        .with_shared_caches(caches.clone());
+                    let ladder = build_ladder_in(&cfg, device, &ctx, &nets)?;
+                    ladders.push((device.name.clone(), ladder));
+                }
             }
         }
         if let Some(pin) = cfg.exit_pin {
@@ -322,67 +348,56 @@ impl Scenario {
             seed: cfg.seed,
         }
         .generate();
-        // Noise is a pure function of (seed, id): attach it on the shared
-        // worker pool — par_map preserves input order, so the result is
+        // Noise is a pure function of (seed, id): attach it on a worker
+        // pool — par_map_with_jobs preserves input order, so the result is
         // identical at any `jobs`. Shard 0 reads the request's carried
         // noise (bit-compatible with single-shard runs); shards ≥ 1 get
         // their own decorrelated tables sized to their device's jitter.
         let seed = cfg.seed;
         let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
         let worker_split = split_workers(cfg.workers, cfg.shards);
+        let jitter0 = roster[0].jitter_ppm();
+        let noise0 = par_map_with_jobs(cfg.jobs, ids.clone(), move |_, id| {
+            service_noise_ppm(seed, id, jitter0)
+        });
+        for (r, n) in requests.iter_mut().zip(noise0) {
+            r.noise_ppm = n;
+        }
         let mut shards: Vec<Shard> = Vec::with_capacity(cfg.shards);
-        {
-            let session = Session::new(roster[0].clone(), Precision::Int8);
-            let retrainer = SurrogateRetrainer::paper();
-            let ctx = EvalContext::new(&session, &retrainer).with_jobs(cfg.jobs);
-            let jitter0 = roster[0].jitter_ppm();
-            let noise0 = ctx.par_map(ids.clone(), move |_, id| {
-                service_noise_ppm(seed, id, jitter0)
+        for (i, device) in roster.iter().enumerate() {
+            let shard_seed = seed ^ (i as u64).wrapping_mul(SHARD_SEED_SALT);
+            let noise_ppm = if i == 0 {
+                Vec::new() // shard 0 uses the request-carried noise
+            } else {
+                let jitter = device.jitter_ppm();
+                par_map_with_jobs(cfg.jobs, ids.clone(), move |_, id| {
+                    service_noise_ppm(shard_seed, id, jitter)
+                })
+            };
+            shards.push(Shard {
+                name: device.name.clone(),
+                ladder: ladder_for(&device.name).clone(),
+                workers: worker_split[i],
+                faults: {
+                    let plan = if cfg.faults {
+                        // The *global* fault timeline partitioned across
+                        // the fleet: a sharded run faces the same
+                        // environment as the single-shard baseline, not
+                        // `shards` copies.
+                        FaultPlan::seeded_demo_shard(seed, cfg.duration_us, device, i, cfg.shards)
+                    } else {
+                        FaultPlan::none()
+                    };
+                    if cfg.thermal_ppm > 0 {
+                        // Ambient heat soaks the whole box: every shard
+                        // gets the window, unpartitioned.
+                        plan.with_thermal(cfg.duration_us, cfg.thermal_ppm)
+                    } else {
+                        plan
+                    }
+                },
+                noise_ppm,
             });
-            for (r, n) in requests.iter_mut().zip(noise0) {
-                r.noise_ppm = n;
-            }
-            for (i, device) in roster.iter().enumerate() {
-                let shard_seed = seed ^ (i as u64).wrapping_mul(SHARD_SEED_SALT);
-                let noise_ppm = if i == 0 {
-                    Vec::new() // shard 0 uses the request-carried noise
-                } else {
-                    let jitter = device.jitter_ppm();
-                    ctx.par_map(ids.clone(), move |_, id| {
-                        service_noise_ppm(shard_seed, id, jitter)
-                    })
-                };
-                shards.push(Shard {
-                    name: device.name.clone(),
-                    ladder: ladder_for(&device.name).clone(),
-                    workers: worker_split[i],
-                    faults: {
-                        let plan = if cfg.faults {
-                            // The *global* fault timeline partitioned across
-                            // the fleet: a sharded run faces the same
-                            // environment as the single-shard baseline, not
-                            // `shards` copies.
-                            FaultPlan::seeded_demo_shard(
-                                seed,
-                                cfg.duration_us,
-                                device,
-                                i,
-                                cfg.shards,
-                            )
-                        } else {
-                            FaultPlan::none()
-                        };
-                        if cfg.thermal_ppm > 0 {
-                            // Ambient heat soaks the whole box: every shard
-                            // gets the window, unpartitioned.
-                            plan.with_thermal(cfg.duration_us, cfg.thermal_ppm)
-                        } else {
-                            plan
-                        }
-                    },
-                    noise_ppm,
-                });
-            }
         }
 
         let server_config = ServerConfig {

@@ -49,8 +49,19 @@ pub fn batched_network_latency_ms(
     batch: usize,
 ) -> f64 {
     assert!(batch > 0, "batch must be positive");
+    batched_kernels_latency_ms(&fuse_network(net), device, precision, batch)
+}
+
+/// [`batched_network_latency_ms`] over an already-fused kernel list, so a
+/// caller pricing several batch sizes fuses the network once.
+fn batched_kernels_latency_ms(
+    kernels: &[FusedKernel],
+    device: &DeviceModel,
+    precision: Precision,
+    batch: usize,
+) -> f64 {
     let b = batch as f64;
-    let steady: f64 = fuse_network(net)
+    let steady: f64 = kernels
         .iter()
         .map(|k| {
             let eff = device.kind_efficiency(&k.primary_kind);
@@ -87,32 +98,34 @@ pub fn batched_network_latency_us(
         .max(1.0) as u64
 }
 
-/// Batch-scaling factor in **parts per million**: the latency of a
-/// `batch`-sized inference relative to batch 1 on the same device and
-/// precision, rounded to integer ppm. `batch == 1` returns exactly
-/// [`crate::PPM_SCALE`] (1 000 000).
+/// Batch-scaling curve in **parts per million**: element `b - 1` is the
+/// latency of a `b`-sized inference relative to batch 1 on the same device
+/// and precision, rounded to integer ppm, for every `b` in `1..=batch_max`.
+/// Element 0 is exactly [`crate::PPM_SCALE`] (1 000 000), and
+/// `batch_max == 0` yields an empty curve.
 ///
 /// This is the form a serving runtime stores per ladder rung: multiplying a
-/// measured batch-1 latency (integer µs) by this factor reproduces the
+/// measured batch-1 latency (integer µs) by a factor reproduces the
 /// analytic batching curve — weight-streaming and launch-overhead
 /// amortization, occupancy growth — without any float entering the
-/// scheduler's arithmetic.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero.
-pub fn batch_scale_ppm(
+/// scheduler's arithmetic. The network is fused once for the whole curve.
+pub fn batch_curve_ppm(
     net: &Network,
     device: &DeviceModel,
     precision: Precision,
-    batch: usize,
-) -> u64 {
-    if batch == 1 {
-        return crate::PPM_SCALE;
-    }
-    let base = batched_network_latency_ms(net, device, precision, 1);
-    let batched = batched_network_latency_ms(net, device, precision, batch);
-    (batched / base * crate::PPM_SCALE as f64).round() as u64
+    batch_max: usize,
+) -> Vec<u64> {
+    let kernels = fuse_network(net);
+    let base = batched_kernels_latency_ms(&kernels, device, precision, 1);
+    (1..=batch_max)
+        .map(|batch| {
+            if batch == 1 {
+                return crate::PPM_SCALE;
+            }
+            let batched = batched_kernels_latency_ms(&kernels, device, precision, batch);
+            (batched / base * crate::PPM_SCALE as f64).round() as u64
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -206,23 +219,43 @@ mod tests {
     }
 
     #[test]
-    fn batch_scale_is_ppm_exact_at_one_and_monotone() {
-        let d = DeviceModel::jetson_xavier();
-        let net = zoo::mobilenet_v2(1.0);
-        assert_eq!(batch_scale_ppm(&net, &d, Precision::Int8, 1), 1_000_000);
-        let mut prev = 0;
-        for batch in 1..=16 {
-            let scale = batch_scale_ppm(&net, &d, Precision::Int8, batch);
-            assert!(scale > prev, "scale not monotone at batch {batch}");
-            // Sublinear for batch >= 2: batching amortizes weights and
-            // launches, so the scale grows slower than the batch size
-            // itself. Batch 1 is exactly PPM by construction.
-            assert!(
-                batch == 1 || scale < 1_000_000 * batch as u64,
-                "batch {batch} scale {scale} is not sublinear"
-            );
-            prev = scale;
+    fn batch_curve_is_ppm_exact_at_one_monotone_and_matches_the_per_batch_model() {
+        // One fusion pass per curve prices each batch size exactly as a
+        // fresh `batched_network_latency_ms` call does.
+        for net in zoo::paper_networks() {
+            for d in [
+                DeviceModel::jetson_xavier(),
+                DeviceModel::jetson_nano(),
+                DeviceModel::tesla_k20m(),
+            ] {
+                let at = format!("{} on {}", net.name(), d.name);
+                let curve = batch_curve_ppm(&net, &d, Precision::Int8, 16);
+                assert_eq!(curve.len(), 16, "{at}");
+                assert_eq!(curve[0], crate::PPM_SCALE, "{at}");
+                let base = batched_network_latency_ms(&net, &d, Precision::Int8, 1);
+                let mut prev = 0;
+                for (i, &scale) in curve.iter().enumerate() {
+                    let batch = i + 1;
+                    let batched = batched_network_latency_ms(&net, &d, Precision::Int8, batch);
+                    assert_eq!(
+                        scale,
+                        (batched / base * 1e6).round() as u64,
+                        "{at}, batch {batch}"
+                    );
+                    assert!(scale > prev, "{at}: scale not monotone at batch {batch}");
+                    // Sublinear for batch >= 2: batching amortizes weights
+                    // and launches, so the scale grows slower than the
+                    // batch size itself.
+                    assert!(
+                        batch == 1 || scale < 1_000_000 * batch as u64,
+                        "{at}: batch {batch} scale {scale} is not sublinear"
+                    );
+                    prev = scale;
+                }
+            }
         }
+        let d = DeviceModel::jetson_xavier();
+        assert!(batch_curve_ppm(&zoo::mobilenet_v2(1.0), &d, Precision::Int8, 0).is_empty());
     }
 
     #[test]

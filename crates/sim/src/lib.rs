@@ -13,7 +13,14 @@
 //! * **layer fusion** and **INT8 quantization** reduce latency (§III-B-4);
 //! * narrow layers underutilize the device (occupancy), making latency a
 //!   *non-linear* function of FLOPs — the non-linearity the RBF-kernel SVR
-//!   adapts to and linear regression does not (§V-C).
+//!   adapts to and linear regression does not (§V-C);
+//! * **batching** amortizes weight streaming and kernel launches:
+//!   [`batch_curve_ppm`] fuses a network once and prices every batch size
+//!   up to a bound as an integer ppm factor over batch 1, the form a
+//!   deadline-aware scheduler consumes.
+//!
+//! [`Session::measure`] follows the paper's 200 warm-up + 800 timed runs and
+//! reads the p95, p99 and maximum by selection rather than a full sort.
 //!
 //! # Example
 //!
@@ -42,12 +49,12 @@ pub use device::{DeviceModel, Precision};
 pub use energy::EnergyModel;
 pub use fusion::{fuse_network, FusedKernel};
 pub use latency::{
-    batch_scale_ppm, batched_network_latency_ms, batched_network_latency_us, kernel_latency_ms,
+    batch_curve_ppm, batched_network_latency_ms, batched_network_latency_us, kernel_latency_ms,
     network_latency_ms,
 };
 
 /// One million — the fixed-point base for every parts-per-million quantity
-/// this crate exports to integer-arithmetic consumers ([`batch_scale_ppm`],
+/// this crate exports to integer-arithmetic consumers ([`batch_curve_ppm`],
 /// [`DeviceModel::jitter_ppm`], [`DeviceModel::transient_slowdown_ppm`]).
 pub const PPM_SCALE: u64 = 1_000_000;
 pub use measure::{Measurement, Session};

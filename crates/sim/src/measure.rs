@@ -80,6 +80,25 @@ fn erfc_approx(x: f64) -> f64 {
     }
 }
 
+/// The nearest-rank 95th and 99th percentiles and the maximum of
+/// `samples` under [`f64::total_cmp`], reordering `samples` in place.
+///
+/// Selects the 95th-percentile rank, then sorts only the samples above it:
+/// the same order statistics a full sort yields, bit for bit, without
+/// paying to order the bottom 95 %.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+fn tail_order_statistics(samples: &mut [f64]) -> (f64, f64, f64) {
+    let last = samples.len() - 1;
+    let rank = |q: f64| (last as f64 * q).round() as usize;
+    let p95 = rank(0.95);
+    samples.select_nth_unstable_by(p95, f64::total_cmp);
+    samples[p95 + 1..].sort_unstable_by(f64::total_cmp);
+    (samples[p95], samples[rank(0.99)], samples[last])
+}
+
 /// A device + precision pair on which networks are timed and profiled.
 ///
 /// # Example
@@ -203,14 +222,13 @@ impl Session {
         let n = TIMED_RUNS as f64;
         let mean = sum / n;
         let var = (sum_sq / n - mean * mean).max(0.0) * n / (n - 1.0);
-        samples.sort_by(f64::total_cmp);
-        let pct = |q: f64| samples[((TIMED_RUNS - 1) as f64 * q).round() as usize];
+        let (p95_ms, p99_ms, max_ms) = tail_order_statistics(&mut samples);
         let measurement = Measurement {
             mean_ms: mean,
             std_ms: var.sqrt(),
-            p95_ms: pct(0.95),
-            p99_ms: pct(0.99),
-            max_ms: samples[TIMED_RUNS - 1],
+            p95_ms,
+            p99_ms,
+            max_ms,
             runs: TIMED_RUNS,
         };
         obs::counter_add("sim.measurements", 1);
@@ -458,6 +476,37 @@ mod tests {
             runs: 800,
         };
         assert!((m.miss_rate(1.1) - 0.158_655_3).abs() < 1e-4);
+    }
+
+    #[test]
+    fn tail_order_statistics_match_a_full_sort() {
+        // Seeded draws from a handful of levels, so every vector carries
+        // ties (and the signed zeros `total_cmp` orders apart).
+        let mut rng = SmallRng::seed_from_u64(0x0d5e);
+        for len in [1usize, 2, 20, 21, 799, 800, 801, 1000] {
+            for _ in 0..8 {
+                let levels = 1 + rng.gen_range(0..12u32);
+                let samples: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0..levels) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        l => f64::from(l) * 0.125 - 0.5,
+                    })
+                    .collect();
+                let mut sorted = samples.clone();
+                sorted.sort_by(f64::total_cmp);
+                let pct = |q: f64| sorted[((len - 1) as f64 * q).round() as usize];
+                let mut reordered = samples.clone();
+                let (p95, p99, max) = tail_order_statistics(&mut reordered);
+                assert_eq!(p95.to_bits(), pct(0.95).to_bits(), "p95 of {samples:?}");
+                assert_eq!(p99.to_bits(), pct(0.99).to_bits(), "p99 of {samples:?}");
+                assert_eq!(
+                    max.to_bits(),
+                    sorted[len - 1].to_bits(),
+                    "max of {samples:?}"
+                );
+            }
+        }
     }
 
     #[test]

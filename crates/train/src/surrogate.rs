@@ -56,39 +56,35 @@ impl TransferModel {
     /// Base accuracies follow Fig. 1 (MobileNetV1 0.5 at 0.81 under the
     /// 0.9 ms deadline); MobileNetV2 carries the per-tensor INT8
     /// quantization penalty of Krishnamoorthi 2018 (the paper's \[20\]).
+    /// Each row's last column is the source network's
+    /// [`Network::weighted_layer_count`], written out so that building the
+    /// model builds no network; a test pins every value to the zoo.
     pub fn paper() -> Self {
-        let nets = netcut_graph::zoo::extended_networks();
-        let layer_count = |name: &str| -> usize {
-            nets.iter()
-                .find(|n| n.name() == name)
-                .map(netcut_graph::Network::weighted_layer_count)
-                .expect("zoo network exists")
-        };
         let mut profiles = HashMap::new();
-        let mut add = |name: &str, base: f64, c: f64, p: f64| {
+        let mut add = |name: &str, base: f64, c: f64, p: f64, source_layers: usize| {
             profiles.insert(
                 name.to_owned(),
                 TransferProfile {
                     base_accuracy: base,
                     drop_coeff: c,
                     drop_exponent: p,
-                    source_layers: layer_count(name),
+                    source_layers,
                 },
             );
         };
-        add("mobilenet_v1_0.25", 0.723, 0.30, 1.6);
-        add("mobilenet_v1_0.50", 0.810, 0.25, 1.5);
-        add("mobilenet_v2_1.00", 0.800, 0.48, 1.4);
-        add("mobilenet_v2_1.40", 0.845, 0.48, 1.4);
-        add("inception_v3", 0.875, 0.38, 7.0);
-        add("resnet50", 0.870, 0.32, 5.0);
-        add("densenet121", 0.880, 0.38, 7.0);
+        add("mobilenet_v1_0.25", 0.723, 0.30, 1.6, 27);
+        add("mobilenet_v1_0.50", 0.810, 0.25, 1.5, 27);
+        add("mobilenet_v2_1.00", 0.800, 0.48, 1.4, 52);
+        add("mobilenet_v2_1.40", 0.845, 0.48, 1.4, 52);
+        add("inception_v3", 0.875, 0.38, 7.0, 94);
+        add("resnet50", 0.870, 0.32, 5.0, 53);
+        add("densenet121", 0.880, 0.38, 7.0, 120);
         // Extended-zoo families (not in the paper): VGG transfers well but
         // is shallow per block; AlexNet's few layers are all fairly
         // general; SqueezeNet behaves like the compact MobileNets.
-        add("vgg16", 0.855, 0.40, 3.0);
-        add("alexnet", 0.790, 0.35, 2.0);
-        add("squeezenet", 0.775, 0.40, 1.6);
+        add("vgg16", 0.855, 0.40, 3.0, 13);
+        add("alexnet", 0.790, 0.35, 2.0, 5);
+        add("squeezenet", 0.775, 0.40, 1.6, 25);
         TransferModel {
             profiles,
             noise_sigma: 0.004,
@@ -228,6 +224,24 @@ mod tests {
 
     fn model() -> TransferModel {
         TransferModel::paper()
+    }
+
+    #[test]
+    fn source_layers_match_the_zoo() {
+        let m = model();
+        let nets = zoo::extended_networks();
+        assert_eq!(m.families().count(), nets.len());
+        for net in &nets {
+            let profile = m
+                .profile(net.name())
+                .unwrap_or_else(|| panic!("no profile for `{}`", net.name()));
+            assert_eq!(
+                profile.source_layers,
+                net.weighted_layer_count(),
+                "{}",
+                net.name()
+            );
+        }
     }
 
     #[test]

@@ -85,7 +85,9 @@ fn every_metric_literal_in_the_tree_is_registered() {
 fn the_hot_serve_metrics_are_actually_in_the_tree() {
     // Guards the scanner itself: if the call-site extraction regresses,
     // the serve runtime's known metrics would vanish from the scan and
-    // the lint above would pass vacuously.
+    // the lint above would pass vacuously. The scan reads only the literal
+    // on the call line, so the branch-chosen counters of Algorithm 1 and
+    // the hand controller each keep one call per branch.
     let names: std::collections::HashSet<String> = metric_literals()
         .into_iter()
         .map(|(_, _, name)| name)
@@ -95,6 +97,10 @@ fn the_hot_serve_metrics_are_actually_in_the_tree() {
         "serve.latency_us",
         "serve.queue_delay_us",
         "serve.shard.busy",
+        "netcut.proposals_accepted",
+        "netcut.proposals_rejected",
+        "hand.deadline_met",
+        "hand.deadline_missed",
     ] {
         assert!(names.contains(expected), "scan lost `{expected}`");
     }
