@@ -543,7 +543,7 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 /// Runs `f` over `items` on a scoped-thread work queue with `jobs` workers,
 /// returning outputs in input order — the standalone form of
 /// [`EvalContext::par_map`] for callers with no evaluation context (e.g.
-/// the serving runtime's per-shard finalization). `jobs == 0` means one
+/// the serve scenario's per-request noise precompute). `jobs == 0` means one
 /// worker per available CPU; `jobs <= 1` (or a single item) runs inline on
 /// the caller's thread with no spawning, preserving the caller's exact
 /// trace shape. Output order never depends on scheduling, so any `jobs`

@@ -310,9 +310,20 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// The registry is process-global and the harness runs tests on
+    /// parallel threads, so every test that resets or reads it holds this
+    /// lock: otherwise one test's `reset` can wipe another's series
+    /// between its writes and its asserts.
+    fn registry_guard() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn counters_accumulate() {
+        let _registry = registry_guard();
         reset();
         counter_add("test.counter_a", 2);
         counter_add("test.counter_a", 3);
@@ -327,6 +338,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_value_and_high_water_mark() {
+        let _registry = registry_guard();
         reset();
         gauge_set("test.depth", 3);
         gauge_set("test.depth", 9);
@@ -341,6 +353,7 @@ mod tests {
 
     #[test]
     fn labeled_names_form_distinct_series() {
+        let _registry = registry_guard();
         reset();
         for shard in 0..6 {
             gauge_set(labeled("test.shard.busy", "shard", shard), shard);
@@ -441,6 +454,7 @@ mod tests {
 
         // The registry flush: merging creates/extends the named series, and
         // an empty flush creates nothing.
+        let _registry = registry_guard();
         reset();
         histogram_merge("test.merge_us", &left);
         histogram_merge("test.merge_empty", &Histogram::default());
@@ -461,6 +475,7 @@ mod tests {
 
     #[test]
     fn render_text_lists_metrics() {
+        let _registry = registry_guard();
         reset();
         counter_add("test.render", 7);
         observe("test.render_us", 500);

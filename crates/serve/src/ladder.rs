@@ -99,7 +99,10 @@ pub struct Rung {
 /// network's batched latency relative to batch 1, in parts per million
 /// ([`netcut_sim::batch_curve_ppm`]). The curve is what makes batching
 /// decisions exact-integer: `batch_latency_us(r, n)` is the rung's measured
-/// batch-1 latency times the analytic curve, rounded once at evaluation.
+/// batch-1 latency times the analytic curve, rounded once. Attaching the
+/// curves evaluates that product for every rung and batch size up to the
+/// longest curve into a flat table, so admission and pricing read a `u64`
+/// instead of redoing a 128-bit multiply and divide per call.
 /// Ladders without curves fall back to a linear model (no amortization), so
 /// a batcher over them coalesces only when the deadline slack pays the full
 /// serial cost — the conservative default for synthetic test ladders.
@@ -109,6 +112,12 @@ pub struct TrnLadder {
     /// Per-rung batch-scaling curves: `batch_curves[r][n-1]` is the ppm
     /// factor for a batch of `n` on rung `r`. Empty = linear fallback.
     batch_curves: Vec<Vec<u64>>,
+    /// Row-major batched latencies, µs: `batch_table[r * batch_cols + n - 1]`
+    /// is [`Self::batch_latency_us`]`(r, n)` for `n` in `1..=batch_cols`,
+    /// the longest curve's length (the linear fallback fills the rows of
+    /// shorter curves). Empty with the curves.
+    batch_table: Vec<u64>,
+    batch_cols: usize,
     /// Resident-memory accounting of the exit table vs the per-rung
     /// baseline (`None` for synthetic test ladders).
     memory: Option<LadderMemory>,
@@ -167,6 +176,8 @@ impl TrnLadder {
         Ok(TrnLadder {
             rungs,
             batch_curves: Vec::new(),
+            batch_table: Vec::new(),
+            batch_cols: 0,
             memory: None,
             calib_ppm: PPM,
         })
@@ -191,6 +202,8 @@ impl TrnLadder {
         TrnLadder {
             rungs,
             batch_curves: Vec::new(),
+            batch_table: Vec::new(),
+            batch_cols: 0,
             memory: None,
             calib_ppm: PPM,
         }
@@ -298,27 +311,40 @@ impl TrnLadder {
                 "batch curve must be nondecreasing: {curve:?}"
             );
         }
+        let cols = curves.iter().map(Vec::len).max().unwrap_or(0);
+        let mut table = Vec::with_capacity(self.rungs.len() * cols);
+        for (rung, curve) in self.rungs.iter().zip(&curves) {
+            let base = rung.latency_us;
+            table.extend((1..=cols).map(|n| {
+                match curve.get(n - 1) {
+                    Some(&scale_ppm) => ((u128::from(base) * u128::from(scale_ppm)
+                        + u128::from(PPM / 2))
+                        / u128::from(PPM))
+                    .max(1) as u64,
+                    None => base.saturating_mul(n as u64),
+                }
+            }));
+        }
         self.batch_curves = curves;
+        self.batch_table = table;
+        self.batch_cols = cols;
         self
     }
 
     /// Predicted latency of serving a batch of `batch` requests on `rung`,
     /// integer microseconds. Uses the rung's batch-scaling curve when one
-    /// is attached (single rounded integer multiply, so `batch == 1` is
-    /// exactly `latency_us`); otherwise the linear fallback
-    /// `latency_us × batch`.
+    /// is attached — the single rounded integer multiply that
+    /// [`Self::with_batch_curves`] tabulated, so `batch == 1` is exactly
+    /// `latency_us` — otherwise the linear fallback `latency_us × batch`.
     ///
     /// # Panics
     /// Panics if `rung` is out of range or `batch` is zero.
     pub fn batch_latency_us(&self, rung: usize, batch: usize) -> u64 {
         assert!(batch > 0, "batch must be positive");
-        let base = self.rungs[rung].latency_us;
-        match self.batch_curves.get(rung).and_then(|c| c.get(batch - 1)) {
-            Some(&scale_ppm) => ((u128::from(base) * u128::from(scale_ppm) + u128::from(PPM / 2))
-                / u128::from(PPM))
-            .max(1) as u64,
-            None => base.saturating_mul(batch as u64),
+        if batch <= self.batch_cols {
+            return self.batch_table[rung * self.batch_cols + batch - 1];
         }
+        self.rungs[rung].latency_us.saturating_mul(batch as u64)
     }
 
     /// Number of rungs.
@@ -510,6 +536,45 @@ mod tests {
         assert_eq!(l.batch_latency_us(3, 2), 938); // 750 × 1.25 = 937.5
                                                    // Past the curve end: linear fallback.
         assert_eq!(l.batch_latency_us(1, 3), 900);
+
+        // The table answers exactly what the per-call formula did: the
+        // rounded u128 product on a curve, the linear fallback past its
+        // end — on a curve-less ladder, on the unequal curves above, and
+        // on both scenario devices' ladders at batch 8.
+        let formula = |l: &TrnLadder, r: usize, n: usize| {
+            let base = l.rung(r).latency_us;
+            match l.batch_curves().get(r).and_then(|c| c.get(n - 1)) {
+                Some(&scale_ppm) => ((u128::from(base) * u128::from(scale_ppm)
+                    + u128::from(PPM / 2))
+                    / u128::from(PPM))
+                .max(1) as u64,
+                None => base.saturating_mul(n as u64),
+            }
+        };
+        let cfg = crate::ScenarioConfig {
+            batch_max: 8,
+            ..crate::ScenarioConfig::default()
+        };
+        let scenario = |device| crate::build_ladder_for(&cfg, &device).expect("scenario ladder");
+        let ladders = [
+            ladder(),
+            l,
+            scenario(netcut_sim::DeviceModel::jetson_xavier()),
+            scenario(netcut_sim::DeviceModel::jetson_nano()),
+        ];
+        for (i, l) in ladders.iter().enumerate() {
+            let len = l.batch_curves().iter().map(Vec::len).max().unwrap_or(0);
+            assert_eq!(len, [0, 3, 8, 8][i], "ladder {i}");
+            for r in 0..l.len() {
+                for n in 1..=len + 2 {
+                    assert_eq!(
+                        l.batch_latency_us(r, n),
+                        formula(l, r, n),
+                        "ladder {i} rung {r} batch {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

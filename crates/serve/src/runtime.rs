@@ -74,6 +74,18 @@
 //!   it on start, folds the due prefix and keeps the rest, so the fold
 //!   runs in `(start, dispatch order)` and its memory scales with the
 //!   batches waiting, not with the run's virtual duration.
+//! * **Earliest-worker index** — every shard's worker free times sit in a
+//!   min segment tree, all shards' trees in one flat array
+//!   ([`WorkerIndex`]), so finding a shard's earliest worker and updating
+//!   one after a dispatch or join are O(log W) instead of a scan of the
+//!   pool. It picks exactly the worker the scan did: the leftmost with the
+//!   earliest start, the stalled prefix held to its release.
+//! * **Batch-latency table** — each ladder evaluates its rungs' batched
+//!   latencies once, when the curves are attached
+//!   ([`TrnLadder::with_batch_curves`]), so batch admission and pricing
+//!   read a table instead of a 128-bit multiply and divide per rung. A
+//!   solo dispatch reuses the noise draw and fault factor its candidate
+//!   already looked up.
 use crate::batch::Batcher;
 use crate::faults::FaultPlan;
 use crate::ladder::TrnLadder;
@@ -491,6 +503,132 @@ fn drain_due(pending: &mut Vec<(u64, u32)>, watermark_us: u64, mut fold: impl Fn
     pending.drain(..due);
 }
 
+/// Every shard's worker free times under one leftmost-minimum index: a
+/// min segment tree per shard, all in one flat array. Shard `s`'s tree
+/// has `cap` leaves (its worker count rounded up to a power of two); node
+/// `k` lives at `tree[base + k]` for `k` in `1..2 * cap`, its children are
+/// `2k` and `2k + 1`, and worker `w` is leaf `cap + w`. Padding leaves
+/// hold `u64::MAX`, so they never win a minimum, and sit right of every
+/// worker, so they never win a tie. Queries and updates are O(log W), and
+/// a free time may move either way: a join that moves its batch to a
+/// faster rung lowers its worker's.
+struct WorkerIndex {
+    /// `(base, cap, workers)` per shard.
+    shards: Vec<(usize, usize, usize)>,
+    tree: Vec<u64>,
+}
+
+impl WorkerIndex {
+    /// Every worker free at time 0.
+    fn new(workers: impl IntoIterator<Item = usize>) -> Self {
+        let mut shards = Vec::new();
+        let mut len = 0;
+        for w in workers {
+            let cap = w.next_power_of_two();
+            shards.push((len, cap, w));
+            len += 2 * cap;
+        }
+        let mut tree = vec![u64::MAX; len];
+        for &(base, cap, w) in &shards {
+            let t = &mut tree[base..base + 2 * cap];
+            t[cap..cap + w].fill(0);
+            for k in (1..cap).rev() {
+                t[k] = t[2 * k].min(t[2 * k + 1]);
+            }
+        }
+        WorkerIndex { shards, tree }
+    }
+
+    /// The worker of shard `s` that starts a request arriving at `now`
+    /// earliest, and that start: the leftmost worker minimizing
+    /// `max(free, now)`, where the first `stall_count` workers are also
+    /// held until `stall_until`. Stall faults hold a prefix of the pool,
+    /// so any other tie-break changes outcomes. With
+    /// `T = max(now, stall_until)` and `h` held workers,
+    /// the held prefix can start at `p = max(min free[..h], T)` and the
+    /// rest at `q = max(min free[h..], now)`; the prefix wins ties
+    /// because it lies left, and within either part the leftmost worker
+    /// whose free time is at most the part's start is the scan's pick.
+    fn earliest(&self, s: usize, now: u64, stall_count: u64, stall_until: u64) -> (usize, u64) {
+        let (base, cap, workers) = self.shards[s];
+        let t = &self.tree[base..base + 2 * cap];
+        let held = stall_count.min(workers as u64) as usize;
+        let release = stall_until.max(now);
+        if held == 0 || release == now {
+            let start = t[1].max(now);
+            return (leftmost_at_most(t, cap, 0, start), start);
+        }
+        let p = range_min(t, cap, 0, held).max(release);
+        let q = range_min(t, cap, held, workers).max(now);
+        if p <= q {
+            (leftmost_at_most(t, cap, 0, p), p)
+        } else {
+            (leftmost_at_most(t, cap, held, q), q)
+        }
+    }
+
+    /// Sets worker `w` of shard `s` free at `free_us`.
+    fn set(&mut self, s: usize, w: usize, free_us: u64) {
+        let (base, cap, _) = self.shards[s];
+        let t = &mut self.tree[base..base + 2 * cap];
+        let mut k = cap + w;
+        t[k] = free_us;
+        while k > 1 {
+            k >>= 1;
+            t[k] = t[2 * k].min(t[2 * k + 1]);
+        }
+    }
+
+    /// Workers of shard `s` still busy at `now` — O(W), for the `obs`
+    /// gauges only.
+    fn busy(&self, s: usize, now: u64) -> usize {
+        let (base, cap, workers) = self.shards[s];
+        let leaves = base + cap;
+        self.tree[leaves..leaves + workers]
+            .iter()
+            .filter(|&&f| f > now)
+            .count()
+    }
+}
+
+/// Minimum over leaves `lo..hi` of one shard's tree (`u64::MAX` if empty).
+fn range_min(t: &[u64], cap: usize, lo: usize, hi: usize) -> u64 {
+    let (mut l, mut r) = (cap + lo, cap + hi);
+    let mut m = u64::MAX;
+    while l < r {
+        if l & 1 == 1 {
+            m = m.min(t[l]);
+            l += 1;
+        }
+        if r & 1 == 1 {
+            r -= 1;
+            m = m.min(t[r]);
+        }
+        l >>= 1;
+        r >>= 1;
+    }
+    m
+}
+
+/// The leftmost leaf at or right of `lo` holding at most `x`, in one
+/// shard's tree. The caller guarantees one exists.
+fn leftmost_at_most(t: &[u64], cap: usize, lo: usize, x: u64) -> usize {
+    // From the root when every leaf is in range; otherwise walk right
+    // along the subtrees tiling `lo..` until one holds a hit. Then descend
+    // into that subtree's leftmost hit.
+    let mut k = if lo == 0 { 1 } else { cap + lo };
+    while t[k] > x {
+        while k & 1 == 1 {
+            k >>= 1;
+        }
+        k += 1;
+    }
+    while k < cap {
+        k = 2 * k + usize::from(t[2 * k] > x);
+    }
+    k - cap
+}
+
 /// The serving runtime: device shards and a configuration.
 #[derive(Debug, Clone)]
 pub struct Server {
@@ -656,16 +794,8 @@ impl Server {
             batch_max: self.config.batch_max,
             slack_us: self.config.batch_slack_us,
         };
-        // The worker pool, flattened: shard s's workers live at
-        // `free_at[worker_off[s] .. worker_off[s] + shards[s].workers]`,
-        // each slot holding when that worker next idles.
-        let mut worker_off: Vec<usize> = Vec::with_capacity(self.shards.len());
-        let mut pool = 0usize;
-        for s in &self.shards {
-            worker_off.push(pool);
-            pool += s.workers;
-        }
-        let mut free_at: Vec<u64> = vec![0; pool];
+        // When each shard's workers next idle, indexed for the earliest.
+        let mut free_at = WorkerIndex::new(self.shards.iter().map(|s| s.workers));
         // Fault plans compiled to segment tables: the admission loop
         // queries them several times per request, and the table answers
         // bit-identically to the plan's window scans at a fraction of the
@@ -703,14 +833,17 @@ impl Server {
                 last_trigger_us: vec![None; self.shards.len()],
             }
         });
-        // Candidate scratch, reused across arrivals — the event loop
-        // allocates nothing per request.
+        // Candidate scratch, reused across arrivals — with `obs` disabled
+        // the event loop allocates nothing per request.
         let mut cands: Vec<Candidate> = Vec::with_capacity(self.shards.len() * 2);
         let mut plans: Vec<DispatchPlan> = Vec::with_capacity(self.shards.len() * 2);
 
         for req in requests {
             let now = req.arrival_us;
             let oi = out.len();
+            // Saturating: a deadline near `u64::MAX` means "never late",
+            // not a wrapped instant in the past.
+            let abs_deadline = now.saturating_add(deadline);
 
             // Closed-loop control, strictly at virtual-time watermarks:
             // fold batches that can no longer grow into the controller's
@@ -779,19 +912,7 @@ impl Server {
             for (s, shard) in self.shards.iter().enumerate() {
                 let ladder = &ladder_table[cur_ladder[s] as usize];
                 let (stall_count, stall_until) = fault_tables[s].stall_at(now).unwrap_or((0, 0));
-                let base = worker_off[s];
-                let mut worker = 0usize;
-                let mut start = u64::MAX;
-                for (w, &f) in free_at[base..base + shard.workers].iter().enumerate() {
-                    let mut avail = f.max(now);
-                    if (w as u64) < stall_count {
-                        avail = avail.max(stall_until);
-                    }
-                    if avail < start {
-                        start = avail;
-                        worker = w;
-                    }
-                }
+                let (worker, start) = free_at.earliest(s, now, stall_count, stall_until);
                 let queue_delay = start - now;
                 let (rung, base_us) = match req.kind {
                     RequestKind::Emg => (None, self.config.emg_service_us),
@@ -804,11 +925,9 @@ impl Server {
                         (Some(r), ladder.rung(r).latency_us)
                     }
                 };
-                let service = scaled_service(
-                    base_us,
-                    shard.noise_for(req),
-                    fault_tables[s].service_factor_ppm(start),
-                );
+                let noise_ppm = shard.noise_for(req);
+                let fault_ppm = fault_tables[s].service_factor_ppm(start);
+                let service = scaled_service(base_us, noise_ppm, fault_ppm);
                 cands.push(Candidate {
                     shard: s,
                     join: false,
@@ -820,13 +939,15 @@ impl Server {
                     worker,
                     rung,
                     service,
+                    noise_ppm,
+                    fault_ppm,
                 });
 
                 if req.kind == RequestKind::Visual && batcher.enabled() {
                     if let Some(b) = open[s] {
                         let size = batches.members[b] as usize + 1;
                         let batch_start = batches.start_us[b];
-                        let tightest = batches.tightest_abs_us[b].min(now + deadline);
+                        let tightest = batches.tightest_abs_us[b].min(abs_deadline);
                         let admitted = match self.config.exit_pin {
                             Some(pin) => {
                                 batcher.admit_pinned(ladder, batch_start, tightest, size, pin)
@@ -873,14 +994,9 @@ impl Server {
             }
 
             if obs::enabled() {
-                let busy: usize = free_at.iter().filter(|&&f| f > now).count();
+                let busy: usize = (0..self.shards.len()).map(|t| free_at.busy(t, now)).sum();
                 obs::gauge_set("serve.queue_depth", busy as i64);
-                let base = worker_off[s];
-                let shard_busy = free_at[base..base + self.shards[s].workers]
-                    .iter()
-                    .filter(|&&f| f > now)
-                    .count();
-                obs::gauge_set(busy_gauges[s].clone(), shard_busy as i64);
+                obs::gauge_set(busy_gauges[s].clone(), free_at.busy(s, now) as i64);
             }
 
             if !cand.admissible {
@@ -898,16 +1014,18 @@ impl Server {
                     worker,
                     rung,
                     service,
+                    noise_ppm,
+                    fault_ppm,
                 } => {
-                    free_at[worker_off[s] + worker] = cand.start_us + service;
+                    free_at.set(s, worker, cand.start_us + service);
                     let b = batches.push_solo(
                         s as u32,
                         worker as u32,
                         cand.start_us,
                         rung.map_or(NONE_U32, |r| r as u32),
-                        now + deadline,
-                        self.shards[s].noise_for(req),
-                        fault_tables[s].service_factor_ppm(cand.start_us),
+                        abs_deadline,
+                        noise_ppm,
+                        fault_ppm,
                         generations[s],
                         cur_ladder[s],
                         oi as u32,
@@ -934,8 +1052,11 @@ impl Server {
                     batches.members[batch] += 1;
                     batches.rung[batch] = rung as u32;
                     batches.tightest_abs_us[batch] = tightest_abs_us;
-                    free_at[worker_off[s] + batches.worker[batch] as usize] =
-                        batches.start_us[batch] + service;
+                    free_at.set(
+                        s,
+                        batches.worker[batch] as usize,
+                        batches.start_us[batch] + service,
+                    );
                     if batches.members[batch] as usize >= batcher.batch_max {
                         open[s] = None;
                     }
@@ -1008,13 +1129,16 @@ impl Server {
     }
 }
 
-/// What taking a candidate would actually do — precomputed alongside it.
+/// What taking a candidate would actually do — precomputed alongside it,
+/// so dispatch reuses the candidate's noise draw and fault factor.
 #[derive(Debug, Clone, Copy)]
 enum DispatchPlan {
     Solo {
         worker: usize,
         rung: Option<usize>,
         service: u64,
+        noise_ppm: u64,
+        fault_ppm: u64,
     },
     Join {
         batch: usize,
@@ -1138,6 +1262,108 @@ mod tests {
             assert!(pending.is_empty(), "the last watermark drains everything");
             assert!(carried > 0, "seed {seed} never carried a leftover");
         }
+    }
+
+    /// The linear earliest-worker scan [`WorkerIndex::earliest`]
+    /// replaced, kept as its reference: the leftmost worker with the least
+    /// `max(free, now)`, the first `stall_count` also held to
+    /// `stall_until`.
+    fn scan_earliest(
+        free_at: &[u64],
+        now: u64,
+        stall_count: u64,
+        stall_until: u64,
+    ) -> (usize, u64) {
+        let mut worker = 0usize;
+        let mut start = u64::MAX;
+        for (w, &f) in free_at.iter().enumerate() {
+            let mut avail = f.max(now);
+            if (w as u64) < stall_count {
+                avail = avail.max(stall_until);
+            }
+            if avail < start {
+                start = avail;
+                worker = w;
+            }
+        }
+        (worker, start)
+    }
+
+    /// The index picks exactly the scan's worker: pools of 1–70 sharing
+    /// one flat array with two neighbour shards, free times from a narrow
+    /// range (ties are common), updates that raise and lower them
+    /// interleaved with the queries, `now` below, among and above the free
+    /// times, stall prefixes of 0, 1, W−1, W and more than W workers, and
+    /// stall releases before, at and after `now`.
+    #[test]
+    fn worker_index_matches_the_linear_scan() {
+        use crate::request::splitmix64;
+        for pool in 1..=70usize {
+            let mut draws = 0u64;
+            let mut draw = |n: u64| {
+                draws += 1;
+                splitmix64((pool as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ draws) % n
+            };
+            let sizes = [1 + pool % 3, pool, 2 + pool % 5];
+            let mut index = WorkerIndex::new(sizes);
+            let mut mirror: Vec<Vec<u64>> = sizes.iter().map(|&w| vec![0; w]).collect();
+            for round in 0..60 {
+                for _ in 0..=draw(2 * pool as u64) {
+                    let s = draw(3) as usize;
+                    let w = draw(sizes[s] as u64) as usize;
+                    // Base 100, spread 40: lowering updates and ties abound.
+                    let f = 100 + draw(40);
+                    index.set(s, w, f);
+                    mirror[s][w] = f;
+                }
+                for s in 0..3 {
+                    let w = sizes[s] as u64;
+                    for now in [0, 95, 100 + draw(40), 120, 139, 140, 200] {
+                        for stall_count in [0, 1, w.saturating_sub(1), w, w + 3, draw(w + 2)] {
+                            for stall_until in
+                                [now.saturating_sub(7), now, now + 1, now + draw(50), 130]
+                            {
+                                assert_eq!(
+                                    index.earliest(s, now, stall_count, stall_until),
+                                    scan_earliest(&mirror[s], now, stall_count, stall_until),
+                                    "pool {pool} round {round} shard {s} now {now} \
+                                     stall ({stall_count}, {stall_until}) free {:?}",
+                                    mirror[s]
+                                );
+                            }
+                        }
+                        let busy = mirror[s].iter().filter(|&&f| f > now).count();
+                        assert_eq!(index.busy(s, now), busy);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A deadline near `u64::MAX` saturates the absolute deadline instead
+    /// of wrapping it into the past, so a batched burst batches exactly as
+    /// it does under any other deadline too long to bind.
+    #[test]
+    fn a_deadline_near_u64_max_still_batches() {
+        let reqs: Vec<Request> = (0..12).map(|i| visual(i, i * 10)).collect();
+        let run = |deadline_us| {
+            Server::new(
+                curved_ladder(),
+                ServerConfig {
+                    deadline_us,
+                    batch_max: 4,
+                    ..config()
+                },
+                FaultPlan::none(),
+            )
+            .run(&reqs)
+        };
+        let unbounded = run(u64::MAX);
+        assert!(
+            unbounded.iter().any(|o| o.batch_size > 1),
+            "no batch formed: {unbounded:?}"
+        );
+        assert_eq!(unbounded, run(1_000_000_000_000_000_000));
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! ~1000-request serve run (deadline 900 µs, 2000 rps, 0.5 s, seed 11,
 //! 2 workers, faults on — the CLI defaults at `--duration 0.5`);
 //! `tests/golden/serve_seed11_batch2x.json` is the same scenario with
-//! dynamic batching and two device shards (`--batch-max 8 --shards 2`).
+//! dynamic batching and two device shards (`--batch-max 8 --shards 2`);
+//! `tests/golden/serve_seed11_pool100.json` pins the many-worker batched
+//! path: 100 workers (50 per shard, not a power of two) over two shards at
+//! 210 000 rps for 0.1 s with a 5 ms deadline, about 20 000 requests, with
+//! the demo stall window inside the run.
 //! The simulation is all-integer and fully deterministic, so these runs
 //! must reproduce the golden summaries field for field on every platform
 //! and at any `--jobs` setting — the CI matrix sets `NETCUT_TEST_JOBS`
@@ -18,6 +22,9 @@
 //!     > tests/golden/serve_seed11.json
 //! cargo run -p netcut-cli -- serve --duration 0.5 --json \
 //!     --batch-max 8 --shards 2 > tests/golden/serve_seed11_batch2x.json
+//! cargo run -p netcut-cli -- serve --rps 210000 --workers 100 --shards 2 \
+//!     --batch-max 8 --deadline-us 5000 --duration 0.1 --json \
+//!     > tests/golden/serve_seed11_pool100.json
 //! ```
 //!
 //! and explain the change in the commit message. The CI golden-freshness
@@ -32,6 +39,7 @@ use serde_json::Value;
 
 const GOLDEN: &str = include_str!("golden/serve_seed11.json");
 const GOLDEN_BATCH2X: &str = include_str!("golden/serve_seed11_batch2x.json");
+const GOLDEN_POOL100: &str = include_str!("golden/serve_seed11_pool100.json");
 
 /// Evaluation parallelism for this run: `NETCUT_TEST_JOBS` when set (the
 /// CI determinism matrix pins 1 and 8), the library default of 1 otherwise.
@@ -98,6 +106,23 @@ fn batched_sharded_run_matches_the_golden_summary() {
             ..golden_config()
         },
         "serve_seed11_batch2x.json",
+    );
+}
+
+#[test]
+fn many_worker_batched_run_matches_the_golden_summary() {
+    assert_matches_golden(
+        GOLDEN_POOL100,
+        ScenarioConfig {
+            deadline_us: 5_000,
+            rps: 210_000,
+            duration_us: 100_000,
+            workers: 100,
+            batch_max: 8,
+            shards: 2,
+            ..golden_config()
+        },
+        "serve_seed11_pool100.json",
     );
 }
 
