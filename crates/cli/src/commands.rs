@@ -263,61 +263,11 @@ pub fn run(cmd: Command, strict: bool) -> Result<(), String> {
             Ok(())
         }
         Command::Serve {
-            deadline_us,
-            rps,
-            duration_s,
-            seed,
-            jobs,
-            workers,
-            degrade,
-            faults,
+            config,
             json,
-            batch_max,
-            batch_slack_us,
-            shards,
-            devices,
             timeline_out,
-            timeline_window_us,
-            exit_pin,
-            thermal_ppm,
-            recalibrate,
-            recalib_drift_ppm,
-            recalib_cooldown_us,
         } => {
-            if shards > workers {
-                return Err(format!(
-                    "--shards {shards} needs at least that many workers (got --workers {workers})"
-                ));
-            }
-            let devices: Vec<DeviceModel> = devices
-                .iter()
-                .map(|name| {
-                    DeviceModel::by_name(name)
-                        .ok_or_else(|| format!("unknown device `{name}` in roster"))
-                })
-                .collect::<Result<_, _>>()?;
-            let scenario = netcut_serve::Scenario::try_build(netcut_serve::ScenarioConfig {
-                deadline_us,
-                rps,
-                duration_us: (duration_s * 1e6).round() as u64,
-                seed,
-                jobs,
-                workers,
-                degrade,
-                faults,
-                batch_max,
-                batch_slack_us,
-                shards,
-                devices,
-                timeline_window_us,
-                exit_pin,
-                thermal_ppm,
-                recalibrate,
-                recalib_drift_ppm,
-                recalib_cooldown_us,
-                ..netcut_serve::ScenarioConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
+            let scenario = netcut_serve::Scenario::try_build(config).map_err(|e| e.to_string())?;
             let (summary, timeline) = scenario.run_summary();
             if let Some(path) = timeline_out {
                 // Same convention as --trace-out: `.jsonl` means the
@@ -494,6 +444,7 @@ fn lint(target: &str, json: bool, strict: bool) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netcut_serve::ScenarioConfig;
 
     #[test]
     fn zoo_show_dot_run() {
@@ -514,121 +465,45 @@ mod tests {
         .expect("dot");
     }
 
+    /// A 0.1 s serve command over `config`, JSON output.
+    fn quick_serve(config: ScenarioConfig) -> Command {
+        Command::Serve {
+            config: ScenarioConfig {
+                duration_us: 100_000,
+                ..config
+            },
+            json: true,
+            timeline_out: None,
+        }
+    }
+
     #[test]
     fn serve_quick_run() {
-        run(
-            Command::Serve {
-                deadline_us: 900,
-                rps: 2000,
-                duration_s: 0.1,
-                seed: 11,
-                jobs: 1,
-                workers: 2,
-                degrade: true,
-                faults: true,
-                json: true,
-                batch_max: 1,
-                batch_slack_us: 300,
-                shards: 1,
-                devices: vec!["jetson-xavier".into(), "jetson-nano".into()],
-                timeline_out: None,
-                timeline_window_us: 100_000,
-                exit_pin: None,
-                thermal_ppm: 0,
-                recalibrate: false,
-                recalib_drift_ppm: 150_000,
-                recalib_cooldown_us: 500_000,
-            },
-            false,
-        )
-        .expect("serve");
+        run(quick_serve(Default::default()), false).expect("serve");
     }
 
     #[test]
     fn serve_batched_sharded_quick_run() {
-        let cmd = Command::Serve {
-            deadline_us: 900,
-            rps: 2000,
-            duration_s: 0.1,
-            seed: 11,
-            jobs: 1,
-            workers: 2,
-            degrade: true,
-            faults: true,
-            json: true,
+        let cmd = quick_serve(ScenarioConfig {
             batch_max: 8,
-            batch_slack_us: 300,
             shards: 2,
-            devices: vec!["jetson-xavier".into(), "jetson-nano".into()],
-            timeline_out: None,
-            timeline_window_us: 100_000,
-            exit_pin: None,
-            thermal_ppm: 0,
-            recalibrate: false,
-            recalib_drift_ppm: 150_000,
-            recalib_cooldown_us: 500_000,
-        };
+            ..Default::default()
+        });
         run(cmd, false).expect("serve --batch-max 8 --shards 2");
     }
 
     #[test]
     fn serve_pinned_exit_runs_and_out_of_range_pin_fails() {
-        let base = |exit_pin| Command::Serve {
-            deadline_us: 900,
-            rps: 2000,
-            duration_s: 0.1,
-            seed: 11,
-            jobs: 1,
-            workers: 2,
-            degrade: true,
-            faults: true,
-            json: true,
-            batch_max: 1,
-            batch_slack_us: 300,
-            shards: 1,
-            devices: vec!["jetson-xavier".into()],
-            timeline_out: None,
-            timeline_window_us: 100_000,
-            exit_pin,
-            thermal_ppm: 0,
-            recalibrate: false,
-            recalib_drift_ppm: 150_000,
-            recalib_cooldown_us: 500_000,
+        let base = |exit_pin| {
+            quick_serve(ScenarioConfig {
+                devices: vec![DeviceModel::jetson_xavier()],
+                exit_pin,
+                ..Default::default()
+            })
         };
         run(base(Some(0)), false).expect("serve --exit-table 0");
         let err = run(base(Some(999)), false).expect_err("pin past the table must fail");
         assert!(err.contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn serve_rejects_more_shards_than_workers() {
-        let err = run(
-            Command::Serve {
-                deadline_us: 900,
-                rps: 2000,
-                duration_s: 0.1,
-                seed: 11,
-                jobs: 1,
-                workers: 2,
-                degrade: true,
-                faults: true,
-                json: true,
-                batch_max: 1,
-                batch_slack_us: 300,
-                shards: 3,
-                devices: vec!["jetson-xavier".into()],
-                timeline_out: None,
-                timeline_window_us: 100_000,
-                exit_pin: None,
-                thermal_ppm: 0,
-                recalibrate: false,
-                recalib_drift_ppm: 150_000,
-                recalib_cooldown_us: 500_000,
-            },
-            false,
-        )
-        .expect_err("3 shards on 2 workers must fail");
-        assert!(err.contains("--shards"), "{err}");
     }
 
     #[test]

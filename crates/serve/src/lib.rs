@@ -88,7 +88,10 @@ pub use ladder::{ExitTable, LadderError, LadderMemory, Rung, TrnLadder};
 pub use recalib::{CalibrateOnly, RecalibConfig, Recalibrator};
 pub use request::{service_noise_ppm, Request, RequestKind, Workload, PPM};
 pub use runtime::{RequestOutcome, Server, ServerConfig, Status};
-pub use scenario::{build_ladder, build_ladder_for, run_scenario, Scenario, ScenarioConfig};
+pub use scenario::{
+    build_ladder, build_ladder_for, run_scenario, ConfigError, Scenario, ScenarioConfig,
+    MAX_DURATION_US,
+};
 pub use shard::{Candidate, Shard, ShardRouter};
 pub use splane::{ladder_error_report, reference_matrix, serve_artifact, stress_scenario};
 pub use summary::{RunMeta, ServeSummary, ShardMeta};

@@ -40,15 +40,81 @@ use netcut_graph::{zoo, HeadSpec, Network};
 use netcut_obs as obs;
 use netcut_sim::{batch_curve_ppm, DeviceModel, Precision, Session};
 use netcut_train::SurrogateRetrainer;
-use std::slice;
 use std::sync::Arc;
+use std::{fmt, slice};
 
 /// Salt mixed into per-shard seeds (shard 0 stays unsalted so single-shard
 /// runs reproduce pre-sharding behavior bit-for-bit).
 const SHARD_SEED_SALT: u64 = 0x7368_6172_645f_6964;
 
+/// Longest run a scenario accepts, microseconds (about 71.6 minutes).
+///
+/// `Workload::generate` places arrivals on distinct whole microseconds in
+/// `[1, duration_us)`, so a run within this limit has fewer than
+/// `u32::MAX` requests, and fewer batches than requests. The runtime's
+/// `u32` outcome and batch indices therefore never reach their `u32::MAX`
+/// "none" sentinel. The limit does not bound memory.
+pub const MAX_DURATION_US: u64 = u32::MAX as u64;
+
+/// Why a [`ScenarioConfig`] cannot run. The messages name the CLI flag
+/// that sets the offending field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The field set by this flag is zero but must be positive.
+    Zero(&'static str),
+    /// Every shard needs at least one worker.
+    ShardsExceedWorkers {
+        /// Configured shard count.
+        shards: usize,
+        /// Configured worker count.
+        workers: usize,
+    },
+    /// The device roster names no device.
+    EmptyRoster,
+    /// The run is longer than [`MAX_DURATION_US`]; carries the duration.
+    DurationTooLong(u64),
+    /// Exit-table construction failed after exploration.
+    Ladder(LadderError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Zero(flag) => {
+                let rule = match *flag {
+                    "--duration" => "must be at least one microsecond (0.000001)",
+                    "--batch-max" => "must be at least 1 (1 = batching off)",
+                    "--shards" => "must be at least 1",
+                    _ => "must be positive",
+                };
+                write!(f, "{flag} {rule}")
+            }
+            ConfigError::ShardsExceedWorkers { shards, workers } => write!(
+                f,
+                "--shards {shards} needs at least that many workers (got --workers {workers})"
+            ),
+            ConfigError::EmptyRoster => write!(f, "--devices must name at least one device"),
+            ConfigError::DurationTooLong(us) => write!(
+                f,
+                "--duration must be at most {}.{:06} seconds (got {us} µs)",
+                MAX_DURATION_US / 1_000_000,
+                MAX_DURATION_US % 1_000_000
+            ),
+            ConfigError::Ladder(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<LadderError> for ConfigError {
+    fn from(e: LadderError) -> Self {
+        ConfigError::Ladder(e)
+    }
+}
+
 /// Parameters of a full serve run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Per-request deadline, microseconds.
     pub deadline_us: u64,
@@ -125,6 +191,45 @@ impl Default for ScenarioConfig {
             recalib_drift_ppm: RecalibConfig::default().drift_ppm,
             recalib_cooldown_us: RecalibConfig::default().cooldown_us,
         }
+    }
+}
+
+impl ScenarioConfig {
+    /// The one check of whether this configuration can run: every field
+    /// that must be positive is, in the CLI's flag order, then every shard
+    /// has a worker, the roster names a device, and the run fits
+    /// [`MAX_DURATION_US`]. An out-of-range `exit_pin` is found only after
+    /// exploration, as [`ConfigError::Ladder`].
+    ///
+    /// # Errors
+    /// The first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let zero = [
+            ("--duration", self.duration_us == 0),
+            ("--deadline-us", self.deadline_us == 0),
+            ("--rps", self.rps == 0),
+            ("--batch-max", self.batch_max == 0),
+            ("--shards", self.shards == 0),
+            ("--timeline-window-us", self.timeline_window_us == 0),
+            ("--recalib-drift-ppm", self.recalib_drift_ppm == 0),
+            ("--recalib-cooldown-us", self.recalib_cooldown_us == 0),
+        ];
+        if let Some(&(flag, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
+            return Err(ConfigError::Zero(flag));
+        }
+        if self.shards > self.workers {
+            return Err(ConfigError::ShardsExceedWorkers {
+                shards: self.shards,
+                workers: self.workers,
+            });
+        }
+        if self.devices.is_empty() {
+            return Err(ConfigError::EmptyRoster);
+        }
+        if self.duration_us > MAX_DURATION_US {
+            return Err(ConfigError::DurationTooLong(self.duration_us));
+        }
+        Ok(())
     }
 }
 
@@ -260,15 +365,13 @@ fn split_workers(workers: usize, shards: usize) -> Vec<usize> {
 }
 
 impl Scenario {
-    /// Builds the scenario, panicking on exit-table configuration errors —
-    /// the pre-refactor API, for callers that construct configs they know
-    /// are valid. Prefer [`Scenario::try_build`] at trust boundaries (the
-    /// CLI goes through it).
+    /// Builds the scenario, panicking on configuration errors — for
+    /// callers that construct configs they know are valid. Prefer
+    /// [`Scenario::try_build`] at trust boundaries (the CLI goes through
+    /// it).
     ///
     /// # Panics
-    /// Panics if `cfg.shards` is zero, exceeds `cfg.workers`, the device
-    /// roster is empty, or [`Scenario::try_build`] reports a
-    /// [`LadderError`].
+    /// Panics if [`Scenario::try_build`] reports a [`ConfigError`].
     pub fn build(cfg: ScenarioConfig) -> Self {
         Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -277,22 +380,13 @@ impl Scenario {
     /// tables, fault plans.
     ///
     /// # Errors
-    /// [`LadderError::NoCandidates`] if a device's exploration yields no
-    /// exit candidates; [`LadderError::ExitPinOutOfRange`] if
-    /// `cfg.exit_pin` indexes past the end of some shard's exit table.
-    ///
-    /// # Panics
-    /// Panics if `cfg.shards` is zero, exceeds `cfg.workers`, or the
-    /// device roster is empty — programmer errors, not configuration ones.
-    pub fn try_build(cfg: ScenarioConfig) -> Result<Self, LadderError> {
-        assert!(cfg.shards > 0, "scenario needs at least one shard");
-        assert!(
-            cfg.shards <= cfg.workers,
-            "every shard needs at least one worker ({} shards > {} workers)",
-            cfg.shards,
-            cfg.workers
-        );
-        assert!(!cfg.devices.is_empty(), "device roster must not be empty");
+    /// Whatever [`ScenarioConfig::validate`] rejects, before any
+    /// exploration; then [`LadderError::NoCandidates`] if a device's
+    /// exploration yields no exit candidates, or
+    /// [`LadderError::ExitPinOutOfRange`] if `cfg.exit_pin` indexes past
+    /// the end of some shard's exit table, both as [`ConfigError::Ladder`].
+    pub fn try_build(cfg: ScenarioConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let mut span = obs::span("serve.scenario.build");
         span.field("seed", cfg.seed);
         span.field("jobs", cfg.jobs);
@@ -328,7 +422,8 @@ impl Scenario {
                     return Err(LadderError::ExitPinOutOfRange {
                         pin,
                         exits: ladder.len(),
-                    });
+                    }
+                    .into());
                 }
             }
         }
@@ -558,9 +653,149 @@ mod tests {
         })
         .expect_err("pin past the table");
         assert!(
-            matches!(err, crate::ladder::LadderError::ExitPinOutOfRange { .. }),
+            matches!(
+                err,
+                ConfigError::Ladder(LadderError::ExitPinOutOfRange { .. })
+            ),
             "{err}"
         );
+    }
+
+    /// [`quick`] with one edit applied.
+    fn quick_with(edit: impl FnOnce(&mut ScenarioConfig)) -> ScenarioConfig {
+        let mut cfg = quick();
+        edit(&mut cfg);
+        cfg
+    }
+
+    /// The message of `validate`'s verdict on `cfg`, or `None` if it passes.
+    fn verdict(cfg: &ScenarioConfig) -> Option<String> {
+        cfg.validate().err().map(|e| e.to_string())
+    }
+
+    #[test]
+    fn each_zero_field_names_its_flag() {
+        let cases: [(ScenarioConfig, &str); 8] = [
+            (
+                quick_with(|c| c.duration_us = 0),
+                "--duration must be at least one microsecond (0.000001)",
+            ),
+            (
+                quick_with(|c| c.deadline_us = 0),
+                "--deadline-us must be positive",
+            ),
+            (quick_with(|c| c.rps = 0), "--rps must be positive"),
+            (
+                quick_with(|c| c.batch_max = 0),
+                "--batch-max must be at least 1 (1 = batching off)",
+            ),
+            (quick_with(|c| c.shards = 0), "--shards must be at least 1"),
+            (
+                quick_with(|c| c.timeline_window_us = 0),
+                "--timeline-window-us must be positive",
+            ),
+            (
+                quick_with(|c| c.recalib_drift_ppm = 0),
+                "--recalib-drift-ppm must be positive",
+            ),
+            (
+                quick_with(|c| c.recalib_cooldown_us = 0),
+                "--recalib-cooldown-us must be positive",
+            ),
+        ];
+        for (cfg, message) in cases {
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::Zero(_))),
+                "{message}"
+            );
+            assert_eq!(verdict(&cfg).as_deref(), Some(message));
+        }
+        assert_eq!(verdict(&quick()), None);
+    }
+
+    #[test]
+    fn every_shard_needs_a_worker() {
+        let with = |shards, workers| {
+            quick_with(|c| {
+                c.shards = shards;
+                c.workers = workers;
+            })
+        };
+        assert_eq!(verdict(&with(3, 3)), None);
+        assert_eq!(
+            with(3, 2).validate(),
+            Err(ConfigError::ShardsExceedWorkers {
+                shards: 3,
+                workers: 2
+            })
+        );
+        assert_eq!(
+            verdict(&with(3, 2)).as_deref(),
+            Some("--shards 3 needs at least that many workers (got --workers 2)")
+        );
+    }
+
+    #[test]
+    fn an_empty_roster_is_rejected() {
+        let cfg = quick_with(|c| c.devices.clear());
+        assert_eq!(cfg.validate(), Err(ConfigError::EmptyRoster));
+        assert_eq!(
+            verdict(&cfg).as_deref(),
+            Some("--devices must name at least one device")
+        );
+    }
+
+    #[test]
+    fn the_duration_limit_is_the_index_width() {
+        let with = |duration_us| quick_with(|c| c.duration_us = duration_us);
+        assert_eq!(verdict(&with(MAX_DURATION_US)), None);
+        assert_eq!(
+            with(MAX_DURATION_US + 1).validate(),
+            Err(ConfigError::DurationTooLong(MAX_DURATION_US + 1))
+        );
+        assert_eq!(
+            verdict(&with(u64::MAX)).as_deref(),
+            Some(
+                "--duration must be at most 4294.967295 seconds \
+                 (got 18446744073709551615 µs)"
+            )
+        );
+    }
+
+    #[test]
+    fn ladder_errors_keep_their_message() {
+        let err = ConfigError::from(LadderError::ExitPinOutOfRange { pin: 99, exits: 17 });
+        assert_eq!(
+            err.to_string(),
+            "exit 99 is out of range: the exit table has 17 exit(s) (0..=16)"
+        );
+    }
+
+    #[test]
+    fn try_build_rejects_what_the_runtime_would_panic_on() {
+        let configs = [
+            quick_with(|c| c.shards = 0),
+            quick_with(|c| c.shards = 3),
+            quick_with(|c| c.workers = 0),
+            quick_with(|c| c.devices.clear()),
+            quick_with(|c| c.rps = 0),
+            quick_with(|c| c.deadline_us = 0),
+            quick_with(|c| c.batch_max = 0),
+            quick_with(|c| c.timeline_window_us = 0),
+            quick_with(|c| {
+                c.recalibrate = true;
+                c.recalib_drift_ppm = 0;
+            }),
+            quick_with(|c| {
+                c.recalibrate = true;
+                c.recalib_cooldown_us = 0;
+            }),
+        ];
+        for cfg in configs {
+            let expected = cfg.validate().expect_err("an unrunnable config");
+            let err = Scenario::try_build(cfg).expect_err("try_build must refuse it");
+            assert_eq!(err, expected);
+        }
     }
 
     #[test]

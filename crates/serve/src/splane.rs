@@ -15,8 +15,7 @@
 //! exercises; `netcut_bench::serve_matrix` delegates to it.
 
 use crate::faults::{FaultKind, FaultPlan, FaultWindow};
-use crate::ladder::LadderError;
-use crate::scenario::{Scenario, ScenarioConfig};
+use crate::scenario::{ConfigError, Scenario, ScenarioConfig};
 use netcut_verify::serve_plane::{
     FaultClass, LadderSpec, RecalibSpec, RungSpec, ServeArtifact, ShardSpec, SloSpec, WindowSpec,
 };
@@ -221,11 +220,11 @@ pub fn serve_artifact(name: &str, scenario: &Scenario) -> ServeArtifact {
     }
 }
 
-/// Wraps a scenario-construction failure as an SV002 diagnostic report, so
-/// `lint` surfaces a broken configuration as a finding instead of a
+/// Wraps a [`Scenario::try_build`] failure as an SV002 diagnostic report,
+/// so `lint` surfaces a broken configuration as a finding instead of a
 /// process error. `name` is the report subject, matching
 /// [`serve_artifact`]'s naming.
-pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &LadderError) -> Report {
+pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &ConfigError) -> Report {
     let shard = cfg
         .devices
         .first()
@@ -275,6 +274,7 @@ mod tests {
             ]
         );
         for (key, cfg) in reference_matrix() {
+            assert_eq!(cfg.validate(), Ok(()), "{key}");
             assert_eq!(cfg.jobs, 0, "{key} must use all cores");
             assert_eq!(cfg.seed, ScenarioConfig::default().seed);
             let drift_leg = key.starts_with("drift");
@@ -291,6 +291,7 @@ mod tests {
     fn the_stress_leg_is_million_request_scale_and_not_a_matrix_leg() {
         let (key, cfg) = stress_scenario();
         assert_eq!(key, "stress_1m");
+        assert_eq!(cfg.validate(), Ok(()));
         assert!(
             !reference_matrix().iter().any(|(k, _)| *k == key),
             "the stress leg must not join the pinned matrix"
@@ -349,7 +350,7 @@ mod tests {
     #[test]
     fn ladder_errors_become_sv002_reports() {
         let cfg = ScenarioConfig::default();
-        let err = LadderError::ExitPinOutOfRange { pin: 99, exits: 17 };
+        let err = crate::LadderError::ExitPinOutOfRange { pin: 99, exits: 17 }.into();
         let report = ladder_error_report("serve:pinned", &cfg, &err);
         assert!(!report.is_clean());
         assert_eq!(report.first_error().unwrap().code.as_str(), "SV002");
