@@ -1,284 +1,43 @@
 //! bench_check — the CI bench-regression gate for the serving runtime.
 //!
-//! Re-runs the `bench_serve` reference matrix and compares it against the
-//! committed `results/BENCH_serve.json`. Exits non-zero on:
+//! Re-runs the `bench_serve` reference matrix and writes the fresh
+//! documents to `target/BENCH_serve.json` and `target/BENCH_timeline.jsonl`
+//! first, so CI can upload them even on failure: they are the files to
+//! inspect and, for an intentional change, to commit. It then compares
+//! them with the committed `results/` files through [`netcut_bench::gate`]
+//! and exits non-zero on:
 //!
-//! * **Determinism drift** — the deterministic part of a fresh run (the
-//!   `configs` object: every integer-only summary at the same seed and
-//!   flags) differs from the committed file in any way. The simulation is
-//!   bit-exact by construction, so *any* difference is either a real
-//!   behavior change that must ship with regenerated results, or a
-//!   nondeterminism bug.
-//! * **Miss-rate regression** — the fresh `batch_shard` leg misses more
-//!   than [`serve_matrix::MISS_REGRESSION_PPM`] (1 percentage point)
-//!   beyond the committed leg. Redundant while the equality check is
-//!   exact, but it documents the tolerance and survives a looser future
-//!   equality policy.
-//! * **Accuracy-weighted-goodput regression** — the fresh `batch_shard`
-//!   leg's `acc_goodput_mrps` falls more than
-//!   [`serve_matrix::ACC_GOODPUT_REGRESSION_PPM`] (1%) below the
-//!   committed value — the same drift budget as the miss-rate leg, on the
-//!   metric that catches "serves more by degrading harder" regressions
-//!   the raw goodput figure cannot see.
-//! * **Acceptance violations** — the fresh matrix breaks the headline
-//!   invariants (degradation beats pinned; batching + sharding strictly
-//!   beats the baseline goodput at an equal-or-lower miss rate; the
-//!   closed recalibration loop recovers ≥ 5 pp of drift-leg miss rate and
-//!   strictly beats its open-loop twin on accuracy-weighted goodput).
-//! * **Recalibration regression** — the fresh `drift` leg's
-//!   `acc_goodput_mrps` falls more than
-//!   [`serve_matrix::ACC_GOODPUT_REGRESSION_PPM`] (1%) below the
-//!   committed value, the same drift budget the `batch_shard` leg gets —
-//!   so a quietly weakening control loop fails CI even while it still
-//!   clears the 5 pp acceptance floor.
-//! * **Timeline drift** — the fresh `batch_shard` timeline differs from
-//!   the committed `results/BENCH_timeline.jsonl`. Non-alert lines
-//!   (header, window rows, residual cells) are compared canonically per
-//!   line and must match exactly; per-`OBS0xx` alert counts may differ by
-//!   up to [`serve_matrix::ALERT_COUNT_TOLERANCE`] so an intentional
-//!   threshold retune fails loudly only when it moves the alert volume.
-//!
-//! The fresh documents are always written to `target/BENCH_serve.json`
-//! and `target/BENCH_timeline.jsonl` so CI can upload them as artifacts —
-//! on failure they are exactly the files a developer should inspect (and,
-//! for an intentional change, commit).
+//! * **Determinism drift** — `configs` (every integer-only summary at the
+//!   same seed and flags) differs at all. The simulation is bit-exact by
+//!   construction, so a difference is a behaviour change that must ship
+//!   with regenerated results, or a nondeterminism bug.
+//! * **Budget regressions** — a `BENCH_serve.json` row of the gate's
+//!   budget table moves the worse way past its tolerance: the
+//!   `batch_shard` miss rate and accuracy-weighted goodput, and the closed
+//!   loop's `drift` accuracy-weighted goodput. They are redundant while
+//!   `configs` must match exactly, but they document the tolerances.
+//! * **Acceptance violations** — [`serve_matrix::acceptance_violations`].
+//! * **Timeline drift** — the gate's timeline rule fails.
+//! * **A missing committed document.**
 
+use netcut_bench::gate::{self, Gate};
 use netcut_bench::serve_matrix;
-use serve_matrix::SCENARIO;
-use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Extracts an integer field from one leg of a parsed `BENCH_serve.json`.
-fn leg_u64(doc: &serde_json::Value, leg: &str, field: &str) -> Option<u64> {
-    doc.get("configs")?.get(leg)?.get(field)?.as_u64()
-}
-
-/// The deterministic part of a document: the `configs` object, reserialized
-/// canonically so formatting differences cannot mask or fake a drift.
-fn deterministic_part(doc: &serde_json::Value) -> Option<String> {
-    serde_json::to_string(doc.get("configs")?).ok()
-}
-
-/// Splits a timeline JSON-lines document into its canonically-reserialized
-/// non-alert lines (in order) and per-code alert counts. `Err` names the
-/// first malformed line.
-type TimelineParts = (Vec<String>, BTreeMap<String, u64>);
-fn split_timeline(text: &str) -> Result<TimelineParts, String> {
-    let mut lines = Vec::new();
-    let mut alerts: BTreeMap<String, u64> = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let doc: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let kind = doc
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or_else(|| format!("line {}: missing `kind`", i + 1))?;
-        if kind == "alert" {
-            let code = doc
-                .get("code")
-                .and_then(|c| c.as_str())
-                .ok_or_else(|| format!("line {}: alert missing `code`", i + 1))?;
-            *alerts.entry(code.to_string()).or_insert(0) += 1;
-        } else {
-            lines.push(serde_json::to_string(&doc).expect("reserialize parsed JSON"));
-        }
-    }
-    Ok((lines, alerts))
-}
-
-/// Compares a fresh timeline against the committed one per the policy in
-/// the module docs. Returns failure messages (empty = pass).
-fn timeline_failures(committed: &str, fresh: &str) -> Vec<String> {
-    let committed = match split_timeline(committed) {
-        Ok(parts) => parts,
-        Err(e) => return vec![format!("committed BENCH_timeline.jsonl: {e}")],
-    };
-    let fresh = match split_timeline(fresh) {
-        Ok(parts) => parts,
-        Err(e) => return vec![format!("fresh BENCH_timeline.jsonl: {e}")],
-    };
-
-    let mut failures = Vec::new();
-    if committed.0.len() != fresh.0.len() {
-        failures.push(format!(
-            "timeline drift: {} non-alert lines committed vs {} fresh",
-            committed.0.len(),
-            fresh.0.len()
-        ));
-    } else if let Some(i) = (0..fresh.0.len()).find(|&i| committed.0[i] != fresh.0[i]) {
-        failures.push(format!(
-            "timeline drift at non-alert line {}: committed {} vs fresh {}",
-            i + 1,
-            committed.0[i],
-            fresh.0[i]
-        ));
-    }
-
-    let codes: std::collections::BTreeSet<&String> =
-        committed.1.keys().chain(fresh.1.keys()).collect();
-    for code in codes {
-        let was = committed.1.get(code).copied().unwrap_or(0);
-        let now = fresh.1.get(code).copied().unwrap_or(0);
-        if was.abs_diff(now) > serve_matrix::ALERT_COUNT_TOLERANCE {
-            failures.push(format!(
-                "timeline alert drift: {code} fired {now}x fresh vs {was}x committed \
-                 (tolerance +/-{})",
-                serve_matrix::ALERT_COUNT_TOLERANCE
-            ));
-        }
-    }
-    failures
-}
-
 fn main() -> ExitCode {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let committed_path = root.join("results/BENCH_serve.json");
-    let fresh_path = root.join("target/BENCH_serve.json");
-
-    let committed: serde_json::Value = match std::fs::read_to_string(&committed_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-    {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!(
-                "bench_check: cannot load committed {}: {e}",
-                committed_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("bench_check: re-running the reference matrix ({SCENARIO})...");
-    let legs = serve_matrix::run();
-    let fresh_text = serve_matrix::to_json(&legs, &netcut_bench::git_describe());
-    if let Some(dir) = fresh_path.parent() {
-        std::fs::create_dir_all(dir).expect("create target dir");
-    }
-    std::fs::write(&fresh_path, &fresh_text).expect("write fresh BENCH_serve.json");
-    println!("bench_check: fresh run written to {}", fresh_path.display());
-
-    let fresh: serde_json::Value =
-        serde_json::from_str(&fresh_text).expect("fresh document is valid JSON");
-    let mut failures: Vec<String> = Vec::new();
-
-    match (deterministic_part(&committed), deterministic_part(&fresh)) {
-        (Some(a), Some(b)) if a == b => {
-            println!("bench_check: determinism OK — summaries byte-match the committed file");
-        }
-        (Some(_), Some(_)) => failures.push(format!(
-            "determinism drift: the seeded summaries differ from {} — either a \
-             nondeterminism bug, or a behavior change that must ship with regenerated \
-             results (run `cargo run --release -p netcut-bench --bin bench_serve`)",
-            committed_path.display()
-        )),
-        _ => failures.push("committed BENCH_serve.json has no `configs` object".to_string()),
-    }
-
-    match (
-        leg_u64(&committed, "batch_shard", "miss_rate_ppm"),
-        leg_u64(&fresh, "batch_shard", "miss_rate_ppm"),
-    ) {
-        (Some(was), Some(now)) => {
-            if now > was + serve_matrix::MISS_REGRESSION_PPM {
-                failures.push(format!(
-                    "miss-rate regression: batch_shard {now} ppm vs committed {was} ppm \
-                     (tolerance {} ppm)",
-                    serve_matrix::MISS_REGRESSION_PPM
-                ));
-            } else {
-                println!(
-                    "bench_check: miss rate OK — batch_shard {now} ppm vs committed {was} ppm"
-                );
-            }
-        }
-        _ => failures.push("missing batch_shard.miss_rate_ppm in one of the documents".to_string()),
-    }
-
-    match (
-        leg_u64(&committed, "batch_shard", "acc_goodput_mrps"),
-        leg_u64(&fresh, "batch_shard", "acc_goodput_mrps"),
-    ) {
-        (Some(was), Some(now)) => {
-            let floor = was - was * serve_matrix::ACC_GOODPUT_REGRESSION_PPM / 1_000_000;
-            if now < floor {
-                failures.push(format!(
-                    "accuracy-weighted-goodput regression: batch_shard {now} mrps vs \
-                     committed {was} mrps (tolerance {} ppm of committed)",
-                    serve_matrix::ACC_GOODPUT_REGRESSION_PPM
-                ));
-            } else {
-                println!(
-                    "bench_check: accuracy-weighted goodput OK — batch_shard {now} mrps \
-                     vs committed {was} mrps"
-                );
-            }
-        }
-        _ => failures
-            .push("missing batch_shard.acc_goodput_mrps in one of the documents".to_string()),
-    }
-
-    match (
-        leg_u64(&committed, "drift", "acc_goodput_mrps"),
-        leg_u64(&fresh, "drift", "acc_goodput_mrps"),
-    ) {
-        (Some(was), Some(now)) => {
-            let floor = was - was * serve_matrix::ACC_GOODPUT_REGRESSION_PPM / 1_000_000;
-            if now < floor {
-                failures.push(format!(
-                    "recalibration regression: drift {now} mrps vs committed {was} mrps \
-                     (tolerance {} ppm of committed)",
-                    serve_matrix::ACC_GOODPUT_REGRESSION_PPM
-                ));
-            } else {
-                println!(
-                    "bench_check: recalibration OK — drift {now} mrps vs committed {was} mrps"
-                );
-            }
-        }
-        _ => failures.push("missing drift.acc_goodput_mrps in one of the documents".to_string()),
-    }
-
-    let violations = serve_matrix::acceptance_violations(&legs);
-    if violations.is_empty() {
-        println!("bench_check: acceptance invariants OK");
-    }
-    failures.extend(violations);
-
-    let committed_tl_path = root.join("results/BENCH_timeline.jsonl");
-    let fresh_tl_path = root.join("target/BENCH_timeline.jsonl");
-    let fresh_tl = serve_matrix::timeline_leg(&legs).timeline.to_jsonl();
-    std::fs::write(&fresh_tl_path, &fresh_tl).expect("write fresh BENCH_timeline.jsonl");
     println!(
-        "bench_check: fresh timeline written to {}",
-        fresh_tl_path.display()
+        "bench_check: re-running the reference matrix ({})...",
+        serve_matrix::SCENARIO
     );
-    match std::fs::read_to_string(&committed_tl_path) {
-        Ok(committed_tl) => {
-            let tl_failures = timeline_failures(&committed_tl, &fresh_tl);
-            if tl_failures.is_empty() {
-                println!(
-                    "bench_check: timeline OK — {} leg matches the committed file",
-                    serve_matrix::TIMELINE_LEG
-                );
-            }
-            failures.extend(tl_failures);
-        }
-        Err(e) => failures.push(format!(
-            "cannot load committed {}: {e} (run `cargo run --release -p netcut-bench \
-             --bin bench_serve` and commit the result)",
-            committed_tl_path.display()
-        )),
-    }
+    let legs = serve_matrix::run();
+    let fresh = serve_matrix::to_json(&legs, &netcut_bench::git_describe());
+    let fresh_timeline = serve_matrix::timeline_leg(&legs).timeline.to_jsonl();
 
-    if failures.is_empty() {
-        println!("bench_check: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("bench_check: FAIL — {f}");
-        }
-        ExitCode::FAILURE
-    }
+    let mut gate = Gate::new("bench_check");
+    gate.write_fresh(gate::SERVE, &fresh);
+    gate.write_fresh(gate::TIMELINE, &fresh_timeline);
+    gate.compare(gate::SERVE, &fresh);
+    gate.invariants(serve_matrix::acceptance_violations(&legs));
+    gate.compare_timeline(&fresh_timeline);
+    gate.finish()
 }

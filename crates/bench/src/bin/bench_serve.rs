@@ -22,8 +22,7 @@
 //! JSON-lines, same format as `serve --timeline-out`), which `bench_check`
 //! gates the same way.
 
-use netcut_bench::serve_matrix;
-use std::path::PathBuf;
+use netcut_bench::{gate, serve_matrix};
 
 fn main() {
     println!("BENCH_serve — serving runtime, paper scenario (seed 11)");
@@ -106,17 +105,13 @@ fn main() {
     assert!(violations.is_empty(), "{} violation(s)", violations.len());
 
     let json = serve_matrix::to_json(&legs, &netcut_bench::git_describe());
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, json).expect("write BENCH_serve.json");
+    let path = gate::results_path(gate::SERVE);
+    gate::write(&path, &json);
     println!("raw data: {}", path.display());
 
-    let tl_path = dir.join("BENCH_timeline.jsonl");
-    let tl = serve_matrix::timeline_leg(&legs);
-    std::fs::write(&tl_path, tl.timeline.to_jsonl()).expect("write BENCH_timeline.jsonl");
+    let tl_path = gate::results_path(gate::TIMELINE);
+    let tl = serve_matrix::timeline_leg(&legs).timeline.to_jsonl();
+    gate::write(&tl_path, &tl);
     println!(
         "timeline ({} leg): {}",
         serve_matrix::TIMELINE_LEG,

@@ -6,29 +6,10 @@ use netcut::explore::Exploration;
 use netcut::netcut::NetCut;
 use netcut::pareto::{best_meeting_deadline, frontier_expansion, pareto_frontier};
 use netcut_bench::estimator_study::{fit_all, measure_all};
-use netcut_bench::{metrics_markdown, timed_phase, Lab, RunMetadata, DEADLINE_MS};
+use netcut_bench::{gate, metrics_markdown, timed_phase, Lab, RunMetadata, DEADLINE_MS};
 use netcut_estimate::{mean_relative_error, LatencyEstimator};
 use netcut_graph::HeadSpec;
 use std::fmt::Write as _;
-
-/// The workspace root the determinism lint scans: the nearest ancestor of
-/// the current directory carrying the allowlist, falling back to the
-/// compile-time layout (two levels above this crate).
-fn workspace_root() -> std::path::PathBuf {
-    if let Ok(mut dir) = std::env::current_dir() {
-        loop {
-            if dir.join(netcut_verify::detlint::ALLOWLIST_FILE).is_file() {
-                return dir;
-            }
-            if !dir.pop() {
-                break;
-            }
-        }
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .to_path_buf()
-}
 
 fn exploration_table(md: &mut String, sweep: &Exploration, frontier_only: bool) {
     let frontier = pareto_frontier(&sweep.points);
@@ -56,14 +37,8 @@ fn exploration_table(md: &mut String, sweep: &Exploration, frontier_only: bool) 
 /// the goodput/miss-rate table across the batching × sharding matrix and
 /// the batch-on vs batch-off comparison paragraph. Skips the section with
 /// a note when the results file is absent (run `bench_serve` first).
-fn serving_section(md: &mut String) {
+fn serving_section(md: &mut String, doc: Option<&serde_json::Value>) {
     let _ = writeln!(md, "\n## Serving runtime (batching × sharding)\n");
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/BENCH_serve.json");
-    let doc: Option<serde_json::Value> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok());
     let Some(doc) = doc else {
         let _ = writeln!(
             md,
@@ -72,8 +47,8 @@ fn serving_section(md: &mut String) {
         );
         return;
     };
-    let leg = |key: &str, field: &str| -> Option<u64> {
-        doc.get("configs")?.get(key)?.get(field)?.as_u64()
+    let leg = |key: &str, field: &str| {
+        gate::field(doc, &["configs", key, field]).and_then(serde_json::Value::as_u64)
     };
     let _ = writeln!(
         md,
@@ -132,14 +107,9 @@ fn serving_section(md: &mut String) {
 /// of the committed `results/BENCH_timeline.jsonl` (the `batch_shard`
 /// leg's windowed telemetry). Skips with a note when either file is
 /// absent.
-fn timeline_section(md: &mut String) {
+fn timeline_section(md: &mut String, doc: Option<&serde_json::Value>) {
     let _ = writeln!(md, "\n## Serving timeline (windowed telemetry)\n");
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let doc: Option<serde_json::Value> =
-        std::fs::read_to_string(root.join("results/BENCH_serve.json"))
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok());
-    let timeline = std::fs::read_to_string(root.join("results/BENCH_timeline.jsonl")).ok();
+    let timeline = std::fs::read_to_string(gate::results_path(gate::TIMELINE)).ok();
     let (Some(doc), Some(timeline)) = (doc, timeline) else {
         let _ = writeln!(
             md,
@@ -156,7 +126,7 @@ fn timeline_section(md: &mut String) {
     );
     let _ = writeln!(md, "|---|---|---|---|");
     for key in ["no_degrade", "baseline", "batch", "shard", "batch_shard"] {
-        let Some(leg) = doc.get("configs").and_then(|c| c.get(key)) else {
+        let Some(leg) = gate::field(doc, &["configs", key]) else {
             continue;
         };
         let u = |field: &str| leg.get(field).and_then(serde_json::Value::as_u64);
@@ -255,13 +225,7 @@ fn timeline_section(md: &mut String) {
 /// first).
 fn simcore_section(md: &mut String) {
     let _ = writeln!(md, "\n## Simulator throughput (bench_simcore)\n");
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/BENCH_simcore.json");
-    let doc: Option<serde_json::Value> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok());
-    let Some(doc) = doc else {
+    let Ok(doc) = gate::load(&gate::results_path(gate::SIMCORE)) else {
         let _ = writeln!(
             md,
             "_results/BENCH_simcore.json not found — run \
@@ -277,7 +241,7 @@ fn simcore_section(md: &mut String) {
     );
     let _ = writeln!(md, "| leg | requests | iters | wall (ms) | req/s |");
     let _ = writeln!(md, "|---|---|---|---|---|");
-    let field = |section: &str, key: &str| doc.get(section).and_then(|s| s.get(key));
+    let field = |section: &str, key: &str| gate::field(&doc, &[section, key]);
     for (key, _) in netcut_bench::simcore::configs() {
         let (Some(cfg), Some(rps), Some(iters), Some(wall)) = (
             field("configs", key),
@@ -477,11 +441,12 @@ fn main() {
     // Serving runtime: the batching × sharding matrix from the committed
     // bench results (results/BENCH_serve.json — regenerated by bench_serve,
     // gated against drift by bench_check in CI).
-    serving_section(&mut md);
+    let serve_doc = gate::load(&gate::results_path(gate::SERVE)).ok();
+    serving_section(&mut md, serve_doc.as_ref());
 
     // Serving timeline: windowed burn rates and alerts from the committed
     // bench artifacts (BENCH_serve.json + BENCH_timeline.jsonl).
-    timeline_section(&mut md);
+    timeline_section(&mut md, serve_doc.as_ref());
 
     // Simulator throughput: the committed bench_simcore numbers
     // (results/BENCH_simcore.json — gated against regression in CI).
@@ -527,23 +492,15 @@ fn main() {
     // benched — plus the workspace determinism lint against its committed
     // allowlist. A ladder-construction failure becomes an SV002 finding.
     let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_us", || {
+        let reports = netcut_serve::lint_reference_matrix();
         let mut total = netcut_verify::Summary::default();
-        let mut configs = 0usize;
-        for (key, cfg) in netcut_serve::reference_matrix() {
-            let name = format!("serve:{key}");
-            let report = match netcut_serve::Scenario::try_build(cfg.clone()) {
-                Ok(scenario) => {
-                    netcut_verify::analyze_serve(&netcut_serve::serve_artifact(&name, &scenario))
-                }
-                Err(err) => netcut_serve::ladder_error_report(&name, &cfg, &err),
-            };
+        for report in &reports {
             total.merge(report.summary());
-            configs += 1;
         }
-        (total, configs)
+        (total, reports.len())
     });
     let detlint = timed_phase("phase.detlint_us", || {
-        let root = workspace_root();
+        let root = netcut_verify::detlint::workspace_root();
         netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
     });
     let _ = writeln!(

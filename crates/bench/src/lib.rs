@@ -17,6 +17,8 @@ use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+pub mod gate;
+
 /// The common experimental setup: the paper's seven source networks on the
 /// Xavier-class device at INT8 with the surrogate retrainer. Every phase
 /// run through the lab evaluates via a shared [`EvalContext`], so repeated
@@ -121,13 +123,9 @@ impl Default for Lab {
 /// Panics if the file cannot be written — the harness treats result loss
 /// as fatal.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
+    let path = gate::results_path(&format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialize results");
-    std::fs::write(&path, json).expect("write results file");
+    gate::write(&path, &json);
     path
 }
 
@@ -389,24 +387,11 @@ pub mod serve_matrix {
     /// `configs` object is deterministic; `git` and `wall_ms` carry
     /// provenance and are ignored by the CI gate.
     pub fn to_json(legs: &[LegResult], git: &str) -> String {
-        let mut s = String::with_capacity(4096);
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"scenario\": \"{SCENARIO}\",");
-        let _ = writeln!(s, "  \"git\": \"{git}\",");
-        let _ = writeln!(s, "  \"configs\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {}{comma}", leg.key, leg.summary.to_json());
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"wall_ms\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {:.1}{comma}", leg.key, leg.wall_ms);
-        }
-        let _ = writeln!(s, "  }}");
-        s.push_str("}\n");
-        s
+        let keys: Vec<&str> = legs.iter().map(|l| l.key).collect();
+        let configs = legs.iter().map(|l| l.summary.to_json()).collect();
+        let wall_ms = legs.iter().map(|l| format!("{:.1}", l.wall_ms)).collect();
+        let sections = [("configs", configs), ("wall_ms", wall_ms)];
+        crate::gate::render(SCENARIO, git, &keys, &sections)
     }
 
     /// The acceptance invariants of the matrix; returns every violation
@@ -690,41 +675,22 @@ pub mod simcore {
     /// the gate compares `rps` under [`RPS_REGRESSION_PPM`] and requires
     /// `configs` to match exactly.
     pub fn to_json(legs: &[SimLeg], git: &str) -> String {
-        let mut s = String::with_capacity(2048);
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"scenario\": \"{SCENARIO}\",");
-        let _ = writeln!(s, "  \"git\": \"{git}\",");
-        let _ = writeln!(s, "  \"configs\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    \"{}\": {{\"requests\": {}, \"duration_us\": {}, \"workers\": {}, \
-                 \"shards\": {}, \"batch_max\": {}}}{comma}",
-                leg.key, leg.requests, leg.duration_us, leg.workers, leg.shards, leg.batch_max
-            );
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"rps\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {}{comma}", leg.key, leg.rps);
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"iters\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {}{comma}", leg.key, leg.iters);
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"wall_ms\": {{");
-        for (i, leg) in legs.iter().enumerate() {
-            let comma = if i + 1 < legs.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{}\": {:.1}{comma}", leg.key, leg.wall_ms);
-        }
-        let _ = writeln!(s, "  }}");
-        s.push_str("}\n");
-        s
+        let keys: Vec<&str> = legs.iter().map(|l| l.key).collect();
+        let column = |value: fn(&SimLeg) -> String| legs.iter().map(value).collect();
+        let configs = column(|l| {
+            format!(
+                "{{\"requests\": {}, \"duration_us\": {}, \"workers\": {}, \
+                 \"shards\": {}, \"batch_max\": {}}}",
+                l.requests, l.duration_us, l.workers, l.shards, l.batch_max
+            )
+        });
+        let sections = [
+            ("configs", configs),
+            ("rps", column(|l| l.rps.to_string())),
+            ("iters", column(|l| l.iters.to_string())),
+            ("wall_ms", column(|l| format!("{:.1}", l.wall_ms))),
+        ];
+        crate::gate::render(SCENARIO, git, &keys, &sections)
     }
 
     /// Shape invariants of a measured run and the closed-loop cost gate;

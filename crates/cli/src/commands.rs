@@ -315,44 +315,6 @@ fn lint_reports(source: &Network) -> Vec<netcut_verify::Report> {
     reports
 }
 
-/// One serve-plane report per reference-matrix leg: build the scenario,
-/// extract its [`netcut_verify::ServeArtifact`], and run the SV rules. A
-/// configuration whose ladder construction fails is surfaced as an SV002
-/// diagnostic report instead of aborting the lint run.
-fn serve_lint_reports() -> Vec<netcut_verify::Report> {
-    netcut_serve::reference_matrix()
-        .into_iter()
-        .map(|(key, cfg)| {
-            let name = format!("serve:{key}");
-            match netcut_serve::Scenario::try_build(cfg.clone()) {
-                Ok(scenario) => {
-                    netcut_verify::analyze_serve(&netcut_serve::serve_artifact(&name, &scenario))
-                }
-                Err(err) => netcut_serve::ladder_error_report(&name, &cfg, &err),
-            }
-        })
-        .collect()
-}
-
-/// The workspace root `lint det` scans: the nearest ancestor of the
-/// current directory carrying the detlint allowlist, falling back to the
-/// compile-time workspace layout (two levels above this crate).
-fn workspace_root() -> std::path::PathBuf {
-    if let Ok(mut dir) = std::env::current_dir() {
-        loop {
-            if dir.join(netcut_verify::detlint::ALLOWLIST_FILE).is_file() {
-                return dir;
-            }
-            if !dir.pop() {
-                break;
-            }
-        }
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .to_path_buf()
-}
-
 /// `netcut-cli lint`: run the static analyzer over the target; non-zero
 /// exit on any Error (or, under `--strict`, any Warning). Graph targets
 /// lint the network and all its blockwise TRNs; `serve` lints the
@@ -385,7 +347,7 @@ fn lint(target: &str, json: bool, strict: bool) -> Result<(), String> {
     }
     let mut configs = 0usize;
     if matches!(target, "serve" | "all") {
-        for report in serve_lint_reports() {
+        for report in netcut_serve::lint_reference_matrix() {
             configs += 1;
             total.merge(report.summary());
             if json {
@@ -398,7 +360,8 @@ fn lint(target: &str, json: bool, strict: bool) -> Result<(), String> {
     let mut det_files = 0usize;
     let mut det_findings = 0usize;
     if matches!(target, "det" | "all") {
-        let outcome = netcut_verify::detlint::scan_workspace(&workspace_root())?;
+        let outcome =
+            netcut_verify::detlint::scan_workspace(&netcut_verify::detlint::workspace_root())?;
         det_files = outcome.files_scanned;
         det_findings = outcome.findings.len() + outcome.stale.len();
         total.errors += det_findings;
@@ -592,7 +555,7 @@ mod tests {
 
     #[test]
     fn lint_serve_analyzes_the_reference_matrix_clean() {
-        let reports = serve_lint_reports();
+        let reports = netcut_serve::lint_reference_matrix();
         assert_eq!(reports.len(), netcut_serve::reference_matrix().len());
         for report in &reports {
             assert!(
@@ -614,7 +577,7 @@ mod tests {
 
     #[test]
     fn lint_det_passes_against_the_committed_allowlist() {
-        let root = workspace_root();
+        let root = netcut_verify::detlint::workspace_root();
         assert!(
             root.join(netcut_verify::detlint::ALLOWLIST_FILE).is_file(),
             "workspace root discovery must find the allowlist (got {})",

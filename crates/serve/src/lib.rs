@@ -93,6 +93,8 @@ pub use scenario::{
     MAX_DURATION_US,
 };
 pub use shard::{Candidate, Shard, ShardRouter};
-pub use splane::{ladder_error_report, reference_matrix, serve_artifact, stress_scenario};
+pub use splane::{
+    ladder_error_report, lint_reference_matrix, reference_matrix, serve_artifact, stress_scenario,
+};
 pub use summary::{RunMeta, ServeSummary, ShardMeta};
 pub use timeline::{Timeline, TimelineConfig, WindowRow};

@@ -232,6 +232,23 @@ pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &ConfigError) 
     netcut_verify::serve_plane::build_failure_report(name, &shard, &err.to_string())
 }
 
+/// One SV report per [`reference_matrix`] leg: each scenario is built and
+/// its [`serve_artifact`] analyzed, and a configuration that fails to
+/// build becomes an SV002 report ([`ladder_error_report`]) instead of
+/// aborting the lint. `lint serve` and the suite report both run this.
+pub fn lint_reference_matrix() -> Vec<Report> {
+    reference_matrix()
+        .into_iter()
+        .map(|(key, cfg)| {
+            let name = format!("serve:{key}");
+            match Scenario::try_build(cfg.clone()) {
+                Ok(scenario) => netcut_verify::analyze_serve(&serve_artifact(&name, &scenario)),
+                Err(err) => ladder_error_report(&name, &cfg, &err),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,6 +39,20 @@ pub const SCANNED_ROOTS: &[&str] = &["crates/serve/src", "crates/obs/src", "crat
 /// Allowlist file name, resolved against the workspace root.
 pub const ALLOWLIST_FILE: &str = "detlint_allow.txt";
 
+/// The workspace root to scan: the nearest ancestor of the current
+/// directory holding [`ALLOWLIST_FILE`], else the workspace this crate
+/// was built in.
+pub fn workspace_root() -> PathBuf {
+    std::env::current_dir()
+        .ok()
+        .and_then(|cwd| {
+            cwd.ancestors()
+                .find(|dir| dir.join(ALLOWLIST_FILE).is_file())
+                .map(Path::to_path_buf)
+        })
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+}
+
 /// The nondeterminism classes the lint recognizes.
 pub const PATTERNS: &[&str] = &["wall-clock", "unordered-collection", "float-us"];
 
