@@ -26,6 +26,11 @@
 //! ([`TrnLadder::predicted_batch_latency_us`]) — identical to the
 //! physical curve at the default identity calibration, and reflecting
 //! the closed-loop controller's corrections after a hot-swap.
+//!
+//! Rule 3 depends only on the ladder, the batch size and the budget, so
+//! the runtime evaluates it once per ladder ([`Batcher::lists`]): each
+//! join then scans only the [`AdmissionLists`] entry for its batch size
+//! for the first rung that passes rule 2.
 
 use crate::ladder::TrnLadder;
 
@@ -61,7 +66,9 @@ impl Batcher {
     /// `degrade` off only the top rung is considered.
     ///
     /// Returns `None` when no rung qualifies — the runtime then leaves the
-    /// batch as it was and dispatches the request solo.
+    /// batch as it was and dispatches the request solo. The runtime asks
+    /// the same question of [`AdmissionLists`], which tabulate the
+    /// overhead half of it once per ladder.
     pub fn admit(
         &self,
         ladder: &TrnLadder,
@@ -74,15 +81,41 @@ impl Batcher {
             return None;
         }
         let slack = tightest_abs_us.saturating_sub(start_us);
-        let fits = |r: usize| {
-            let batched = ladder.predicted_batch_latency_us(r, size);
-            batched <= slack && batched - ladder.predicted_batch_latency_us(r, 1) <= self.slack_us
-        };
-        if degrade {
-            (0..ladder.len()).rev().find(|&r| fits(r))
-        } else {
-            Some(ladder.top()).filter(|&r| fits(r))
+        self.overhead_fits(ladder, size, degrade)
+            .find(|&r| ladder.predicted_batch_latency_us(r, size) <= slack)
+    }
+
+    /// The rungs whose batching overhead at `size` — predicted batched
+    /// latency minus the same rung's predicted batch-1 latency — fits the
+    /// slack budget, most accurate first; only the top rung with `degrade`
+    /// off. The one home of the overhead rule: [`Self::admit`] scans it per
+    /// call and [`Self::lists`] tabulates it per ladder.
+    fn overhead_fits<'l>(
+        &self,
+        ladder: &'l TrnLadder,
+        size: usize,
+        degrade: bool,
+    ) -> impl Iterator<Item = usize> + 'l {
+        let budget = self.slack_us;
+        let lowest = if degrade { 0 } else { ladder.top() };
+        (lowest..ladder.len()).rev().filter(move |&r| {
+            ladder.predicted_batch_latency_us(r, size) - ladder.predicted_batch_latency_us(r, 1)
+                <= budget
+        })
+    }
+
+    /// [`Self::admit`]'s overhead test evaluated once for `ladder`, for
+    /// every join size, 2 to `batch_max`. For a fixed ladder, size and
+    /// budget it always rules out the same rungs, so a join only has to
+    /// compare the listed rungs' batched latencies against its slack.
+    pub fn lists(&self, ladder: &TrnLadder, degrade: bool) -> AdmissionLists {
+        let mut starts = vec![0];
+        let mut rungs = Vec::new();
+        for size in 2..=self.batch_max {
+            rungs.extend(self.overhead_fits(ladder, size, degrade).map(|r| r as u32));
+            starts.push(rungs.len() as u32);
         }
+        AdmissionLists { starts, rungs }
     }
 
     /// Like [`Self::admit`], but the exit table is pinned
@@ -146,6 +179,40 @@ impl Batcher {
             }
         }
         (size, rung)
+    }
+}
+
+/// One ladder's admission lists, built by [`Batcher::lists`]: per join
+/// size, the rungs whose batching overhead fits the budget, most accurate
+/// first. They hold rung indices only, so they answer for the ladder (and
+/// the calibration) they were built from and no other: the runtime builds
+/// one per ladder-table entry, including each hot-swapped ladder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AdmissionLists {
+    /// `rungs[starts[n - 2]..starts[n - 1]]` is the list of batch size `n`.
+    starts: Vec<u32>,
+    rungs: Vec<u32>,
+}
+
+impl AdmissionLists {
+    /// [`Batcher::admit`] for the lists' own ladder and degradation mode:
+    /// the first listed rung whose predicted batched latency fits the
+    /// tightest member's slack, or `None` (also for a size past
+    /// `batch_max`, and for size 1, which is no join).
+    pub fn admit(
+        &self,
+        ladder: &TrnLadder,
+        start_us: u64,
+        tightest_abs_us: u64,
+        size: usize,
+    ) -> Option<usize> {
+        let lo = *self.starts.get(size.checked_sub(2)?)? as usize;
+        let hi = *self.starts.get(size - 1)? as usize;
+        let slack = tightest_abs_us.saturating_sub(start_us);
+        self.rungs[lo..hi]
+            .iter()
+            .map(|&r| r as usize)
+            .find(|&r| ladder.predicted_batch_latency_us(r, size) <= slack)
     }
 }
 

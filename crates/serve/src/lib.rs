@@ -82,7 +82,7 @@ pub mod splane;
 pub mod summary;
 pub mod timeline;
 
-pub use batch::Batcher;
+pub use batch::{AdmissionLists, Batcher};
 pub use faults::{FaultKind, FaultPlan, FaultTable, FaultWindow};
 pub use ladder::{ExitTable, LadderError, LadderMemory, Rung, TrnLadder};
 pub use recalib::{CalibrateOnly, RecalibConfig, Recalibrator};
@@ -97,4 +97,4 @@ pub use splane::{
     ladder_error_report, lint_reference_matrix, reference_matrix, serve_artifact, stress_scenario,
 };
 pub use summary::{RunMeta, ServeSummary, ShardMeta};
-pub use timeline::{Timeline, TimelineConfig, WindowRow};
+pub use timeline::{Swap, Timeline, TimelineConfig, WindowRow};

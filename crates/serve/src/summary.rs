@@ -13,6 +13,14 @@
 //! counts the requests outside the percentile population, and
 //! [`ServeSummary::rejected_queue_p99_us`] shows how long rejected clients
 //! waited to hear "no".
+//!
+//! **One pass.** [`ServeSummary::from_outcomes`] reads each outcome record
+//! once: it folds the status counts, histograms, admission generations and
+//! accuracy sum as it goes, and collects only the completion latencies and
+//! the rejected queue delays. The percentiles are then selected from those
+//! on nested prefixes (p99 first, then p95 and p50 inside it), never
+//! sorted. [`ServeSummary::attach_timeline`] adds the windowed facts and
+//! the recalibration block, which it reads from the timeline's swap log.
 
 use crate::request::PPM;
 use crate::runtime::{RequestOutcome, Server, Status};
@@ -177,26 +185,24 @@ pub struct ServeSummary {
     /// Fleet-wide memory reduction of the multi-exit refactor, ppm of the
     /// multi-exit footprint (`10_000_000` = the fleet shrank 10×).
     pub model_reduction_ppm: u64,
-    /// Closed-loop recalibrations performed (OBS005 count; 0 when the
-    /// controller is off or never triggered).
+    /// Closed-loop hot-swaps performed: the length of the timeline's swap
+    /// log (0 when the controller is off, never swapped, or no timeline is
+    /// attached).
     pub recalibrations: u64,
-    /// Final ladder generation of each shard (0 = never hot-swapped).
+    /// Final ladder generation of each shard (0 = never hot-swapped): its
+    /// last swap's once a timeline is attached, the highest admission
+    /// generation among its outcomes before.
     pub generations: Vec<u64>,
-    /// Final calibration factor of each shard, ppm (the last OBS005 value;
-    /// 0 for shards never recalibrated).
+    /// Final calibration factor of each shard, ppm: its last swap's (0 for
+    /// shards never recalibrated).
     pub recalib_scale_ppm: Vec<u64>,
 }
 
 impl ServeSummary {
     /// Aggregates `outcomes` into a summary under `meta`'s run
-    /// configuration.
+    /// configuration, in one pass over the records.
     pub fn from_outcomes(outcomes: &[RequestOutcome], meta: &RunMeta) -> Self {
-        let count = |s: Status| outcomes.iter().filter(|o| o.status == s).count() as u64;
-        let total = outcomes.len() as u64;
-        let served = count(Status::Served);
-        let missed = count(Status::Missed);
-        let rejected = count(Status::Rejected);
-        let dropped = count(Status::Dropped);
+        let mut by_status = [0u64; 4];
         let mut degraded = 0u64;
         let mut shard_histogram = vec![0u64; meta.shards.len()];
         let mut rung_histograms: Vec<Vec<u64>> = meta
@@ -205,56 +211,52 @@ impl ServeSummary {
             .map(|s| vec![0u64; s.ladder_len])
             .collect();
         let mut batch_histogram = vec![0u64; meta.batch_max.max(1)];
+        let mut generations = vec![0u64; meta.shards.len()];
+        let mut latencies: Vec<u64> = Vec::with_capacity(outcomes.len());
+        let mut latency_max_us = 0u64;
+        let mut rejected_delays: Vec<u64> = Vec::new();
+        // Accuracy-weighted goodput: Σ over served requests of the exit's
+        // accuracy fraction, per second. In ppm arithmetic that is
+        // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
+        let mut acc_sum_ppm: u128 = 0;
         for o in outcomes {
+            by_status[o.status as usize] += 1;
             shard_histogram[o.shard] += 1;
+            generations[o.shard] = generations[o.shard].max(o.generation);
+            let shard = &meta.shards[o.shard];
             if let Some(r) = o.rung {
                 rung_histograms[o.shard][r] += 1;
-                if r + 1 < meta.shards[o.shard].ladder_len {
+                if r + 1 < shard.ladder_len {
                     degraded += 1;
                 }
             }
             if o.batch_size > 0 {
                 batch_histogram[o.batch_size - 1] += 1;
             }
+            match o.status {
+                Status::Served | Status::Missed => {
+                    latencies.push(o.latency_us);
+                    latency_max_us = latency_max_us.max(o.latency_us);
+                }
+                Status::Rejected => rejected_delays.push(o.queue_delay_us),
+                Status::Dropped => {}
+            }
+            if o.status == Status::Served {
+                acc_sum_ppm += u128::from(o.rung.map_or(PPM, |r| {
+                    shard.exit_accuracy_ppm.get(r).copied().unwrap_or(PPM)
+                }));
+            }
         }
-        let mut latencies: Vec<u64> = outcomes
-            .iter()
-            .filter(|o| matches!(o.status, Status::Served | Status::Missed))
-            .map(|o| o.latency_us)
-            .collect();
-        latencies.sort_unstable();
-        let pct = |p: u64| nearest_rank(&latencies, p);
-        let mut rejected_delays: Vec<u64> = outcomes
-            .iter()
-            .filter(|o| o.status == Status::Rejected)
-            .map(|o| o.queue_delay_us)
-            .collect();
-        rejected_delays.sort_unstable();
-        // Accuracy-weighted goodput: Σ over served requests of the exit's
-        // accuracy fraction, per second. In ppm arithmetic that is
-        // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
-        let acc_sum_ppm: u128 = outcomes
-            .iter()
-            .filter(|o| o.status == Status::Served)
-            .map(|o| {
-                u128::from(o.rung.map_or(PPM, |r| {
-                    meta.shards[o.shard]
-                        .exit_accuracy_ppm
-                        .get(r)
-                        .copied()
-                        .unwrap_or(PPM)
-                }))
-            })
-            .sum();
+        let [served, missed, rejected, dropped] = by_status;
+        let [latency_p99_us, latency_p95_us, latency_p50_us] =
+            nearest_ranks(&mut latencies, [99, 95, 50]);
+        let [rejected_queue_p99_us] = nearest_ranks(&mut rejected_delays, [99]);
         let model_bytes: Vec<u64> = meta.shards.iter().map(|s| s.model_bytes).collect();
         let baseline_model_bytes: Vec<u64> =
             meta.shards.iter().map(|s| s.baseline_model_bytes).collect();
         let fleet_model: u128 = model_bytes.iter().map(|&b| u128::from(b)).sum();
         let fleet_baseline: u128 = baseline_model_bytes.iter().map(|&b| u128::from(b)).sum();
-        let mut generations = vec![0u64; meta.shards.len()];
-        for o in outcomes {
-            generations[o.shard] = generations[o.shard].max(o.generation);
-        }
+        let total = outcomes.len() as u64;
         ServeSummary {
             deadline_us: meta.deadline_us,
             workers: meta.workers,
@@ -279,11 +281,11 @@ impl ServeSummary {
             rung_histograms,
             batch_histogram,
             tail_excluded: rejected + dropped,
-            rejected_queue_p99_us: nearest_rank(&rejected_delays, 99),
-            latency_p50_us: pct(50),
-            latency_p95_us: pct(95),
-            latency_p99_us: pct(99),
-            latency_max_us: latencies.last().copied().unwrap_or(0),
+            rejected_queue_p99_us,
+            latency_p50_us,
+            latency_p95_us,
+            latency_p99_us,
+            latency_max_us,
             slo_miss_budget_ppm: 0,
             burn_rate_ppm: 0,
             timeline_window_us: 0,
@@ -315,8 +317,9 @@ impl ServeSummary {
     pub const TOP_ALERTS: usize = 8;
 
     /// Folds a run's [`Timeline`] into the summary: the SLO budget, run-
-    /// and worst-window burn rates, per-code alert counts, and the first
-    /// [`ServeSummary::TOP_ALERTS`] fired alerts.
+    /// and worst-window burn rates, per-code alert counts, the first
+    /// [`ServeSummary::TOP_ALERTS`] fired alerts, and the recalibration
+    /// block from the timeline's swap log.
     pub fn attach_timeline(&mut self, timeline: &Timeline) {
         self.slo_miss_budget_ppm = timeline.slo.miss_budget_ppm;
         self.burn_rate_ppm = obs::burn_rate_ppm(
@@ -331,11 +334,12 @@ impl ServeSummary {
             self.worst_window_burn_ppm = burn_ppm;
         }
         self.alert_counts = timeline.alert_counts();
-        self.recalibrations = self.alert_counts[AlertCode::Recalibrated.index()];
-        for a in &timeline.alerts {
-            if a.code == AlertCode::Recalibrated {
-                self.recalib_scale_ppm[a.shard] = a.value_ppm;
-            }
+        // The control-loop facts come from the swap log, not the OBS005
+        // alerts: those fold every swap of a (window, shard) into one.
+        self.recalibrations = timeline.swaps.len() as u64;
+        for swap in &timeline.swaps {
+            self.generations[swap.shard] = swap.generation;
+            self.recalib_scale_ppm[swap.shard] = swap.calib_ppm;
         }
         self.top_alerts = timeline
             .alerts
@@ -563,19 +567,167 @@ impl ServeSummary {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
-fn nearest_rank(sorted: &[u64], percentile: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// Nearest-rank percentiles of `values` (all 0 when it is empty): for
+/// each of `percentiles`, which must be descending, the value at rank
+/// `ceil(n·p/100)` (at least 1) of `values` in ascending order. Each is a
+/// selection on the prefix the previous one left at or below its rank, so
+/// `values` is partitioned in place, never sorted.
+fn nearest_ranks<const N: usize>(values: &mut [u64], percentiles: [u64; N]) -> [u64; N] {
+    let n = values.len() as u64;
+    let mut picked = [0u64; N];
+    let mut prefix = values;
+    for (slot, p) in picked.iter_mut().zip(percentiles) {
+        if prefix.is_empty() {
+            break;
+        }
+        let k = ((n * p).div_ceil(100).max(1) - 1) as usize;
+        let below = std::mem::take(&mut prefix);
+        *slot = *below.select_nth_unstable(k).1;
+        prefix = &mut below[..=k];
     }
-    let rank = (sorted.len() as u64 * percentile).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
+    picked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::RequestKind;
+    use proptest::prelude::*;
+
+    /// The nine-pass aggregation [`ServeSummary::from_outcomes`] replaced,
+    /// kept as the reference the one-pass fold must equal: a walk per
+    /// status count, per histogram and per percentile population, and two
+    /// full sorts.
+    fn nine_pass(outcomes: &[RequestOutcome], meta: &RunMeta) -> ServeSummary {
+        let count = |s: Status| outcomes.iter().filter(|o| o.status == s).count() as u64;
+        let total = outcomes.len() as u64;
+        let served = count(Status::Served);
+        let missed = count(Status::Missed);
+        let rejected = count(Status::Rejected);
+        let dropped = count(Status::Dropped);
+        let mut degraded = 0u64;
+        let mut shard_histogram = vec![0u64; meta.shards.len()];
+        let mut rung_histograms: Vec<Vec<u64>> = meta
+            .shards
+            .iter()
+            .map(|s| vec![0u64; s.ladder_len])
+            .collect();
+        let mut batch_histogram = vec![0u64; meta.batch_max.max(1)];
+        for o in outcomes {
+            shard_histogram[o.shard] += 1;
+            if let Some(r) = o.rung {
+                rung_histograms[o.shard][r] += 1;
+                if r + 1 < meta.shards[o.shard].ladder_len {
+                    degraded += 1;
+                }
+            }
+            if o.batch_size > 0 {
+                batch_histogram[o.batch_size - 1] += 1;
+            }
+        }
+        let mut latencies: Vec<u64> = outcomes
+            .iter()
+            .filter(|o| matches!(o.status, Status::Served | Status::Missed))
+            .map(|o| o.latency_us)
+            .collect();
+        latencies.sort_unstable();
+        let pct = |p: u64| nearest_rank(&latencies, p);
+        let mut rejected_delays: Vec<u64> = outcomes
+            .iter()
+            .filter(|o| o.status == Status::Rejected)
+            .map(|o| o.queue_delay_us)
+            .collect();
+        rejected_delays.sort_unstable();
+        // Accuracy-weighted goodput: Σ over served requests of the exit's
+        // accuracy fraction, per second. In ppm arithmetic that is
+        // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
+        let acc_sum_ppm: u128 = outcomes
+            .iter()
+            .filter(|o| o.status == Status::Served)
+            .map(|o| {
+                u128::from(o.rung.map_or(PPM, |r| {
+                    meta.shards[o.shard]
+                        .exit_accuracy_ppm
+                        .get(r)
+                        .copied()
+                        .unwrap_or(PPM)
+                }))
+            })
+            .sum();
+        let model_bytes: Vec<u64> = meta.shards.iter().map(|s| s.model_bytes).collect();
+        let baseline_model_bytes: Vec<u64> =
+            meta.shards.iter().map(|s| s.baseline_model_bytes).collect();
+        let fleet_model: u128 = model_bytes.iter().map(|&b| u128::from(b)).sum();
+        let fleet_baseline: u128 = baseline_model_bytes.iter().map(|&b| u128::from(b)).sum();
+        let mut generations = vec![0u64; meta.shards.len()];
+        for o in outcomes {
+            generations[o.shard] = generations[o.shard].max(o.generation);
+        }
+        ServeSummary {
+            deadline_us: meta.deadline_us,
+            workers: meta.workers,
+            degrade: meta.degrade,
+            shards: meta.shards.len(),
+            batch_max: meta.batch_max,
+            duration_us: meta.duration_us,
+            total,
+            served,
+            missed,
+            rejected,
+            dropped,
+            degraded,
+            miss_rate_ppm: ((missed + rejected + dropped) * PPM)
+                .checked_div(total)
+                .unwrap_or(0),
+            goodput_mrps: (served as u128 * 1_000_000_000)
+                .checked_div(u128::from(meta.duration_us))
+                .unwrap_or(0) as u64,
+            shard_names: meta.shards.iter().map(|s| s.name.clone()).collect(),
+            shard_histogram,
+            rung_histograms,
+            batch_histogram,
+            tail_excluded: rejected + dropped,
+            rejected_queue_p99_us: nearest_rank(&rejected_delays, 99),
+            latency_p50_us: pct(50),
+            latency_p95_us: pct(95),
+            latency_p99_us: pct(99),
+            latency_max_us: latencies.last().copied().unwrap_or(0),
+            slo_miss_budget_ppm: 0,
+            burn_rate_ppm: 0,
+            timeline_window_us: 0,
+            timeline_windows: 0,
+            worst_window_burn_ppm: 0,
+            worst_window_start_us: 0,
+            alert_counts: Vec::new(),
+            top_alerts: Vec::new(),
+            exit_accuracy_ppm: meta
+                .shards
+                .iter()
+                .map(|s| s.exit_accuracy_ppm.clone())
+                .collect(),
+            acc_goodput_mrps: (acc_sum_ppm * 1_000)
+                .checked_div(u128::from(meta.duration_us))
+                .unwrap_or(0) as u64,
+            model_bytes,
+            baseline_model_bytes,
+            model_reduction_ppm: (fleet_baseline * u128::from(PPM))
+                .checked_div(fleet_model)
+                .unwrap_or(0) as u64,
+            recalibrations: 0,
+            generations,
+            recalib_scale_ppm: vec![0; meta.shards.len()],
+        }
+    }
+
+    /// Nearest-rank percentile of an ascending-sorted slice (0 for empty),
+    /// the reference's percentile.
+    fn nearest_rank(sorted: &[u64], percentile: u64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = (sorted.len() as u64 * percentile).div_ceil(100).max(1) as usize;
+        sorted[rank.min(sorted.len()) - 1]
+    }
 
     fn meta() -> RunMeta {
         RunMeta {
@@ -731,9 +883,137 @@ mod tests {
 
     #[test]
     fn nearest_rank_handles_edges() {
+        assert_eq!(nearest_ranks(&mut [], [99, 50]), [0, 0]);
+        assert_eq!(nearest_ranks(&mut [7], [1]), [7]);
+        assert_eq!(nearest_ranks(&mut [4, 1, 3, 2], [100, 50]), [4, 2]);
+        assert_eq!(nearest_ranks(&mut [4, 1, 3, 2], [50, 50, 1]), [2, 2, 1]);
+        // The reference agrees, and both read rank ceil(n·p/100) ≥ 1 at
+        // the lengths where that rank steps.
         assert_eq!(nearest_rank(&[], 50), 0);
-        assert_eq!(nearest_rank(&[7], 1), 7);
         assert_eq!(nearest_rank(&[1, 2, 3, 4], 50), 2);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4], 100), 4);
+        for n in [1u64, 2, 99, 100, 101] {
+            let sorted: Vec<u64> = (1..=n).collect();
+            let mut shuffled: Vec<u64> = sorted.iter().rev().copied().collect();
+            let picked = nearest_ranks(&mut shuffled, [99, 95, 50, 1]);
+            let expected = [99, 95, 50, 1].map(|p| nearest_rank(&sorted, p));
+            assert_eq!(picked, expected, "n = {n}");
+        }
+    }
+
+    /// Two shards of three exits, batches of up to two: the shape the
+    /// random outcome vectors below index into.
+    fn two_shard_meta() -> RunMeta {
+        let shard = |name: &str| ShardMeta {
+            name: name.into(),
+            workers: 1,
+            ladder_len: 3,
+            exit_accuracy_ppm: vec![500_000, 700_000, 900_000],
+            model_bytes: 10,
+            baseline_model_bytes: 30,
+        };
+        RunMeta {
+            deadline_us: 900,
+            workers: 2,
+            degrade: true,
+            batch_max: 2,
+            duration_us: 1_000,
+            shards: vec![shard("a"), shard("b")],
+        }
+    }
+
+    /// Random outcome records: lengths at the nearest-rank steps (1, 2,
+    /// 99, 100, 101) or anywhere up to 300, statuses mixed or all one
+    /// kind (all rejected, all dropped, all completions), and latencies
+    /// spread wide or over a handful of values, so many tie.
+    fn outcomes_strategy() -> impl Strategy<Value = Vec<RequestOutcome>> {
+        let len = prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(2usize),
+            Just(99usize),
+            Just(100usize),
+            Just(101usize),
+            0usize..300,
+        ];
+        let spread = prop_oneof![Just(1u64), Just(3u64), 1u64..5_000];
+        (len, 0u8..4, spread).prop_flat_map(|(len, mode, spread)| {
+            let record = (
+                (0u8..4, 0usize..2, 0usize..3, 0u64..spread, 0u64..spread),
+                (1usize..3, 0u64..3, any::<bool>()),
+            );
+            prop::collection::vec(record, len..=len).prop_map(move |raw| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(
+                        |(i, ((pick, shard, rung, latency, queue), (batch, generation, emg)))| {
+                            let status = match (mode, pick) {
+                                (1, _) => Status::Rejected,
+                                (2, _) => Status::Dropped,
+                                (3, p) if p % 2 == 0 => Status::Served,
+                                (3, _) => Status::Missed,
+                                (_, 0) => Status::Served,
+                                (_, 1) => Status::Missed,
+                                (_, 2) => Status::Rejected,
+                                _ => Status::Dropped,
+                            };
+                            let ran = matches!(status, Status::Served | Status::Missed);
+                            RequestOutcome {
+                                id: i as u64,
+                                kind: if emg {
+                                    RequestKind::Emg
+                                } else {
+                                    RequestKind::Visual
+                                },
+                                arrival_us: i as u64,
+                                queue_delay_us: queue,
+                                rung: (ran && !emg).then_some(rung),
+                                service_us: if ran { latency } else { 0 },
+                                latency_us: if ran { latency } else { 0 },
+                                shard,
+                                batch_size: if ran { batch } else { 0 },
+                                generation,
+                                status,
+                            }
+                        },
+                    )
+                    .collect()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass fold equals the nine-pass reference on any
+        /// outcome vector, before a timeline is attached.
+        #[test]
+        fn one_pass_fold_equals_the_nine_pass_reference(outcomes in outcomes_strategy()) {
+            let meta = two_shard_meta();
+            prop_assert_eq!(
+                ServeSummary::from_outcomes(&outcomes, &meta),
+                nine_pass(&outcomes, &meta)
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_fold_equals_the_nine_pass_reference_on_the_matrix() {
+        for seed in [11, 13] {
+            for (leg, cfg) in crate::reference_matrix() {
+                let cfg = crate::ScenarioConfig {
+                    seed,
+                    jobs: 1,
+                    ..cfg
+                };
+                let scenario = crate::Scenario::build(cfg.clone());
+                let (outcomes, _) = scenario.run_full();
+                let meta = RunMeta::from_server(scenario.server(), cfg.duration_us);
+                assert_eq!(
+                    ServeSummary::from_outcomes(&outcomes, &meta),
+                    nine_pass(&outcomes, &meta),
+                    "{leg} at seed {seed}"
+                );
+            }
+        }
     }
 }

@@ -126,6 +126,25 @@ pub struct Timeline {
     pub residuals: ResidualTracker,
     /// Fired alerts, (window, shard, code) order.
     pub alerts: Vec<Alert>,
+    /// Every closed-loop hot-swap, in the order the controller made them.
+    /// Not rendered: the JSON lines show each swap as the OBS005 alert of
+    /// its (window, shard), which keeps schema v1 but folds the swaps
+    /// that share one.
+    pub swaps: Vec<Swap>,
+}
+
+/// One closed-loop hot-swap: at watermark `t_us` the controller moved
+/// `shard` to ladder generation `generation`, calibrated at `calib_ppm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Swap {
+    /// Watermark of the swap, microseconds of virtual time.
+    pub t_us: u64,
+    /// Shard whose ladder was swapped.
+    pub shard: usize,
+    /// Ladder generation the shard serves from the swap on.
+    pub generation: u64,
+    /// Calibration factor of the swapped-in ladder, ppm.
+    pub calib_ppm: u64,
 }
 
 impl Timeline {
@@ -333,9 +352,8 @@ pub(crate) struct TimelineBuilder {
     cache_live: bool,
     /// Fault windows opening per shard: `(window, shard, t_us, magnitude)`.
     fault_entries: Vec<(u64, usize, u64, u64)>,
-    /// Hot-swaps landing per shard:
-    /// `(window, shard, t_us, calib_ppm, generation)`.
-    recalib_entries: Vec<(u64, usize, u64, u64, u64)>,
+    /// The run's hot-swaps, controller order.
+    swaps: Vec<Swap>,
 }
 
 impl TimelineBuilder {
@@ -362,7 +380,7 @@ impl TimelineBuilder {
             cached_base: 0,
             cache_live: false,
             fault_entries,
-            recalib_entries: Vec::new(),
+            swaps: Vec::new(),
         }
     }
 
@@ -387,23 +405,10 @@ impl TimelineBuilder {
         &mut self.cells[self.cached_base + shard]
     }
 
-    /// The closed-loop controller recalibrated `shard` at `t_us`,
-    /// hot-swapping in ladder generation `generation` with calibration
-    /// factor `calib_ppm`.
-    pub(crate) fn recalibrated(
-        &mut self,
-        t_us: u64,
-        shard: usize,
-        generation: u64,
-        calib_ppm: u64,
-    ) {
-        self.recalib_entries.push((
-            t_us / self.cfg.window_us,
-            shard,
-            t_us,
-            calib_ppm,
-            generation,
-        ));
+    /// The closed-loop controller made `swap`; swaps come in controller
+    /// order.
+    pub(crate) fn recalibrated(&mut self, swap: Swap) {
+        self.swaps.push(swap);
     }
 
     /// A request arriving at `arrival_us` on `shard` ended in `status`.
@@ -449,7 +454,18 @@ impl TimelineBuilder {
     pub(crate) fn finish(mut self, samples: impl IntoIterator<Item = ResidualSample>) -> Timeline {
         let shards = self.shard_names.len();
         let last_fault = self.fault_entries.iter().map(|&(w, ..)| w).max();
-        let last_recalib = self.recalib_entries.iter().map(|&(w, ..)| w).max();
+        // Hot-swaps landing per shard:
+        // `(window, shard, t_us, calib_ppm, generation)`, sorted.
+        let mut recalib_entries: Vec<(u64, usize, u64, u64, u64)> = self
+            .swaps
+            .iter()
+            .map(|sw| {
+                let w = sw.t_us / self.cfg.window_us;
+                (w, sw.shard, sw.t_us, sw.calib_ppm, sw.generation)
+            })
+            .collect();
+        recalib_entries.sort_unstable();
+        let last_recalib = recalib_entries.iter().map(|&(w, ..)| w).max();
         let windows = self
             .last_window
             .into_iter()
@@ -461,7 +477,6 @@ impl TimelineBuilder {
         // extend the dense cells so every row reads a real (empty) cell.
         self.cells
             .resize_with((windows as usize) * shards, Cell::default);
-        self.recalib_entries.sort_unstable();
         let mut samples = samples.into_iter().peekable();
         let slo = SloPolicy::default();
         let mut residuals = ResidualTracker::new(&self.ladder_lens, obs::DEFAULT_ALPHA_PPM);
@@ -492,7 +507,7 @@ impl TimelineBuilder {
                 // First swap landing in this (window, shard), if any; the
                 // row's generation reflects every swap through the window.
                 let mut recalib: Option<(u64, u64)> = None;
-                for &(rw, rs, t_us, calib_ppm, generation) in &self.recalib_entries {
+                for &(rw, rs, t_us, calib_ppm, generation) in &recalib_entries {
                     if rw == w && rs == s {
                         if recalib.is_none() {
                             recalib = Some((t_us, calib_ppm));
@@ -566,6 +581,7 @@ impl TimelineBuilder {
             rows,
             residuals,
             alerts,
+            swaps: self.swaps,
         }
     }
 }
@@ -677,8 +693,15 @@ mod tests {
         let mut b = builder(&shards);
         b.request(10, 0, Status::Served, false, 5);
         b.request(150_000, 0, Status::Served, false, 5);
-        b.recalibrated(123_456, 0, 1, 1_300_000);
+        let swap = Swap {
+            t_us: 123_456,
+            shard: 0,
+            generation: 1,
+            calib_ppm: 1_300_000,
+        };
+        b.recalibrated(swap);
         let tl = b.finish([]);
+        assert_eq!(tl.swaps, vec![swap], "the swap log rides along");
         let obs005: Vec<&Alert> = tl
             .alerts
             .iter()

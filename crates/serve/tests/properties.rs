@@ -11,10 +11,12 @@
 //!    at `--jobs 1` and `--jobs 8`.
 
 use netcut_serve::{
-    run_scenario, Batcher, FaultPlan, Rung, Scenario, ScenarioConfig, Server, ServerConfig, Shard,
-    Status, TrnLadder, Workload, PPM,
+    build_ladder_for, run_scenario, Batcher, FaultPlan, Rung, Scenario, ScenarioConfig, Server,
+    ServerConfig, Shard, Status, TrnLadder, Workload, PPM,
 };
+use netcut_sim::DeviceModel;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Random ladder: strictly-increasing integer latencies via positive
 /// increments, accuracy ascending with latency (as a Pareto set is).
@@ -70,11 +72,19 @@ fn server_config_strategy() -> impl Strategy<Value = ServerConfig> {
 }
 
 /// A ladder plus random nondecreasing batch-scaling curves (what scenario
-/// construction computes analytically).
+/// construction computes analytically), covering batches up to 8.
 fn curved_ladder_strategy() -> impl Strategy<Value = TrnLadder> {
+    curved_ladder_strategy_with(7..=7)
+}
+
+/// A ladder whose batch-scaling curves each take `steps` entries past
+/// batch 1; shorter curves leave rungs on the linear fallback.
+fn curved_ladder_strategy_with(
+    steps: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = TrnLadder> {
     (
         ladder_strategy(),
-        prop::collection::vec(prop::collection::vec(0u64..400_000, 7), 12),
+        prop::collection::vec(prop::collection::vec(0u64..400_000, steps), 12),
     )
         .prop_map(|(ladder, curve_steps)| {
             let curves = (0..ladder.len())
@@ -315,6 +325,108 @@ proptest! {
             budget_lo,
             budget_lo + budget_extra
         );
+    }
+}
+
+/// Batch admission as a top-down scan of every rung per call, the way
+/// the runtime decided joins before it tabulated the overhead test: the
+/// most accurate rung whose batched latency fits the tightest member's
+/// slack and whose batching overhead fits the budget.
+fn admit_by_scan(
+    batcher: &Batcher,
+    ladder: &TrnLadder,
+    start_us: u64,
+    tightest_abs_us: u64,
+    size: usize,
+    degrade: bool,
+) -> Option<usize> {
+    if size > batcher.batch_max {
+        return None;
+    }
+    let slack = tightest_abs_us.saturating_sub(start_us);
+    let fits = |r: usize| {
+        let batched = ladder.predicted_batch_latency_us(r, size);
+        batched <= slack && batched - ladder.predicted_batch_latency_us(r, 1) <= batcher.slack_us
+    };
+    if degrade {
+        (0..ladder.len()).rev().find(|&r| fits(r))
+    } else {
+        Some(ladder.top()).filter(|&r| fits(r))
+    }
+}
+
+/// The Xavier and Nano scenario ladders with their batch-8 curves, built
+/// once for every case.
+fn scenario_ladders() -> &'static [TrnLadder; 2] {
+    static LADDERS: OnceLock<[TrnLadder; 2]> = OnceLock::new();
+    LADDERS.get_or_init(|| {
+        let cfg = ScenarioConfig {
+            batch_max: 8,
+            ..ScenarioConfig::default()
+        };
+        [DeviceModel::jetson_xavier(), DeviceModel::jetson_nano()]
+            .map(|device| build_ladder_for(&cfg, &device).expect("scenario ladder"))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Admission lists answer every join exactly as the per-call scan
+    /// did: the same rung or `None`, for curve-less ladders, short
+    /// curves, both scenario ladders at batch 8, any calibration (as after
+    /// a hot-swap), degradation on and off, every size up to one past
+    /// `batch_max`, and a slack at, just below and just above every
+    /// rung's batched latency, from 0 to past the top rung. A batch of one
+    /// is no join, so the lists refuse size 1, where `admit` still
+    /// answers as the scan does.
+    #[test]
+    fn admission_lists_match_the_scan_they_replace(
+        pick in 0usize..4,
+        random in curved_ladder_strategy_with(0..=3),
+        flat in ladder_strategy(),
+        calib_ppm in prop_oneof![Just(PPM), 400_000u64..2_500_000],
+        batch_max in 1usize..9,
+        budget in prop_oneof![Just(300u64), 0u64..3_000],
+        degrade in any::<bool>(),
+        start_us in 0u64..5_000,
+    ) {
+        let ladder = match pick {
+            0 => flat,
+            1 => random,
+            p => scenario_ladders()[p - 2].clone(),
+        }
+        .with_calibration(calib_ppm);
+        let batcher = Batcher { batch_max, slack_us: budget };
+        let lists = batcher.lists(&ladder, degrade);
+        for size in 1..=batch_max + 1 {
+            let mut slacks = vec![0, u64::MAX - start_us];
+            for r in 0..ladder.len() {
+                let batched = ladder.predicted_batch_latency_us(r, size);
+                slacks.extend([batched.saturating_sub(1), batched, batched + 1]);
+            }
+            for slack in slacks {
+                let tightest = start_us + slack;
+                let expected = admit_by_scan(&batcher, &ladder, start_us, tightest, size, degrade);
+                prop_assert_eq!(
+                    lists.admit(&ladder, start_us, tightest, size),
+                    expected.filter(|_| size > 1),
+                    "lists, size {} slack {}", size, slack
+                );
+                prop_assert_eq!(
+                    batcher.admit(&ladder, start_us, tightest, size, degrade),
+                    expected,
+                    "admit, size {} slack {}", size, slack
+                );
+            }
+            // A deadline already behind the batch start has no slack.
+            let behind = start_us.saturating_sub(1);
+            prop_assert_eq!(
+                lists.admit(&ladder, start_us, behind, size),
+                admit_by_scan(&batcher, &ladder, start_us, behind, size, degrade)
+                    .filter(|_| size > 1)
+            );
+        }
     }
 }
 

@@ -12,7 +12,11 @@
 //!    summary's final generations match the timeline's last windows.
 //! 4. Determinism: the recalibrating scenario's summary is bit-identical
 //!    at `--jobs 1` and `--jobs 8`.
+//! 5. The summary's recalibration block is the run's swap log: it counts
+//!    every swap and reports each shard's last generation and scale,
+//!    whatever the telemetry window and wherever requests were routed.
 
+use netcut_obs::alert::AlertCode;
 use netcut_serve::{Scenario, ScenarioConfig, ServeSummary, Timeline};
 
 /// The drifting scenario all properties run against: +30% thermal
@@ -151,4 +155,79 @@ fn recalibrating_summaries_are_bit_identical_across_jobs() {
     assert!(summary_seq.recalibrations > 0);
     // The timelines (including OBS005 alert placement) match too.
     assert_eq!(tl_seq.to_jsonl(), tl_par.to_jsonl());
+}
+
+/// Two or three shards on the drift scenario with no cooldown, so
+/// shards swap at consecutive watermarks.
+fn swapping(duration_us: u64, shards: usize, timeline_window_us: u64) -> (ServeSummary, Timeline) {
+    Scenario::try_build(ScenarioConfig {
+        duration_us,
+        shards,
+        workers: 4,
+        faults: false,
+        thermal_ppm: 1_300_000,
+        recalibrate: true,
+        recalib_cooldown_us: 1,
+        timeline_window_us,
+        ..ScenarioConfig::default()
+    })
+    .expect("swapping scenario builds")
+    .run_summary()
+}
+
+/// Each shard's `(last generation, last scale)` straight off the log.
+fn last_swaps(timeline: &Timeline) -> Vec<(u64, u64)> {
+    let mut last = vec![(0, 0); timeline.shard_names.len()];
+    for swap in &timeline.swaps {
+        last[swap.shard] = (swap.generation, swap.calib_ppm);
+    }
+    last
+}
+
+#[test]
+fn the_recalibration_block_does_not_depend_on_the_window() {
+    // One 5 s window holds all of a 3 s run, so each shard's swaps share
+    // one (window, shard) and one OBS005 alert; 100 ms windows give every
+    // swap its own. The block must read the same either way.
+    let (wide, wide_timeline) = swapping(3_000_000, 2, 5_000_000);
+    let (narrow, narrow_timeline) = swapping(3_000_000, 2, 100_000);
+    assert_eq!(wide_timeline.swaps, narrow_timeline.swaps);
+    assert_eq!(
+        wide_timeline.alert_counts()[AlertCode::Recalibrated.index()],
+        2,
+        "the wide window folds the swaps into one alert per shard"
+    );
+    for summary in [&wide, &narrow] {
+        assert_eq!(summary.recalibrations, 5);
+        assert_eq!(summary.generations, vec![2, 3]);
+        assert_eq!(summary.recalib_scale_ppm, vec![994_145, 997_067]);
+    }
+    let last = last_swaps(&wide_timeline);
+    assert_eq!(
+        wide.generations,
+        last.iter().map(|l| l.0).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        wide.recalib_scale_ppm,
+        last.iter().map(|l| l.1).collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn a_shard_swapped_after_its_last_request_reports_the_swap() {
+    // Shard 1 swaps, then routing sends it no further request: its
+    // outcomes never carry the new generation, but the swap log does.
+    let (summary, timeline) = swapping(300_100, 3, 100_000);
+    assert_eq!(summary.recalibrations, 7);
+    assert_eq!(summary.recalibrations, timeline.swaps.len() as u64);
+    assert_eq!(summary.generations, vec![3, 1, 3]);
+    assert_eq!(
+        summary.recalib_scale_ppm,
+        vec![998_959, 1_012_295, 1_009_112]
+    );
+    assert_eq!(
+        summary.recalibrations,
+        summary.generations.iter().sum::<u64>(),
+        "every swap bumps exactly one shard's generation by one"
+    );
 }

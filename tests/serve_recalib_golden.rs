@@ -10,17 +10,28 @@
 //! whole loop — refit scale, swap count, generation tags, and the OBS005
 //! alert — field for field at any `NETCUT_TEST_JOBS`.
 //!
+//! `tests/golden/serve_seed11_recalib_batch.json` closes the same loop
+//! with dynamic batching on: two shards, `--batch-max 8` and a 2 ms
+//! deadline, so batches of up to six form on both sides of the one
+//! hot-swap. Batch admission is tabulated per ladder, and this golden is
+//! what shows a swapped-in ladder admitting from its own lists rather than
+//! from its predecessor's.
+//!
 //! If a deliberate behaviour change alters the expected output,
-//! regenerate the golden file with:
+//! regenerate the golden files with:
 //!
 //! ```text
 //! cargo run -p netcut-cli -- serve --duration 0.5 --json --no-faults \
 //!     --thermal-ppm 1300000 --recalibrate --recalib-cooldown-us 150000 \
 //!     > tests/golden/serve_seed11_recalib.json
+//! cargo run -p netcut-cli -- serve --duration 0.5 --json --batch-max 8 \
+//!     --shards 2 --no-faults --thermal-ppm 1300000 --recalibrate \
+//!     --recalib-cooldown-us 150000 --deadline-us 2000 \
+//!     > tests/golden/serve_seed11_recalib_batch.json
 //! ```
 //!
 //! and explain the change in the commit message. The CI golden-freshness
-//! step runs exactly that command and fails on any diff. The committed
+//! step runs exactly those commands and fails on any diff. The committed
 //! values are calibrated against the vendored offline `rand` stand-in
 //! (see `offline/README.md`).
 
@@ -28,6 +39,7 @@ use netcut_serve::{run_scenario, Scenario, ScenarioConfig};
 use serde_json::Value;
 
 const GOLDEN: &str = include_str!("golden/serve_seed11_recalib.json");
+const GOLDEN_BATCH: &str = include_str!("golden/serve_seed11_recalib_batch.json");
 const GOLDEN_BASELINE: &str = include_str!("golden/serve_seed11.json");
 const GOLDEN_TIMELINE: &str = include_str!("golden/serve_seed11_timeline.jsonl");
 
@@ -52,10 +64,10 @@ fn golden_config() -> ScenarioConfig {
     }
 }
 
-#[test]
-fn recalibrating_run_matches_the_golden_summary() {
-    let golden: Value = GOLDEN.parse().expect("golden file is valid JSON");
-    let actual: Value = run_scenario(golden_config())
+/// Field-by-field comparison, so a regression names exactly what moved.
+fn assert_matches_golden(golden_text: &str, cfg: ScenarioConfig, name: &str) {
+    let golden: Value = golden_text.parse().expect("golden file is valid JSON");
+    let actual: Value = run_scenario(cfg)
         .to_json()
         .parse()
         .expect("summary renders valid JSON");
@@ -78,9 +90,46 @@ fn recalibrating_run_matches_the_golden_summary() {
     }
     assert!(
         mismatches.is_empty(),
-        "summary diverged from tests/golden/serve_seed11_recalib.json:\n  {}\n\
+        "summary diverged from tests/golden/{name}:\n  {}\n\
          (see file header for the regeneration command)",
         mismatches.join("\n  ")
+    );
+}
+
+#[test]
+fn recalibrating_run_matches_the_golden_summary() {
+    assert_matches_golden(GOLDEN, golden_config(), "serve_seed11_recalib.json");
+}
+
+#[test]
+fn batched_recalibrating_run_matches_the_golden_summary() {
+    assert_matches_golden(
+        GOLDEN_BATCH,
+        ScenarioConfig {
+            deadline_us: 2_000,
+            batch_max: 8,
+            shards: 2,
+            ..golden_config()
+        },
+        "serve_seed11_recalib_batch.json",
+    );
+}
+
+#[test]
+fn batched_recalib_golden_sanity() {
+    // The golden must batch on both sides of a swap to pin per-ladder
+    // admission: at least one hot-swap, and batches past size two.
+    let golden: Value = GOLDEN_BATCH.parse().expect("golden file is valid JSON");
+    assert!(golden["recalibrations"].as_u64().expect("recalibrations") >= 1);
+    let batches: Vec<u64> = golden["batch_histogram"]
+        .as_array()
+        .expect("batch histogram")
+        .iter()
+        .map(|v| v.as_u64().expect("integer count"))
+        .collect();
+    assert!(
+        batches.iter().skip(2).any(|&n| n > 0),
+        "no batch of three or more: {batches:?}"
     );
 }
 
