@@ -1,37 +1,19 @@
-//! Runs the entire evaluation in one pass and writes a combined markdown
-//! report to `results/REPORT.md` — the single-artifact view of the
-//! reproduction.
+//! Regenerates the paper's evaluation in one pass: runs every study of
+//! [`netcut_bench::paper::DOCUMENTS`] over one shared lab, writes each
+//! `results/<name>.json`, and writes the combined report to
+//! `results/REPORT.md` — the single-artifact view of the reproduction.
+//!
+//! Every written byte is a function of the tree: a rerun on an unchanged
+//! tree rewrites the same files, at any CPU count, and CI fails on
+//! `git diff --exit-code results/` after running it. What varies from run
+//! to run (the git state and the wall-clock of each phase) goes to stdout
+//! only.
 
-use netcut::explore::Exploration;
-use netcut::netcut::NetCut;
-use netcut::pareto::{best_meeting_deadline, frontier_expansion, pareto_frontier};
-use netcut_bench::estimator_study::{fit_all, measure_all};
-use netcut_bench::{gate, metrics_markdown, timed_phase, Lab, RunMetadata, DEADLINE_MS};
-use netcut_estimate::{mean_relative_error, LatencyEstimator};
+use netcut_bench::estimator_study::STUDY_SEED;
+use netcut_bench::{gate, metrics_markdown, paper, timed_phase, Lab, RunMetadata, DEADLINE_MS};
 use netcut_graph::HeadSpec;
 use std::fmt::Write as _;
-
-fn exploration_table(md: &mut String, sweep: &Exploration, frontier_only: bool) {
-    let frontier = pareto_frontier(&sweep.points);
-    let rows: Vec<usize> = if frontier_only {
-        frontier.clone()
-    } else {
-        (0..sweep.points.len()).collect()
-    };
-    let _ = writeln!(md, "| network | latency (ms) | accuracy | pareto |");
-    let _ = writeln!(md, "|---|---|---|---|");
-    for i in rows {
-        let p = &sweep.points[i];
-        let _ = writeln!(
-            md,
-            "| {} | {:.3} | {:.3} | {} |",
-            p.name,
-            p.latency_ms,
-            p.accuracy,
-            if frontier.contains(&i) { "*" } else { "" }
-        );
-    }
-}
+use std::time::Instant;
 
 /// Renders the serving-runtime section from `results/BENCH_serve.json`:
 /// the goodput/miss-rate table across the batching × sharding matrix and
@@ -285,131 +267,23 @@ fn main() {
         lab.session.device().name
     );
 
-    // Off-the-shelf landscape.
-    let shelf = timed_phase("phase.off_the_shelf_us", || lab.off_the_shelf());
-    let best_shelf =
-        best_meeting_deadline(&shelf.points, DEADLINE_MS).expect("a network meets the deadline");
-    let _ = writeln!(md, "## Off-the-shelf networks (Fig. 1)\n");
-    exploration_table(&mut md, &shelf, false);
-    let _ = writeln!(
-        md,
-        "\nBest network meeting the deadline: **{}** at {:.3} ms, accuracy {:.3}.\n",
-        best_shelf.name, best_shelf.latency_ms, best_shelf.accuracy
-    );
-
-    // Exhaustive sweep + frontier.
-    let sweep = timed_phase("phase.exhaustive_us", || lab.exhaustive());
-    let expansion = frontier_expansion(&sweep.points, &shelf.points);
-    let _ = writeln!(md, "## Blockwise TRN sweep (Figs. 5–7)\n");
-    let _ = writeln!(
-        md,
-        "{} TRNs retrained for {:.1} h. Max relative improvement over the \
-         off-the-shelf frontier: **{:.2} %**; {} of {} TRNs improve.\n",
-        sweep.networks_trained(),
-        sweep.total_train_hours,
-        expansion.max_improvement * 100.0,
-        expansion.improving_points,
-        expansion.evaluated_points
-    );
-    let _ = writeln!(md, "New Pareto frontier:\n");
-    let mut all = sweep.points.clone();
-    all.extend(shelf.points.iter().cloned());
-    let combined = Exploration {
-        points: all,
-        total_train_hours: 0.0,
-    };
-    exploration_table(&mut md, &combined, true);
-
-    // Estimators.
-    let measured = timed_phase("phase.measure_all_us", || measure_all(&lab));
-    let fitted = timed_phase("phase.fit_estimators_us", || fit_all(&lab, &measured, 17));
-    let truth: Vec<f64> = fitted
-        .test_indices
-        .iter()
-        .map(|&i| measured.latency_ms[i])
-        .collect();
-    let err_of = |est: &dyn LatencyEstimator| -> f64 {
-        let pred: Vec<f64> = fitted
-            .test_indices
-            .iter()
-            .map(|&i| est.estimate_ms(&measured.trns[i]))
-            .collect();
-        mean_relative_error(&pred, &truth)
-    };
-    let _ = writeln!(md, "\n## Latency estimators (Figs. 8–9)\n");
-    let _ = writeln!(md, "| estimator | held-out mean relative error | paper |");
-    let _ = writeln!(md, "|---|---|---|");
-    let _ = writeln!(
-        md,
-        "| profiler ratio | {:.2} % | 3.50 % |",
-        err_of(&fitted.profiler) * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| RBF SVR (C={:.0e}, γ={}) | {:.2} % | 4.28 % |",
-        fitted.svr_params.c,
-        fitted.svr_params.gamma,
-        err_of(&fitted.svr) * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| linear regression | {:.2} % | 23.81 % |",
-        err_of(&fitted.linear) * 100.0
-    );
-
-    // NetCut. Both runs evaluate through the lab's shared cache, so every
-    // source measurement and any TRN already evaluated by the sweep above
-    // is served from the memo instead of re-simulated.
-    let (outcome_p, outcome_a) = timed_phase("phase.netcut_us", || {
-        (
-            NetCut::new(&fitted.profiler, &lab.retrainer).run_with(
-                &lab.sources,
-                DEADLINE_MS,
-                &lab.ctx(),
-            ),
-            NetCut::new(&fitted.svr, &lab.retrainer).run_with(
-                &lab.sources,
-                DEADLINE_MS,
-                &lab.ctx(),
-            ),
-        )
-    });
-    let _ = writeln!(md, "\n## NetCut selections (Fig. 10)\n");
-    for (label, outcome) in [("profiler", &outcome_p), ("analytical", &outcome_a)] {
-        let sel = outcome.selected().expect("selection exists");
-        let _ = writeln!(
-            md,
-            "* **{label}**: {} ({} kept layers) at {:.3} ms, accuracy {:.3} \
-             ({:+.1} % over {}).",
-            sel.name,
-            sel.kept_layers,
-            sel.latency_ms,
-            sel.accuracy,
-            (sel.accuracy / best_shelf.accuracy - 1.0) * 100.0,
-            best_shelf.name
+    // The figures and ablations, each written as its study returns it.
+    for (name, study) in paper::DOCUMENTS {
+        let start = Instant::now();
+        let document = study(&lab);
+        let path = gate::results_path(&format!("{name}.json"));
+        gate::write(&path, &document.json);
+        md.push_str(&document.report);
+        println!(
+            "raw data: {} ({:.2} s)\n",
+            path.display(),
+            start.elapsed().as_secs_f64()
         );
     }
-    let mut trained: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    let mut hours = 0.0;
-    for p in outcome_p.proposals.iter().chain(outcome_a.proposals.iter()) {
-        if trained.insert(&p.name) {
-            hours += p.train_hours;
-        }
-    }
-    let _ = writeln!(
-        md,
-        "\nExploration: **{} networks / {:.1} h** (NetCut, both estimators) vs \
-         **{} networks / {:.1} h** (exhaustive) — **{:.0}× speedup** \
-         (paper: 9 / 6.7 h vs 148 / 183 h, 27×).",
-        trained.len(),
-        hours,
-        sweep.networks_trained(),
-        sweep.total_train_hours,
-        sweep.total_train_hours / hours
-    );
 
     // Evaluation cache: how much simulated work the shared memo absorbed
-    // across all phases of the suite.
+    // across the studies that evaluate through the lab's context. The
+    // wall-clock it saved goes to stdout only.
     let stats = lab.eval_stats();
     let _ = writeln!(md, "\n## Evaluation cache\n");
     let _ = writeln!(md, "| metric | value |");
@@ -420,11 +294,6 @@ fn main() {
         stats.hit_rate() * 100.0,
         stats.hits,
         stats.misses
-    );
-    let _ = writeln!(
-        md,
-        "| eval wall-clock | {:.2} s computed, {:.2} s saved |",
-        stats.eval_wall_s, stats.saved_wall_s
     );
     let _ = writeln!(
         md,
@@ -523,37 +392,15 @@ fn main() {
         detlint.render_text()
     });
 
-    // Run metadata & metrics: provenance plus the counters and per-phase
-    // wall-clock accumulated across the whole suite.
-    let meta = RunMetadata::collect(&lab, 17);
+    // Run metadata & metrics: the seed, the setup and the counters and
+    // histograms accumulated across the whole suite; the git state and the
+    // per-phase wall-clock go to stdout with them.
+    let meta = RunMetadata::collect(&lab, STUDY_SEED);
     let _ = writeln!(md, "\n## Run metadata & metrics\n");
     md.push_str(&metrics_markdown(&meta));
 
-    let path = netcut_bench::write_json(
-        "suite_summary",
-        &serde_json::json!({
-            "best_shelf": best_shelf,
-            "expansion_max": expansion.max_improvement,
-            "netcut_hours": hours,
-            "exhaustive_hours": sweep.total_train_hours,
-            "eval_cache": stats,
-            "verify": {
-                "graphs": verified_graphs,
-                "errors": verify_summary.errors,
-                "warnings": verify_summary.warnings,
-                "notes": verify_summary.notes,
-                "serve_configs": serve_configs,
-                "serve_errors": serve_verify.errors,
-                "detlint_files": detlint.files_scanned,
-                "detlint_findings": detlint.findings.len(),
-                "detlint_allowed": detlint.allowed.len(),
-                "detlint_stale": detlint.stale.len(),
-            },
-            "metadata": meta,
-        }),
-    );
-    let report_path = path.with_file_name("REPORT.md");
-    std::fs::write(&report_path, &md).expect("write report");
-    println!("{md}");
+    let report_path = gate::results_path("REPORT.md");
+    gate::write(&report_path, &md);
     println!("written: {}", report_path.display());
+    netcut_bench::print_run_summary(&meta);
 }

@@ -1,29 +1,37 @@
-//! Shared harness for the figure-regeneration binaries (`fig01` … `fig10`)
-//! and the Criterion microbenches.
+//! The harness behind the bench binaries.
 //!
-//! Every figure of the paper's evaluation has a binary that recomputes its
-//! data on the simulated testbed and prints the series the paper reports;
-//! each binary also writes its raw rows as JSON under `results/`.
+//! [`paper`] is the paper's evaluation as one table: every figure and
+//! ablation document under `results/`, each computed over one shared
+//! [`Lab`]. `suite_report` runs the table and writes the documents and
+//! `results/REPORT.md`. [`serve_matrix`] and [`simcore`] are the serving
+//! runtime's reference matrix and event-loop throughput harness, and
+//! [`gate`] compares their fresh documents with the committed ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use estimator_study::{fit_all, measure_all, EstimatorStudy, STUDY_SEED};
 use netcut::eval::{EvalCaches, EvalContext, EvalStats};
 use netcut::explore::{exhaustive_blockwise_with, off_the_shelf_with, Exploration};
 use netcut_graph::{HeadSpec, Network};
 use netcut_sim::{DeviceModel, Precision, Session};
 use netcut_train::SurrogateRetrainer;
-use serde::Serialize;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub mod gate;
+pub mod paper;
 
 /// The common experimental setup: the paper's seven source networks on the
 /// Xavier-class device at INT8 with the surrogate retrainer. Every phase
 /// run through the lab evaluates via a shared [`EvalContext`], so repeated
 /// measurements / retrains of the same network are served from one memo
 /// cache across the whole run.
+///
+/// The three results several documents read (the off-the-shelf set, the
+/// exhaustive sweep and the estimator study) are computed on first use
+/// and shared for the rest of the run. Sharing cannot change a value: the
+/// evaluation cache keys cover the session, the network's structure and
+/// name, and the seed.
 pub struct Lab {
     /// Deployment session (device + precision).
     pub session: Session,
@@ -34,8 +42,9 @@ pub struct Lab {
     /// Paper-scale retrainer.
     pub retrainer: SurrogateRetrainer,
     caches: Arc<EvalCaches>,
-    jobs: usize,
-    use_cache: bool,
+    shelf: OnceLock<Exploration>,
+    sweep: OnceLock<Exploration>,
+    study: OnceLock<EstimatorStudy>,
 }
 
 /// The application deadline of the robotic prosthetic hand's visual
@@ -43,8 +52,8 @@ pub struct Lab {
 pub const DEADLINE_MS: f64 = 0.9;
 
 impl Lab {
-    /// Builds the standard setup: shared cache enabled, one worker per
-    /// available CPU.
+    /// Builds the standard setup: shared cache, one worker per available
+    /// CPU, nothing computed yet.
     pub fn new() -> Self {
         Lab {
             session: Session::new(DeviceModel::jetson_xavier(), Precision::Int8),
@@ -52,22 +61,10 @@ impl Lab {
             head: HeadSpec::default(),
             retrainer: SurrogateRetrainer::paper(),
             caches: Arc::new(EvalCaches::new()),
-            jobs: 0,
-            use_cache: true,
+            shelf: OnceLock::new(),
+            sweep: OnceLock::new(),
+            study: OnceLock::new(),
         }
-    }
-
-    /// Sets the evaluation worker count (`0` = one per available CPU,
-    /// `1` = sequential).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Enables or disables evaluation memoization.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
-        self
     }
 
     /// Mints an [`EvalContext`] bound to this lab's session, retrainer and
@@ -75,8 +72,7 @@ impl Lab {
     pub fn ctx(&self) -> EvalContext<'_, SurrogateRetrainer> {
         EvalContext::new(&self.session, &self.retrainer)
             .with_shared_caches(self.caches.clone())
-            .with_jobs(self.jobs)
-            .with_cache(self.use_cache)
+            .with_jobs(0)
     }
 
     /// Snapshot of the shared cache statistics accumulated so far.
@@ -86,14 +82,34 @@ impl Lab {
 
     /// The off-the-shelf baseline (Fig. 1): each source with a transfer
     /// head, measured and retrained.
-    pub fn off_the_shelf(&self) -> Exploration {
-        off_the_shelf_with(&self.ctx(), &self.sources, &self.head, 1)
+    pub fn off_the_shelf(&self) -> &Exploration {
+        self.shelf.get_or_init(|| {
+            timed_phase("phase.off_the_shelf_us", || {
+                off_the_shelf_with(&self.ctx(), &self.sources, &self.head, 1)
+            })
+        })
     }
 
     /// The exhaustive blockwise sweep (Figs. 5–7): every TRN measured and
     /// retrained.
-    pub fn exhaustive(&self) -> Exploration {
-        exhaustive_blockwise_with(&self.ctx(), &self.sources, &self.head, 1)
+    pub fn exhaustive(&self) -> &Exploration {
+        self.sweep.get_or_init(|| {
+            timed_phase("phase.exhaustive_us", || {
+                exhaustive_blockwise_with(&self.ctx(), &self.sources, &self.head, 1)
+            })
+        })
+    }
+
+    /// The estimator study (Figs. 8–9): every blockwise TRN measured, and
+    /// the three estimators fitted on the split seeded [`STUDY_SEED`].
+    pub fn estimator_study(&self) -> &EstimatorStudy {
+        self.study.get_or_init(|| {
+            let measured = timed_phase("phase.measure_all_us", || measure_all(self));
+            let fitted = timed_phase("phase.fit_estimators_us", || {
+                fit_all(self, &measured, STUDY_SEED)
+            });
+            EstimatorStudy { measured, fitted }
+        })
     }
 
     /// A source network by family name.
@@ -115,23 +131,9 @@ impl Default for Lab {
     }
 }
 
-/// Writes a figure's raw data as pretty JSON under `results/<name>.json`
-/// at the workspace root, returning the path.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written — the harness treats result loss
-/// as fatal.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = gate::results_path(&format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize results");
-    gate::write(&path, &json);
-    path
-}
-
-/// Metadata identifying one benchmark run, reported alongside its metrics
-/// so results files are traceable to a code state and configuration.
-#[derive(Debug, Clone, Serialize)]
+/// Metadata identifying one run of the suite, reported alongside its
+/// metrics so results are traceable to a code state and configuration.
+#[derive(Debug, Clone)]
 pub struct RunMetadata {
     /// Master measurement seed of the run.
     pub seed: u64,
@@ -146,15 +148,10 @@ pub struct RunMetadata {
 impl RunMetadata {
     /// Collects the metadata for a run of `lab` seeded with `seed`.
     pub fn collect(lab: &Lab, seed: u64) -> Self {
-        Self::from_session(&lab.session, seed)
-    }
-
-    /// Collects the metadata for a run on an arbitrary session.
-    pub fn from_session(session: &Session, seed: u64) -> Self {
         RunMetadata {
             seed,
-            device: session.device().name.clone(),
-            precision: format!("{:?}", session.precision()).to_lowercase(),
+            device: lab.session.device().name.clone(),
+            precision: format!("{:?}", lab.session.precision()).to_lowercase(),
             git: git_describe(),
         }
     }
@@ -175,9 +172,13 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
+/// Prefix of the wall-clock histograms [`timed_phase`] records.
+const PHASE_PREFIX: &str = "phase.";
+
 /// Runs `f` as a named phase: a span (visible in traces when a sink is
 /// installed) plus an always-on wall-clock histogram entry under `name`,
-/// in microseconds.
+/// in microseconds. `name` starts with `phase.`, which keeps it out of
+/// `REPORT.md` ([`metrics_markdown`]).
 pub fn timed_phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     let _span = netcut_obs::span(name);
     let start = std::time::Instant::now();
@@ -186,10 +187,10 @@ pub fn timed_phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Prints the run-metadata and metrics summary block every figure binary
-/// emits after its results: seed/device/git provenance, then the counters
-/// (candidates, measurements, retrains) and histograms (retrain-hours,
-/// per-phase wall-clock) accumulated during the run.
+/// Prints the run-metadata and metrics summary block: seed/device/git
+/// provenance, then every counter (candidates, measurements, retrains) and
+/// histogram (retrain-hours, per-phase wall-clock) accumulated during the
+/// run.
 pub fn print_run_summary(meta: &RunMetadata) {
     println!();
     println!("run summary:");
@@ -203,8 +204,11 @@ pub fn print_run_summary(meta: &RunMetadata) {
     }
 }
 
-/// The same summary block as [`print_run_summary`], rendered as markdown
-/// for `REPORT.md`.
+/// The deterministic part of [`print_run_summary`], rendered as markdown
+/// for `REPORT.md`: seed, device, precision, the counters and the
+/// histograms. The git state and the `phase.` wall-clock histograms vary
+/// from run to run, so they go to stdout only and a rerun on an unchanged
+/// tree rewrites the same report.
 pub fn metrics_markdown(meta: &RunMetadata) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
@@ -213,12 +217,14 @@ pub fn metrics_markdown(meta: &RunMetadata) -> String {
     let _ = writeln!(md, "| seed | {} |", meta.seed);
     let _ = writeln!(md, "| device | {} |", meta.device);
     let _ = writeln!(md, "| precision | {} |", meta.precision);
-    let _ = writeln!(md, "| git | {} |", meta.git);
     let metrics = netcut_obs::snapshot();
     for (name, value) in &metrics.counters {
         let _ = writeln!(md, "| {name} | {value} |");
     }
     for (name, s) in &metrics.histograms {
+        if name.starts_with(PHASE_PREFIX) {
+            continue;
+        }
         let _ = writeln!(
             md,
             "| {name} | n={} mean={} p95={} max={} |",
@@ -732,17 +738,22 @@ pub mod simcore {
     }
 }
 
-/// Estimator-study helpers shared by the Fig. 8 and Fig. 9 binaries.
+/// The estimator study behind Figs. 8–9: every blockwise TRN measured, the
+/// paper's 20/80 split, and the three estimators of §V fitted on it.
 pub mod estimator_study {
     use super::Lab;
     use netcut::removal::blockwise_trns;
     use netcut_estimate::{
-        AnalyticalEstimator, LinearLatencyEstimator, ProfilerEstimator, SourceInfo, SvrParams,
+        mean_relative_error, AnalyticalEstimator, LatencyEstimator, LinearLatencyEstimator,
+        ProfilerEstimator, SourceInfo, SvrParams,
     };
     use netcut_graph::Network;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    /// The seed of the study's split, grid search and profiler tables.
+    pub const STUDY_SEED: u64 = 17;
 
     /// All blockwise TRNs with measured (ground-truth) latencies, plus the
     /// per-family source latencies the analytical features require.
@@ -753,6 +764,16 @@ pub mod estimator_study {
         pub latency_ms: Vec<f64>,
         /// Measured latency of each adapted source network.
         pub source_latency_ms: HashMap<String, f64>,
+    }
+
+    impl MeasuredTrns {
+        /// `(TRN, measured latency)` of the samples at `indices`.
+        pub fn samples(&self, indices: &[usize]) -> Vec<(&Network, f64)> {
+            indices
+                .iter()
+                .map(|&i| (&self.trns[i], self.latency_ms[i]))
+                .collect()
+        }
     }
 
     /// Measures every blockwise TRN of every family on the lab device,
@@ -819,17 +840,16 @@ pub mod estimator_study {
         pub linear: LinearLatencyEstimator,
         /// Hyper-parameters the grid search selected.
         pub svr_params: SvrParams,
+        /// Indices of the training samples.
+        pub train_indices: Vec<usize>,
         /// Indices of the held-out test samples.
         pub test_indices: Vec<usize>,
     }
 
     /// Fits all three estimators on the 20 % train split of `measured`.
     pub fn fit_all(lab: &Lab, measured: &MeasuredTrns, seed: u64) -> FittedEstimators {
-        let (train_idx, test_idx) = split_20_80(measured, seed);
-        let train: Vec<(&Network, f64)> = train_idx
-            .iter()
-            .map(|&i| (&measured.trns[i], measured.latency_ms[i]))
-            .collect();
+        let (train_indices, test_indices) = split_20_80(measured, seed);
+        let train = measured.samples(&train_indices);
         let info = SourceInfo::new(&lab.sources, &measured.source_latency_ms);
         let (svr, search) = AnalyticalEstimator::fit_with_grid_search(&train, &info, 10, seed);
         let linear = LinearLatencyEstimator::fit(&train, &info);
@@ -839,7 +859,38 @@ pub mod estimator_study {
             svr,
             linear,
             svr_params: search.params,
-            test_indices: test_idx,
+            train_indices,
+            test_indices,
+        }
+    }
+
+    /// The measured TRNs and the estimators fitted on them at
+    /// [`STUDY_SEED`]: what [`Lab::estimator_study`] computes once per run.
+    pub struct EstimatorStudy {
+        /// Every blockwise TRN with its measured latency.
+        pub measured: MeasuredTrns,
+        /// The three estimators and the split they were fitted on.
+        pub fitted: FittedEstimators,
+    }
+
+    impl EstimatorStudy {
+        /// `(TRN, measured latency)` of the training samples.
+        pub fn train_set(&self) -> Vec<(&Network, f64)> {
+            self.measured.samples(&self.fitted.train_indices)
+        }
+
+        /// Mean relative error of `est` over the held-out test samples.
+        pub fn test_error(&self, est: &dyn LatencyEstimator) -> f64 {
+            let (pred, truth): (Vec<f64>, Vec<f64>) = self
+                .fitted
+                .test_indices
+                .iter()
+                .map(|&i| {
+                    let trn = &self.measured.trns[i];
+                    (est.estimate_ms(trn), self.measured.latency_ms[i])
+                })
+                .unzip();
+            mean_relative_error(&pred, &truth)
         }
     }
 }
@@ -881,18 +932,13 @@ mod tests {
     #[test]
     fn metrics_markdown_includes_metadata_and_metrics() {
         netcut_obs::counter_add("bench.test_counter", 3);
+        timed_phase("phase.test_markdown_us", || ());
         let lab = Lab::new();
         let md = metrics_markdown(&RunMetadata::collect(&lab, 9));
         assert!(md.contains("| seed | 9 |"));
         assert!(md.contains("bench.test_counter"));
-    }
-
-    #[test]
-    fn write_json_round_trips() {
-        let path = write_json("self_test", &vec![1, 2, 3]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let back: Vec<i32> = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
-        std::fs::remove_file(path).unwrap();
+        // What varies from run to run stays out of the report.
+        assert!(!md.contains("| git |"), "{md}");
+        assert!(!md.contains("phase."), "{md}");
     }
 }
