@@ -282,8 +282,8 @@ fn main() {
     }
 
     // Evaluation cache: how much simulated work the shared memo absorbed
-    // across the studies that evaluate through the lab's context. The
-    // wall-clock it saved goes to stdout only.
+    // across every study (each measures, profiles and retrains through
+    // the lab's caches). The wall-clock it saved goes to stdout only.
     let stats = lab.eval_stats();
     let _ = writeln!(md, "\n## Evaluation cache\n");
     let _ = writeln!(md, "| metric | value |");

@@ -22,10 +22,11 @@ pub mod gate;
 pub mod paper;
 
 /// The common experimental setup: the paper's seven source networks on the
-/// Xavier-class device at INT8 with the surrogate retrainer. Every phase
-/// run through the lab evaluates via a shared [`EvalContext`], so repeated
-/// measurements / retrains of the same network are served from one memo
-/// cache across the whole run.
+/// Xavier-class device at INT8 with the surrogate retrainer. Every study
+/// measures, profiles and retrains through contexts the lab mints over its
+/// one [`EvalCaches`] — on the lab's session or any other — so repeated
+/// work is served from one memo cache across the whole run, and the cache
+/// statistics count every study.
 ///
 /// The three results several documents read (the off-the-shelf set, the
 /// exhaustive sweep and the estimator study) are computed on first use
@@ -70,7 +71,14 @@ impl Lab {
     /// Mints an [`EvalContext`] bound to this lab's session, retrainer and
     /// shared caches. Contexts are cheap: build one per phase.
     pub fn ctx(&self) -> EvalContext<'_, SurrogateRetrainer> {
-        EvalContext::new(&self.session, &self.retrainer)
+        self.ctx_on(&self.session)
+    }
+
+    /// [`ctx`](Self::ctx) on another session (another device or
+    /// precision): the same retrainer and shared caches, one worker per
+    /// available CPU.
+    pub fn ctx_on<'a>(&'a self, session: &'a Session) -> EvalContext<'a, SurrogateRetrainer> {
+        EvalContext::new(session, &self.retrainer)
             .with_shared_caches(self.caches.clone())
             .with_jobs(0)
     }
@@ -580,7 +588,7 @@ pub mod simcore {
     }
 
     /// Builds and times every leg: one untimed warmup repetition, then
-    /// enough timed repetitions to fill [`TARGET_SAMPLE_MS`]. Scenario
+    /// enough timed repetitions to fill `TARGET_SAMPLE_MS`. Scenario
     /// construction (exploration, workload, noise tables) is excluded —
     /// the harness gates the event loop, not the build.
     pub fn run() -> Vec<SimLeg> {

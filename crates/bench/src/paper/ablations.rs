@@ -2,6 +2,7 @@
 
 use super::Document;
 use crate::{print_table, Lab, DEADLINE_MS};
+use netcut::eval::EvalContext;
 use netcut::netadapt::{netadapt_mobilenet_v1_05, NetAdaptConfig};
 use netcut::netcut::{NetCut, NetCutOutcome};
 use netcut::pareto::best_meeting_deadline;
@@ -16,17 +17,21 @@ use netcut_sim::{
     batched_network_latency_ms, kernel_latency_ms, DeviceModel, EnergyModel, FusedKernel,
     Precision, Session,
 };
-use netcut_train::{Retrainer, TrainingCostModel, WidthPruningModel};
+use netcut_train::{SurrogateRetrainer, TrainingCostModel, WidthPruningModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-/// Algorithm 1 over `sources` on `session` at the 0.9 ms deadline, with
+/// Algorithm 1 over `sources` through `ctx` at the 0.9 ms deadline, with
 /// profiler tables seeded 3: the selection the deployment ablations start
-/// from.
-fn profiler_netcut(lab: &Lab, session: &Session, sources: &[Network]) -> NetCutOutcome {
-    let estimator = ProfilerEstimator::profile(session, sources, 3);
-    NetCut::new(&estimator, &lab.retrainer).run(sources, DEADLINE_MS, session)
+/// from. Through the lab's caches ([`Lab::ctx`], [`Lab::ctx_on`]), a
+/// repeat on the same session profiles, measures and retrains nothing.
+fn profiler_netcut(
+    ctx: &EvalContext<'_, SurrogateRetrainer>,
+    sources: &[Network],
+) -> NetCutOutcome {
+    let estimator = ProfilerEstimator::profile_with(ctx, sources, 3);
+    NetCut::new(&estimator, ctx.retrainer()).run_with(sources, DEADLINE_MS, ctx)
 }
 
 /// A NetCut proposal rebuilt as the network it names, head attached.
@@ -134,14 +139,15 @@ pub(super) fn device(lab: &Lab) -> Document {
     let mut rows = Vec::new();
     for device in [DeviceModel::jetson_xavier(), DeviceModel::jetson_nano()] {
         let session = Session::new(device.clone(), Precision::Int8);
-        let outcome = profiler_netcut(lab, &session, &lab.sources);
+        let ctx = lab.ctx_on(&session);
+        let outcome = profiler_netcut(&ctx, &lab.sources);
         let (selection, accuracy) = outcome
             .selected()
             .map_or_else(|| ("(none)".into(), 0.0), |p| (p.name.clone(), p.accuracy));
         rows.push(DeviceRow {
             device: device.name.clone(),
-            mobilenet_ms: session.measure(lab.source("mobilenet_v1_0.50"), 5).mean_ms,
-            resnet_ms: session.measure(lab.source("resnet50"), 5).mean_ms,
+            mobilenet_ms: ctx.measure(lab.source("mobilenet_v1_0.50"), 5).mean_ms,
+            resnet_ms: ctx.measure(lab.source("resnet50"), 5).mean_ms,
             selection,
             accuracy,
         });
@@ -194,7 +200,7 @@ struct EnergyRow {
 /// millijoules per inference and per full reach.
 pub(super) fn energy(lab: &Lab) -> Document {
     let energy = EnergyModel::jetson_xavier();
-    let outcome = profiler_netcut(lab, &lab.session, &lab.sources);
+    let outcome = profiler_netcut(&lab.ctx(), &lab.sources);
     // 50 decisions per reach (the control-loop budget).
     let decisions = 50.0;
     println!("Ablation — energy per inference of the NetCut proposals");
@@ -414,7 +420,7 @@ pub(super) fn extended_zoo(lab: &Lab) -> Document {
     let mut rows = Vec::new();
     let mut outcome = None;
     for (label, sources) in [("paper 7", &lab.sources), ("extended 10", &extended)] {
-        let run = profiler_netcut(lab, &lab.session, sources);
+        let run = profiler_netcut(&lab.ctx(), sources);
         let selected = run.selected().expect("selection exists");
         rows.push(vec![
             label.to_owned(),
@@ -495,11 +501,12 @@ struct FusionRow {
 /// kernel (its own launch overhead and full memory round trip).
 pub(super) fn fusion(lab: &Lab) -> Document {
     println!("Ablation — layer fusion");
+    let ctx = lab.ctx();
     let mut rows = Vec::new();
     for source in &lab.sources {
         let mut adapted = source.backbone().with_head(&lab.head);
         adapted.rename(source.name());
-        let fused = lab.session.measure(&adapted, 3).mean_ms;
+        let fused = ctx.measure(&adapted, 3).mean_ms;
         let unfused = unfused_latency_ms(&adapted, lab);
         rows.push(FusionRow {
             network: source.name().to_owned(),
@@ -528,7 +535,7 @@ pub(super) fn fusion(lab: &Lab) -> Document {
     }
     // With fusion on, NetCut can hand the deadline to a trimmed ResNet;
     // report what fusion's absence would cost in kept network capacity.
-    let outcome = profiler_netcut(lab, &lab.session, &lab.sources);
+    let outcome = profiler_netcut(&ctx, &lab.sources);
     let selected = outcome.selected().expect("selection exists");
     println!();
     println!(
@@ -555,12 +562,13 @@ struct GranularityResult {
 /// to land near the deadline.
 pub(super) fn granularity(lab: &Lab) -> Document {
     println!("Ablation — removal granularity at the {DEADLINE_MS} ms deadline");
+    let ctx = lab.ctx();
     let evaluate = |nets: Vec<Network>, label: &str| -> GranularityResult {
         let mut points = Vec::new();
         let mut hours = 0.0;
         for trn in &nets {
-            let m = lab.session.measure(trn, 5);
-            let t = lab.retrainer.retrain(trn);
+            let m = ctx.measure(trn, 5);
+            let t = ctx.retrain(trn);
             hours += t.train_hours;
             points.push(CandidatePoint {
                 name: trn.name().to_owned(),
@@ -653,11 +661,12 @@ pub(super) fn head(lab: &Lab) -> Document {
         ("4x512", hidden(vec![512; 4])),
     ];
     println!("Ablation — transfer-head capacity vs deployed latency");
+    let ctx = lab.ctx();
     let mut rows = Vec::new();
     for (label, head) in &heads {
         let lat = |family: &str| {
             let net = lab.source(family).backbone().with_head(head);
-            lab.session.measure(&net, 9).mean_ms
+            ctx.measure(&net, 9).mean_ms
         };
         rows.push(HeadRow {
             head: label.to_string(),
@@ -745,6 +754,7 @@ fn reaches_for_accuracy(
 pub(super) fn loop_reliability(lab: &Lab) -> Document {
     let lp = ControlLoop::paper();
     let nano = Session::new(DeviceModel::jetson_nano(), Precision::Int8);
+    let (xavier_ctx, nano_ctx) = (lab.ctx(), lab.ctx_on(&nano));
     println!("Ablation — classifier latency vs control-loop decision quality");
     // Candidates on the Xavier (deadline-aware deployments) and on a
     // Nano-class board (the same models ported to weaker hardware) —
@@ -769,9 +779,10 @@ pub(super) fn loop_reliability(lab: &Lab) -> Document {
     ];
     let mut rows = Vec::new();
     for (label, net, on_nano) in &candidates {
-        let session = if *on_nano { &nano } else { &lab.session };
-        let latency = session.measure(net, 3).mean_ms;
-        let accuracy = lab.retrainer.retrain(net).accuracy;
+        let ctx = if *on_nano { &nano_ctx } else { &xavier_ctx };
+        let latency = ctx.measure(net, 3).mean_ms;
+        // Accuracy does not depend on the device: one retrain per network.
+        let accuracy = xavier_ctx.retrain(net).accuracy;
         let reaches = reaches_for_accuracy(accuracy, 120, lp.budget.decisions_required, 7);
         let stats = lp.simulate_many(&reaches, latency);
         rows.push(ReliabilityRow {
@@ -841,7 +852,8 @@ struct NetAdaptRow {
 /// exploration time making it impractical to be applied to a diverse set
 /// of networks."
 pub(super) fn netadapt(lab: &Lab) -> Document {
-    let estimator = ProfilerEstimator::profile(&lab.session, &lab.sources, 3);
+    let ctx = lab.ctx();
+    let estimator = ProfilerEstimator::profile_with(&ctx, &lab.sources, 3);
     let netcut = NetCut::new(&estimator, &lab.retrainer);
     let cost = TrainingCostModel::paper();
     let width_model = WidthPruningModel::mobilenet_v1_05();
@@ -866,7 +878,7 @@ pub(super) fn netadapt(lab: &Lab) -> Document {
             hours: na.retrain_hours,
         });
         // NetCut explores all seven families for the same deadline.
-        let nc = netcut.run(&lab.sources, deadline, &lab.session);
+        let nc = netcut.run_with(&lab.sources, deadline, &ctx);
         let sel = nc.selected().expect("selection exists");
         rows.push(NetAdaptRow {
             method: "netcut".into(),
@@ -953,13 +965,14 @@ pub(super) fn precision(lab: &Lab) -> Document {
     let mut table = Vec::new();
     for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
         let session = Session::new(DeviceModel::jetson_xavier(), precision);
-        let outcome = profiler_netcut(lab, &session, &lab.sources);
+        let ctx = lab.ctx_on(&session);
+        let outcome = profiler_netcut(&ctx, &lab.sources);
         let (name, acc) = outcome.selected().map_or_else(
             || ("(none)".to_owned(), 0.0),
             |p| (p.name.clone(), p.accuracy),
         );
-        let mnv1 = session.measure(lab.source("mobilenet_v1_0.50"), 5).mean_ms;
-        let resnet = session.measure(lab.source("resnet50"), 5).mean_ms;
+        let mnv1 = ctx.measure(lab.source("mobilenet_v1_0.50"), 5).mean_ms;
+        let resnet = ctx.measure(lab.source("resnet50"), 5).mean_ms;
         table.push(vec![
             format!("{precision:?}"),
             format!("{mnv1:.3}"),
@@ -1009,11 +1022,12 @@ struct TailRow {
 /// p99-based deadline and reports the per-frame miss rates the mean-based
 /// choice silently accepts.
 pub(super) fn tail_latency(lab: &Lab) -> Document {
-    let outcome = profiler_netcut(lab, &lab.session, &lab.sources);
+    let ctx = lab.ctx();
+    let outcome = profiler_netcut(&ctx, &lab.sources);
     println!("Ablation — mean-based vs p99-based deadline checking at {DEADLINE_MS} ms");
     let mut rows = Vec::new();
     for p in &outcome.proposals {
-        let m = lab.session.measure(&proposal_network(lab, p), 13);
+        let m = ctx.measure(&proposal_network(lab, p), 13);
         rows.push(TailRow {
             proposal: p.name.clone(),
             mean_ms: m.mean_ms,
@@ -1075,4 +1089,30 @@ pub(super) fn tail_latency(lab: &Lab) -> Document {
         .expect("proposal exists");
     assert!(safe.miss_rate_percent < 1e-6);
     Document::new(&rows, String::new())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The deployment ablations repeat one Algorithm 1 run; through the
+    /// lab's caches, every repeat is free.
+    #[test]
+    fn a_repeated_profiler_netcut_is_served_from_the_cache() {
+        let lab = Lab::new();
+        let first = profiler_netcut(&lab.ctx(), &lab.sources);
+        let before = lab.eval_stats();
+        let second = profiler_netcut(&lab.ctx(), &lab.sources);
+        let after = lab.eval_stats();
+        assert_eq!(after.misses, before.misses, "the repeat computed something");
+        assert_eq!(after.fresh_train_hours, before.fresh_train_hours);
+        assert_eq!(after.distinct_retrains, before.distinct_retrains);
+        // Every profile goes through the cache, so no new entry means no
+        // source was profiled again.
+        assert_eq!(after.entries, before.entries);
+        // Per source: its table, its timing, its proposal's measurement
+        // and its proposal's retrain.
+        assert_eq!(after.hits - before.hits, 4 * lab.sources.len() as u64);
+        assert_eq!(first.proposals, second.proposals);
+    }
 }

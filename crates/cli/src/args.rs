@@ -14,8 +14,8 @@ usage:
   netcut-cli trace <network> [--precision fp32|fp16|int8] [--top N]
   netcut-cli energy <network> [--precision fp32|fp16|int8]
   netcut-cli budget
-  netcut-cli explore [--deadline MS] [--extended] [--json] [--jobs N] [--no-cache]
-  netcut-cli sweep [--json] [--jobs N] [--no-cache]
+  netcut-cli explore [--deadline MS] [--extended] [--json] [--jobs N]
+  netcut-cli sweep [--json] [--jobs N]
   netcut-cli serve [--deadline-us N] [--rps N] [--duration SECONDS] [--seed N]
                    [--jobs N] [--workers N] [--no-degrade] [--no-faults] [--json]
                    [--batch-max N] [--batch-slack-us N] [--shards N]
@@ -37,8 +37,6 @@ global options (any command):
 evaluation options (explore, sweep):
   --jobs N            evaluation worker threads (0 = one per CPU; default 1);
                       results are identical for any N
-  --no-cache          disable evaluation memoization (recompute every
-                      measurement and retraining)
 
 serve: simulate the deadline-aware serving runtime on the TRN ladder —
 defaults reproduce the paper scenario (deadline 900 µs, 2000 rps, 5 s,
@@ -135,14 +133,9 @@ pub enum Command {
         extended: bool,
         json: bool,
         jobs: usize,
-        no_cache: bool,
     },
     /// Run the exhaustive blockwise sweep and summarize.
-    Sweep {
-        json: bool,
-        jobs: usize,
-        no_cache: bool,
-    },
+    Sweep { json: bool, jobs: usize },
     /// Simulate the deadline-aware serving runtime.
     Serve {
         /// The scenario, already validated.
@@ -216,7 +209,6 @@ const FLAGS: &[(&str, Option<&str>)] = &[
     ("--top", Some("a number")),
     ("--json", None),
     ("--jobs", Some("a number")),
-    ("--no-cache", None),
     ("--deadline-us", Some("a number")),
     ("--rps", Some("a number")),
     ("--duration", Some("a number of seconds")),
@@ -353,13 +345,11 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                 extended: has_flag("--extended"),
                 json: has_flag("--json"),
                 jobs: parse_jobs(flag_value("--jobs"))?,
-                no_cache: has_flag("--no-cache"),
             })
         }
         "sweep" => Ok(Command::Sweep {
             json: has_flag("--json"),
             jobs: parse_jobs(flag_value("--jobs"))?,
-            no_cache: has_flag("--no-cache"),
         }),
         "serve" => {
             fn num<T: std::str::FromStr>(
@@ -522,7 +512,6 @@ mod tests {
                 extended: false,
                 json: true,
                 jobs: 1,
-                no_cache: false
             }
         );
     }
@@ -530,13 +519,12 @@ mod tests {
     #[test]
     fn parses_jobs_and_no_cache() {
         assert_eq!(
-            cmd(&["explore", "--jobs", "8", "--no-cache"]),
+            cmd(&["explore", "--jobs", "8"]),
             Command::Explore {
                 deadline_ms: 0.9,
                 extended: false,
                 json: false,
                 jobs: 8,
-                no_cache: true
             }
         );
         assert_eq!(
@@ -544,9 +532,13 @@ mod tests {
             Command::Sweep {
                 json: true,
                 jobs: 0,
-                no_cache: false
             }
         );
+        // The cache is always on: `--no-cache` is no longer a flag.
+        for command in ["explore", "sweep"] {
+            let err = parse(&argv(&[command, "--jobs", "8", "--no-cache"])).unwrap_err();
+            assert_eq!(err, "unknown flag `--no-cache`");
+        }
     }
 
     #[test]
@@ -914,7 +906,6 @@ mod tests {
                 extended: false,
                 json: false,
                 jobs: 1,
-                no_cache: false
             }
         );
     }

@@ -186,14 +186,12 @@ pub fn run(cmd: Command, strict: bool) -> Result<(), String> {
             extended,
             json,
             jobs,
-            no_cache,
         } => {
             let sources = networks(extended);
             let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
             let retrainer = SurrogateRetrainer::paper();
             let ctx = EvalContext::new(&session, &retrainer)
                 .with_jobs(jobs)
-                .with_cache(!no_cache)
                 .with_strict(strict);
             let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 42);
             let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, deadline_ms, &ctx);
@@ -223,17 +221,12 @@ pub fn run(cmd: Command, strict: bool) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Sweep {
-            json,
-            jobs,
-            no_cache,
-        } => {
+        Command::Sweep { json, jobs } => {
             let sources = zoo::paper_networks();
             let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
             let retrainer = SurrogateRetrainer::paper();
             let ctx = EvalContext::new(&session, &retrainer)
                 .with_jobs(jobs)
-                .with_cache(!no_cache)
                 .with_strict(strict);
             let sweep = exhaustive_blockwise_with(&ctx, &sources, &HeadSpec::default(), 42);
             if json {
@@ -613,7 +606,6 @@ mod tests {
                 extended: false,
                 json: true,
                 jobs: 1,
-                no_cache: false,
             },
             false,
         )
@@ -628,10 +620,13 @@ mod tests {
                 extended: false,
                 json: true,
                 jobs: 4,
-                no_cache: true,
             },
             false,
         )
-        .expect("explore --jobs 4 --no-cache");
+        .expect("explore --jobs 4");
+        // A parse error exits 2; the cache switch is gone.
+        let argv = ["explore", "--jobs", "4", "--no-cache"].map(String::from);
+        let err = crate::args::parse(&argv).unwrap_err();
+        assert_eq!(err, "unknown flag `--no-cache`");
     }
 }

@@ -87,6 +87,13 @@ fn a_value_flag_does_not_swallow_the_next_flag() {
 }
 
 #[test]
+fn the_removed_cache_switch_is_an_unknown_flag() {
+    for command in ["explore", "sweep"] {
+        assert_flag_error(&cli(&[command, "--no-cache"]), "unknown flag `--no-cache`");
+    }
+}
+
+#[test]
 fn an_out_of_range_exit_pin_fails_the_run_with_exit_1() {
     let out = cli(&["serve", "--exit-table", "99", "--duration", "0.01"]);
     let text = stderr(&out);

@@ -13,8 +13,8 @@
 //!
 //! The network *name* is part of the key on purpose: the simulator seeds
 //! its jitter RNG from the name, so two structurally identical networks
-//! with different names measure differently, and the caller-visible
-//! contract is bit-identical results with or without the cache.
+//! with different names measure differently, and a cache hit returns
+//! bit-identically what a fresh evaluation would.
 //!
 //! # Determinism
 //!
@@ -77,7 +77,7 @@ struct Entry<V> {
 enum Answer {
     /// Served from the cache.
     Hit,
-    /// Computed and stored, or computed with the cache off.
+    /// Computed and stored.
     Fresh,
     /// Computed, but a racing thread stored the key first: a miss, neither
     /// fresh nor saved.
@@ -195,8 +195,7 @@ impl std::fmt::Debug for EvalCaches {
 pub struct EvalStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute (cache misses and cache-bypassing
-    /// evaluations both count here — they paid full price).
+    /// Lookups that had to compute.
     pub misses: u64,
     /// Wall-clock spent actually computing, seconds.
     pub eval_wall_s: f64,
@@ -206,8 +205,7 @@ pub struct EvalStats {
     pub fresh_train_hours: f64,
     /// Simulated retraining hours avoided by retrain-cache hits.
     pub saved_train_hours: f64,
-    /// Number of fresh retrains — with the cache enabled, the number of
-    /// *distinct* TRNs retrained.
+    /// Number of fresh retrains: the number of *distinct* TRNs retrained.
     pub distinct_retrains: u64,
     /// Total entries currently cached across all sub-caches.
     pub entries: usize,
@@ -252,7 +250,6 @@ pub struct EvalContext<'a, R: Retrainer> {
     caches: Arc<EvalCaches>,
     session_fp: u64,
     jobs: usize,
-    use_cache: bool,
     strict: bool,
 }
 
@@ -272,8 +269,8 @@ pub struct EvalTask<N = Network> {
 }
 
 impl<'a, R: Retrainer> EvalContext<'a, R> {
-    /// Creates a sequential (`jobs = 1`), caching context with fresh
-    /// private caches.
+    /// Creates a sequential (`jobs = 1`) context with fresh private
+    /// caches.
     pub fn new(session: &'a Session, retrainer: &'a R) -> Self {
         EvalContext {
             session,
@@ -281,7 +278,6 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
             caches: Arc::new(EvalCaches::new()),
             session_fp: session.fingerprint(),
             jobs: 1,
-            use_cache: true,
             strict: false,
         }
     }
@@ -295,14 +291,6 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         } else {
             jobs
         };
-        self
-    }
-
-    /// Enables or disables memoization (enabled by default). With the
-    /// cache off every evaluation recomputes, exactly like calling the
-    /// session and retrainer directly.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
         self
     }
 
@@ -387,25 +375,22 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         key: Key,
         compute: impl FnOnce() -> V,
     ) -> (V, Answer) {
-        if self.use_cache {
-            if let Some((value, cost_s)) = sub.get(&key) {
-                obs::counter_add("eval.cache_hit", 1);
-                let mut t = self.caches.totals.lock().expect("eval totals");
-                t.hits += 1;
-                t.saved_wall_s += cost_s;
-                return (value, Answer::Hit);
-            }
+        if let Some((value, cost_s)) = sub.get(&key) {
+            obs::counter_add("eval.cache_hit", 1);
+            let mut t = self.caches.totals.lock().expect("eval totals");
+            t.hits += 1;
+            t.saved_wall_s += cost_s;
+            return (value, Answer::Hit);
         }
         let start = Instant::now();
         let value = compute();
         let cost_s = start.elapsed().as_secs_f64();
-        let mut answer = Answer::Fresh;
-        if self.use_cache {
-            obs::counter_add("eval.cache_miss", 1);
-            if !sub.insert(key, value.clone(), cost_s) {
-                answer = Answer::Raced;
-            }
-        }
+        obs::counter_add("eval.cache_miss", 1);
+        let answer = if sub.insert(key, value.clone(), cost_s) {
+            Answer::Fresh
+        } else {
+            Answer::Raced
+        };
         let mut t = self.caches.totals.lock().expect("eval totals");
         t.misses += 1;
         t.eval_wall_s += cost_s;
@@ -645,9 +630,13 @@ mod tests {
         let hit = cached_ctx.evaluate(&trn, &source, 13);
         assert_eq!(first, hit, "cache hit must be bit-identical");
 
-        let fresh_ctx = EvalContext::new(&s, &r).with_cache(false);
-        let fresh = fresh_ctx.evaluate(&trn, &source, 13);
+        let fresh = EvalContext::new(&s, &r).evaluate(&trn, &source, 13);
         assert_eq!(first, fresh, "cached result must match a fresh one");
+        // And both match the session and retrainer called directly.
+        let trained = r.retrain(&trn);
+        assert_eq!(hit.latency_ms, s.measure(&trn, 13).mean_ms);
+        assert_eq!(hit.accuracy, trained.accuracy);
+        assert_eq!(hit.train_hours, trained.train_hours);
 
         let stats = cached_ctx.stats();
         assert_eq!(stats.hits, 2, "second evaluate hits measure and retrain");

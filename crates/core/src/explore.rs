@@ -8,27 +8,8 @@ use crate::removal::blockwise_trns;
 use crate::report::CandidatePoint;
 use netcut_graph::{HeadSpec, Network};
 use netcut_obs as obs;
-use netcut_sim::Session;
 use netcut_train::Retrainer;
 use std::borrow::Borrow;
-
-/// Measures and retrains one TRN into a [`CandidatePoint`].
-///
-/// Compatibility shim over [`EvalContext::evaluate`]: each call builds a
-/// throwaway non-caching context, so it recomputes every time exactly like
-/// the original direct implementation. Callers evaluating more than one
-/// candidate should hold an [`EvalContext`] instead.
-pub fn evaluate_candidate<R: Retrainer>(
-    trn: &Network,
-    source: &Network,
-    session: &Session,
-    retrainer: &R,
-    seed: u64,
-) -> CandidatePoint {
-    EvalContext::new(session, retrainer)
-        .with_cache(false)
-        .evaluate(trn, source, seed)
-}
 
 /// Result of an exploration run (exhaustive or otherwise): the evaluated
 /// candidates and the retraining bill.
@@ -65,40 +46,28 @@ impl Exploration {
     }
 }
 
-/// Runs the exhaustive blockwise exploration over `sources`: every TRN of
-/// every family is measured on `session` and retrained by `retrainer`.
+/// Runs the exhaustive blockwise exploration over `sources` through `ctx`:
+/// every TRN of every family is measured on the context's session and
+/// retrained by its retrainer. Candidates run on the context's worker pool
+/// and hit its memo caches; point order matches the sequential sweep
+/// regardless of worker count.
 ///
 /// # Example
 ///
 /// ```no_run
-/// use netcut::explore::exhaustive_blockwise;
+/// use netcut::eval::EvalContext;
+/// use netcut::explore::exhaustive_blockwise_with;
 /// use netcut_graph::{zoo, HeadSpec};
 /// use netcut_sim::{DeviceModel, Precision, Session};
 /// use netcut_train::SurrogateRetrainer;
 ///
 /// let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
-/// let result = exhaustive_blockwise(
-///     &zoo::paper_networks(),
-///     &HeadSpec::default(),
-///     &session,
-///     &SurrogateRetrainer::paper(),
-///     42,
-/// );
+/// let retrainer = SurrogateRetrainer::paper();
+/// let ctx = EvalContext::new(&session, &retrainer);
+/// let sources = zoo::paper_networks();
+/// let result = exhaustive_blockwise_with(&ctx, &sources, &HeadSpec::default(), 42);
 /// assert_eq!(result.networks_trained(), 145);
 /// ```
-pub fn exhaustive_blockwise<R: Retrainer>(
-    sources: &[Network],
-    head: &HeadSpec,
-    session: &Session,
-    retrainer: &R,
-    seed: u64,
-) -> Exploration {
-    exhaustive_blockwise_with(&EvalContext::new(session, retrainer), sources, head, seed)
-}
-
-/// [`exhaustive_blockwise`] evaluated through an existing [`EvalContext`]:
-/// candidates run on the context's worker pool and hit its memo caches.
-/// Point order matches the sequential sweep regardless of worker count.
 pub fn exhaustive_blockwise_with<R: Retrainer>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
@@ -160,19 +129,8 @@ where
     }
 }
 
-/// Evaluates only the *unmodified* source networks (with transfer heads) —
-/// the off-the-shelf baseline of Fig. 1.
-pub fn off_the_shelf<R: Retrainer>(
-    sources: &[Network],
-    head: &HeadSpec,
-    session: &Session,
-    retrainer: &R,
-    seed: u64,
-) -> Exploration {
-    off_the_shelf_with(&EvalContext::new(session, retrainer), sources, head, seed)
-}
-
-/// [`off_the_shelf`] evaluated through an existing [`EvalContext`].
+/// Evaluates only the *unmodified* source networks (with transfer heads)
+/// through `ctx` — the off-the-shelf baseline of Fig. 1.
 pub fn off_the_shelf_with<R: Retrainer>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
@@ -203,23 +161,22 @@ pub fn off_the_shelf_with<R: Retrainer>(
 mod tests {
     use super::*;
     use netcut_graph::zoo;
-    use netcut_sim::{DeviceModel, Precision};
+    use netcut_sim::{DeviceModel, Precision, Session};
     use netcut_train::SurrogateRetrainer;
 
     fn session() -> Session {
         Session::new(DeviceModel::jetson_xavier(), Precision::Int8)
     }
 
+    /// The sweep over `sources` through a fresh context at seed 1.
+    fn sweep(sources: &[Network]) -> Exploration {
+        let (s, r) = (session(), SurrogateRetrainer::paper());
+        exhaustive_blockwise_with(&EvalContext::new(&s, &r), sources, &HeadSpec::default(), 1)
+    }
+
     #[test]
     fn exhaustive_covers_every_blockwise_trn() {
-        let sources = [zoo::mobilenet_v1(0.25), zoo::mobilenet_v1(0.5)];
-        let result = exhaustive_blockwise(
-            &sources,
-            &HeadSpec::default(),
-            &session(),
-            &SurrogateRetrainer::paper(),
-            1,
-        );
+        let result = sweep(&[zoo::mobilenet_v1(0.25), zoo::mobilenet_v1(0.5)]);
         assert_eq!(result.networks_trained(), 26);
         assert!(result.total_train_hours > 0.0);
         // Points are measured and trained.
@@ -231,14 +188,7 @@ mod tests {
 
     #[test]
     fn family_accessor_sorts_by_cutpoint() {
-        let sources = [zoo::mobilenet_v1(0.25)];
-        let result = exhaustive_blockwise(
-            &sources,
-            &HeadSpec::default(),
-            &session(),
-            &SurrogateRetrainer::paper(),
-            1,
-        );
+        let result = sweep(&[zoo::mobilenet_v1(0.25)]);
         let fam = result.family("mobilenet_v1_0.25");
         assert_eq!(fam.len(), 13);
         for (k, p) in fam.iter().enumerate() {
@@ -248,12 +198,11 @@ mod tests {
 
     #[test]
     fn off_the_shelf_is_one_point_per_source() {
-        let sources = zoo::paper_networks();
-        let result = off_the_shelf(
-            &sources,
+        let (s, r) = (session(), SurrogateRetrainer::paper());
+        let result = off_the_shelf_with(
+            &EvalContext::new(&s, &r),
+            &zoo::paper_networks(),
             &HeadSpec::default(),
-            &session(),
-            &SurrogateRetrainer::paper(),
             1,
         );
         assert_eq!(result.networks_trained(), 7);
@@ -263,14 +212,7 @@ mod tests {
 
     #[test]
     fn deeper_cuts_are_faster_within_family() {
-        let sources = [zoo::resnet50()];
-        let result = exhaustive_blockwise(
-            &sources,
-            &HeadSpec::default(),
-            &session(),
-            &SurrogateRetrainer::paper(),
-            1,
-        );
+        let result = sweep(&[zoo::resnet50()]);
         let fam = result.family("resnet50");
         for w in fam.windows(2) {
             assert!(w[1].latency_ms < w[0].latency_ms);

@@ -20,6 +20,7 @@
 //! # Example
 //!
 //! ```no_run
+//! use netcut::eval::EvalContext;
 //! use netcut::netcut::NetCut;
 //! use netcut_estimate::ProfilerEstimator;
 //! use netcut_graph::zoo;
@@ -27,10 +28,11 @@
 //! use netcut_train::SurrogateRetrainer;
 //!
 //! let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
-//! let sources = zoo::paper_networks();
-//! let estimator = ProfilerEstimator::profile(&session, &sources, 42);
 //! let retrainer = SurrogateRetrainer::paper();
-//! let outcome = NetCut::new(&estimator, &retrainer).run(&sources, 0.9, &session);
+//! let ctx = EvalContext::new(&session, &retrainer);
+//! let sources = zoo::paper_networks();
+//! let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 42);
+//! let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx);
 //! println!("selected: {}", outcome.selected().expect("a TRN meets 0.9 ms").name);
 //! ```
 

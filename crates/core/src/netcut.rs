@@ -11,8 +11,8 @@ use crate::report::CandidatePoint;
 use netcut_estimate::LatencyEstimator;
 use netcut_graph::{HeadSpec, Network};
 use netcut_obs as obs;
-use netcut_sim::Session;
 use netcut_train::Retrainer;
+use std::marker::PhantomData;
 
 /// Outcome of one NetCut run.
 #[derive(Debug, Clone)]
@@ -52,12 +52,13 @@ impl NetCutOutcome {
     }
 }
 
-/// The NetCut explorer: a latency estimator plus a retrainer.
+/// The NetCut explorer: a latency estimator plus the type of retrainer
+/// its evaluation context trains with.
 ///
 /// See the [crate-level example](crate) for an end-to-end run.
 pub struct NetCut<'a, E: LatencyEstimator, R: Retrainer> {
     estimator: &'a E,
-    retrainer: &'a R,
+    retrainer: PhantomData<&'a R>,
     head: HeadSpec,
     source_seed: u64,
     eval_seed: u64,
@@ -67,10 +68,14 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
     /// Creates an explorer with the default transfer head and the paper
     /// runs' measurement seeds (`11` for source networks, `13` for
     /// proposal validation).
-    pub fn new(estimator: &'a E, retrainer: &'a R) -> Self {
+    ///
+    /// `retrainer` fixes only the retrainer *type*: the proposals are
+    /// trained by the retrainer of the [`EvalContext`] each run goes
+    /// through.
+    pub fn new(estimator: &'a E, _retrainer: &'a R) -> Self {
         NetCut {
             estimator,
-            retrainer,
+            retrainer: PhantomData,
             head: HeadSpec::default(),
             source_seed: 11,
             eval_seed: 13,
@@ -92,22 +97,11 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         self
     }
 
-    /// Runs Algorithm 1 over `sources` for the given deadline. `session`
-    /// provides the measured latency of each *source* network (an
-    /// algorithm input) and the ground-truth validation of each proposal.
-    ///
-    /// Compatibility shim over [`run_with`](Self::run_with) with a fresh
-    /// sequential [`EvalContext`].
-    pub fn run(&self, sources: &[Network], deadline_ms: f64, session: &Session) -> NetCutOutcome {
-        self.run_with(
-            sources,
-            deadline_ms,
-            &EvalContext::new(session, self.retrainer),
-        )
-    }
-
-    /// [`run`](Self::run) evaluated through an existing [`EvalContext`]:
-    /// families explore on the context's worker pool, and source
+    /// Runs Algorithm 1 over `sources` for the given deadline through
+    /// `ctx`. The context's session provides the measured latency of each
+    /// *source* network (an algorithm input) and the ground-truth
+    /// validation of each proposal; its retrainer trains the proposals.
+    /// Families explore on the context's worker pool, and source
     /// measurements / proposal evaluations hit its memo caches (so a second
     /// run at a nearby deadline pays only for newly proposed TRNs).
     /// Proposal order matches the sequential run regardless of worker
@@ -224,25 +218,8 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
     /// TRNs, so a product line with several latency tiers pays far less
     /// than `deadlines.len()` full explorations. The sharing comes from the
     /// evaluation cache — overlapping proposals hit the retrain sub-cache
-    /// instead of being billed again.
-    pub fn run_deadlines(
-        &self,
-        sources: &[Network],
-        deadlines_ms: &[f64],
-        session: &Session,
-    ) -> DeadlineSweep {
-        self.run_deadlines_with(
-            sources,
-            deadlines_ms,
-            &EvalContext::new(session, self.retrainer),
-        )
-    }
-
-    /// [`run_deadlines`](Self::run_deadlines) evaluated through an existing
-    /// [`EvalContext`]. The sweep's cost accounting is read from the
-    /// context's cache statistics, so `ctx` must have memoization enabled —
-    /// with the cache off every run is billed in full, as if each deadline
-    /// were explored independently.
+    /// of `ctx` instead of being billed again. The sweep's cost accounting
+    /// is the change in the context's cache statistics over the sweep.
     pub fn run_deadlines_with(
         &self,
         sources: &[Network],
@@ -268,7 +245,7 @@ mod tests {
     use super::*;
     use netcut_estimate::ProfilerEstimator;
     use netcut_graph::zoo;
-    use netcut_sim::{DeviceModel, Precision};
+    use netcut_sim::{DeviceModel, Precision, Session};
     use netcut_train::SurrogateRetrainer;
 
     fn session() -> Session {
@@ -277,10 +254,11 @@ mod tests {
 
     fn run(deadline: f64) -> NetCutOutcome {
         let s = session();
-        let sources = zoo::paper_networks();
-        let estimator = ProfilerEstimator::profile(&s, &sources, 3);
         let retrainer = SurrogateRetrainer::paper();
-        NetCut::new(&estimator, &retrainer).run(&sources, deadline, &s)
+        let ctx = EvalContext::new(&s, &retrainer);
+        let sources = zoo::paper_networks();
+        let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+        NetCut::new(&estimator, &retrainer).run_with(&sources, deadline, &ctx)
     }
 
     #[test]
@@ -350,12 +328,13 @@ mod tests {
     #[test]
     fn deadline_sweep_shares_retraining() {
         let s = session();
-        let sources = zoo::paper_networks();
-        let estimator = ProfilerEstimator::profile(&s, &sources, 3);
         let retrainer = SurrogateRetrainer::paper();
+        let ctx = EvalContext::new(&s, &retrainer);
+        let sources = zoo::paper_networks();
+        let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
         let nc = NetCut::new(&estimator, &retrainer);
         let deadlines = [0.8, 0.9, 1.0, 1.2];
-        let sweep = nc.run_deadlines(&sources, &deadlines, &s);
+        let sweep = nc.run_deadlines_with(&sources, &deadlines, &ctx);
         assert_eq!(sweep.outcomes.len(), 4);
         // Naive cost: every run billed independently.
         let naive: f64 = sweep
@@ -389,12 +368,11 @@ mod tests {
     fn exploration_cost_is_far_below_exhaustive() {
         let outcome = run(0.9);
         // 7 retrained networks vs 145 — and the hours must reflect that.
-        let s = session();
-        let exhaustive = crate::explore::exhaustive_blockwise(
+        let (s, r) = (session(), SurrogateRetrainer::paper());
+        let exhaustive = crate::explore::exhaustive_blockwise_with(
+            &EvalContext::new(&s, &r),
             &zoo::paper_networks(),
             &HeadSpec::default(),
-            &s,
-            &SurrogateRetrainer::paper(),
             1,
         );
         assert!(outcome.exploration_hours < exhaustive.total_train_hours / 10.0);

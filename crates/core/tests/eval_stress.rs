@@ -9,7 +9,9 @@ use netcut::eval::{EvalCaches, EvalContext, EvalTask};
 use netcut::CandidatePoint;
 use netcut_graph::{HeadSpec, Network, NetworkBuilder, Padding, Shape};
 use netcut_sim::{DeviceModel, Precision, Session};
-use netcut_train::{SurrogateRetrainer, TrainingCostModel, TransferModel, TransferProfile};
+use netcut_train::{
+    Retrainer, SurrogateRetrainer, TrainingCostModel, TransferModel, TransferProfile,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -110,7 +112,8 @@ fn distinct_seeds_get_distinct_entries() {
 }
 
 /// Threads racing retrain on the same TRN: one cache entry, and the
-/// parallel `evaluate_many` path matches a serial, cache-less run.
+/// parallel `evaluate_many` path matches each task evaluated on a fresh
+/// context of its own, and the session and retrainer called directly.
 #[test]
 fn parallel_evaluate_many_matches_serial() {
     let s = session();
@@ -121,23 +124,31 @@ fn parallel_evaluate_many_matches_serial() {
         .expect("valid cutpoint")
         .with_head(&HeadSpec::default());
 
-    let tasks = |n: usize| -> Vec<EvalTask> {
-        (0..n)
-            .map(|i| EvalTask {
-                trn: trn.clone(),
-                source_layers: source.backbone_layer_count(),
-                seed: (i % 4) as u64, // 4 distinct seeds, repeated
-            })
-            .collect()
-    };
+    let tasks: Vec<EvalTask> = (0..16)
+        .map(|i| EvalTask {
+            trn: trn.clone(),
+            source_layers: source.backbone_layer_count(),
+            seed: (i % 4) as u64, // 4 distinct seeds, repeated
+        })
+        .collect();
 
     let parallel_ctx = EvalContext::new(&s, &r).with_jobs(8);
-    let parallel: Vec<CandidatePoint> = parallel_ctx.evaluate_many(tasks(16));
+    let parallel: Vec<CandidatePoint> = parallel_ctx.evaluate_many(tasks);
 
-    let serial_ctx = EvalContext::new(&s, &r).with_jobs(1).with_cache(false);
-    let serial: Vec<CandidatePoint> = serial_ctx.evaluate_many(tasks(16));
-
-    assert_eq!(parallel, serial, "jobs=8+cache and jobs=1 fresh must agree");
+    // Each distinct task on a fresh context of its own, and the session
+    // and retrainer called directly.
+    let fresh: Vec<CandidatePoint> = (0..4u64)
+        .map(|seed| EvalContext::new(&s, &r).evaluate(&trn, &source, seed))
+        .collect();
+    for (i, p) in parallel.iter().enumerate() {
+        assert_eq!(*p, fresh[i % 4], "task {i}: shared and fresh must agree");
+    }
+    let trained = r.retrain(&trn);
+    for (seed, p) in fresh.iter().enumerate() {
+        let direct = s.measure(&trn, seed as u64).mean_ms;
+        assert_eq!((p.latency_ms, p.accuracy), (direct, trained.accuracy));
+        assert_eq!(p.train_hours, trained.train_hours);
+    }
     // One TRN retrained once; 4 distinct measurement keys + 1 retrain key.
     let stats = parallel_ctx.stats();
     assert_eq!(stats.distinct_retrains, 1);

@@ -43,7 +43,7 @@ pub use linreg::LinearModel;
 pub use modelsel::{grid_search, k_fold_indices, random_search, GridSearchResult};
 pub use per_family::PerFamilyLinear;
 pub use profiler::ProfilerEstimator;
-pub use refit::{refit_scale_ppm, RecalibratedEstimator};
+pub use refit::refit_scale_ppm;
 pub use svr::{Svr, SvrParams};
 
 use netcut_graph::Network;

@@ -13,7 +13,9 @@ use rand::{Rng, SeedableRng};
 pub struct GridSearchResult {
     /// The winning hyper-parameters.
     pub params: SvrParams,
-    /// Mean CV relative error of the winner.
+    /// Cross-validation error of the winner: the mean absolute error over
+    /// the held-out folds, in the units of the targets. The analytical
+    /// estimator's targets are each TRN's latency ÷ its source's latency.
     pub cv_error: f64,
     /// Number of candidates evaluated.
     pub evaluated: usize,
@@ -40,9 +42,10 @@ pub fn k_fold_indices(n: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
     folds
 }
 
-/// Mean absolute CV error of an SVR configuration. The analytical
-/// estimator trains on log-latency, where absolute error coincides with
-/// relative latency error, so every family weighs equally.
+/// Mean absolute CV error of an SVR configuration, averaged over the
+/// folds, in the units of `y`. The analytical estimator trains on each
+/// TRN's latency divided by its source network's latency, so for it this
+/// is the mean absolute error of that ratio.
 fn cv_error(x: &[Vec<f64>], y: &[f64], params: &SvrParams, folds: &[Vec<usize>]) -> f64 {
     let mut total = 0.0;
     for fold in folds {

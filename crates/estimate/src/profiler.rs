@@ -14,7 +14,7 @@
 use crate::LatencyEstimator;
 use netcut_graph::Network;
 use netcut_obs as obs;
-use netcut_sim::{LatencyTable, Session};
+use netcut_sim::LatencyTable;
 use std::collections::{HashMap, HashSet};
 
 struct FamilyProfile {
@@ -36,7 +36,7 @@ struct FamilyProfile {
 ///
 /// let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
 /// let source = zoo::mobilenet_v1(0.5);
-/// let estimator = ProfilerEstimator::profile(&session, &[source.clone()], 42);
+/// let estimator = ProfilerEstimator::profile_with(&session, &[source.clone()], 42);
 /// let trn = source.cut_blocks(3)?.with_head(&HeadSpec::default());
 /// let predicted = estimator.estimate_ms(&trn);
 /// assert!(predicted > 0.0);
@@ -47,21 +47,16 @@ pub struct ProfilerEstimator {
 }
 
 impl ProfilerEstimator {
-    /// Profiles each source network once on the session's device, building
-    /// the per-family layer tables.
+    /// Profiles each source network once through `provider`, building the
+    /// per-family layer tables. A [`Session`](netcut_sim::Session)
+    /// profiles every time; a memoizing provider (the evaluation context
+    /// in `netcut::eval`) reuses tables it already recorded.
     ///
     /// Algorithm 1 takes the *trained* networks as input, i.e. the
     /// transfer-adapted models with the application head already attached —
     /// so each source is profiled as `backbone + default transfer head`,
     /// which is also the head every TRN carries. Sources already carrying a
     /// transfer head are profiled as-is.
-    pub fn profile(session: &Session, sources: &[Network], seed: u64) -> Self {
-        Self::profile_with(session, sources, seed)
-    }
-
-    /// [`profile`](Self::profile) generalized over any table source: pass a
-    /// memoizing provider (e.g. the evaluation context in `netcut::eval`)
-    /// to reuse previously recorded tables instead of re-profiling.
     pub fn profile_with<P: crate::ProfileProvider>(
         provider: &P,
         sources: &[Network],
@@ -156,14 +151,14 @@ impl LatencyEstimator for ProfilerEstimator {
 mod tests {
     use super::*;
     use netcut_graph::{zoo, HeadSpec};
-    use netcut_sim::{DeviceModel, Precision};
+    use netcut_sim::{DeviceModel, Precision, Session};
 
     fn session() -> Session {
         Session::new(DeviceModel::jetson_xavier(), Precision::Int8)
     }
 
     fn estimator() -> ProfilerEstimator {
-        ProfilerEstimator::profile(&session(), &zoo::paper_networks(), 3)
+        ProfilerEstimator::profile_with(&session(), &zoo::paper_networks(), 3)
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "was not profiled")]
     fn unknown_family_panics() {
-        let est = ProfilerEstimator::profile(&session(), &[zoo::resnet50()], 1);
+        let est = ProfilerEstimator::profile_with(&session(), &[zoo::resnet50()], 1);
         let other = zoo::mobilenet_v1(0.5);
         let trn = other.cut_blocks(1).unwrap();
         est.estimate_ms(&trn);

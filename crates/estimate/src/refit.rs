@@ -5,20 +5,14 @@
 //! keeps: each sample is `observed / predicted` in parts per million.
 //! [`refit_scale_ppm`] condenses the window into one multiplicative
 //! correction — the **median** ratio, which is robust to the seeded
-//! service-noise outliers a mean would chase — and
-//! [`RecalibratedEstimator`] wraps any [`LatencyEstimator`] so the same
-//! correction applies to future predictions.
+//! service-noise outliers a mean would chase. The serve plane applies it
+//! by re-tagging a ladder's calibration (`calib_ppm`), not by wrapping an
+//! estimator.
 //!
 //! Everything is integer arithmetic over ppm samples: refitting the same
 //! window always yields the same scale, bit-identical across `--jobs`
 //! settings and platforms, which is what lets a mid-run recalibration
 //! stay inside the serving plane's determinism contract.
-
-use crate::LatencyEstimator;
-use netcut_graph::Network;
-
-/// One part per million, the fixed-point unit of refit arithmetic.
-pub const PPM: u64 = 1_000_000;
 
 /// Condenses a window of `observed / predicted` residual samples (ppm)
 /// into one multiplicative correction factor, ppm: the median sample.
@@ -32,48 +26,6 @@ pub fn refit_scale_ppm(samples_ppm: &[u64]) -> Option<u64> {
     let mut sorted = samples_ppm.to_vec();
     sorted.sort_unstable();
     Some(sorted[(sorted.len() - 1) / 2])
-}
-
-/// A [`LatencyEstimator`] whose every prediction is scaled by a fixed
-/// ppm correction — the refit output applied to the estimator that
-/// drifted.
-pub struct RecalibratedEstimator<E: LatencyEstimator> {
-    base: E,
-    scale_ppm: u64,
-    name: String,
-}
-
-impl<E: LatencyEstimator> RecalibratedEstimator<E> {
-    /// Wraps `base` with a multiplicative `scale_ppm` correction
-    /// (`PPM` = identity).
-    pub fn new(base: E, scale_ppm: u64) -> Self {
-        let name = format!("{}*{scale_ppm}ppm", base.name());
-        RecalibratedEstimator {
-            base,
-            scale_ppm,
-            name,
-        }
-    }
-
-    /// The correction factor, ppm.
-    pub fn scale_ppm(&self) -> u64 {
-        self.scale_ppm
-    }
-
-    /// The wrapped estimator.
-    pub fn base(&self) -> &E {
-        &self.base
-    }
-}
-
-impl<E: LatencyEstimator> LatencyEstimator for RecalibratedEstimator<E> {
-    fn estimate_ms(&self, trn: &Network) -> f64 {
-        self.base.estimate_ms(trn) * self.scale_ppm as f64 / PPM as f64
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 #[cfg(test)]
@@ -109,27 +61,5 @@ mod tests {
         let b = [900_000, 1_100_000, 1_200_000];
         assert_eq!(refit_scale_ppm(&a), refit_scale_ppm(&b));
         assert_eq!(refit_scale_ppm(&a), Some(1_100_000));
-    }
-
-    struct Fixed(f64);
-    impl LatencyEstimator for Fixed {
-        fn estimate_ms(&self, _trn: &Network) -> f64 {
-            self.0
-        }
-        fn name(&self) -> &str {
-            "fixed"
-        }
-    }
-
-    #[test]
-    fn recalibrated_estimator_scales_predictions() {
-        let net = netcut_graph::zoo::mobilenet_v2(1.0);
-        let e = RecalibratedEstimator::new(Fixed(10.0), 1_300_000);
-        assert!((e.estimate_ms(&net) - 13.0).abs() < 1e-9);
-        assert_eq!(e.scale_ppm(), 1_300_000);
-        assert_eq!(e.name(), "fixed*1300000ppm");
-        // Identity scale changes nothing.
-        let id = RecalibratedEstimator::new(Fixed(10.0), PPM);
-        assert!((id.estimate_ms(&net) - 10.0).abs() < 1e-12);
     }
 }

@@ -551,16 +551,18 @@ mod tests {
                 None => base.saturating_mul(n as u64),
             }
         };
-        let cfg = crate::ScenarioConfig {
+        // The default roster puts the Xavier on shard 0, the Nano on 1.
+        let scenario = crate::Scenario::build(crate::ScenarioConfig {
             batch_max: 8,
+            shards: 2,
             ..crate::ScenarioConfig::default()
-        };
-        let scenario = |device| crate::build_ladder_for(&cfg, &device).expect("scenario ladder");
+        });
+        let shards = scenario.server().shards();
         let ladders = [
             ladder(),
             l,
-            scenario(netcut_sim::DeviceModel::jetson_xavier()),
-            scenario(netcut_sim::DeviceModel::jetson_nano()),
+            shards[0].ladder.clone(),
+            shards[1].ladder.clone(),
         ];
         for (i, l) in ladders.iter().enumerate() {
             let len = l.batch_curves().iter().map(Vec::len).max().unwrap_or(0);

@@ -45,13 +45,13 @@
 //!
 //! # One run, one ledger
 //!
-//! The event loop only appends: a row per request to [`OutcomeSoa`], a
-//! row per dispatch to [`BatchSoa`], and each controller hot-swap to a
+//! The event loop only appends: a row per request to `OutcomeSoa`, a
+//! row per dispatch to `BatchSoa`, and each controller hot-swap to a
 //! swap log. Once the loop ends, finalization prices every batch and
 //! settles its members' rows, and everything the run reports is a
-//! projection of that [`RunLedger`]: the [`Timeline`], the once-per-run
+//! projection of that `RunLedger`: the [`Timeline`], the once-per-run
 //! flush to the `obs` registry, and the [`RequestOutcome`]s. Batch
-//! pricing exists once ([`BatchSoa::price`]): the controller's watermark
+//! pricing exists once (`BatchSoa::price`): the controller's watermark
 //! fold calls it, and so does finalization, which keeps each price in the
 //! ledger for the timeline.
 //!
@@ -76,7 +76,7 @@
 //!   batches waiting, not with the run's virtual duration.
 //! * **Earliest-worker index** — every shard's worker free times sit in a
 //!   min segment tree, all shards' trees in one flat array
-//!   ([`WorkerIndex`]), so finding a shard's earliest worker and updating
+//!   (`WorkerIndex`), so finding a shard's earliest worker and updating
 //!   one after a dispatch or join are O(log W) instead of a scan of the
 //!   pool. It picks exactly the worker the scan did: the leftmost with the
 //!   earliest start, the stalled prefix held to its release.

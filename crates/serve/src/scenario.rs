@@ -234,7 +234,8 @@ impl ScenarioConfig {
 }
 
 /// A fully-built scenario, ready to run (and re-run: the simulation is a
-/// pure function, so [`Scenario::run`] always returns the same outcomes).
+/// pure function, so [`Scenario::run_full`] always returns the same
+/// outcomes).
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The server: device shards plus the runtime configuration.
@@ -296,29 +297,18 @@ fn exit_table_memory(ladder: &TrnLadder, batch_max: usize, nets: &ScenarioNets) 
     }
 }
 
-/// Builds the exit table for `cfg` on `device`: explores
-/// [`scenario_networks`] under Int8, Pareto-filters the candidates into
-/// the exit table of one multi-exit network, attaches the per-device
-/// memory accounting ([`exit_table_memory`]), and — when `cfg.batch_max`
-/// allows batching — attaches the analytic batch-scaling curve of each
-/// exit ([`batch_curve_ppm`]).
+/// Builds the exit table for `cfg` on `device` through `ctx`: explores
+/// the scenario's TRNs ([`scenario_networks`] under Int8), Pareto-filters
+/// the candidates into the exit table of one multi-exit network, attaches
+/// the per-device memory accounting ([`exit_table_memory`]), and — when
+/// `cfg.batch_max` allows batching — attaches the analytic batch-scaling
+/// curve of each exit ([`batch_curve_ppm`]). The scenario build shares
+/// one retrainer, one cache set and one set of networks across its roster
+/// devices.
 ///
 /// # Errors
 /// [`LadderError::NoCandidates`] if the exploration produced no points —
 /// a misconfigured sweep, not a bug.
-pub fn build_ladder_for(
-    cfg: &ScenarioConfig,
-    device: &DeviceModel,
-) -> Result<TrnLadder, LadderError> {
-    let session = Session::new(device.clone(), Precision::Int8);
-    let retrainer = SurrogateRetrainer::paper();
-    let ctx = EvalContext::new(&session, &retrainer).with_jobs(cfg.jobs);
-    build_ladder_in(cfg, device, &ctx, &ScenarioNets::cut())
-}
-
-/// [`build_ladder_for`] through an existing context and the scenario's
-/// TRNs, so the scenario build shares one retrainer, one cache set and
-/// one set of networks across its roster devices.
 fn build_ladder_in(
     cfg: &ScenarioConfig,
     device: &DeviceModel,
@@ -345,15 +335,6 @@ fn build_ladder_in(
         batch_curve_ppm(&nets.trns[cut], device, Precision::Int8, batch_max)
     });
     Ok(ladder.with_batch_curves(curves))
-}
-
-/// Builds the shard-0 exit table (the primary device) — the pre-sharding
-/// API.
-///
-/// # Errors
-/// Propagates [`build_ladder_for`] errors.
-pub fn build_ladder(cfg: &ScenarioConfig) -> Result<TrnLadder, LadderError> {
-    build_ladder_for(cfg, &cfg.devices[0])
 }
 
 /// Splits `workers` across `shards` as evenly as possible, remainder to
@@ -527,11 +508,6 @@ impl Scenario {
         &self.server
     }
 
-    /// Runs the serving simulation and returns per-request outcomes.
-    pub fn run(&self) -> Vec<RequestOutcome> {
-        self.server.run(&self.requests)
-    }
-
     /// The timeline configuration this scenario records under.
     pub fn timeline_config(&self) -> TimelineConfig {
         TimelineConfig {
@@ -622,7 +598,8 @@ mod tests {
 
     #[test]
     fn ladder_spans_the_deadline() {
-        let ladder = build_ladder(&quick()).expect("scenario family yields candidates");
+        let scenario = Scenario::build(quick());
+        let ladder = scenario.ladder();
         assert!(ladder.len() >= 8, "only {} rungs", ladder.len());
         assert!(ladder.rung(0).latency_us < 900);
         assert!(ladder.rung(ladder.top()).latency_us > 300);
@@ -630,8 +607,9 @@ mod tests {
 
     #[test]
     fn exit_table_memory_beats_the_per_rung_fleet_tenfold() {
-        let ladder = build_ladder(&quick_sharded()).expect("scenario family yields candidates");
-        let mem = ladder
+        let scenario = Scenario::build(quick_sharded());
+        let mem = scenario
+            .ladder()
             .memory()
             .expect("scenario ladders carry memory accounting");
         assert!(mem.model_bytes > 0);
@@ -803,15 +781,18 @@ mod tests {
         // Pinning the exit table to its deepest exit is exactly the
         // `--no-degrade` server: same rung for every visual request, so
         // the whole outcome stream must be identical.
-        let pinned = Scenario::build(ScenarioConfig {
-            exit_pin: Some(build_ladder(&quick()).expect("candidates").top()),
-            ..quick()
-        });
         let baseline = Scenario::build(ScenarioConfig {
             degrade: false,
             ..quick()
         });
-        assert_eq!(pinned.run(), baseline.run());
+        let pinned = Scenario::build(ScenarioConfig {
+            exit_pin: Some(baseline.ladder().top()),
+            ..quick()
+        });
+        assert_eq!(
+            pinned.server().run(&pinned.requests),
+            baseline.server().run(&baseline.requests)
+        );
     }
 
     #[test]

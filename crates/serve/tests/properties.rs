@@ -11,10 +11,9 @@
 //!    at `--jobs 1` and `--jobs 8`.
 
 use netcut_serve::{
-    build_ladder_for, run_scenario, Batcher, FaultPlan, Rung, Scenario, ScenarioConfig, Server,
-    ServerConfig, Shard, Status, TrnLadder, Workload, PPM,
+    run_scenario, Batcher, FaultPlan, Rung, Scenario, ScenarioConfig, Server, ServerConfig, Shard,
+    Status, TrnLadder, Workload, PPM,
 };
-use netcut_sim::DeviceModel;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -355,17 +354,18 @@ fn admit_by_scan(
     }
 }
 
-/// The Xavier and Nano scenario ladders with their batch-8 curves, built
-/// once for every case.
+/// The Xavier and Nano scenario ladders with their batch-8 curves (the
+/// default roster's two shards), built once for every case.
 fn scenario_ladders() -> &'static [TrnLadder; 2] {
     static LADDERS: OnceLock<[TrnLadder; 2]> = OnceLock::new();
     LADDERS.get_or_init(|| {
-        let cfg = ScenarioConfig {
+        let scenario = Scenario::build(ScenarioConfig {
             batch_max: 8,
+            shards: 2,
             ..ScenarioConfig::default()
-        };
-        [DeviceModel::jetson_xavier(), DeviceModel::jetson_nano()]
-            .map(|device| build_ladder_for(&cfg, &device).expect("scenario ladder"))
+        });
+        let shards = scenario.server().shards();
+        [shards[0].ladder.clone(), shards[1].ladder.clone()]
     })
 }
 

@@ -11,7 +11,7 @@
 //! arbitrarily broken artifacts, and each invariant is owned by exactly one
 //! code (a rule defers when the broken input belongs to another rule).
 //!
-//! The stable `SV001`–`SV013` codes live in [`Code`](crate::Code) next to
+//! The stable `SV001`–`SV013` codes live in [`Code`] next to
 //! the NC table; the full rule table is DESIGN.md §16.
 
 use crate::diagnostic::{Code, Diagnostic, GraphSpan, Report};

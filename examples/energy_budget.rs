@@ -8,6 +8,7 @@
 //! cargo run --release --example energy_budget
 //! ```
 
+use netcut::eval::EvalContext;
 use netcut::netcut::NetCut;
 use netcut_estimate::ProfilerEstimator;
 use netcut_graph::{zoo, HeadSpec};
@@ -17,9 +18,10 @@ use netcut_train::SurrogateRetrainer;
 
 fn main() {
     let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
-    let sources = zoo::paper_networks();
-    let estimator = ProfilerEstimator::profile(&session, &sources, 42);
     let retrainer = SurrogateRetrainer::paper();
+    let ctx = EvalContext::new(&session, &retrainer);
+    let sources = zoo::paper_networks();
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 42);
     let energy = EnergyModel::jetson_xavier();
     let budget = LoopBudget::paper();
     // A prosthetic-scale battery: 3.7 V × 2000 mAh ≈ 26.6 kJ, of which the
@@ -27,7 +29,7 @@ fn main() {
     let vision_budget_j = 26_640.0 * 0.25;
 
     let outcome =
-        NetCut::new(&estimator, &retrainer).run(&sources, budget.visual_budget_ms(), &session);
+        NetCut::new(&estimator, &retrainer).run_with(&sources, budget.visual_budget_ms(), &ctx);
     println!(
         "per-proposal energy at the {:.1} ms deadline (vision battery share: {:.1} kJ):",
         budget.visual_budget_ms(),

@@ -56,7 +56,7 @@ fn main() {
 
     let (svr, search) = AnalyticalEstimator::fit_with_grid_search(&train, &info, 10, 7);
     let linear = LinearLatencyEstimator::fit(&train, &info);
-    let profiler = ProfilerEstimator::profile(&session, &sources, 7);
+    let profiler = ProfilerEstimator::profile_with(&session, &sources, 7);
 
     let eval = |est: &dyn LatencyEstimator| -> f64 {
         let pred: Vec<f64> = test_idx

@@ -8,6 +8,7 @@
 //! Jetson Xavier, and runs Algorithm 1 at the robotic hand's 0.9 ms
 //! deadline, printing the proposed TRN per family and the final selection.
 
+use netcut::eval::EvalContext;
 use netcut::netcut::NetCut;
 use netcut_estimate::ProfilerEstimator;
 use netcut_graph::zoo;
@@ -17,10 +18,14 @@ use netcut_train::SurrogateRetrainer;
 fn main() {
     let deadline_ms = 0.9;
     let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
+    let retrainer = SurrogateRetrainer::paper();
+    // Every measurement, profile and retrain goes through one memoizing
+    // context.
+    let ctx = EvalContext::new(&session, &retrainer);
     let sources = zoo::paper_networks();
     println!("source networks:");
     for net in &sources {
-        let m = session.measure(net, 42);
+        let m = ctx.measure(net, 42);
         println!(
             "  {:22} {:3} blocks  {:6.2} MFLOPs  {:6.3} ms",
             net.name(),
@@ -31,9 +36,8 @@ fn main() {
     }
 
     // One profiling pass per family is all the estimator needs.
-    let estimator = ProfilerEstimator::profile(&session, &sources, 42);
-    let retrainer = SurrogateRetrainer::paper();
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, deadline_ms, &session);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 42);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, deadline_ms, &ctx);
 
     println!();
     println!("NetCut proposals at {deadline_ms} ms:");

@@ -2,7 +2,8 @@
 //! reproduction must be bit-identical across runs given the same seeds,
 //! and every reportable artifact must round-trip through JSON.
 
-use netcut::explore::off_the_shelf;
+use netcut::eval::EvalContext;
+use netcut::explore::off_the_shelf_with;
 use netcut::netcut::NetCut;
 use netcut_estimate::ProfilerEstimator;
 use netcut_graph::{zoo, HeadSpec, Network};
@@ -29,10 +30,13 @@ fn measurements_are_bit_identical_across_runs() {
 fn netcut_outcome_is_deterministic() {
     let sources = zoo::paper_networks();
     let retrainer = SurrogateRetrainer::paper();
+    // Each run gets its own context: a shared cache would answer the
+    // second run from the first.
     let run = || {
         let s = session();
-        let estimator = ProfilerEstimator::profile(&s, &sources, 3);
-        NetCut::new(&estimator, &retrainer).run(&sources, 0.9, &s)
+        let ctx = EvalContext::new(&s, &retrainer);
+        let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+        NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx)
     };
     let a = run();
     let b = run();
@@ -70,11 +74,11 @@ fn trimmed_network_round_trips() {
 
 #[test]
 fn exploration_points_round_trip_as_json() {
-    let shelf = off_the_shelf(
+    let (s, retrainer) = (session(), SurrogateRetrainer::paper());
+    let shelf = off_the_shelf_with(
+        &EvalContext::new(&s, &retrainer),
         &[zoo::mobilenet_v1(0.25)],
         &HeadSpec::default(),
-        &session(),
-        &SurrogateRetrainer::paper(),
         1,
     );
     let json = serde_json::to_string(&shelf.points).expect("points serialize");

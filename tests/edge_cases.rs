@@ -2,6 +2,7 @@
 //! inputs, extreme configurations — the corners a downstream user will hit
 //! eventually.
 
+use netcut::eval::EvalContext;
 use netcut::netcut::NetCut;
 use netcut::pareto::{best_meeting_deadline, pareto_frontier};
 use netcut::removal::blockwise_trns;
@@ -55,9 +56,10 @@ fn valid_padding_collapse_to_empty_map_is_priced_as_overhead() {
 #[test]
 fn netcut_with_no_sources_selects_nothing() {
     let s = session();
-    let estimator = ProfilerEstimator::profile(&s, &[], 1);
     let retrainer = SurrogateRetrainer::paper();
-    let outcome = NetCut::new(&estimator, &retrainer).run(&[], 0.9, &s);
+    let ctx = EvalContext::new(&s, &retrainer);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &[], 1);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&[], 0.9, &ctx);
     assert!(outcome.proposals.is_empty());
     assert!(outcome.selected().is_none());
     assert_eq!(outcome.exploration_hours, 0.0);
@@ -69,9 +71,10 @@ fn impossible_deadline_still_returns_proposals() {
     // the selection (which requires a met estimate) is empty.
     let s = session();
     let sources = netcut_graph::zoo::paper_networks();
-    let estimator = ProfilerEstimator::profile(&s, &sources, 3);
     let retrainer = SurrogateRetrainer::paper();
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, 0.001, &s);
+    let ctx = EvalContext::new(&s, &retrainer);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.001, &ctx);
     assert_eq!(outcome.proposals.len(), sources.len());
     assert!(outcome.selected().is_none());
     for p in &outcome.proposals {

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full pipeline wired together in ways
 //! the per-crate unit tests cannot exercise.
 
+use netcut::eval::EvalContext;
+use netcut::explore::exhaustive_blockwise_with;
 use netcut::netcut::NetCut;
 use netcut::removal::blockwise_trns;
 use netcut_estimate::{AnalyticalEstimator, ProfilerEstimator, SourceInfo, SvrParams};
@@ -35,8 +37,9 @@ fn netcut_with_both_estimator_kinds_agrees_on_the_family() {
     let sources = zoo::paper_networks();
     let head = HeadSpec::default();
     let retrainer = SurrogateRetrainer::paper();
+    let ctx = EvalContext::new(&s, &retrainer);
     // Profiler estimator.
-    let profiler = ProfilerEstimator::profile(&s, &sources, 3);
+    let profiler = ProfilerEstimator::profile_with(&ctx, &sources, 3);
     // Analytical estimator trained on a handful of measured TRNs.
     let mut source_latency = HashMap::new();
     let mut train_trns: Vec<Network> = Vec::new();
@@ -55,8 +58,8 @@ fn netcut_with_both_estimator_kinds_agrees_on_the_family() {
     let samples: Vec<(&Network, f64)> = train_trns.iter().zip(train_lat.iter().copied()).collect();
     let svr = AnalyticalEstimator::fit(&samples, &info, &SvrParams::paper());
 
-    let a = NetCut::new(&profiler, &retrainer).run(&sources, 0.9, &s);
-    let b = NetCut::new(&svr, &retrainer).run(&sources, 0.9, &s);
+    let a = NetCut::new(&profiler, &retrainer).run_with(&sources, 0.9, &ctx);
+    let b = NetCut::new(&svr, &retrainer).run_with(&sources, 0.9, &ctx);
     let fam_a = &a.selected().expect("selection").family;
     let fam_b = &b.selected().expect("selection").family;
     assert_eq!(fam_a, fam_b, "estimators disagree on the winning family");
@@ -69,9 +72,10 @@ fn netcut_proposals_track_their_estimates() {
     // depends on).
     let s = session();
     let sources = zoo::paper_networks();
-    let estimator = ProfilerEstimator::profile(&s, &sources, 3);
     let retrainer = SurrogateRetrainer::paper();
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, 0.9, &s);
+    let ctx = EvalContext::new(&s, &retrainer);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx);
     for p in &outcome.proposals {
         let est = p.estimated_ms.expect("proposal carries its estimate");
         let rel = (est - p.latency_ms).abs() / p.latency_ms;
@@ -87,14 +91,21 @@ fn netcut_proposals_track_their_estimates() {
 #[test]
 fn retrainer_is_consistent_between_exploration_paths() {
     // The same TRN must get the same accuracy whether reached by NetCut or
-    // by the exhaustive sweep (determinism across code paths).
+    // by the exhaustive sweep (determinism across code paths). Each path
+    // gets its own context, so the sweep cannot answer from NetCut's
+    // retrain cache.
     let s = session();
     let sources = zoo::paper_networks();
     let retrainer = SurrogateRetrainer::paper();
-    let estimator = ProfilerEstimator::profile(&s, &sources, 3);
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, 0.9, &s);
-    let sweep =
-        netcut::explore::exhaustive_blockwise(&sources, &HeadSpec::default(), &s, &retrainer, 1);
+    let ctx = EvalContext::new(&s, &retrainer);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx);
+    let sweep = exhaustive_blockwise_with(
+        &EvalContext::new(&s, &retrainer),
+        &sources,
+        &HeadSpec::default(),
+        1,
+    );
     for p in &outcome.proposals {
         if let Some(match_point) = sweep.points.iter().find(|q| q.name == p.name) {
             assert!(

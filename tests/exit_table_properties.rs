@@ -7,7 +7,7 @@
 
 use netcut::eval::EvalContext;
 use netcut_data::Dataset;
-use netcut_serve::{build_ladder, ScenarioConfig};
+use netcut_serve::{Scenario, ScenarioConfig};
 use netcut_sim::{DeviceModel, Precision, Session};
 use netcut_train::engine::MiniConfig;
 use netcut_train::{
@@ -18,7 +18,8 @@ use proptest::prelude::*;
 
 #[test]
 fn scenario_exit_table_is_monotone_in_latency_and_accuracy() {
-    let ladder = build_ladder(&ScenarioConfig::default()).expect("default scenario ladder");
+    let scenario = Scenario::build(ScenarioConfig::default());
+    let ladder = scenario.ladder();
     assert!(ladder.len() >= 2, "ladder needs at least two exits");
     for pair in ladder.rungs().windows(2) {
         assert!(

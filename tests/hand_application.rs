@@ -2,6 +2,7 @@
 //! pipeline: the budget derived in `netcut-hand` is exactly the deadline
 //! NetCut runs against, and the selected TRN must sustain the loop.
 
+use netcut::eval::EvalContext;
 use netcut::netcut::NetCut;
 use netcut_estimate::ProfilerEstimator;
 use netcut_graph::zoo;
@@ -16,11 +17,12 @@ fn the_budget_is_the_paper_deadline_and_netcut_sustains_it() {
     let budget = LoopBudget::paper();
     assert!((budget.visual_budget_ms() - 0.9).abs() < 1e-9);
     let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
-    let sources = zoo::paper_networks();
-    let estimator = ProfilerEstimator::profile(&session, &sources, 3);
     let retrainer = SurrogateRetrainer::paper();
+    let ctx = EvalContext::new(&session, &retrainer);
+    let sources = zoo::paper_networks();
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
     let outcome =
-        NetCut::new(&estimator, &retrainer).run(&sources, budget.visual_budget_ms(), &session);
+        NetCut::new(&estimator, &retrainer).run_with(&sources, budget.visual_budget_ms(), &ctx);
     let selected = outcome.selected().expect("selection exists");
     // The selection sustains the loop by its *estimated* latency (what the
     // algorithm promises); measured latency lands within the frame period

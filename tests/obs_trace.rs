@@ -3,6 +3,7 @@
 //! nested spans, monotone timestamps, one span per explored candidate with
 //! predicted and measured latency) and a loadable Chrome trace document.
 
+use netcut_repro::core::eval::EvalContext;
 use netcut_repro::core::netcut::NetCut;
 use netcut_repro::estimate::ProfilerEstimator;
 use netcut_repro::graph::zoo;
@@ -21,10 +22,11 @@ fn sink_lock() -> MutexGuard<'static, ()> {
 /// Runs NetCut over two small families with the given deadline.
 fn run_explore() -> usize {
     let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
-    let sources = [zoo::mobilenet_v1(0.25), zoo::mobilenet_v1(0.5)];
-    let estimator = ProfilerEstimator::profile(&session, &sources, 7);
     let retrainer = SurrogateRetrainer::paper();
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, 0.9, &session);
+    let ctx = EvalContext::new(&session, &retrainer);
+    let sources = [zoo::mobilenet_v1(0.25), zoo::mobilenet_v1(0.5)];
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 7);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx);
     outcome.proposals.len()
 }
 

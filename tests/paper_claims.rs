@@ -1,7 +1,8 @@
 //! Integration tests asserting the paper's headline claims hold on the
 //! simulated testbed — the quantitative contract of the reproduction.
 
-use netcut::explore::{exhaustive_blockwise, off_the_shelf};
+use netcut::eval::EvalContext;
+use netcut::explore::{exhaustive_blockwise_with, off_the_shelf_with};
 use netcut::netcut::NetCut;
 use netcut::pareto::{best_meeting_deadline, frontier_expansion, relative_improvement};
 use netcut::removal::{blockwise_candidate_count, blockwise_trns, iterative_trns};
@@ -20,11 +21,11 @@ fn session() -> Session {
 fn fig1_mobilenet_v1_05_is_the_off_the_shelf_selection() {
     // §III-C: "to meet the 0.9 ms deadline, MobileNetV1 (0.5) can achieve
     // an accuracy of 0.81".
-    let shelf = off_the_shelf(
+    let (s, retrainer) = (session(), SurrogateRetrainer::paper());
+    let shelf = off_the_shelf_with(
+        &EvalContext::new(&s, &retrainer),
         &zoo::paper_networks(),
         &HeadSpec::default(),
-        &session(),
-        &SurrogateRetrainer::paper(),
         1,
     );
     let best = best_meeting_deadline(&shelf.points, DEADLINE_MS).expect("a network meets 0.9 ms");
@@ -84,10 +85,11 @@ fn fig7_trns_expand_the_pareto_frontier() {
     // on the off-the-shelf frontier.
     let s = session();
     let retrainer = SurrogateRetrainer::paper();
+    let ctx = EvalContext::new(&s, &retrainer);
     let sources = zoo::paper_networks();
     let head = HeadSpec::default();
-    let sweep = exhaustive_blockwise(&sources, &head, &s, &retrainer, 1);
-    let shelf = off_the_shelf(&sources, &head, &s, &retrainer, 1);
+    let sweep = exhaustive_blockwise_with(&ctx, &sources, &head, 1);
+    let shelf = off_the_shelf_with(&ctx, &sources, &head, 1);
     let expansion = frontier_expansion(&sweep.points, &shelf.points);
     assert!(
         (0.08..=0.14).contains(&expansion.max_improvement),
@@ -116,7 +118,7 @@ fn fig9_estimator_quality_ordering() {
     // profiler must stay under 5 % on every family's mid cut.
     let s = session();
     let sources = zoo::paper_networks();
-    let estimator = ProfilerEstimator::profile(&s, &sources, 3);
+    let estimator = ProfilerEstimator::profile_with(&s, &sources, 3);
     let head = HeadSpec::default();
     for source in &sources {
         let trn = source
@@ -142,14 +144,15 @@ fn fig10_netcut_selects_a_trimmed_resnet_with_27x_class_speedup() {
     let s = session();
     let sources = zoo::paper_networks();
     let retrainer = SurrogateRetrainer::paper();
-    let estimator = ProfilerEstimator::profile(&s, &sources, 3);
-    let outcome = NetCut::new(&estimator, &retrainer).run(&sources, DEADLINE_MS, &s);
+    let ctx = EvalContext::new(&s, &retrainer);
+    let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, DEADLINE_MS, &ctx);
     let selected = outcome.selected().expect("a real-time TRN exists");
     assert_eq!(selected.family, "resnet50");
     assert!(selected.cutpoint > 0);
     // Accuracy improvement over the off-the-shelf selection in the paper's
     // 2–6 % band.
-    let shelf = off_the_shelf(&sources, &HeadSpec::default(), &s, &retrainer, 1);
+    let shelf = off_the_shelf_with(&ctx, &sources, &HeadSpec::default(), 1);
     let best_shelf = best_meeting_deadline(&shelf.points, DEADLINE_MS).expect("exists");
     let improvement = selected.accuracy / best_shelf.accuracy - 1.0;
     assert!(
@@ -157,7 +160,7 @@ fn fig10_netcut_selects_a_trimmed_resnet_with_27x_class_speedup() {
         "improvement {improvement:.3}"
     );
     // Exploration speedup in the paper's order of magnitude (27×).
-    let exhaustive = exhaustive_blockwise(&sources, &HeadSpec::default(), &s, &retrainer, 1);
+    let exhaustive = exhaustive_blockwise_with(&ctx, &sources, &HeadSpec::default(), 1);
     let speedup = exhaustive.total_train_hours / outcome.exploration_hours;
     assert!(
         (15.0..=60.0).contains(&speedup),
@@ -168,11 +171,11 @@ fn fig10_netcut_selects_a_trimmed_resnet_with_27x_class_speedup() {
 #[test]
 fn exploration_hours_match_paper_scale() {
     // §V-C: 183 h for the exhaustive sweep on the K20m-class trainer.
-    let exhaustive = exhaustive_blockwise(
+    let (s, retrainer) = (session(), SurrogateRetrainer::paper());
+    let exhaustive = exhaustive_blockwise_with(
+        &EvalContext::new(&s, &retrainer),
         &zoo::paper_networks(),
         &HeadSpec::default(),
-        &session(),
-        &SurrogateRetrainer::paper(),
         1,
     );
     assert!(
