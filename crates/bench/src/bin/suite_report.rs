@@ -1,42 +1,32 @@
-//! Regenerates the paper's evaluation in one pass: runs every study of
-//! [`netcut_bench::paper::DOCUMENTS`] over one shared lab, writes each
-//! `results/<name>.json`, and writes the combined report to
-//! `results/REPORT.md` — the single-artifact view of the reproduction.
+//! Regenerates the reproduction in one pass: runs every study of
+//! [`netcut_bench::paper::DOCUMENTS`] over one shared lab and writes each
+//! `results/<name>.json`, runs the serving runtime's reference matrix
+//! ([`netcut_bench::serve_matrix`]) and writes `results/BENCH_serve.json`
+//! and `results/BENCH_timeline.jsonl`, and writes the combined report to
+//! `results/REPORT.md` — the single-artifact view of the reproduction. It
+//! fails when a study's shape claim, a serve acceptance invariant or a
+//! verification pass fails.
 //!
 //! Every written byte is a function of the tree: a rerun on an unchanged
-//! tree rewrites the same files, at any CPU count, and CI fails on
-//! `git diff --exit-code results/` after running it. What varies from run
-//! to run (the git state and the wall-clock of each phase) goes to stdout
-//! only.
+//! tree rewrites the same files, at any CPU count, and CI fails when
+//! `git status --porcelain -- results/` is not empty after running it.
+//! What varies from run to run (the git state and the wall-clock of each
+//! phase) goes to stdout only.
 
 use netcut_bench::estimator_study::STUDY_SEED;
+use netcut_bench::serve_matrix::{self, LegResult};
 use netcut_bench::{gate, metrics_markdown, paper, timed_phase, Lab, RunMetadata, DEADLINE_MS};
 use netcut_graph::HeadSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Renders the serving-runtime section from `results/BENCH_serve.json`:
-/// the goodput/miss-rate table across the batching × sharding matrix and
-/// the batch-on vs batch-off comparison paragraph. Skips the section with
-/// a note when the results file is absent (run `bench_serve` first).
-fn serving_section(md: &mut String, doc: Option<&serde_json::Value>) {
+/// Renders the serving-runtime section: the goodput/miss-rate table
+/// across the batching × sharding matrix and the batch-on vs batch-off
+/// comparison paragraph.
+fn serving_section(md: &mut String, legs: &[LegResult]) {
+    let summary = |key| &serve_matrix::leg(legs, key).summary;
     let _ = writeln!(md, "\n## Serving runtime (batching × sharding)\n");
-    let Some(doc) = doc else {
-        let _ = writeln!(
-            md,
-            "_results/BENCH_serve.json not found — run \
-             `cargo run --release -p netcut-bench --bin bench_serve` first._"
-        );
-        return;
-    };
-    let leg = |key: &str, field: &str| {
-        gate::field(doc, &["configs", key, field]).and_then(serde_json::Value::as_u64)
-    };
-    let _ = writeln!(
-        md,
-        "Reference scenario: {}.\n",
-        doc.get("scenario").and_then(|v| v.as_str()).unwrap_or("?")
-    );
+    let _ = writeln!(md, "Reference scenario: {}.\n", serve_matrix::SCENARIO);
     let _ = writeln!(md, "| configuration | goodput (rps) | miss rate | served |");
     let _ = writeln!(md, "|---|---|---|---|");
     for (key, label) in [
@@ -46,110 +36,62 @@ fn serving_section(md: &mut String, doc: Option<&serde_json::Value>) {
         ("shard", "degradation + 2 shards (xavier + nano)"),
         ("batch_shard", "degradation + batching + 2 shards"),
     ] {
-        let (Some(goodput), Some(miss), Some(served)) = (
-            leg(key, "goodput_mrps"),
-            leg(key, "miss_rate_ppm"),
-            leg(key, "served"),
-        ) else {
-            continue;
-        };
+        let leg = summary(key);
         let _ = writeln!(
             md,
-            "| {label} | {:.1} | {:.2} % | {served} |",
-            goodput as f64 / 1e3,
-            miss as f64 / 10_000.0
+            "| {label} | {:.1} | {:.2} % | {} |",
+            leg.goodput_mrps as f64 / 1e3,
+            leg.miss_rate_ppm as f64 / 10_000.0,
+            leg.served
         );
     }
-    if let (Some(off), Some(on), Some(miss_off), Some(miss_on)) = (
-        leg("baseline", "goodput_mrps"),
-        leg("batch_shard", "goodput_mrps"),
-        leg("baseline", "miss_rate_ppm"),
-        leg("batch_shard", "miss_rate_ppm"),
-    ) {
-        let _ = writeln!(
-            md,
-            "\nDynamic batching with two device shards lifts goodput from \
-             **{:.1} rps** (batch-off baseline) to **{:.1} rps** \
-             (**{:+.1} %**) while cutting the miss rate from {:.2} % to \
-             {:.2} %: coalescing queued requests amortizes weight streaming \
-             and launch overhead (sublinear batch latency), and the shard \
-             router spills load to the slower edge device only when its \
-             predicted completion still beats queueing on the primary.",
-            off as f64 / 1e3,
-            on as f64 / 1e3,
-            (on as f64 / off as f64 - 1.0) * 100.0,
-            miss_off as f64 / 10_000.0,
-            miss_on as f64 / 10_000.0
-        );
-    }
+    let (off, on) = (summary("baseline"), summary("batch_shard"));
+    let _ = writeln!(
+        md,
+        "\nDynamic batching with two device shards lifts goodput from \
+         **{:.1} rps** (batch-off baseline) to **{:.1} rps** \
+         (**{:+.1} %**) while cutting the miss rate from {:.2} % to \
+         {:.2} %: coalescing queued requests amortizes weight streaming \
+         and launch overhead (sublinear batch latency), and the shard \
+         router spills load to the slower edge device only when its \
+         predicted completion still beats queueing on the primary.",
+        off.goodput_mrps as f64 / 1e3,
+        on.goodput_mrps as f64 / 1e3,
+        (on.goodput_mrps as f64 / off.goodput_mrps as f64 - 1.0) * 100.0,
+        off.miss_rate_ppm as f64 / 10_000.0,
+        on.miss_rate_ppm as f64 / 10_000.0
+    );
 }
 
-/// Renders the serving-timeline section: per-leg SLO burn rates from
-/// `results/BENCH_serve.json` plus the worst windows and the alert tally
-/// of the committed `results/BENCH_timeline.jsonl` (the `batch_shard`
-/// leg's windowed telemetry). Skips with a note when either file is
-/// absent.
-fn timeline_section(md: &mut String, doc: Option<&serde_json::Value>) {
+/// Renders the serving-timeline section: per-leg SLO burn rates, then the
+/// worst windows and the alert tally of the
+/// [`serve_matrix::TIMELINE_LEG`]'s windowed telemetry.
+fn timeline_section(md: &mut String, legs: &[LegResult]) {
     let _ = writeln!(md, "\n## Serving timeline (windowed telemetry)\n");
-    let timeline = std::fs::read_to_string(gate::results_path(gate::TIMELINE)).ok();
-    let (Some(doc), Some(timeline)) = (doc, timeline) else {
-        let _ = writeln!(
-            md,
-            "_results/BENCH_serve.json or results/BENCH_timeline.jsonl not found — \
-             run `cargo run --release -p netcut-bench --bin bench_serve` first._"
-        );
-        return;
-    };
-
-    // Per-leg burn rates out of the summary document.
     let _ = writeln!(
         md,
         "| configuration | run burn (× budget) | worst window (× budget) | alerts |"
     );
     let _ = writeln!(md, "|---|---|---|---|");
     for key in ["no_degrade", "baseline", "batch", "shard", "batch_shard"] {
-        let Some(leg) = gate::field(doc, &["configs", key]) else {
-            continue;
-        };
-        let u = |field: &str| leg.get(field).and_then(serde_json::Value::as_u64);
-        let alerts: u64 = leg
-            .get("alerts")
-            .and_then(|a| a.as_object())
-            .map_or(0, |a| {
-                a.values().filter_map(serde_json::Value::as_u64).sum()
-            });
-        let (Some(burn), Some(worst)) = (u("burn_rate_ppm"), u("worst_window_burn_ppm")) else {
-            continue;
-        };
+        let leg = &serve_matrix::leg(legs, key).summary;
         let _ = writeln!(
             md,
-            "| {key} | {:.2} | {:.2} | {alerts} |",
-            burn as f64 / 1e6,
-            worst as f64 / 1e6
+            "| {key} | {:.2} | {:.2} | {} |",
+            leg.burn_rate_ppm as f64 / 1e6,
+            leg.worst_window_burn_ppm as f64 / 1e6,
+            leg.alert_counts.iter().sum::<u64>()
         );
     }
 
-    // Worst windows + alert tally out of the timeline JSON-lines.
-    let rows: Vec<serde_json::Value> = timeline
-        .lines()
-        .filter_map(|l| serde_json::from_str(l).ok())
-        .collect();
-    let mut windows: Vec<&serde_json::Value> = rows
-        .iter()
-        .filter(|r| r.get("kind").and_then(|k| k.as_str()) == Some("window"))
-        .collect();
-    windows.sort_by_key(|r| {
-        let burn = r
-            .get("burn_ppm")
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0);
-        let w = r.get("w").and_then(serde_json::Value::as_u64).unwrap_or(0);
-        (std::cmp::Reverse(burn), w)
-    });
+    let timeline = &serve_matrix::leg(legs, serve_matrix::TIMELINE_LEG).timeline;
+    let mut windows: Vec<_> = timeline.rows.iter().collect();
+    windows.sort_by_key(|r| (std::cmp::Reverse(r.burn_ppm), r.window));
     let _ = writeln!(
         md,
-        "\nWorst windows of the `batch_shard` leg (burn = bad / arrivals, \
-         scaled by the miss budget):\n"
+        "\nWorst windows of the `{}` leg (burn = bad / arrivals, \
+         scaled by the miss budget):\n",
+        serve_matrix::TIMELINE_LEG
     );
     let _ = writeln!(
         md,
@@ -157,43 +99,32 @@ fn timeline_section(md: &mut String, doc: Option<&serde_json::Value>) {
     );
     let _ = writeln!(md, "|---|---|---|---|---|---|---|---|");
     for r in windows.iter().take(5) {
-        let u = |field: &str| {
-            r.get(field)
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0)
-        };
-        let bad = u("missed") + u("rejected") + u("dropped");
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {} | {} | {bad} | {} | {:.2} |",
-            u("w"),
-            u("start_us"),
-            u("shard"),
-            u("arrivals"),
-            u("served"),
-            u("queue_p95_us"),
-            u("burn_ppm") as f64 / 1e6
+            "| {} | {} | {} | {} | {} | {} | {} | {:.2} |",
+            r.window,
+            r.start_us,
+            r.shard,
+            r.arrivals,
+            r.served,
+            r.bad(),
+            r.queue_p95_us,
+            r.burn_ppm as f64 / 1e6
         );
     }
 
-    let mut alert_counts: std::collections::BTreeMap<(String, String), u64> =
-        std::collections::BTreeMap::new();
-    for r in rows
-        .iter()
-        .filter(|r| r.get("kind").and_then(|k| k.as_str()) == Some("alert"))
-    {
-        let code = r.get("code").and_then(|v| v.as_str()).unwrap_or("?");
-        let name = r.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-        *alert_counts
-            .entry((code.to_string(), name.to_string()))
+    let mut fired: std::collections::BTreeMap<(&str, &str), u64> = Default::default();
+    for alert in &timeline.alerts {
+        *fired
+            .entry((alert.code.code(), alert.code.name()))
             .or_insert(0) += 1;
     }
-    if alert_counts.is_empty() {
+    if fired.is_empty() {
         let _ = writeln!(md, "\nNo SLO alerts fired on this leg.");
     } else {
         let _ = writeln!(md, "\n| alert | name | fired |");
         let _ = writeln!(md, "|---|---|---|");
-        for ((code, name), n) in &alert_counts {
+        for ((code, name), n) in &fired {
             let _ = writeln!(md, "| {code} | {name} | {n} |");
         }
     }
@@ -256,6 +187,81 @@ fn simcore_section(md: &mut String) {
     }
 }
 
+/// Renders the static-verification section. The graph-IR analyzer runs
+/// over every graph the suite touched — each source plus every blockwise
+/// TRN, raw and with the HANDS head reattached: a single Error means the
+/// numbers above were computed on a structurally broken graph. The SV
+/// rules run over every reference-matrix scenario — the exact
+/// configurations the serving sections bench, where a ladder-construction
+/// failure becomes an SV002 finding — and the workspace determinism lint
+/// over its committed allowlist.
+fn verification_section(lab: &Lab) -> String {
+    let mut md = String::new();
+    let (verify_summary, verified_graphs) = timed_phase("phase.verify_us", || {
+        let structural = netcut_verify::Analyzer::new();
+        let spec = HeadSpec::default();
+        let with_head = netcut_verify::Analyzer::with_expected_head(spec.clone());
+        let mut total = netcut_verify::Summary::default();
+        let mut graphs = 0usize;
+        for source in &lab.sources {
+            total.merge(structural.analyze(source).summary());
+            graphs += 1;
+            for k in 0..source.num_blocks() {
+                let trn = source.cut_blocks(k).expect("zoo cutpoints are valid");
+                total.merge(structural.analyze(&trn).summary());
+                total.merge(with_head.analyze(&trn.with_head(&spec)).summary());
+                graphs += 2;
+            }
+        }
+        (total, graphs)
+    });
+    let _ = writeln!(md, "\n## Static verification\n");
+    let _ = writeln!(
+        md,
+        "`netcut-verify` over **{verified_graphs} graphs** (every source, every \
+         blockwise TRN raw and head-reattached): {} error(s), {} warning(s), \
+         {} note(s).",
+        verify_summary.errors, verify_summary.warnings, verify_summary.notes
+    );
+    assert_eq!(
+        verify_summary.errors, 0,
+        "suite ran on structurally broken graphs"
+    );
+
+    let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_us", || {
+        let reports = netcut_serve::lint_reference_matrix();
+        let mut total = netcut_verify::Summary::default();
+        for report in &reports {
+            total.merge(report.summary());
+        }
+        (total, reports.len())
+    });
+    let detlint = timed_phase("phase.detlint_us", || {
+        let root = netcut_verify::detlint::workspace_root();
+        netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
+    });
+    let _ = writeln!(
+        md,
+        "\nSV serve-plane rules over **{serve_configs} reference scenarios** \
+         (the bench matrix legs): {} error(s), {} warning(s). Determinism \
+         lint over **{} source files**: {} finding(s), {} allowed, {} stale.",
+        serve_verify.errors,
+        serve_verify.warnings,
+        detlint.files_scanned,
+        detlint.findings.len(),
+        detlint.allowed.len(),
+        detlint.stale.len()
+    );
+    assert_eq!(
+        serve_verify.errors, 0,
+        "suite benched an unsound serve configuration"
+    );
+    assert!(detlint.is_clean(), "determinism lint failed:\n{}", {
+        detlint.render_text()
+    });
+    md
+}
+
 fn main() {
     let lab = Lab::new();
     let mut md = String::new();
@@ -307,97 +313,48 @@ fn main() {
         stats.saved_wall_s
     );
 
-    // Serving runtime: the batching × sharding matrix from the committed
-    // bench results (results/BENCH_serve.json — regenerated by bench_serve,
-    // gated against drift by bench_check in CI).
-    let serve_doc = gate::load(&gate::results_path(gate::SERVE)).ok();
-    serving_section(&mut md, serve_doc.as_ref());
+    // The verification passes and the metrics table run before the serve
+    // matrix and print after it: the table counts the paper studies and
+    // the verification passes, while the matrix's own counts are its
+    // summaries in BENCH_serve.json. The seed and setup go with the
+    // table; the git state and the per-phase wall-clock go to stdout.
+    let verification = verification_section(&lab);
+    let meta = RunMetadata::collect(&lab, STUDY_SEED);
+    let metrics = metrics_markdown(&meta);
 
-    // Serving timeline: windowed burn rates and alerts from the committed
-    // bench artifacts (BENCH_serve.json + BENCH_timeline.jsonl).
-    timeline_section(&mut md, serve_doc.as_ref());
+    // Serving runtime: the reference matrix, written as BENCH_serve.json
+    // (one summary per leg) and BENCH_timeline.jsonl (the timeline leg's
+    // windowed telemetry), then checked against its acceptance invariants.
+    // The documents are written first, so a failed run still leaves the
+    // fresh files to inspect.
+    let start = Instant::now();
+    let legs = serve_matrix::run();
+    for (file, text) in serve_matrix::documents(&legs) {
+        let path = gate::results_path(file);
+        gate::write(&path, &text);
+        println!("raw data: {}", path.display());
+    }
+    println!(
+        "serve matrix: {} legs in {:.2} s\n",
+        legs.len(),
+        start.elapsed().as_secs_f64()
+    );
+    let violations = serve_matrix::acceptance_violations(&legs);
+    assert!(
+        violations.is_empty(),
+        "serve matrix acceptance violation(s):\n  {}",
+        violations.join("\n  ")
+    );
+    serving_section(&mut md, &legs);
+    timeline_section(&mut md, &legs);
 
     // Simulator throughput: the committed bench_simcore numbers
     // (results/BENCH_simcore.json — gated against regression in CI).
     simcore_section(&mut md);
 
-    // Static verification: the graph-IR analyzer over every graph the suite
-    // touched — each source plus every blockwise TRN, raw and with the
-    // HANDS head reattached. A single Error here means the numbers above
-    // were computed on a structurally broken graph.
-    let (verify_summary, verified_graphs) = timed_phase("phase.verify_us", || {
-        let structural = netcut_verify::Analyzer::new();
-        let spec = HeadSpec::default();
-        let with_head = netcut_verify::Analyzer::with_expected_head(spec.clone());
-        let mut total = netcut_verify::Summary::default();
-        let mut graphs = 0usize;
-        for source in &lab.sources {
-            total.merge(structural.analyze(source).summary());
-            graphs += 1;
-            for k in 0..source.num_blocks() {
-                let trn = source.cut_blocks(k).expect("zoo cutpoints are valid");
-                total.merge(structural.analyze(&trn).summary());
-                total.merge(with_head.analyze(&trn.with_head(&spec)).summary());
-                graphs += 2;
-            }
-        }
-        (total, graphs)
-    });
-    let _ = writeln!(md, "\n## Static verification\n");
-    let _ = writeln!(
-        md,
-        "`netcut-verify` over **{verified_graphs} graphs** (every source, every \
-         blockwise TRN raw and head-reattached): {} error(s), {} warning(s), \
-         {} note(s).",
-        verify_summary.errors, verify_summary.warnings, verify_summary.notes
-    );
-    assert_eq!(
-        verify_summary.errors, 0,
-        "suite ran on structurally broken graphs"
-    );
-
-    // Serve-plane verification: the SV rules over every reference-matrix
-    // scenario — the exact configurations the serving section above
-    // benched — plus the workspace determinism lint against its committed
-    // allowlist. A ladder-construction failure becomes an SV002 finding.
-    let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_us", || {
-        let reports = netcut_serve::lint_reference_matrix();
-        let mut total = netcut_verify::Summary::default();
-        for report in &reports {
-            total.merge(report.summary());
-        }
-        (total, reports.len())
-    });
-    let detlint = timed_phase("phase.detlint_us", || {
-        let root = netcut_verify::detlint::workspace_root();
-        netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
-    });
-    let _ = writeln!(
-        md,
-        "\nSV serve-plane rules over **{serve_configs} reference scenarios** \
-         (the bench matrix legs): {} error(s), {} warning(s). Determinism \
-         lint over **{} source files**: {} finding(s), {} allowed, {} stale.",
-        serve_verify.errors,
-        serve_verify.warnings,
-        detlint.files_scanned,
-        detlint.findings.len(),
-        detlint.allowed.len(),
-        detlint.stale.len()
-    );
-    assert_eq!(
-        serve_verify.errors, 0,
-        "suite benched an unsound serve configuration"
-    );
-    assert!(detlint.is_clean(), "determinism lint failed:\n{}", {
-        detlint.render_text()
-    });
-
-    // Run metadata & metrics: the seed, the setup and the counters and
-    // histograms accumulated across the whole suite; the git state and the
-    // per-phase wall-clock go to stdout with them.
-    let meta = RunMetadata::collect(&lab, STUDY_SEED);
+    md.push_str(&verification);
     let _ = writeln!(md, "\n## Run metadata & metrics\n");
-    md.push_str(&metrics_markdown(&meta));
+    md.push_str(&metrics);
 
     let report_path = gate::results_path("REPORT.md");
     gate::write(&report_path, &md);

@@ -2,10 +2,11 @@
 //!
 //! [`paper`] is the paper's evaluation as one table: every figure and
 //! ablation document under `results/`, each computed over one shared
-//! [`Lab`]. `suite_report` runs the table and writes the documents and
-//! `results/REPORT.md`. [`serve_matrix`] and [`simcore`] are the serving
-//! runtime's reference matrix and event-loop throughput harness, and
-//! [`gate`] compares their fresh documents with the committed ones.
+//! [`Lab`]. [`serve_matrix`] is the serving runtime's reference matrix.
+//! `suite_report` runs both and writes their documents and
+//! `results/REPORT.md`. [`simcore`] is the event-loop throughput harness
+//! behind `bench_simcore`, and [`gate`] compares its fresh document with
+//! the committed one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -265,8 +266,9 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The serving-runtime benchmark matrix shared by `bench_serve` (regenerate
-/// `results/BENCH_serve.json`) and `bench_check` (the CI regression gate).
+/// The serving-runtime reference matrix behind `results/BENCH_serve.json`
+/// and `results/BENCH_timeline.jsonl`, which `suite_report` writes and
+/// CI's freshness step pins byte for byte.
 ///
 /// Four scenario legs cross dynamic batching and multi-device sharding on
 /// the reference scenario (900 µs deadline, 2000 rps, 5 s, seed 11, two
@@ -275,32 +277,13 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// throttle with the recalibration loop open and closed, quantifying what
 /// the closed loop recovers.
 /// Every summary is integer-only hand-rolled JSON, so two runs of the same
-/// code byte-match — which is exactly what lets the CI gate hard-fail on
-/// determinism drift by string equality.
+/// code byte-match — which is exactly what lets CI fail on any drift by
+/// comparing bytes.
 pub mod serve_matrix {
-    use netcut_serve::{Scenario, ScenarioConfig, ServeSummary, Timeline};
-    use std::fmt::Write as _;
+    use netcut_serve::{Scenario, ServeSummary, Timeline};
 
     /// Human description of the reference scenario, embedded in the JSON.
     pub const SCENARIO: &str = "deadline 900us, 2000 rps, 5s, seed 11, 2 workers, faults on";
-
-    /// Largest batch the batching legs may form (the serve crate's
-    /// reference matrix owns the value; re-exported for the gate docs).
-    pub const BATCH_MAX: usize = netcut_serve::splane::BATCH_MAX;
-
-    /// Shard count of the sharding legs (xavier + nano roster), likewise
-    /// owned by the serve crate's reference matrix.
-    pub const SHARDS: usize = netcut_serve::splane::SHARDS;
-
-    /// The documented miss-rate regression tolerance of the CI gate, in
-    /// ppm of total requests: one percentage point.
-    pub const MISS_REGRESSION_PPM: u64 = 10_000;
-
-    /// The accuracy-weighted-goodput regression tolerance of the CI gate:
-    /// a fresh run's `acc_goodput_mrps` may fall below the committed value
-    /// by at most this fraction of it (ppm) — the same one-percent drift
-    /// budget the miss-rate leg uses.
-    pub const ACC_GOODPUT_REGRESSION_PPM: u64 = 10_000;
 
     /// Minimum fleet-memory reduction the multi-exit refactor must show on
     /// the batched sharded leg: the one resident multi-exit network per
@@ -317,108 +300,63 @@ pub mod serve_matrix {
     /// percentage points, in ppm of total requests.
     pub const RECALIB_MISS_REDUCTION_PPM: u64 = 50_000;
 
-    /// Per-`OBS0xx`-code tolerance of the CI timeline gate: the alert
-    /// counts of a fresh run may differ from the committed file by this
-    /// much before the gate fails (the non-alert lines must byte-match,
-    /// so this only absorbs intentional threshold retunes under review).
-    pub const ALERT_COUNT_TOLERANCE: u64 = 2;
-
-    /// The matrix legs, keyed by the name used in `BENCH_serve.json`.
-    /// Delegates to the serve crate's reference matrix so the bench, the
-    /// `lint serve` pass, and CI all exercise the identical
-    /// `Scenario::try_build` configurations.
-    pub fn configs() -> Vec<(&'static str, ScenarioConfig)> {
-        netcut_serve::reference_matrix()
-    }
-
-    /// One completed leg: key, summary, timeline, wall-clock milliseconds.
+    /// One completed leg: key, summary and timeline.
+    #[derive(Clone)]
     pub struct LegResult {
-        /// Key from [`configs`].
+        /// Key from [`netcut_serve::reference_matrix`].
         pub key: &'static str,
         /// The deterministic run summary, timeline attached.
         pub summary: ServeSummary,
         /// The deterministic windowed timeline of the leg.
         pub timeline: Timeline,
-        /// Wall-clock time of the leg (excluded from regression checks).
-        pub wall_ms: f64,
     }
 
-    /// Runs every leg of the matrix sequentially.
+    /// Runs every leg of [`netcut_serve::reference_matrix`] sequentially:
+    /// the same `Scenario::try_build` configurations the `lint serve` pass
+    /// checks.
     pub fn run() -> Vec<LegResult> {
-        configs()
+        netcut_serve::reference_matrix()
             .into_iter()
             .map(|(key, cfg)| {
-                let start = std::time::Instant::now();
                 let (summary, timeline) = Scenario::build(cfg).run_summary();
                 LegResult {
                     key,
                     summary,
                     timeline,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
                 }
             })
             .collect()
     }
 
-    /// The [`TIMELINE_LEG`] of a completed matrix.
+    /// The leg keyed `key` of a completed matrix.
     ///
     /// # Panics
-    /// Panics if the leg is missing (the matrix always contains it).
-    pub fn timeline_leg(legs: &[LegResult]) -> &LegResult {
+    /// Panics if the matrix has no such leg.
+    pub fn leg<'a>(legs: &'a [LegResult], key: &str) -> &'a LegResult {
         legs.iter()
-            .find(|l| l.key == TIMELINE_LEG)
-            .expect("matrix has the timeline leg")
+            .find(|l| l.key == key)
+            .unwrap_or_else(|| panic!("matrix leg `{key}` missing"))
     }
 
-    /// The per-leg burn-rate table `bench_serve` prints: one line per leg
-    /// with the run burn rate, the worst window, the alert total, and the
-    /// raw vs accuracy-weighted goodput columns.
-    pub fn burn_table(legs: &[LegResult]) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<12} {:>10} {:>8} {:>11} {:>7} {:>10} {:>10}",
-            "leg", "miss_ppm", "burn", "worst_win", "alerts", "goodput", "acc_gput"
-        );
-        for leg in legs {
-            let sm = &leg.summary;
-            let _ = writeln!(
-                s,
-                "{:<12} {:>10} {:>7.2}x {:>10.2}x {:>7} {:>10.1} {:>10.1}",
-                leg.key,
-                sm.miss_rate_ppm,
-                sm.burn_rate_ppm as f64 / 1e6,
-                sm.worst_window_burn_ppm as f64 / 1e6,
-                sm.alert_counts.iter().sum::<u64>(),
-                sm.goodput_mrps as f64 / 1e3,
-                sm.acc_goodput_mrps as f64 / 1e3,
-            );
-        }
-        s
-    }
-
-    /// Renders the matrix as the `BENCH_serve.json` document. The
-    /// `configs` object is deterministic; `git` and `wall_ms` carry
-    /// provenance and are ignored by the CI gate.
-    pub fn to_json(legs: &[LegResult], git: &str) -> String {
+    /// The matrix's two `results/` documents, by file name:
+    /// `BENCH_serve.json` (the scenario, then one `"<leg>": <summary>` line
+    /// per leg under `configs`) and the [`TIMELINE_LEG`]'s
+    /// `BENCH_timeline.jsonl`.
+    pub fn documents(legs: &[LegResult]) -> [(&'static str, String); 2] {
         let keys: Vec<&str> = legs.iter().map(|l| l.key).collect();
         let configs = legs.iter().map(|l| l.summary.to_json()).collect();
-        let wall_ms = legs.iter().map(|l| format!("{:.1}", l.wall_ms)).collect();
-        let sections = [("configs", configs), ("wall_ms", wall_ms)];
-        crate::gate::render(SCENARIO, git, &keys, &sections)
+        let serve = crate::gate::render(SCENARIO, None, &keys, &[("configs", configs)]);
+        let timeline = leg(legs, TIMELINE_LEG).timeline.to_jsonl();
+        [
+            (crate::gate::SERVE, serve),
+            (crate::gate::TIMELINE, timeline),
+        ]
     }
 
     /// The acceptance invariants of the matrix; returns every violation
-    /// (empty = the run is acceptable). Checked both when regenerating the
-    /// committed results and by the CI gate on its fresh run.
+    /// (empty = the run is acceptable). `suite_report` fails on any.
     pub fn acceptance_violations(legs: &[LegResult]) -> Vec<String> {
-        let get = |key: &str| -> &ServeSummary {
-            &legs
-                .iter()
-                .find(|l| l.key == key)
-                .unwrap_or_else(|| panic!("matrix leg `{key}` missing"))
-                .summary
-        };
+        let get = |key: &str| &leg(legs, key).summary;
         let baseline = get("baseline");
         let pinned = get("no_degrade");
         let batch_shard = get("batch_shard");
@@ -704,7 +642,7 @@ pub mod simcore {
             ("iters", column(|l| l.iters.to_string())),
             ("wall_ms", column(|l| format!("{:.1}", l.wall_ms))),
         ];
-        crate::gate::render(SCENARIO, git, &keys, &sections)
+        crate::gate::render(SCENARIO, Some(git), &keys, &sections)
     }
 
     /// Shape invariants of a measured run and the closed-loop cost gate;
@@ -906,6 +844,112 @@ pub mod estimator_study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netcut_serve::ServeSummary;
+    use serve_matrix::{acceptance_violations, LegResult};
+
+    /// The serve reference matrix, run once for every test that reads it.
+    pub(crate) fn matrix() -> &'static [LegResult] {
+        static LEGS: OnceLock<Vec<LegResult>> = OnceLock::new();
+        LEGS.get_or_init(serve_matrix::run)
+    }
+
+    /// The summary of leg `key`, to doctor.
+    fn summary<'a>(legs: &'a mut [LegResult], key: &str) -> &'a mut ServeSummary {
+        &mut legs
+            .iter_mut()
+            .find(|l| l.key == key)
+            .expect("the matrix has the leg")
+            .summary
+    }
+
+    #[test]
+    fn the_matrix_passes_and_each_acceptance_rule_fires_alone() {
+        assert_eq!(acceptance_violations(matrix()), Vec::<String>::new());
+
+        type Doctor = fn(&mut [LegResult]);
+        let cases: [(&str, Doctor); 11] = [
+            (
+                "degradation must strictly beat the pinned baseline",
+                |legs| {
+                    let pinned = summary(legs, "no_degrade").clone();
+                    let degrading = std::mem::replace(summary(legs, "baseline"), pinned);
+                    *summary(legs, "no_degrade") = degrading;
+                },
+            ),
+            ("batch+shard goodput must strictly exceed", |legs| {
+                summary(legs, "batch_shard").goodput_mrps = summary(legs, "baseline").goodput_mrps;
+            }),
+            (
+                "batch+shard miss rate must not exceed the baseline",
+                |legs| {
+                    summary(legs, "batch_shard").miss_rate_ppm =
+                        summary(legs, "baseline").miss_rate_ppm + 1;
+                },
+            ),
+            (
+                "leg `no_degrade`: accuracy-weighted goodput cannot exceed raw goodput",
+                |legs| {
+                    let leg = summary(legs, "no_degrade");
+                    leg.acc_goodput_mrps = leg.goodput_mrps + 1;
+                },
+            ),
+            (
+                "batching must strictly raise accuracy-weighted goodput on the \
+                 single-device roster",
+                |legs| {
+                    summary(legs, "batch").acc_goodput_mrps =
+                        summary(legs, "baseline").acc_goodput_mrps;
+                },
+            ),
+            (
+                "batching must strictly raise accuracy-weighted goodput on the \
+                 sharded roster",
+                |legs| {
+                    summary(legs, "batch_shard").acc_goodput_mrps =
+                        summary(legs, "shard").acc_goodput_mrps;
+                },
+            ),
+            ("multi-exit fleet must be ≥ 10× smaller", |legs| {
+                summary(legs, "batch_shard").model_reduction_ppm =
+                    serve_matrix::MODEL_REDUCTION_MIN_PPM - 1;
+            }),
+            (
+                "recalibration must cut the drift-leg miss rate by ≥ 50000 ppm",
+                |legs| {
+                    summary(legs, "drift").miss_rate_ppm = summary(legs, "drift_norecal")
+                        .miss_rate_ppm
+                        - serve_matrix::RECALIB_MISS_REDUCTION_PPM
+                        + 1;
+                },
+            ),
+            (
+                "recalibration must strictly raise drift-leg accuracy-weighted goodput",
+                |legs| {
+                    summary(legs, "drift").acc_goodput_mrps =
+                        summary(legs, "drift_norecal").acc_goodput_mrps;
+                },
+            ),
+            (
+                "the drift leg must record at least one recalibration",
+                |legs| {
+                    summary(legs, "drift").recalibrations = 0;
+                },
+            ),
+            (
+                "the open-loop drift leg must never recalibrate, got 1",
+                |legs| {
+                    summary(legs, "drift_norecal").recalibrations = 1;
+                },
+            ),
+        ];
+        for (rule, doctor) in cases {
+            let mut legs = matrix().to_vec();
+            doctor(&mut legs);
+            let violations = acceptance_violations(&legs);
+            assert_eq!(violations.len(), 1, "{rule}: {violations:?}");
+            assert!(violations[0].starts_with(rule), "{rule}: {violations:?}");
+        }
+    }
 
     #[test]
     fn lab_builds_seven_sources() {

@@ -66,26 +66,30 @@ pub const DOCUMENTS: [(&str, Study); 21] = [
 #[cfg(test)]
 mod tests {
     use super::DOCUMENTS;
+    use crate::{gate, serve_matrix};
 
-    /// `git diff` after a run catches a stale document, but not an orphan
-    /// that nothing writes any more: that takes this check.
+    /// `git status` after a run catches a stale, untracked or deleted
+    /// document, but not an orphan that nothing writes any more: that
+    /// takes this check. Every committed `results/` file is a study's
+    /// document, one of the serve matrix's two, `REPORT.md` (all written
+    /// by `suite_report`) or the throughput baseline `bench_simcore
+    /// --bless` writes.
     #[test]
-    fn the_table_names_every_committed_document() {
-        let results = crate::gate::results_path("");
+    fn the_runners_write_every_committed_document() {
+        let results = gate::results_path("");
         let mut committed: Vec<String> = std::fs::read_dir(&results)
             .unwrap()
             .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-            .filter(|file| {
-                (file.starts_with("fig") || file.starts_with("ablation_"))
-                    && file.ends_with(".json")
-            })
             .collect();
         committed.sort();
-        let mut table: Vec<String> = DOCUMENTS
+        let serve = serve_matrix::documents(crate::tests::matrix());
+        let mut written: Vec<String> = DOCUMENTS
             .iter()
             .map(|(name, _)| format!("{name}.json"))
+            .chain(serve.iter().map(|(file, _)| file.to_string()))
+            .chain(["REPORT.md", gate::SIMCORE].map(String::from))
             .collect();
-        table.sort();
-        assert_eq!(table, committed, "documents in {}", results.display());
+        written.sort();
+        assert_eq!(written, committed, "documents in {}", results.display());
     }
 }

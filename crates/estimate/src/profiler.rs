@@ -76,7 +76,6 @@ impl ProfilerEstimator {
                 let mut adapted = net.backbone().with_head(&head);
                 adapted.rename(net.name());
                 let table = provider.profile_table(&adapted, seed);
-                obs::counter_add("estimate.tables_built", 1);
                 fit_span.field("layers", table.layers().len());
                 fit_span.field("end_to_end_ms", table.end_to_end_ms());
                 (

@@ -19,7 +19,6 @@
 pub const METRIC_NAMES: &[&str] = &[
     "bench.test_counter",
     "estimate.predictions",
-    "estimate.tables_built",
     "eval.cache_hit",
     "eval.cache_miss",
     "explore.candidates",

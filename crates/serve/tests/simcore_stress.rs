@@ -17,7 +17,7 @@ fn cfg(seed: u64, jobs: usize) -> ScenarioConfig {
 fn stress_summary_and_timeline_identical_at_jobs_1_and_8() {
     if cfg!(debug_assertions) {
         // ~10⁶ requests per run; only worth the wall-clock with optimized
-        // code. CI's bench job runs it with `cargo test --release -p
+        // code. CI's freshness job runs it with `cargo test --release -p
         // netcut-serve --test simcore_stress`.
         eprintln!("skipped: stress-scale determinism check runs in release only");
         return;
