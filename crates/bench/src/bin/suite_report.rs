@@ -17,6 +17,8 @@ use netcut_bench::estimator_study::STUDY_SEED;
 use netcut_bench::serve_matrix::{self, LegResult};
 use netcut_bench::{gate, metrics_markdown, paper, timed_phase, Lab, RunMetadata, DEADLINE_MS};
 use netcut_graph::HeadSpec;
+use netcut_serve::Scenario;
+use netcut_verify::Report;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -191,11 +193,11 @@ fn simcore_section(md: &mut String) {
 /// over every graph the suite touched — each source plus every blockwise
 /// TRN, raw and with the HANDS head reattached: a single Error means the
 /// numbers above were computed on a structurally broken graph. The SV
-/// rules run over every reference-matrix scenario — the exact
-/// configurations the serving sections bench, where a ladder-construction
-/// failure becomes an SV002 finding — and the workspace determinism lint
+/// reports come from the built reference-matrix legs — the exact
+/// scenarios the serving sections bench, where a ladder-construction
+/// failure is an SV002 finding — and the workspace determinism lint runs
 /// over its committed allowlist.
-fn verification_section(lab: &Lab) -> String {
+fn verification_section(lab: &Lab, built: &[(&str, Option<Scenario>, Report)]) -> String {
     let mut md = String::new();
     let (verify_summary, verified_graphs) = timed_phase("phase.verify_us", || {
         let structural = netcut_verify::Analyzer::new();
@@ -228,23 +230,20 @@ fn verification_section(lab: &Lab) -> String {
         "suite ran on structurally broken graphs"
     );
 
-    let (serve_verify, serve_configs) = timed_phase("phase.verify_serve_us", || {
-        let reports = netcut_serve::lint_reference_matrix();
-        let mut total = netcut_verify::Summary::default();
-        for report in &reports {
-            total.merge(report.summary());
-        }
-        (total, reports.len())
-    });
+    let mut serve_verify = netcut_verify::Summary::default();
+    for (_, _, report) in built {
+        serve_verify.merge(report.summary());
+    }
     let detlint = timed_phase("phase.detlint_us", || {
         let root = netcut_verify::detlint::workspace_root();
         netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
     });
     let _ = writeln!(
         md,
-        "\nSV serve-plane rules over **{serve_configs} reference scenarios** \
+        "\nSV serve-plane rules over **{} reference scenarios** \
          (the bench matrix legs): {} error(s), {} warning(s). Determinism \
          lint over **{} source files**: {} finding(s), {} allowed, {} stale.",
+        built.len(),
         serve_verify.errors,
         serve_verify.warnings,
         detlint.files_scanned,
@@ -252,9 +251,14 @@ fn verification_section(lab: &Lab) -> String {
         detlint.allowed.len(),
         detlint.stale.len()
     );
-    assert_eq!(
-        serve_verify.errors, 0,
-        "suite benched an unsound serve configuration"
+    let unsound: String = built
+        .iter()
+        .filter(|(_, _, report)| !report.is_clean())
+        .map(|(_, _, report)| report.render_text())
+        .collect();
+    assert!(
+        unsound.is_empty(),
+        "suite benched an unsound serve configuration:\n{unsound}"
     );
     assert!(detlint.is_clean(), "determinism lint failed:\n{}", {
         detlint.render_text()
@@ -313,12 +317,15 @@ fn main() {
         stats.saved_wall_s
     );
 
-    // The verification passes and the metrics table run before the serve
-    // matrix and print after it: the table counts the paper studies and
-    // the verification passes, while the matrix's own counts are its
-    // summaries in BENCH_serve.json. The seed and setup go with the
-    // table; the git state and the per-phase wall-clock go to stdout.
-    let verification = verification_section(&lab);
+    // The serve matrix's legs are built and SV-linted once, before the
+    // verification passes and the metrics table, and run after them: the
+    // table counts the paper studies, the verification passes and the
+    // legs' builds, while the runs' own counts are their summaries in
+    // BENCH_serve.json. The verification section and the table print
+    // after the serve sections. The seed and setup go with the table; the
+    // git state and the per-phase wall-clock go to stdout.
+    let built = timed_phase("phase.verify_serve_us", serve_matrix::build);
+    let verification = verification_section(&lab, &built);
     let meta = RunMetadata::collect(&lab, STUDY_SEED);
     let metrics = metrics_markdown(&meta);
 
@@ -328,14 +335,14 @@ fn main() {
     // The documents are written first, so a failed run still leaves the
     // fresh files to inspect.
     let start = Instant::now();
-    let legs = serve_matrix::run();
+    let legs = serve_matrix::run(&built);
     for (file, text) in serve_matrix::documents(&legs) {
         let path = gate::results_path(file);
         gate::write(&path, &text);
         println!("raw data: {}", path.display());
     }
     println!(
-        "serve matrix: {} legs in {:.2} s\n",
+        "serve matrix: {} legs run in {:.2} s\n",
         legs.len(),
         start.elapsed().as_secs_f64()
     );

@@ -281,6 +281,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// comparing bytes.
 pub mod serve_matrix {
     use netcut_serve::{Scenario, ServeSummary, Timeline};
+    use netcut_verify::Report;
 
     /// Human description of the reference scenario, embedded in the JSON.
     pub const SCENARIO: &str = "deadline 900us, 2000 rps, 5s, seed 11, 2 workers, faults on";
@@ -311,14 +312,32 @@ pub mod serve_matrix {
         pub timeline: Timeline,
     }
 
-    /// Runs every leg of [`netcut_serve::reference_matrix`] sequentially:
-    /// the same `Scenario::try_build` configurations the `lint serve` pass
-    /// checks.
-    pub fn run() -> Vec<LegResult> {
+    /// Builds every leg of [`netcut_serve::reference_matrix`] once and
+    /// SV-lints it with [`netcut_serve::lint_leg`], the step `lint serve`
+    /// runs: each leg's key, its scenario (`None` when the configuration
+    /// did not build) and its report.
+    pub fn build() -> Vec<(&'static str, Option<Scenario>, Report)> {
         netcut_serve::reference_matrix()
             .into_iter()
             .map(|(key, cfg)| {
-                let (summary, timeline) = Scenario::build(cfg).run_summary();
+                let (scenario, report) = netcut_serve::lint_leg(key, cfg);
+                (key, scenario, report)
+            })
+            .collect()
+    }
+
+    /// Runs every leg of [`build`]'s matrix sequentially.
+    ///
+    /// # Panics
+    /// Panics on a leg that did not build, with its SV002 report.
+    pub fn run(built: &[(&'static str, Option<Scenario>, Report)]) -> Vec<LegResult> {
+        built
+            .iter()
+            .map(|(key, scenario, report)| {
+                let scenario = scenario
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{}", report.render_text()));
+                let (summary, timeline) = scenario.run_summary();
                 LegResult {
                     key,
                     summary,
@@ -850,7 +869,7 @@ mod tests {
     /// The serve reference matrix, run once for every test that reads it.
     pub(crate) fn matrix() -> &'static [LegResult] {
         static LEGS: OnceLock<Vec<LegResult>> = OnceLock::new();
-        LEGS.get_or_init(serve_matrix::run)
+        LEGS.get_or_init(|| serve_matrix::run(&serve_matrix::build()))
     }
 
     /// The summary of leg `key`, to doctor.

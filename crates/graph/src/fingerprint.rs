@@ -24,25 +24,49 @@ const ENCODING_VERSION: u64 = 2;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental 64-bit FNV-1a over an explicit canonical encoding.
-struct Fnv1a(u64);
+/// Incremental 64-bit FNV-1a: the workspace's one stable hash, behind the
+/// structural fingerprint, the session fingerprint, the simulator's and the
+/// surrogate's per-network seeds and the serve-artifact fingerprint. Not a
+/// cryptographic hash.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
 
 impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
+    /// A hasher at the standard FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fnv1a::seeded(0)
     }
 
-    fn byte(&mut self, b: u8) {
+    /// A hasher whose offset basis is XORed with `seed`, so one input
+    /// hashes to a different value per seed.
+    pub fn seeded(seed: u64) -> Self {
+        Fnv1a(FNV_OFFSET ^ seed)
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Feeds one byte.
+    pub fn byte(&mut self, b: u8) {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    /// Feeds `bytes` in order.
+    pub fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.byte(b);
         }
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Feeds `v` as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
@@ -50,8 +74,9 @@ impl Fnv1a {
         self.u64(v as u64);
     }
 
-    /// Length-prefixed string, so adjacent fields cannot alias.
-    fn str(&mut self, s: &str) {
+    /// Feeds a length-prefixed string (the length as [`Fnv1a::u64`]), so
+    /// adjacent fields cannot alias.
+    pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.bytes(s.as_bytes());
     }
@@ -229,15 +254,29 @@ impl Network {
             h.usize(exit.head_start().index());
             h.usize(exit.output().index());
         }
-        h.0
+        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Fnv1a;
     use crate::network::Network;
     use crate::trim::HeadSpec;
     use crate::zoo;
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        let hash = |input: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.bytes(input);
+            h.finish()
+        };
+        // The FNV reference test suite's FNV-1a 64-bit values.
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fingerprint_ignores_network_name() {

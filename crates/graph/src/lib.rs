@@ -33,6 +33,7 @@ mod trim;
 pub mod zoo;
 
 pub use error::GraphError;
+pub use fingerprint::Fnv1a;
 pub use layer::{Activation, LayerKind, Padding};
 pub use network::{infer_shape, Block, ExitPoint, Network, NetworkBuilder, Node, NodeId};
 pub use shape::Shape;

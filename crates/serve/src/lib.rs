@@ -91,7 +91,8 @@ pub use runtime::{RequestOutcome, Server, ServerConfig, Status};
 pub use scenario::{run_scenario, ConfigError, Scenario, ScenarioConfig, MAX_DURATION_US};
 pub use shard::{Candidate, Shard, ShardRouter};
 pub use splane::{
-    ladder_error_report, lint_reference_matrix, reference_matrix, serve_artifact, stress_scenario,
+    ladder_error_report, lint_leg, lint_reference_matrix, reference_matrix, serve_artifact,
+    stress_scenario,
 };
 pub use summary::{RunMeta, ServeSummary, ShardMeta};
 pub use timeline::{Swap, Timeline, TimelineConfig, WindowRow};

@@ -232,20 +232,28 @@ pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &ConfigError) 
     netcut_verify::serve_plane::build_failure_report(name, &shard, &err.to_string())
 }
 
-/// One SV report per [`reference_matrix`] leg: each scenario is built and
-/// its [`serve_artifact`] analyzed, and a configuration that fails to
-/// build becomes an SV002 report ([`ladder_error_report`]) instead of
-/// aborting the lint. `lint serve` and the suite report both run this.
+/// Builds the [`reference_matrix`] leg `key` and SV-lints it: the built
+/// scenario's [`serve_artifact`] analyzed, or, for a configuration that
+/// fails to build, no scenario and an SV002 report
+/// ([`ladder_error_report`]) instead of an aborted lint.
+pub fn lint_leg(key: &str, cfg: ScenarioConfig) -> (Option<Scenario>, Report) {
+    let name = format!("serve:{key}");
+    match Scenario::try_build(cfg.clone()) {
+        Ok(scenario) => {
+            let report = netcut_verify::analyze_serve(&serve_artifact(&name, &scenario));
+            (Some(scenario), report)
+        }
+        Err(err) => (None, ladder_error_report(&name, &cfg, &err)),
+    }
+}
+
+/// One SV report per [`reference_matrix`] leg, each from [`lint_leg`].
+/// `lint serve` runs this; the suite report lints the legs it then runs
+/// through [`lint_leg`] itself.
 pub fn lint_reference_matrix() -> Vec<Report> {
     reference_matrix()
         .into_iter()
-        .map(|(key, cfg)| {
-            let name = format!("serve:{key}");
-            match Scenario::try_build(cfg.clone()) {
-                Ok(scenario) => netcut_verify::analyze_serve(&serve_artifact(&name, &scenario)),
-                Err(err) => ladder_error_report(&name, &cfg, &err),
-            }
-        })
+        .map(|(key, cfg)| lint_leg(key, cfg).1)
         .collect()
 }
 

@@ -6,7 +6,7 @@ use crate::device::{DeviceModel, Precision};
 use crate::fusion::fuse_network;
 use crate::latency::{kernel_latency_ms, network_latency_ms};
 use crate::profile::{LatencyTable, LayerProfile};
-use netcut_graph::Network;
+use netcut_graph::{Fnv1a, Network};
 use netcut_obs as obs;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -136,16 +136,9 @@ impl Session {
     /// network and seed, so the value is usable as a memo-cache key
     /// component alongside the network's structural fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         let d = &self.device;
-        mix(&(d.name.len() as u64).to_le_bytes());
-        mix(d.name.as_bytes());
+        h.str(&d.name);
         for v in [
             d.peak_gflops,
             d.fp16_speedup,
@@ -158,14 +151,14 @@ impl Session {
             d.ramp_penalty,
             d.ramp_halfpoint_ms,
         ] {
-            mix(&v.to_bits().to_le_bytes());
+            h.u64(v.to_bits());
         }
-        mix(&[match self.precision {
-            Precision::Fp32 => 0u8,
+        h.byte(match self.precision {
+            Precision::Fp32 => 0,
             Precision::Fp16 => 1,
             Precision::Int8 => 2,
-        }]);
-        h
+        });
+        h.finish()
     }
 
     /// The device model in use.
@@ -293,11 +286,9 @@ impl Session {
     }
 
     fn rng(&self, net: &Network, seed: u64) -> SmallRng {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in net.name().bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        SmallRng::seed_from_u64(h ^ seed)
+        let mut h = Fnv1a::new();
+        h.bytes(net.name().as_bytes());
+        SmallRng::seed_from_u64(h.finish() ^ seed)
     }
 
     fn noise(&self, rng: &mut SmallRng) -> f64 {

@@ -12,7 +12,7 @@
 //! * MobileNetV1/V2: rapid degradation — MobileNet features are the least
 //!   transferable, MobileNetV2 worst of all (§IV-B-1).
 
-use netcut_graph::Network;
+use netcut_graph::{Fnv1a, Network};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -147,12 +147,10 @@ impl TransferModel {
     /// Deterministic pseudo-Gaussian retraining noise derived from the
     /// network name.
     fn noise(&self, name: &str) -> f64 {
-        let mut h = self.seed ^ 0xcbf29ce484222325;
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
+        let mut h = Fnv1a::seeded(self.seed);
+        h.bytes(name.as_bytes());
         // Two xorshift rounds, then map to approx N(0, sigma).
-        let mut x = h | 1;
+        let mut x = h.finish() | 1;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;

@@ -400,7 +400,7 @@ impl Report {
         self.fingerprint
     }
 
-    /// Every finding, in rule-registry order.
+    /// Every finding, in the order the rules ran.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
     }
@@ -503,5 +503,75 @@ impl Report {
         out.push_str(&summary.to_json());
         out.push('\n');
         out
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::Code;
+
+    /// Every code in declaration order. Each arm names the code after it,
+    /// so a new code does not compile until it takes its place here, and
+    /// the rule tables' tests then fail until a rule reports it.
+    pub(crate) fn all_codes() -> Vec<Code> {
+        let mut all = vec![Code::NC001];
+        loop {
+            let next = match all[all.len() - 1] {
+                Code::NC001 => Code::NC002,
+                Code::NC002 => Code::NC003,
+                Code::NC003 => Code::NC004,
+                Code::NC004 => Code::NC005,
+                Code::NC005 => Code::NC006,
+                Code::NC006 => Code::NC007,
+                Code::NC007 => Code::NC008,
+                Code::NC008 => Code::NC009,
+                Code::NC009 => Code::NC010,
+                Code::NC010 => Code::NC011,
+                Code::NC011 => Code::NC012,
+                Code::NC012 => Code::NC013,
+                Code::NC013 => Code::NC014,
+                Code::NC014 => Code::NC015,
+                Code::NC015 => Code::NC016,
+                Code::NC016 => Code::SV001,
+                Code::SV001 => Code::SV002,
+                Code::SV002 => Code::SV003,
+                Code::SV003 => Code::SV004,
+                Code::SV004 => Code::SV005,
+                Code::SV005 => Code::SV006,
+                Code::SV006 => Code::SV007,
+                Code::SV007 => Code::SV008,
+                Code::SV008 => Code::SV009,
+                Code::SV009 => Code::SV010,
+                Code::SV010 => Code::SV011,
+                Code::SV011 => Code::SV012,
+                Code::SV012 => Code::SV013,
+                Code::SV013 => return all,
+            };
+            all.push(next);
+        }
+    }
+
+    /// The codes of one plane (`"NC"` or `"SV"`), in declaration order.
+    pub(crate) fn plane_codes(prefix: &str) -> Vec<Code> {
+        all_codes()
+            .into_iter()
+            .filter(|code| code.as_str().starts_with(prefix))
+            .collect()
+    }
+
+    #[test]
+    fn codes_are_numbered_in_declaration_order_per_plane() {
+        let all = all_codes();
+        assert_eq!(all.len(), plane_codes("NC").len() + plane_codes("SV").len());
+        for prefix in ["NC", "SV"] {
+            let names: Vec<String> = plane_codes(prefix)
+                .iter()
+                .map(|code| code.as_str().to_owned())
+                .collect();
+            let numbered: Vec<String> = (1..=names.len())
+                .map(|n| format!("{prefix}{n:03}"))
+                .collect();
+            assert_eq!(names, numbered);
+        }
     }
 }

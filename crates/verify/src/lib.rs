@@ -13,13 +13,14 @@
 //! - [`Diagnostic`]: one finding — a stable [`Code`] (`NC0xx` for the
 //!   graph plane, `SV0xx` for the serve plane), a fixed [`Severity`], a
 //!   [`GraphSpan`] locating it, and a message.
-//! - [`Rule`] / [`Analyzer`]: the registry of ~11 structural graph rules
-//!   (shape consistency, reachability, block-boundary integrity, cutpoint
+//! - [`Analyzer`]: the table of 15 structural graph rules (shape
+//!   consistency, reachability, block-boundary integrity, cutpoint
 //!   monotonicity, head structure, stats coherence, fingerprint stability,
-//!   estimator-feature sanity, …) producing a [`Report`].
-//! - [`serve_plane`]: the SV rule registry over extracted serving
+//!   estimator-feature sanity, the multi-exit rules, …) plus the opt-in
+//!   head-spec check (NC009), producing a [`Report`].
+//! - [`serve_plane`]: the table of SV rules over extracted serving
 //!   artifacts — ladder soundness, batch-curve sanity, fault-plan
-//!   well-formedness, SLO feasibility.
+//!   well-formedness, SLO feasibility, recalibration-policy sanity.
 //! - [`detlint`]: a workspace determinism lint scanning the virtual-time
 //!   crates for wall-clock reads, unordered collections, and float
 //!   arithmetic in integer-µs code, with an audited allowlist.
@@ -56,18 +57,18 @@ mod rules;
 pub mod serve_plane;
 
 pub use diagnostic::{Code, Diagnostic, GraphSpan, Report, Severity, Summary};
-pub use rules::{Analyzer, HeadSpecRule, Rule};
-pub use serve_plane::{analyze_serve, ServeAnalyzer, ServeArtifact, ServeRule};
+pub use rules::Analyzer;
+pub use serve_plane::{analyze_serve, ServeArtifact};
 
 use netcut_graph::Network;
 
-/// Runs the default rule registry over `net`.
+/// Runs every structural rule over `net`.
 pub fn analyze(net: &Network) -> Report {
     Analyzer::new().analyze(net)
 }
 
 /// Drop-in replacement for the retired `Network::validate()`: runs the
-/// default rules and returns the first Error-severity finding, if any.
+/// structural rules and returns the first Error-severity finding, if any.
 /// Warnings and notes do not fail validation.
 ///
 /// # Errors

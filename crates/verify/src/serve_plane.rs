@@ -1,4 +1,4 @@
-//! Serve-plane static analysis: SV-rule registry over the offline serving
+//! Serve-plane static analysis: the SV rule table over the offline serving
 //! artifacts — exit ladders, batch-scaling curves, fault plans, and SLO
 //! policies.
 //!
@@ -15,6 +15,7 @@
 //! the NC table; the full rule table is DESIGN.md §16.
 
 use crate::diagnostic::{Code, Diagnostic, GraphSpan, Report};
+use netcut_graph::Fnv1a;
 use netcut_obs as obs;
 
 /// Parts-per-million scale used by batch curves and SLO rates.
@@ -154,7 +155,7 @@ impl ServeArtifact {
     /// every field, for report provenance (the serve-plane analogue of the
     /// graph structural fingerprint).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.str(&self.scenario);
         h.u64(self.duration_us);
         h.u64(self.deadline_us);
@@ -174,11 +175,11 @@ impl ServeArtifact {
             }
             h.u64(shard.ladder.exit_pin.map_or(u64::MAX, |p| p as u64));
             for w in &shard.fault_windows {
-                h.window(w);
+                hash_window(&mut h, w);
             }
         }
         for w in &self.global_faults {
-            h.window(w);
+            hash_window(&mut h, w);
         }
         h.u64(self.slo.miss_budget_ppm);
         h.u64(self.slo.burn_alert_ppm);
@@ -195,50 +196,15 @@ impl ServeArtifact {
             h.u64(r.min_samples);
             h.u64(r.window);
         }
-        h.0
+        h.finish()
     }
 }
 
-/// FNV-1a, 64-bit. Not a crypto hash — a stable provenance stamp.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-    fn window(&mut self, w: &WindowSpec) {
-        self.byte(w.class as u8);
-        self.u64(w.start_us);
-        self.u64(w.end_us);
-    }
-}
-
-/// One serve-plane rule: examines an artifact and appends any findings.
-///
-/// The same contract as the graph-IR [`Rule`](crate::Rule): tolerate
-/// arbitrarily malformed artifacts without panicking, and defer to the
-/// owning rule instead of double-reporting.
-pub trait ServeRule: Send + Sync {
-    /// The stable code this rule reports under.
-    fn code(&self) -> Code;
-
-    /// Checks `artifact`, appending findings to `out`.
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>);
+/// Feeds one fault window to the artifact fingerprint.
+fn hash_window(h: &mut Fnv1a, w: &WindowSpec) {
+    h.byte(w.class as u8);
+    h.u64(w.start_us);
+    h.u64(w.end_us);
 }
 
 fn shard_span(shard: &ShardSpec) -> GraphSpan {
@@ -270,37 +236,29 @@ fn ladder_strictly_ordered(ladder: &LadderSpec) -> bool {
 // ---------------------------------------------------------------------------
 
 /// SV001 — rungs strictly ascending in predicted latency, none free.
-struct LadderOrder;
-
-impl ServeRule for LadderOrder {
-    fn code(&self) -> Code {
-        Code::SV001
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for shard in &artifact.shards {
-            for (i, rung) in shard.ladder.rungs.iter().enumerate() {
-                if rung.latency_us == 0 {
+fn ladder_order(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for shard in &artifact.shards {
+        for (i, rung) in shard.ladder.rungs.iter().enumerate() {
+            if rung.latency_us == 0 {
+                out.push(Diagnostic::new(
+                    Code::SV001,
+                    rung_span(shard, i),
+                    format!("rung `{}` predicts zero latency", rung.name),
+                ));
+            }
+            if i > 0 {
+                let prev = &shard.ladder.rungs[i - 1];
+                if rung.latency_us <= prev.latency_us {
                     out.push(Diagnostic::new(
                         Code::SV001,
                         rung_span(shard, i),
-                        format!("rung `{}` predicts zero latency", rung.name),
+                        format!(
+                            "rung `{}` ({} µs) does not strictly exceed \
+                             `{}` ({} µs); the selector needs a strict \
+                             latency order",
+                            rung.name, rung.latency_us, prev.name, prev.latency_us
+                        ),
                     ));
-                }
-                if i > 0 {
-                    let prev = &shard.ladder.rungs[i - 1];
-                    if rung.latency_us <= prev.latency_us {
-                        out.push(Diagnostic::new(
-                            Code::SV001,
-                            rung_span(shard, i),
-                            format!(
-                                "rung `{}` ({} µs) does not strictly exceed \
-                                 `{}` ({} µs); the selector needs a strict \
-                                 latency order",
-                                rung.name, rung.latency_us, prev.name, prev.latency_us
-                            ),
-                        ));
-                    }
                 }
             }
         }
@@ -308,31 +266,23 @@ impl ServeRule for LadderOrder {
 }
 
 /// SV002 — the exit table is non-empty and any pin addresses it.
-struct ExitTableRange;
-
-impl ServeRule for ExitTableRange {
-    fn code(&self) -> Code {
-        Code::SV002
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for shard in &artifact.shards {
-            let exits = shard.ladder.rungs.len();
-            if exits == 0 {
+fn exit_table_range(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for shard in &artifact.shards {
+        let exits = shard.ladder.rungs.len();
+        if exits == 0 {
+            out.push(Diagnostic::new(
+                Code::SV002,
+                shard_span(shard),
+                "exit table is empty: no candidate survived the Pareto filter",
+            ));
+        }
+        if let Some(pin) = shard.ladder.exit_pin {
+            if pin >= exits {
                 out.push(Diagnostic::new(
                     Code::SV002,
                     shard_span(shard),
-                    "exit table is empty: no candidate survived the Pareto filter",
+                    format!("exit pin {pin} is out of range: the table has {exits} exit(s)"),
                 ));
-            }
-            if let Some(pin) = shard.ladder.exit_pin {
-                if pin >= exits {
-                    out.push(Diagnostic::new(
-                        Code::SV002,
-                        shard_span(shard),
-                        format!("exit pin {pin} is out of range: the table has {exits} exit(s)"),
-                    ));
-                }
             }
         }
     }
@@ -340,36 +290,28 @@ impl ServeRule for ExitTableRange {
 
 /// SV003 — no rung strictly dominated (slower *and* less accurate) by an
 /// earlier rung. Defers to SV001 when the latency order is already broken.
-struct DominatedRung;
-
-impl ServeRule for DominatedRung {
-    fn code(&self) -> Code {
-        Code::SV003
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for shard in &artifact.shards {
-            if !ladder_strictly_ordered(&shard.ladder) {
-                continue; // SV001 owns the report
+fn dominated_rung(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for shard in &artifact.shards {
+        if !ladder_strictly_ordered(&shard.ladder) {
+            continue; // SV001 owns the report
+        }
+        let mut best_ppm = 0u64;
+        let mut best_name = "";
+        for (i, rung) in shard.ladder.rungs.iter().enumerate() {
+            if i > 0 && rung.accuracy_ppm < best_ppm {
+                out.push(Diagnostic::new(
+                    Code::SV003,
+                    rung_span(shard, i),
+                    format!(
+                        "rung `{}` is dominated: slower than `{}` yet less \
+                         accurate ({} < {} ppm)",
+                        rung.name, best_name, rung.accuracy_ppm, best_ppm
+                    ),
+                ));
             }
-            let mut best_ppm = 0u64;
-            let mut best_name = "";
-            for (i, rung) in shard.ladder.rungs.iter().enumerate() {
-                if i > 0 && rung.accuracy_ppm < best_ppm {
-                    out.push(Diagnostic::new(
-                        Code::SV003,
-                        rung_span(shard, i),
-                        format!(
-                            "rung `{}` is dominated: slower than `{}` yet less \
-                             accurate ({} < {} ppm)",
-                            rung.name, best_name, rung.accuracy_ppm, best_ppm
-                        ),
-                    ));
-                }
-                if rung.accuracy_ppm >= best_ppm {
-                    best_ppm = rung.accuracy_ppm;
-                    best_name = &rung.name;
-                }
+            if rung.accuracy_ppm >= best_ppm {
+                best_ppm = rung.accuracy_ppm;
+                best_name = &rung.name;
             }
         }
     }
@@ -381,49 +323,41 @@ impl ServeRule for DominatedRung {
 
 /// SV004 — curve roster shape: one curve per rung, none empty, batch-1 cost
 /// pinned to exactly `PPM`.
-struct BatchCurveShape;
-
-impl ServeRule for BatchCurveShape {
-    fn code(&self) -> Code {
-        Code::SV004
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for shard in &artifact.shards {
-            let curves = &shard.ladder.batch_curves;
-            if curves.is_empty() {
-                continue; // batching disabled — nothing to check
-            }
-            if curves.len() != shard.ladder.rungs.len() {
+fn batch_curve_shape(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for shard in &artifact.shards {
+        let curves = &shard.ladder.batch_curves;
+        if curves.is_empty() {
+            continue; // batching disabled — nothing to check
+        }
+        if curves.len() != shard.ladder.rungs.len() {
+            out.push(Diagnostic::new(
+                Code::SV004,
+                shard_span(shard),
+                format!(
+                    "{} batch curve(s) for {} rung(s); every rung needs \
+                     its own curve",
+                    curves.len(),
+                    shard.ladder.rungs.len()
+                ),
+            ));
+        }
+        for (r, curve) in curves.iter().enumerate() {
+            if curve.is_empty() {
                 out.push(Diagnostic::new(
                     Code::SV004,
-                    shard_span(shard),
+                    rung_span(shard, r),
+                    "batch curve is empty: not even the batch-1 point",
+                ));
+            } else if curve[0] != PPM {
+                out.push(Diagnostic::new(
+                    Code::SV004,
+                    rung_span(shard, r),
                     format!(
-                        "{} batch curve(s) for {} rung(s); every rung needs \
-                         its own curve",
-                        curves.len(),
-                        shard.ladder.rungs.len()
+                        "batch-1 cost is {} ppm, not {PPM}: a singleton \
+                         batch must cost exactly one request",
+                        curve[0]
                     ),
                 ));
-            }
-            for (r, curve) in curves.iter().enumerate() {
-                if curve.is_empty() {
-                    out.push(Diagnostic::new(
-                        Code::SV004,
-                        rung_span(shard, r),
-                        "batch curve is empty: not even the batch-1 point",
-                    ));
-                } else if curve[0] != PPM {
-                    out.push(Diagnostic::new(
-                        Code::SV004,
-                        rung_span(shard, r),
-                        format!(
-                            "batch-1 cost is {} ppm, not {PPM}: a singleton \
-                             batch must cost exactly one request",
-                            curve[0]
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -431,45 +365,37 @@ impl ServeRule for BatchCurveShape {
 
 /// SV005 — curves nondecreasing and at most linear for batch ≥ 2. Skips
 /// empty curves (SV004 owns those).
-struct BatchCurveScaling;
-
-impl ServeRule for BatchCurveScaling {
-    fn code(&self) -> Code {
-        Code::SV005
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for shard in &artifact.shards {
-            for (r, curve) in shard.ladder.batch_curves.iter().enumerate() {
-                for n in 1..curve.len() {
-                    let batch = (n + 1) as u64;
-                    if curve[n] < curve[n - 1] {
-                        out.push(Diagnostic::new(
-                            Code::SV005,
-                            rung_span(shard, r),
-                            format!(
-                                "batch {batch} costs {} ppm, less than batch \
-                                 {} at {} ppm: adding a request cannot shrink \
-                                 the batch",
-                                curve[n],
-                                batch - 1,
-                                curve[n - 1]
-                            ),
-                        ));
-                    }
-                    if curve[n] > batch.saturating_mul(PPM) {
-                        out.push(Diagnostic::new(
-                            Code::SV005,
-                            rung_span(shard, r),
-                            format!(
-                                "batch {batch} costs {} ppm, above the linear \
-                                 ceiling {} ppm: batching must never lose to \
-                                 serial dispatch",
-                                curve[n],
-                                batch * PPM
-                            ),
-                        ));
-                    }
+fn batch_curve_scaling(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for shard in &artifact.shards {
+        for (r, curve) in shard.ladder.batch_curves.iter().enumerate() {
+            for n in 1..curve.len() {
+                let batch = (n + 1) as u64;
+                if curve[n] < curve[n - 1] {
+                    out.push(Diagnostic::new(
+                        Code::SV005,
+                        rung_span(shard, r),
+                        format!(
+                            "batch {batch} costs {} ppm, less than batch \
+                             {} at {} ppm: adding a request cannot shrink \
+                             the batch",
+                            curve[n],
+                            batch - 1,
+                            curve[n - 1]
+                        ),
+                    ));
+                }
+                if curve[n] > batch.saturating_mul(PPM) {
+                    out.push(Diagnostic::new(
+                        Code::SV005,
+                        rung_span(shard, r),
+                        format!(
+                            "batch {batch} costs {} ppm, above the linear \
+                             ceiling {} ppm: batching must never lose to \
+                             serial dispatch",
+                            curve[n],
+                            batch * PPM
+                        ),
+                    ));
                 }
             }
         }
@@ -477,31 +403,23 @@ impl ServeRule for BatchCurveScaling {
 }
 
 /// SV006 — shards on the same device carry identical ladders.
-struct RosterConsistency;
-
-impl ServeRule for RosterConsistency {
-    fn code(&self) -> Code {
-        Code::SV006
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for (i, shard) in artifact.shards.iter().enumerate() {
-            if let Some(first) = artifact.shards[..i]
-                .iter()
-                .find(|s| s.ladder.device == shard.ladder.device)
-            {
-                if first.ladder != shard.ladder {
-                    out.push(Diagnostic::new(
-                        Code::SV006,
-                        shard_span(shard),
-                        format!(
-                            "ladder disagrees with `{}` on the same device \
-                             `{}`: identical hardware must predict identical \
-                             latencies",
-                            first.name, shard.ladder.device
-                        ),
-                    ));
-                }
+fn roster_consistency(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for (i, shard) in artifact.shards.iter().enumerate() {
+        if let Some(first) = artifact.shards[..i]
+            .iter()
+            .find(|s| s.ladder.device == shard.ladder.device)
+        {
+            if first.ladder != shard.ladder {
+                out.push(Diagnostic::new(
+                    Code::SV006,
+                    shard_span(shard),
+                    format!(
+                        "ladder disagrees with `{}` on the same device \
+                         `{}`: identical hardware must predict identical \
+                         latencies",
+                        first.name, shard.ladder.device
+                    ),
+                ));
             }
         }
     }
@@ -523,45 +441,37 @@ fn fault_plans(artifact: &ServeArtifact) -> Vec<(String, &[WindowSpec])> {
 }
 
 /// SV007 — windows non-empty and inside the scenario duration.
-struct FaultWindowBounds;
-
-impl ServeRule for FaultWindowBounds {
-    fn code(&self) -> Code {
-        Code::SV007
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for (owner, windows) in fault_plans(artifact) {
-            for (i, w) in windows.iter().enumerate() {
-                let span = GraphSpan::Fault {
-                    shard: owner.clone(),
-                    index: i,
-                };
-                if w.start_us >= w.end_us {
-                    out.push(Diagnostic::new(
-                        Code::SV007,
-                        span,
-                        format!(
-                            "{} window [{}, {}) is empty or inverted",
-                            w.class.as_str(),
-                            w.start_us,
-                            w.end_us
-                        ),
-                    ));
-                } else if w.end_us > artifact.duration_us {
-                    out.push(Diagnostic::new(
-                        Code::SV007,
-                        span,
-                        format!(
-                            "{} window [{}, {}) extends past the scenario \
-                             duration of {} µs",
-                            w.class.as_str(),
-                            w.start_us,
-                            w.end_us,
-                            artifact.duration_us
-                        ),
-                    ));
-                }
+fn fault_window_bounds(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for (owner, windows) in fault_plans(artifact) {
+        for (i, w) in windows.iter().enumerate() {
+            let span = GraphSpan::Fault {
+                shard: owner.clone(),
+                index: i,
+            };
+            if w.start_us >= w.end_us {
+                out.push(Diagnostic::new(
+                    Code::SV007,
+                    span,
+                    format!(
+                        "{} window [{}, {}) is empty or inverted",
+                        w.class.as_str(),
+                        w.start_us,
+                        w.end_us
+                    ),
+                ));
+            } else if w.end_us > artifact.duration_us {
+                out.push(Diagnostic::new(
+                    Code::SV007,
+                    span,
+                    format!(
+                        "{} window [{}, {}) extends past the scenario \
+                         duration of {} µs",
+                        w.class.as_str(),
+                        w.start_us,
+                        w.end_us,
+                        artifact.duration_us
+                    ),
+                ));
             }
         }
     }
@@ -569,44 +479,36 @@ impl ServeRule for FaultWindowBounds {
 
 /// SV008 — same-class windows of one plan never overlap. Windows SV007
 /// already rejected (empty/inverted) are skipped.
-struct FaultWindowOverlap;
-
-impl ServeRule for FaultWindowOverlap {
-    fn code(&self) -> Code {
-        Code::SV008
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        for (owner, windows) in fault_plans(artifact) {
-            for class in [FaultClass::Jitter, FaultClass::Stall, FaultClass::Drop] {
-                let mut of_class: Vec<(usize, &WindowSpec)> = windows
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.class == class && w.start_us < w.end_us)
-                    .collect();
-                of_class.sort_by_key(|(_, w)| (w.start_us, w.end_us));
-                for pair in of_class.windows(2) {
-                    let (_, a) = pair[0];
-                    let (bi, b) = pair[1];
-                    if b.start_us < a.end_us {
-                        out.push(Diagnostic::new(
-                            Code::SV008,
-                            GraphSpan::Fault {
-                                shard: owner.clone(),
-                                index: bi,
-                            },
-                            format!(
-                                "{} window [{}, {}) overlaps [{}, {}): the \
-                                 injected magnitude would depend on iteration \
-                                 order",
-                                class.as_str(),
-                                b.start_us,
-                                b.end_us,
-                                a.start_us,
-                                a.end_us
-                            ),
-                        ));
-                    }
+fn fault_window_overlap(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    for (owner, windows) in fault_plans(artifact) {
+        for class in [FaultClass::Jitter, FaultClass::Stall, FaultClass::Drop] {
+            let mut of_class: Vec<(usize, &WindowSpec)> = windows
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.class == class && w.start_us < w.end_us)
+                .collect();
+            of_class.sort_by_key(|(_, w)| (w.start_us, w.end_us));
+            for pair in of_class.windows(2) {
+                let (_, a) = pair[0];
+                let (bi, b) = pair[1];
+                if b.start_us < a.end_us {
+                    out.push(Diagnostic::new(
+                        Code::SV008,
+                        GraphSpan::Fault {
+                            shard: owner.clone(),
+                            index: bi,
+                        },
+                        format!(
+                            "{} window [{}, {}) overlaps [{}, {}): the \
+                             injected magnitude would depend on iteration \
+                             order",
+                            class.as_str(),
+                            b.start_us,
+                            b.end_us,
+                            a.start_us,
+                            a.end_us
+                        ),
+                    ));
                 }
             }
         }
@@ -616,57 +518,49 @@ impl ServeRule for FaultWindowOverlap {
 /// SV009 — per-shard plans partition the global timeline: every global
 /// window owned by exactly one shard, every shard window traceable to a
 /// global one. Windows match on (class, start) — extent errors are SV007's.
-struct FaultPartition;
-
-impl ServeRule for FaultPartition {
-    fn code(&self) -> Code {
-        Code::SV009
+fn fault_partition(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    let key = |w: &WindowSpec| (w.class, w.start_us);
+    for (gi, global) in artifact.global_faults.iter().enumerate() {
+        let owners: Vec<&str> = artifact
+            .shards
+            .iter()
+            .filter(|s| s.fault_windows.iter().any(|w| key(w) == key(global)))
+            .map(|s| s.name.as_str())
+            .collect();
+        if owners.len() != 1 {
+            out.push(Diagnostic::new(
+                Code::SV009,
+                GraphSpan::Fault {
+                    shard: "global".to_owned(),
+                    index: gi,
+                },
+                format!(
+                    "global {} window at {} µs is owned by {} shard(s) \
+                     ({:?}); the shard plans must partition the timeline",
+                    global.class.as_str(),
+                    global.start_us,
+                    owners.len(),
+                    owners
+                ),
+            ));
+        }
     }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        let key = |w: &WindowSpec| (w.class, w.start_us);
-        for (gi, global) in artifact.global_faults.iter().enumerate() {
-            let owners: Vec<&str> = artifact
-                .shards
-                .iter()
-                .filter(|s| s.fault_windows.iter().any(|w| key(w) == key(global)))
-                .map(|s| s.name.as_str())
-                .collect();
-            if owners.len() != 1 {
+    for shard in &artifact.shards {
+        for (i, w) in shard.fault_windows.iter().enumerate() {
+            if !artifact.global_faults.iter().any(|g| key(g) == key(w)) {
                 out.push(Diagnostic::new(
                     Code::SV009,
                     GraphSpan::Fault {
-                        shard: "global".to_owned(),
-                        index: gi,
+                        shard: shard.name.clone(),
+                        index: i,
                     },
                     format!(
-                        "global {} window at {} µs is owned by {} shard(s) \
-                         ({:?}); the shard plans must partition the timeline",
-                        global.class.as_str(),
-                        global.start_us,
-                        owners.len(),
-                        owners
+                        "{} window at {} µs does not trace back to the \
+                         global timeline",
+                        w.class.as_str(),
+                        w.start_us
                     ),
                 ));
-            }
-        }
-        for shard in &artifact.shards {
-            for (i, w) in shard.fault_windows.iter().enumerate() {
-                if !artifact.global_faults.iter().any(|g| key(g) == key(w)) {
-                    out.push(Diagnostic::new(
-                        Code::SV009,
-                        GraphSpan::Fault {
-                            shard: shard.name.clone(),
-                            index: i,
-                        },
-                        format!(
-                            "{} window at {} µs does not trace back to the \
-                             global timeline",
-                            w.class.as_str(),
-                            w.start_us
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -677,126 +571,101 @@ impl ServeRule for FaultPartition {
 // ---------------------------------------------------------------------------
 
 /// SV010 — the miss budget is a usable rate: positive and at most `PPM`.
-struct SloBudget;
-
-impl ServeRule for SloBudget {
-    fn code(&self) -> Code {
-        Code::SV010
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        let budget = artifact.slo.miss_budget_ppm;
-        if budget == 0 {
-            out.push(Diagnostic::new(
-                Code::SV010,
-                GraphSpan::SloPolicy,
-                "miss budget is zero: a single miss would page instantly",
-            ));
-        } else if budget > PPM {
-            out.push(Diagnostic::new(
-                Code::SV010,
-                GraphSpan::SloPolicy,
-                format!("miss budget {budget} ppm exceeds {PPM}: not a rate"),
-            ));
-        }
+fn slo_budget(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    let budget = artifact.slo.miss_budget_ppm;
+    if budget == 0 {
+        out.push(Diagnostic::new(
+            Code::SV010,
+            GraphSpan::SloPolicy,
+            "miss budget is zero: a single miss would page instantly",
+        ));
+    } else if budget > PPM {
+        out.push(Diagnostic::new(
+            Code::SV010,
+            GraphSpan::SloPolicy,
+            format!("miss budget {budget} ppm exceeds {PPM}: not a rate"),
+        ));
     }
 }
 
 /// SV011 — thresholds ordered: the burn alert sits at or above the
 /// on-budget line, and the drift/sample/arrival floors are nonzero.
-struct SloThresholdOrder;
-
-impl ServeRule for SloThresholdOrder {
-    fn code(&self) -> Code {
-        Code::SV011
+fn slo_threshold_order(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    let slo = &artifact.slo;
+    if slo.burn_alert_ppm < PPM {
+        out.push(Diagnostic::new(
+            Code::SV011,
+            GraphSpan::SloPolicy,
+            format!(
+                "burn alert at {} ppm is below the on-budget line {PPM}: \
+                 every within-budget window would page",
+                slo.burn_alert_ppm
+            ),
+        ));
     }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        let slo = &artifact.slo;
-        if slo.burn_alert_ppm < PPM {
-            out.push(Diagnostic::new(
-                Code::SV011,
-                GraphSpan::SloPolicy,
-                format!(
-                    "burn alert at {} ppm is below the on-budget line {PPM}: \
-                     every within-budget window would page",
-                    slo.burn_alert_ppm
-                ),
-            ));
-        }
-        if slo.drift_alert_ppm == 0 {
-            out.push(Diagnostic::new(
-                Code::SV011,
-                GraphSpan::SloPolicy,
-                "zero drift threshold: a perfectly calibrated estimator would alert",
-            ));
-        }
-        if slo.min_drift_samples == 0 {
-            out.push(Diagnostic::new(
-                Code::SV011,
-                GraphSpan::SloPolicy,
-                "zero drift-sample floor: drift would alert on no evidence",
-            ));
-        }
-        if slo.min_window_arrivals == 0 {
-            out.push(Diagnostic::new(
-                Code::SV011,
-                GraphSpan::SloPolicy,
-                "zero arrival floor: every empty window on an idle fleet would \
-                 count as loaded",
-            ));
-        }
+    if slo.drift_alert_ppm == 0 {
+        out.push(Diagnostic::new(
+            Code::SV011,
+            GraphSpan::SloPolicy,
+            "zero drift threshold: a perfectly calibrated estimator would alert",
+        ));
+    }
+    if slo.min_drift_samples == 0 {
+        out.push(Diagnostic::new(
+            Code::SV011,
+            GraphSpan::SloPolicy,
+            "zero drift-sample floor: drift would alert on no evidence",
+        ));
+    }
+    if slo.min_window_arrivals == 0 {
+        out.push(Diagnostic::new(
+            Code::SV011,
+            GraphSpan::SloPolicy,
+            "zero arrival floor: every empty window on an idle fleet would \
+             count as loaded",
+        ));
     }
 }
 
 /// SV012 — every stable `OBS0xx` alert code stays reachable under the
 /// policy constants.
-struct AlertReachability;
-
-impl ServeRule for AlertReachability {
-    fn code(&self) -> Code {
-        Code::SV012
-    }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        let slo = &artifact.slo;
-        // The hottest window possible misses every arrival; its burn rate is
-        // PPM/budget expressed in ppm. A threshold above that can never trip.
-        let max_burn = ((u128::from(PPM) * u128::from(PPM))
-            / u128::from(slo.miss_budget_ppm.max(1)))
+fn alert_reachability(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    let slo = &artifact.slo;
+    // The hottest window possible misses every arrival; its burn rate is
+    // PPM/budget expressed in ppm. A threshold above that can never trip.
+    let max_burn = ((u128::from(PPM) * u128::from(PPM)) / u128::from(slo.miss_budget_ppm.max(1)))
         .min(u128::from(u64::MAX)) as u64;
-        if slo.burn_alert_ppm > max_burn {
-            out.push(Diagnostic::new(
-                Code::SV012,
-                GraphSpan::SloPolicy,
-                format!(
-                    "OBS001 is unreachable: burn alert at {} ppm exceeds the \
-                     all-miss burn rate of {} ppm for a {} ppm budget",
-                    slo.burn_alert_ppm, max_burn, slo.miss_budget_ppm
-                ),
-            ));
-        }
-        if slo.drift_alert_ppm == u64::MAX {
-            out.push(Diagnostic::new(
-                Code::SV012,
-                GraphSpan::SloPolicy,
-                "OBS002 is unreachable: the drift threshold is saturated",
-            ));
-        }
-        if slo.min_drift_samples == u64::MAX {
-            out.push(Diagnostic::new(
-                Code::SV012,
-                GraphSpan::SloPolicy,
-                "OBS002 is unreachable: the drift-sample floor is saturated",
-            ));
-        }
-        if slo.min_window_arrivals == u64::MAX {
-            out.push(Diagnostic::new(
-                Code::SV012,
-                GraphSpan::SloPolicy,
-                "OBS001/OBS003 are unreachable: no window can ever count as loaded",
-            ));
-        }
+    if slo.burn_alert_ppm > max_burn {
+        out.push(Diagnostic::new(
+            Code::SV012,
+            GraphSpan::SloPolicy,
+            format!(
+                "OBS001 is unreachable: burn alert at {} ppm exceeds the \
+                 all-miss burn rate of {} ppm for a {} ppm budget",
+                slo.burn_alert_ppm, max_burn, slo.miss_budget_ppm
+            ),
+        ));
+    }
+    if slo.drift_alert_ppm == u64::MAX {
+        out.push(Diagnostic::new(
+            Code::SV012,
+            GraphSpan::SloPolicy,
+            "OBS002 is unreachable: the drift threshold is saturated",
+        ));
+    }
+    if slo.min_drift_samples == u64::MAX {
+        out.push(Diagnostic::new(
+            Code::SV012,
+            GraphSpan::SloPolicy,
+            "OBS002 is unreachable: the drift-sample floor is saturated",
+        ));
+    }
+    if slo.min_window_arrivals == u64::MAX {
+        out.push(Diagnostic::new(
+            Code::SV012,
+            GraphSpan::SloPolicy,
+            "OBS001/OBS003 are unreachable: no window can ever count as loaded",
+        ));
     }
 }
 
@@ -808,128 +677,95 @@ impl ServeRule for AlertReachability {
 /// zero threshold/cadence/floor, the refit window holds at least the
 /// sample floor, and the drift threshold is not saturated (OBS005 must
 /// stay reachable). Open-loop artifacts (`recalib: None`) are skipped.
-struct RecalibSanity;
-
-impl ServeRule for RecalibSanity {
-    fn code(&self) -> Code {
-        Code::SV013
+fn recalib_sanity(artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
+    let Some(r) = &artifact.recalib else {
+        return; // open loop — nothing to police
+    };
+    let finding = |msg: String| Diagnostic::new(Code::SV013, GraphSpan::RecalibPolicy, msg);
+    if r.drift_ppm == 0 {
+        out.push(finding(
+            "zero drift threshold: a perfectly calibrated shard would re-arm \
+             every watermark"
+                .to_owned(),
+        ));
+    } else if r.drift_ppm == u64::MAX {
+        out.push(finding(
+            "OBS005 is unreachable: the recalibration drift threshold is \
+             saturated"
+                .to_owned(),
+        ));
     }
-
-    fn check(&self, artifact: &ServeArtifact, out: &mut Vec<Diagnostic>) {
-        let Some(r) = &artifact.recalib else {
-            return; // open loop — nothing to police
-        };
-        let finding = |msg: String| Diagnostic::new(Code::SV013, GraphSpan::RecalibPolicy, msg);
-        if r.drift_ppm == 0 {
-            out.push(finding(
-                "zero drift threshold: a perfectly calibrated shard would re-arm \
-                 every watermark"
-                    .to_owned(),
-            ));
-        } else if r.drift_ppm == u64::MAX {
-            out.push(finding(
-                "OBS005 is unreachable: the recalibration drift threshold is \
-                 saturated"
-                    .to_owned(),
-            ));
-        }
-        if r.cooldown_us == 0 {
-            out.push(finding(
-                "zero cooldown: nothing rate-limits hot-swaps, so one drifting \
-                 shard could swap every watermark"
-                    .to_owned(),
-            ));
-        }
-        if r.watermark_us == 0 {
-            out.push(finding(
-                "zero watermark cadence: the controller would fold after every \
-                 arrival"
-                    .to_owned(),
-            ));
-        }
-        if r.min_samples == 0 {
-            out.push(finding(
-                "zero sample floor: a refit would trigger on no evidence".to_owned(),
-            ));
-        }
-        if r.window < r.min_samples {
-            out.push(finding(format!(
-                "refit window ({}) cannot hold the {} sample(s) the trigger \
-                 requires",
-                r.window, r.min_samples
-            )));
-        }
+    if r.cooldown_us == 0 {
+        out.push(finding(
+            "zero cooldown: nothing rate-limits hot-swaps, so one drifting \
+             shard could swap every watermark"
+                .to_owned(),
+        ));
+    }
+    if r.watermark_us == 0 {
+        out.push(finding(
+            "zero watermark cadence: the controller would fold after every \
+             arrival"
+                .to_owned(),
+        ));
+    }
+    if r.min_samples == 0 {
+        out.push(finding(
+            "zero sample floor: a refit would trigger on no evidence".to_owned(),
+        ));
+    }
+    if r.window < r.min_samples {
+        out.push(finding(format!(
+            "refit window ({}) cannot hold the {} sample(s) the trigger \
+             requires",
+            r.window, r.min_samples
+        )));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// Rule table
 // ---------------------------------------------------------------------------
 
-/// The serve-plane rule registry, mirroring [`crate::Analyzer`].
-pub struct ServeAnalyzer {
-    rules: Vec<Box<dyn ServeRule>>,
-}
+/// One SV rule: checks an artifact and appends its findings.
+type Check = fn(&ServeArtifact, &mut Vec<Diagnostic>);
 
-impl Default for ServeAnalyzer {
-    fn default() -> Self {
-        ServeAnalyzer::new()
-    }
-}
+/// The SV rules, each with the code it reports under, in the order
+/// [`analyze_serve`] runs them.
+const RULES: [(Code, Check); 13] = [
+    (Code::SV001, ladder_order),
+    (Code::SV002, exit_table_range),
+    (Code::SV003, dominated_rung),
+    (Code::SV004, batch_curve_shape),
+    (Code::SV005, batch_curve_scaling),
+    (Code::SV006, roster_consistency),
+    (Code::SV007, fault_window_bounds),
+    (Code::SV008, fault_window_overlap),
+    (Code::SV009, fault_partition),
+    (Code::SV010, slo_budget),
+    (Code::SV011, slo_threshold_order),
+    (Code::SV012, alert_reachability),
+    (Code::SV013, recalib_sanity),
+];
 
-impl ServeAnalyzer {
-    /// The default registry: every SV rule (SV001–SV013).
-    pub fn new() -> Self {
-        ServeAnalyzer {
-            rules: vec![
-                Box::new(LadderOrder),
-                Box::new(ExitTableRange),
-                Box::new(DominatedRung),
-                Box::new(BatchCurveShape),
-                Box::new(BatchCurveScaling),
-                Box::new(RosterConsistency),
-                Box::new(FaultWindowBounds),
-                Box::new(FaultWindowOverlap),
-                Box::new(FaultPartition),
-                Box::new(SloBudget),
-                Box::new(SloThresholdOrder),
-                Box::new(AlertReachability),
-                Box::new(RecalibSanity),
-            ],
-        }
-    }
-
-    /// Appends a custom rule to the registry.
-    #[must_use]
-    pub fn with_rule(mut self, rule: Box<dyn ServeRule>) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Runs every rule over `artifact`, in registry order.
-    ///
-    /// Emits a `verify.analyze_serve` tracing span and bumps the shared
-    /// `verify.diagnostic` counter by the number of findings.
-    pub fn analyze(&self, artifact: &ServeArtifact) -> Report {
-        let _span = obs::span("verify.analyze_serve");
-        let mut diagnostics = Vec::new();
-        for rule in &self.rules {
-            rule.check(artifact, &mut diagnostics);
-        }
-        if !diagnostics.is_empty() {
-            obs::counter_add("verify.diagnostic", diagnostics.len() as u64);
-        }
-        Report {
-            network: artifact.scenario.clone(),
-            fingerprint: artifact.fingerprint(),
-            diagnostics,
-        }
-    }
-}
-
-/// Convenience: run the default registry over one artifact.
+/// Runs every SV rule (SV001–SV013) over `artifact`, in table order.
+///
+/// Emits a `verify.analyze_serve` tracing span and bumps the shared
+/// `verify.diagnostic` counter by the number of findings.
 pub fn analyze_serve(artifact: &ServeArtifact) -> Report {
-    ServeAnalyzer::new().analyze(artifact)
+    let _span = obs::span("verify.analyze_serve");
+    let mut diagnostics = Vec::new();
+    for (_, rule) in RULES {
+        rule(artifact, &mut diagnostics);
+    }
+    if !diagnostics.is_empty() {
+        obs::counter_add("verify.diagnostic", diagnostics.len() as u64);
+    }
+    Report {
+        network: artifact.scenario.clone(),
+        fingerprint: artifact.fingerprint(),
+        diagnostics,
+    }
 }
 
 /// Wraps a serve-plane *build* failure (e.g. a `LadderError` from
@@ -1030,5 +866,41 @@ pub fn demo_artifact() -> ServeArtifact {
             min_samples: 8,
             window: 64,
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::diagnostic::tests::plane_codes;
+    use crate::mutate::{apply_serve, ServeMutation};
+
+    #[test]
+    fn the_table_names_every_sv_code_once_in_order() {
+        let named: Vec<Code> = RULES.iter().map(|&(code, _)| code).collect();
+        assert_eq!(named, plane_codes("SV"));
+    }
+
+    /// Each rule run alone over the mutation corpus reports under its own
+    /// code only, and the rule owning a mutation's expected code fires on
+    /// it.
+    #[test]
+    fn each_rule_alone_reports_only_its_own_code() {
+        let demo = demo_artifact();
+        for mutation in ServeMutation::all() {
+            let broken = apply_serve(&demo, mutation).unwrap();
+            for (code, rule) in RULES {
+                let mut out = Vec::new();
+                rule(&broken, &mut out);
+                assert!(
+                    out.iter().all(|d| d.code == code),
+                    "{code} rule on {mutation:?} reported {:?}",
+                    out.iter().map(|d| d.code).collect::<Vec<_>>()
+                );
+                if code == mutation.expected_code() {
+                    assert!(!out.is_empty(), "{code} rule missed {mutation:?}");
+                }
+            }
+        }
     }
 }
