@@ -1,7 +1,7 @@
 //! The exhaustive blockwise exploration baseline (§IV-B): construct every
 //! blockwise TRN of every source network, deploy and measure each one, and
-//! retrain each one — the 148-candidate, 183-hour sweep that NetCut's
-//! deadline-aware exploration avoids.
+//! retrain each one — the sweep that NetCut's deadline-aware exploration
+//! avoids: 145 candidates here, 148 and 183 hours in the paper.
 
 use crate::eval::{EvalContext, EvalTask};
 use crate::removal::blockwise_trns;

@@ -6,7 +6,8 @@
 //! * [`removal`] — constructing TRimmed Networks (TRNs) by blockwise or
 //!   iterative (per-layer) removal (§IV);
 //! * [`explore`] — the exhaustive blockwise exploration baseline that
-//!   measures and retrains *every* TRN (the 148-network, 183-hour sweep);
+//!   measures and retrains *every* TRN (145 networks here; the paper's
+//!   sweep is 148 networks and 183 hours);
 //! * [`pareto`] — Pareto-frontier extraction and the accuracy-gap /
 //!   relative-improvement analysis of Figs. 1, 6 and 7;
 //! * [`netcut`] — **Algorithm 1**: deadline-aware exploration that uses a

@@ -3,8 +3,13 @@
 //! For each trained source network, increment the blockwise cutpoint until
 //! the latency *estimator* predicts the TRN meets the deadline; retrain
 //! only that first real-time TRN. One proposal per family (7 for the
-//! paper's study, versus 148 blockwise candidates — a 95 % reduction),
-//! then pick the retrained proposal with the highest accuracy.
+//! paper's study, versus the 145 blockwise candidates this reproduction
+//! sweeps — the paper counts 148 — a 95 % reduction), then pick the
+//! retrained proposal with the highest accuracy.
+//!
+//! Each step asks [`LatencyEstimator::estimate_cut_ms`] about a cutpoint,
+//! so an estimator that answers from per-source tables (the profiler)
+//! never builds the cuts it rejects; only the proposal is built.
 
 use crate::eval::EvalContext;
 use crate::report::CandidatePoint;
@@ -112,11 +117,33 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         deadline_ms: f64,
         ctx: &EvalContext<'_, R>,
     ) -> NetCutOutcome {
+        self.run_adapted(&self.adapt(sources), deadline_ms, ctx)
+    }
+
+    /// Pairs each source with its trained network: the backbone with this
+    /// explorer's transfer head, under the source's name.
+    fn adapt<'s>(&self, sources: &'s [Network]) -> Vec<(&'s Network, Network)> {
+        sources
+            .iter()
+            .map(|source| {
+                let mut adapted = source.backbone().with_head(&self.head);
+                adapted.rename(source.name());
+                (source, adapted)
+            })
+            .collect()
+    }
+
+    fn run_adapted(
+        &self,
+        families: &[(&Network, Network)],
+        deadline_ms: f64,
+        ctx: &EvalContext<'_, R>,
+    ) -> NetCutOutcome {
         let mut run_span = obs::span("netcut.run");
         run_span.field("deadline_ms", deadline_ms);
-        run_span.field("sources", sources.len());
-        let proposals = ctx.par_map(sources.iter().collect(), |_, source| {
-            self.propose(source, deadline_ms, ctx)
+        run_span.field("sources", families.len());
+        let proposals = ctx.par_map(families.iter().collect(), |_, (source, adapted)| {
+            self.propose(source, adapted, deadline_ms, ctx)
         });
         let exploration_hours = proposals.iter().map(|p| p.train_hours).sum();
         run_span.field("proposals", proposals.len());
@@ -128,10 +155,12 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         }
     }
 
-    /// Algorithm 1 for a single source family.
+    /// Algorithm 1 for a single source family; `adapted` is the trained
+    /// source network (backbone + transfer head).
     fn propose(
         &self,
         source: &Network,
+        adapted: &Network,
         deadline_ms: f64,
         ctx: &EvalContext<'_, R>,
     ) -> CandidatePoint {
@@ -139,23 +168,15 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         if family_span.is_recording() {
             family_span.field("family", source.name());
         }
-        // The trained source network: backbone + transfer head.
-        let mut adapted = source.backbone().with_head(&self.head);
-        adapted.rename(source.name());
         // Algorithm 1 lines 2–4: start from the full network with its
         // *measured* latency.
-        let mut trn = adapted.clone();
-        let mut est_latency = ctx.measure(&adapted, self.source_seed).mean_ms;
+        let mut est_latency = ctx.measure(adapted, self.source_seed).mean_ms;
         let mut cutpoint = 0usize;
         // Lines 5–9: cut until the estimate meets the deadline (or the
         // family runs out of blocks).
         while est_latency > deadline_ms && cutpoint + 1 < source.num_blocks() {
             cutpoint += 1;
-            trn = source
-                .cut_blocks(cutpoint)
-                .expect("cutpoint below block count")
-                .with_head(&self.head);
-            est_latency = self.estimator.estimate_ms(&trn);
+            est_latency = self.estimator.estimate_cut_ms(source, cutpoint, &self.head);
             obs::counter_add("netcut.steps", 1);
             if obs::enabled() {
                 obs::instant(
@@ -171,7 +192,15 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         }
         // Line 10: retrain the proposed TRN; also deploy it to record
         // ground truth.
-        let mut point = ctx.evaluate(&trn, source, self.eval_seed);
+        let mut point = if cutpoint == 0 {
+            ctx.evaluate(adapted, source, self.eval_seed)
+        } else {
+            let trn = source
+                .cut_blocks(cutpoint)
+                .expect("cutpoint below block count")
+                .with_head(&self.head);
+            ctx.evaluate(&trn, source, self.eval_seed)
+        };
         point.estimated_ms = Some(est_latency);
         let accept = est_latency <= deadline_ms;
         if accept {
@@ -227,9 +256,10 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         ctx: &EvalContext<'_, R>,
     ) -> DeadlineSweep {
         let before = ctx.stats();
+        let families = self.adapt(sources);
         let mut outcomes = Vec::with_capacity(deadlines_ms.len());
         for &deadline in deadlines_ms {
-            outcomes.push((deadline, self.run_with(sources, deadline, ctx)));
+            outcomes.push((deadline, self.run_adapted(&families, deadline, ctx)));
         }
         let after = ctx.stats();
         DeadlineSweep {
@@ -247,6 +277,9 @@ mod tests {
     use netcut_graph::zoo;
     use netcut_sim::{DeviceModel, Precision, Session};
     use netcut_train::SurrogateRetrainer;
+
+    /// The deadlines of the benchmark's `pipeline` workload, milliseconds.
+    const PIPELINE_DEADLINES_MS: [f64; 7] = [0.5, 0.7, 0.9, 1.2, 1.5, 2.0, 3.0];
 
     fn session() -> Session {
         Session::new(DeviceModel::jetson_xavier(), Precision::Int8)
@@ -295,13 +328,45 @@ mod tests {
         assert!(resnet.cutpoint > 0, "ResNet-50 must be trimmed for 0.9 ms");
         let est = resnet.estimated_ms.unwrap();
         assert!(est <= 0.9, "estimate {est} must meet the deadline");
-        // The proposal is the *first* real-time TRN: one block less removed
-        // must violate the deadline (estimated).
         assert!(
             resnet.latency_ms <= 0.9 * 1.1,
             "measured latency {} should be near or under the deadline",
             resnet.latency_ms
         );
+        // The proposal is the *first* real-time TRN: one block less removed
+        // must violate the deadline (estimated). At cutpoint 0 the
+        // algorithm's estimate is the source's measured latency.
+        let s = session();
+        let retrainer = SurrogateRetrainer::paper();
+        let ctx = EvalContext::new(&s, &retrainer);
+        let sources = zoo::paper_networks();
+        let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+        let head = HeadSpec::default();
+        let nc = NetCut::new(&estimator, &retrainer);
+        let mut cut = 0;
+        for deadline in PIPELINE_DEADLINES_MS {
+            let outcome = nc.run_with(&sources, deadline, &ctx);
+            for (source, p) in sources.iter().zip(&outcome.proposals) {
+                if p.cutpoint == 0 {
+                    continue;
+                }
+                cut += 1;
+                let previous = if p.cutpoint == 1 {
+                    let mut adapted = source.backbone().with_head(&head);
+                    adapted.rename(source.name());
+                    ctx.measure(&adapted, 11).mean_ms
+                } else {
+                    let trn = source.cut_blocks(p.cutpoint - 1).unwrap().with_head(&head);
+                    estimator.estimate_ms(&trn)
+                };
+                assert!(
+                    previous > deadline,
+                    "{} at {deadline} ms: one block less reads {previous} ms",
+                    p.name
+                );
+            }
+        }
+        assert!(cut > 0, "no family was cut at any deadline");
     }
 
     #[test]
@@ -361,6 +426,38 @@ mod tests {
                 w[0] <= w[1] + 1e-9,
                 "accuracy decreased with looser deadline: {accs:?}"
             );
+        }
+    }
+
+    /// Implements only `estimate_ms`, so Algorithm 1 takes the trait's
+    /// default per-cut method and builds every TRN it steps through.
+    struct BuildEveryCut<'a>(&'a ProfilerEstimator);
+
+    impl LatencyEstimator for BuildEveryCut<'_> {
+        fn estimate_ms(&self, trn: &Network) -> f64 {
+            self.0.estimate_ms(trn)
+        }
+
+        fn name(&self) -> &str {
+            "build-every-cut"
+        }
+    }
+
+    #[test]
+    fn per_cut_estimates_propose_what_building_every_cut_proposes() {
+        let s = session();
+        let retrainer = SurrogateRetrainer::paper();
+        let ctx = EvalContext::new(&s, &retrainer);
+        let sources = zoo::paper_networks();
+        let profiler = ProfilerEstimator::profile_with(&ctx, &sources, 3);
+        let built = BuildEveryCut(&profiler);
+        let mut deadlines = vec![0.001, 10.0];
+        deadlines.extend(PIPELINE_DEADLINES_MS);
+        let per_cut =
+            NetCut::new(&profiler, &retrainer).run_deadlines_with(&sources, &deadlines, &ctx);
+        let every = NetCut::new(&built, &retrainer).run_deadlines_with(&sources, &deadlines, &ctx);
+        for ((deadline, a), (_, b)) in per_cut.outcomes.iter().zip(&every.outcomes) {
+            assert_eq!(a.proposals, b.proposals, "at {deadline} ms");
         }
     }
 

@@ -8,8 +8,8 @@ use netcut_graph::{HeadSpec, Network};
 /// (cutpoint 0 is the full backbone with the transfer head — the
 /// "retrained original"). Each TRN carries a fresh transfer head.
 ///
-/// Over the paper's seven source networks this yields the ~148-candidate
-/// search space of §IV-B.
+/// Over the paper's seven source networks this yields the search space of
+/// §IV-B: 145 candidates here, 148 in the paper.
 ///
 /// # Example
 ///

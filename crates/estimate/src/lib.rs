@@ -46,7 +46,7 @@ pub use profiler::ProfilerEstimator;
 pub use refit::refit_scale_ppm;
 pub use svr::{Svr, SvrParams};
 
-use netcut_graph::Network;
+use netcut_graph::{HeadSpec, Network};
 use netcut_sim::{LatencyTable, Session};
 
 /// Predicts the deployed inference latency of a TRN from static
@@ -58,6 +58,26 @@ use netcut_sim::{LatencyTable, Session};
 pub trait LatencyEstimator: Send + Sync {
     /// Predicted latency of `trn`, milliseconds.
     fn estimate_ms(&self, trn: &Network) -> f64;
+
+    /// Predicted latency of the blockwise TRN that removes the last
+    /// `cutpoint` blocks of `source` and attaches `head`, milliseconds.
+    ///
+    /// The default builds that TRN
+    /// (`source.cut_blocks(cutpoint)?.with_head(head)`) and asks
+    /// [`estimate_ms`](Self::estimate_ms). An estimator that can answer
+    /// from per-source tables overrides it, and must return the same
+    /// value bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cutpoint` is not below `source`'s block count.
+    fn estimate_cut_ms(&self, source: &Network, cutpoint: usize, head: &HeadSpec) -> f64 {
+        let trn = source
+            .cut_blocks(cutpoint)
+            .expect("cutpoint below block count")
+            .with_head(head);
+        self.estimate_ms(&trn)
+    }
 
     /// Estimator name for reports.
     fn name(&self) -> &str;

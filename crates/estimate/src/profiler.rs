@@ -12,7 +12,7 @@
 //! would be biased.
 
 use crate::LatencyEstimator;
-use netcut_graph::Network;
+use netcut_graph::{HeadSpec, Network, Node, NodeId};
 use netcut_obs as obs;
 use netcut_sim::LatencyTable;
 use std::collections::{HashMap, HashSet};
@@ -62,7 +62,6 @@ impl ProfilerEstimator {
         sources: &[Network],
         seed: u64,
     ) -> Self {
-        use netcut_graph::HeadSpec;
         let mut span = obs::span("estimate.profile");
         span.field("families", sources.len());
         let head = HeadSpec::default();
@@ -99,46 +98,79 @@ impl ProfilerEstimator {
     pub fn table(&self, family: &str) -> Option<&LatencyTable> {
         self.profiles.get(family).map(|p| &p.table)
     }
+
+    fn profile(&self, family: &str) -> &FamilyProfile {
+        self.profiles
+            .get(family)
+            .unwrap_or_else(|| panic!("family `{family}` was not profiled"))
+    }
 }
 
-impl LatencyEstimator for ProfilerEstimator {
-    fn estimate_ms(&self, trn: &Network) -> f64 {
-        let profile = self
-            .profiles
-            .get(trn.base_name())
-            .unwrap_or_else(|| panic!("family `{}` was not profiled", trn.base_name()));
-        let source = &profile.source;
-        // Kept nodes are identified by name: cutting preserves names.
-        let kept: HashSet<&str> = trn.nodes().iter().map(netcut_graph::Node::name).collect();
-        let removed = |id: netcut_graph::NodeId| -> bool {
-            let node = source.node(id);
-            // Head (classification) layers are excluded from both sums per
-            // the paper; treat them as "not removed" so they never count.
-            !source.is_head_node(id) && !kept.contains(node.name())
-        };
-        let total: f64 = profile
+impl FamilyProfile {
+    /// The ratio formula for a TRN of this family that keeps the profiled
+    /// source's backbone nodes `kept` selects. `candidate` names the TRN
+    /// in the `estimate.predict` instant and runs only when a sink is
+    /// installed.
+    fn predict(&self, kept: impl Fn(NodeId) -> bool, candidate: impl FnOnce() -> String) -> f64 {
+        let source = &self.source;
+        // Head (classification) layers are excluded from both sums per the
+        // paper; treat them as "not removed" so they never count.
+        let removed = |id: NodeId| !source.is_head_node(id) && !kept(id);
+        let total: f64 = self
             .table
             .layers()
             .iter()
             .filter(|l| l.members.iter().all(|&m| !source.is_head_node(m)))
             .map(|l| l.latency_ms)
             .sum();
-        let removed_ms = profile.table.removed_time_ms(&removed);
+        let removed_ms = self.table.removed_time_ms(&removed);
         let ratio = if total > 0.0 { removed_ms / total } else { 0.0 };
-        let predicted = profile.table.end_to_end_ms() * (1.0 - ratio);
+        let predicted = self.table.end_to_end_ms() * (1.0 - ratio);
         obs::counter_add("estimate.predictions", 1);
         if obs::enabled() {
             obs::instant(
                 "estimate.predict",
                 &[
-                    ("candidate", trn.name().into()),
-                    ("family", trn.base_name().into()),
+                    ("candidate", candidate().into()),
+                    ("family", source.base_name().into()),
                     ("predicted_ms", predicted.into()),
                     ("removed_ratio", ratio.into()),
                 ],
             );
         }
         predicted
+    }
+}
+
+impl LatencyEstimator for ProfilerEstimator {
+    fn estimate_ms(&self, trn: &Network) -> f64 {
+        let profile = self.profile(trn.base_name());
+        // Kept nodes are identified by name: cutting preserves names.
+        let kept: HashSet<&str> = trn.nodes().iter().map(Node::name).collect();
+        profile.predict(
+            |id| kept.contains(profile.source.node(id).name()),
+            || trn.name().to_owned(),
+        )
+    }
+
+    /// Reads the kept set off the profiled source instead of building the
+    /// TRN. The profiled source carries `source`'s backbone blocks, and a
+    /// blockwise cut keeps exactly the ancestors of its last kept block's
+    /// output, so the mask selects the nodes [`estimate_ms`] finds by name
+    /// and the shared ratio returns the same bits. `head` is not read:
+    /// head layers are excluded from both sums.
+    ///
+    /// [`estimate_ms`]: LatencyEstimator::estimate_ms
+    fn estimate_cut_ms(&self, source: &Network, cutpoint: usize, _head: &HeadSpec) -> f64 {
+        let family = source.base_name();
+        let profile = self.profile(family);
+        let blocks = profile.source.blocks();
+        let last_kept = blocks
+            .len()
+            .checked_sub(cutpoint + 1)
+            .expect("cutpoint below block count");
+        let kept = profile.source.ancestor_mask(blocks[last_kept].output());
+        profile.predict(|id| kept[id.index()], || format!("{family}/cut{cutpoint}"))
     }
 
     fn name(&self) -> &str {
@@ -149,7 +181,7 @@ impl LatencyEstimator for ProfilerEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcut_graph::{zoo, HeadSpec};
+    use netcut_graph::zoo;
     use netcut_sim::{DeviceModel, Precision, Session};
 
     fn session() -> Session {
@@ -208,11 +240,41 @@ mod tests {
     }
 
     #[test]
+    fn per_cut_estimate_is_the_built_trns_bit_for_bit() {
+        let nets = zoo::extended_networks();
+        let est = ProfilerEstimator::profile_with(&session(), &nets, 3);
+        let narrow = HeadSpec {
+            hidden: vec![64],
+            classes: 3,
+        };
+        for head in [HeadSpec::default(), narrow] {
+            for net in &nets {
+                for k in 0..net.num_blocks() {
+                    let trn = net.cut_blocks(k).unwrap().with_head(&head);
+                    assert_eq!(
+                        est.estimate_cut_ms(net, k, &head).to_bits(),
+                        est.estimate_ms(&trn).to_bits(),
+                        "{} under {head:?}",
+                        trn.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "was not profiled")]
     fn unknown_family_panics() {
         let est = ProfilerEstimator::profile_with(&session(), &[zoo::resnet50()], 1);
         let other = zoo::mobilenet_v1(0.5);
         let trn = other.cut_blocks(1).unwrap();
         est.estimate_ms(&trn);
+    }
+
+    #[test]
+    #[should_panic(expected = "was not profiled")]
+    fn unknown_family_panics_per_cut() {
+        let est = ProfilerEstimator::profile_with(&session(), &[zoo::resnet50()], 1);
+        est.estimate_cut_ms(&zoo::mobilenet_v1(0.5), 1, &HeadSpec::default());
     }
 }

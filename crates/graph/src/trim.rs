@@ -64,6 +64,28 @@ impl Network {
             .collect()
     }
 
+    /// The ancestor closure of node `v` (inclusive) as a mask indexed like
+    /// [`Network::nodes`]: `mask[i]` is `true` when node `i` survives
+    /// [`cut_at_node`](Self::cut_at_node) at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a node of this network.
+    pub fn ancestor_mask(&self, v: NodeId) -> Vec<bool> {
+        assert!(v.0 < self.nodes.len(), "cutpoint outside network");
+        // Inputs always point backward, so a single reverse pass suffices.
+        let mut keep = vec![false; self.nodes.len()];
+        keep[v.0] = true;
+        for idx in (0..=v.0).rev() {
+            if keep[idx] {
+                for &inp in &self.nodes[idx].inputs {
+                    keep[inp.0] = true;
+                }
+            }
+        }
+        keep
+    }
+
     /// Returns the sub-network computing node `v` (its ancestor closure),
     /// renamed to `name`, with no classification head attached.
     ///
@@ -74,18 +96,7 @@ impl Network {
     ///
     /// Panics if `v` is not a node of this network.
     pub fn cut_at_node(&self, v: NodeId, name: impl Into<String>) -> Network {
-        assert!(v.0 < self.nodes.len(), "cutpoint outside network");
-        // Mark ancestors of v (inclusive) by reverse traversal; inputs always
-        // point backward, so a single reverse pass suffices.
-        let mut keep = vec![false; self.nodes.len()];
-        keep[v.0] = true;
-        for idx in (0..=v.0).rev() {
-            if keep[idx] {
-                for &inp in &self.nodes[idx].inputs {
-                    keep[inp.0] = true;
-                }
-            }
-        }
+        let keep = self.ancestor_mask(v);
         let mut remap = vec![usize::MAX; self.nodes.len()];
         let mut nodes = Vec::new();
         let mut shapes = Vec::new();

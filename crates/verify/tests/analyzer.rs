@@ -2,7 +2,7 @@
 //! TRN, raw and head-attached) must be clean, and each mutation class must
 //! be caught with its documented `NC0xx` code.
 
-use netcut_graph::{zoo, HeadSpec};
+use netcut_graph::{zoo, ExitPoint, HeadSpec};
 use netcut_verify::mutate::{self, Mutation};
 use netcut_verify::{Analyzer, Code, Severity};
 use std::collections::BTreeMap;
@@ -53,6 +53,28 @@ fn zoo_and_every_trn_are_clean() {
     // Ten architectures, dozens of cutpoints: a regression that skipped the
     // loop entirely would still "pass" without this floor.
     assert!(graphs > 100, "only analyzed {graphs} graphs");
+}
+
+/// An exit that claims a block past the backbone's last one is NC015's
+/// first finding, which no mutation reaches: the analyzer must report it
+/// (and must not panic looking the missing block up).
+#[test]
+fn an_exit_past_the_last_block_is_reported() {
+    let multi = zoo::mobilenet_v1(0.25).with_exit_heads(&HeadSpec::default());
+    let nb = multi.num_blocks();
+    let mut exits = multi.exits().to_vec();
+    let deepest = exits.pop().expect("one exit per block");
+    exits.push(ExitPoint::new(nb, deepest.head_start(), deepest.output()));
+    let report = Analyzer::new().analyze(&multi.with_exit_points(exits));
+    let expected = format!("claims block #{nb}, but the network has {nb} blocks");
+    assert!(
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.code == Code::NC015 && d.message.contains(&expected)),
+        "no NC015 `{expected}`:\n{}",
+        report.render_text()
+    );
 }
 
 /// Mutation classes whose analyzer output must contain *only* the expected

@@ -1,7 +1,9 @@
 //! End-to-end observability checks: a full NetCut exploration run must
 //! emit a well-formed JSON-lines trace (schema v1, balanced and properly
 //! nested spans, monotone timestamps, one span per explored candidate with
-//! predicted and measured latency) and a loadable Chrome trace document.
+//! predicted and measured latency, and Algorithm 1's decision record: one
+//! `estimate.predict` instant before each `netcut.step`) and a loadable
+//! Chrome trace document.
 
 use netcut_repro::core::eval::EvalContext;
 use netcut_repro::core::netcut::NetCut;
@@ -10,6 +12,7 @@ use netcut_repro::graph::zoo;
 use netcut_repro::obs;
 use netcut_repro::sim::{DeviceModel, Precision, Session};
 use netcut_repro::train::SurrogateRetrainer;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The obs sink is process-global; serialize the tests that install one.
@@ -19,14 +22,15 @@ fn sink_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Runs NetCut over two small families with the given deadline.
+/// Runs NetCut over two small families at 0.2 ms, which both must be cut
+/// to meet (their sources measure about 0.25 and 0.34 ms).
 fn run_explore() -> usize {
     let session = Session::new(DeviceModel::jetson_xavier(), Precision::Int8);
     let retrainer = SurrogateRetrainer::paper();
     let ctx = EvalContext::new(&session, &retrainer);
     let sources = [zoo::mobilenet_v1(0.25), zoo::mobilenet_v1(0.5)];
     let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 7);
-    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.9, &ctx);
+    let outcome = NetCut::new(&estimator, &retrainer).run_with(&sources, 0.2, &ctx);
     outcome.proposals.len()
 }
 
@@ -53,6 +57,10 @@ fn explore_emits_well_formed_jsonl_trace() {
     let mut open_spans = 0usize;
     let mut candidate_spans = 0usize;
     let mut family_spans = 0usize;
+    // Per enclosing span: the `estimate.predict` not yet claimed by a
+    // `netcut.step`, as (candidate, predicted_ms).
+    let mut pending: HashMap<u64, (String, f64)> = HashMap::new();
+    let mut steps = 0usize;
     for (i, line) in lines.iter().enumerate() {
         // Every line parses independently as one JSON object.
         let event: serde_json::Value = line
@@ -133,7 +141,57 @@ fn explore_emits_well_formed_jsonl_trace() {
                     );
                 }
             }
-            "instant" => {}
+            "instant" => {
+                let parent = event
+                    .get("parent")
+                    .and_then(serde_json::Value::as_u64)
+                    .unwrap_or(0);
+                let fields = event.get("fields");
+                let str_field = |key: &str| {
+                    fields
+                        .and_then(|f| f.get(key))
+                        .and_then(|v| v.as_str())
+                        .unwrap_or_else(|| panic!("line {i} lacks {key}: {line}"))
+                        .to_owned()
+                };
+                let num_field = |key: &str| {
+                    fields
+                        .and_then(|f| f.get(key))
+                        .and_then(serde_json::Value::as_f64)
+                        .unwrap_or_else(|| panic!("line {i} lacks {key}: {line}"))
+                };
+                match name {
+                    "estimate.predict" => {
+                        let previous = pending
+                            .insert(parent, (str_field("candidate"), num_field("predicted_ms")));
+                        assert!(
+                            previous.is_none(),
+                            "line {i}: two predictions without a step: {line}"
+                        );
+                    }
+                    "netcut.step" => {
+                        let (candidate, predicted) = pending
+                            .remove(&parent)
+                            .unwrap_or_else(|| panic!("line {i}: step without a prediction"));
+                        let cutpoint = fields
+                            .and_then(|f| f.get("cutpoint"))
+                            .and_then(serde_json::Value::as_u64)
+                            .unwrap_or_else(|| panic!("line {i} lacks cutpoint: {line}"));
+                        assert_eq!(
+                            candidate,
+                            format!("{}/cut{cutpoint}", str_field("family")),
+                            "line {i}: step and prediction name different cuts"
+                        );
+                        assert_eq!(
+                            num_field("predicted_ms"),
+                            predicted,
+                            "line {i}: step and prediction disagree"
+                        );
+                        steps += 1;
+                    }
+                    _ => {}
+                }
+            }
             other => panic!("line {i} has unknown kind `{other}`"),
         }
     }
@@ -143,6 +201,11 @@ fn explore_emits_well_formed_jsonl_trace() {
     );
     assert!(open_spans > 0);
     assert_eq!(family_spans, families, "one netcut.family span per source");
+    assert!(steps > 0, "the run took no Algorithm 1 step");
+    assert!(
+        pending.is_empty(),
+        "predictions no step claimed: {pending:?}"
+    );
     assert!(
         candidate_spans >= families,
         "at least one explore.candidate span per proposal"
