@@ -301,7 +301,7 @@ fn lint_reports(source: &Network) -> Vec<netcut_verify::Report> {
     for k in 0..source.num_blocks() {
         if let Ok(trn) = source.cut_blocks(k) {
             reports.push(structural.analyze(&trn));
-            reports.push(with_head.analyze(&trn.with_head(&head)));
+            reports.push(with_head.analyze(&trn.clone().with_head(&head)));
             reports.push(structural.analyze(&trn.with_exit_heads(&head)));
         }
     }

@@ -34,7 +34,6 @@ use netcut_obs as obs;
 use netcut_sim::{LatencyTable, Measurement, Session};
 use netcut_train::{Retrainer, TrainedTrn};
 use serde::Serialize;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -254,12 +253,10 @@ pub struct EvalContext<'a, R: Retrainer> {
 }
 
 /// One evaluation request for [`EvalContext::evaluate_many`]. The task
-/// owns its TRN by default, so the network is freed once evaluated; an
-/// `EvalTask<&Network>` borrows it instead, for a caller that goes on
-/// using the networks it explored.
-pub struct EvalTask<N = Network> {
+/// owns its TRN, so the network is freed once evaluated.
+pub struct EvalTask {
     /// The TRN to measure and retrain (head attached).
-    pub trn: N,
+    pub trn: Network,
     /// Backbone layer count of the TRN's *source* network, for the
     /// `layers_removed` accounting.
     pub source_layers: usize,
@@ -497,12 +494,9 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
     /// Evaluates a batch of tasks across the configured workers, returning
     /// points in task order regardless of completion order.
-    pub fn evaluate_many<N: Borrow<Network> + Send>(
-        &self,
-        tasks: Vec<EvalTask<N>>,
-    ) -> Vec<CandidatePoint> {
+    pub fn evaluate_many(&self, tasks: Vec<EvalTask>) -> Vec<CandidatePoint> {
         self.par_map(tasks, |_, task| {
-            self.evaluate_inner(task.trn.borrow(), task.source_layers, task.seed)
+            self.evaluate_inner(&task.trn, task.source_layers, task.seed)
         })
     }
 

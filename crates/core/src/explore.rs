@@ -4,7 +4,7 @@
 //! avoids: 145 candidates here, 148 and 183 hours in the paper.
 
 use crate::eval::{EvalContext, EvalTask};
-use crate::removal::blockwise_trns;
+use crate::removal::blockwise_trn;
 use crate::report::CandidatePoint;
 use netcut_graph::{HeadSpec, Network};
 use netcut_obs as obs;
@@ -48,9 +48,10 @@ impl Exploration {
 
 /// Runs the exhaustive blockwise exploration over `sources` through `ctx`:
 /// every TRN of every family is measured on the context's session and
-/// retrained by its retrainer. Candidates run on the context's worker pool
-/// and hit its memo caches; point order matches the sequential sweep
-/// regardless of worker count.
+/// retrained by its retrainer. Each TRN is cut inside its own task on the
+/// context's worker pool and freed once evaluated, so the sweep holds one
+/// TRN per worker; candidates hit the context's memo caches, and point
+/// order matches the sequential sweep regardless of worker count.
 ///
 /// # Example
 ///
@@ -74,52 +75,52 @@ pub fn exhaustive_blockwise_with<R: Retrainer>(
     head: &HeadSpec,
     seed: u64,
 ) -> Exploration {
-    explore_cuts(ctx, sources, seed, |_, source| blockwise_trns(source, head))
+    let cuts = sources.iter().map(Network::num_blocks);
+    explore_cuts(ctx, sources, cuts, seed, |i, k| {
+        blockwise_trn(&sources[i], k, head)
+    })
 }
 
 /// [`exhaustive_blockwise_with`] over TRNs the caller already cut:
-/// `trns[i]` holds the [`blockwise_trns`] of `sources[i]`. A caller that
-/// uses the TRNs after exploring them (the serve scenario sizes its exit
-/// tables from them) cuts each source once and keeps the networks.
+/// `trns[i]` holds the [`blockwise_trns`](crate::removal::blockwise_trns)
+/// of `sources[i]`. A caller that uses the TRNs after exploring them (the
+/// serve scenario sizes its exit tables from them) cuts each source once
+/// and keeps the networks.
 pub fn exhaustive_blockwise_of<R: Retrainer>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
     trns: &[Vec<Network>],
     seed: u64,
 ) -> Exploration {
-    explore_cuts(ctx, sources, seed, |i, _| &trns[i])
+    let cuts = trns.iter().map(Vec::len);
+    explore_cuts(ctx, sources, cuts, seed, |i, k| &trns[i][k])
 }
 
-/// The evaluation loop of both exhaustive sweeps: `cut(i, source)` yields
-/// the TRNs of `sources[i]`, owned (each freed once evaluated) or borrowed
+/// The evaluation loop of both exhaustive sweeps: one task per
+/// `(source, cutpoint)` pair, where `cuts` yields each source's number of
+/// cutpoints in order and `trn(i, k)` yields TRN `k` of `sources[i]`
+/// inside the task, owned (cut there, freed once evaluated) or borrowed
 /// (kept by the caller).
-fn explore_cuts<R, T, C>(
+fn explore_cuts<R, N>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
+    cuts: impl Iterator<Item = usize>,
     seed: u64,
-    cut: C,
+    trn: impl Fn(usize, usize) -> N + Sync,
 ) -> Exploration
 where
     R: Retrainer,
-    T: IntoIterator,
-    T::Item: Borrow<Network> + Send,
-    C: Fn(usize, &Network) -> T,
+    N: Borrow<Network>,
 {
     let mut span = obs::span("explore.exhaustive");
     span.field("sources", sources.len());
-    let tasks: Vec<EvalTask<T::Item>> = sources
-        .iter()
+    let pairs: Vec<(usize, usize)> = cuts
         .enumerate()
-        .flat_map(|(i, source)| {
-            let source_layers = source.backbone_layer_count();
-            cut(i, source).into_iter().map(move |trn| EvalTask {
-                trn,
-                source_layers,
-                seed,
-            })
-        })
+        .flat_map(|(i, n)| (0..n).map(move |k| (i, k)))
         .collect();
-    let points = ctx.evaluate_many(tasks);
+    let points = ctx.par_map(pairs, |_, (i, k)| {
+        ctx.evaluate(trn(i, k).borrow(), &sources[i], seed)
+    });
     let total_train_hours = points.iter().map(|p| p.train_hours).sum();
     span.field("candidates", points.len());
     span.field("total_train_hours", total_train_hours);
@@ -216,6 +217,32 @@ mod tests {
         let fam = result.family("resnet50");
         for w in fam.windows(2) {
             assert!(w[1].latency_ms < w[0].latency_ms);
+        }
+    }
+
+    #[test]
+    fn cutting_inside_tasks_matches_exploring_cut_trns() {
+        let sources = zoo::paper_networks();
+        let head = HeadSpec::default();
+        let trns: Vec<Vec<Network>> = sources
+            .iter()
+            .map(|s| crate::removal::blockwise_trns(s, &head))
+            .collect();
+        let (s, r) = (session(), SurrogateRetrainer::paper());
+        for jobs in [1, 4] {
+            let cut_ctx = EvalContext::new(&s, &r).with_jobs(jobs);
+            let cut = exhaustive_blockwise_with(&cut_ctx, &sources, &head, 7);
+            let kept_ctx = EvalContext::new(&s, &r).with_jobs(jobs);
+            let kept = exhaustive_blockwise_of(&kept_ctx, &sources, &trns, 7);
+            assert_eq!(cut.points, kept.points, "jobs {jobs}");
+            assert_eq!(cut.total_train_hours, kept.total_train_hours);
+            let (a, b) = (cut_ctx.stats(), kept_ctx.stats());
+            assert_eq!(
+                (a.hits, a.misses, a.distinct_retrains, a.entries),
+                (b.hits, b.misses, b.distinct_retrains, b.entries),
+                "jobs {jobs}"
+            );
+            assert_eq!(a.misses, 2 * 145);
         }
     }
 }

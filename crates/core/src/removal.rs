@@ -23,13 +23,21 @@ use netcut_graph::{HeadSpec, Network};
 /// ```
 pub fn blockwise_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
     (0..source.num_blocks())
-        .map(|k| {
-            source
-                .cut_blocks(k)
-                .expect("cutpoint below block count")
-                .with_head(head)
-        })
+        .map(|k| blockwise_trn(source, k, head))
         .collect()
+}
+
+/// The blockwise TRN of `source` at cutpoint `k`, head attached: entry `k`
+/// of [`blockwise_trns`], built alone.
+///
+/// # Panics
+///
+/// Panics if `k` is not below `source.num_blocks()`.
+pub(crate) fn blockwise_trn(source: &Network, k: usize, head: &HeadSpec) -> Network {
+    source
+        .cut_blocks(k)
+        .expect("cutpoint below block count")
+        .with_head(head)
 }
 
 /// All iterative (per-layer) TRNs of a source network: one cut at every
@@ -85,12 +93,7 @@ pub fn stagewise_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
     cuts.dedup();
     cuts.into_iter()
         .filter(|&k| k < blocks.len())
-        .map(|k| {
-            source
-                .cut_blocks(k)
-                .expect("cutpoint below block count")
-                .with_head(head)
-        })
+        .map(|k| blockwise_trn(source, k, head))
         .collect()
 }
 

@@ -24,6 +24,18 @@ const ENCODING_VERSION: u64 = 2;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `ZERO_RUN[z]` is `FNV_PRIME` to the power `z`: a zero byte leaves the
+/// XOR step a no-op, so feeding `z` of them multiplies the state by this.
+const ZERO_RUN: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut z = 1;
+    while z < pow.len() {
+        pow[z] = pow[z - 1].wrapping_mul(FNV_PRIME);
+        z += 1;
+    }
+    pow
+};
+
 /// Incremental 64-bit FNV-1a: the workspace's one stable hash, behind the
 /// structural fingerprint, the session fingerprint, the simulator's and the
 /// surrogate's per-network seeds and the serve-artifact fingerprint. Not a
@@ -65,9 +77,14 @@ impl Fnv1a {
         }
     }
 
-    /// Feeds `v` as its eight little-endian bytes.
+    /// Feeds `v` as its eight little-endian bytes. Its zero high bytes
+    /// go in as one multiply, which reaches the state feeding them one at
+    /// a time would, so the small counts and indices that fill a
+    /// fingerprint cost a byte or two each.
     pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        let significant = 8 - v.leading_zeros() as usize / 8;
+        self.bytes(&v.to_le_bytes()[..significant]);
+        self.0 = self.0.wrapping_mul(ZERO_RUN[8 - significant]);
     }
 
     fn usize(&mut self, v: usize) {
@@ -366,5 +383,77 @@ mod tests {
             .with_head(&HeadSpec::with_classes(7))
             .structural_fingerprint();
         assert_ne!(a, b);
+    }
+
+    // The eval cache's keys, NC011 and `lint --json`'s `fingerprint` field
+    // read these values; a faster hash must keep every one of them.
+
+    #[test]
+    fn paper_source_fingerprints_are_pinned() {
+        let pinned = [
+            ("mobilenet_v1_0.25", 0x6306_385f_b22b_5a33),
+            ("mobilenet_v1_0.50", 0x237e_7f5d_7c94_334d),
+            ("mobilenet_v2_1.00", 0x9daa_fa5b_b45b_7abb),
+            ("mobilenet_v2_1.40", 0x4af4_016e_a305_b6df),
+            ("inception_v3", 0x6ce3_7716_055e_3fd7),
+            ("resnet50", 0x8fca_efba_bf1c_b3fe),
+            ("densenet121", 0xaa97_67bb_87c3_d99c),
+        ];
+        let nets = zoo::paper_networks();
+        assert_eq!(nets.len(), pinned.len());
+        for (net, (name, fp)) in nets.iter().zip(pinned) {
+            assert_eq!(net.name(), name);
+            assert_eq!(net.structural_fingerprint(), fp, "{name}");
+        }
+    }
+
+    #[test]
+    fn blockwise_trn_fingerprints_are_pinned() {
+        let head = HeadSpec::default();
+        let mut digest = Fnv1a::new();
+        let mut trns = 0;
+        for net in zoo::paper_networks() {
+            for k in 0..net.num_blocks() {
+                let trn = net.cut_blocks(k).unwrap().with_head(&head);
+                digest.u64(trn.structural_fingerprint());
+                trns += 1;
+            }
+        }
+        assert_eq!(trns, 145);
+        assert_eq!(digest.finish(), 0x16a5_9359_7430_0dd3);
+    }
+
+    #[test]
+    fn u64_equals_its_little_endian_bytes() {
+        let mut values = vec![0, 1, 0xff, 0x100, (1 << 56) - 1, 1 << 56, u64::MAX];
+        // A splitmix64 stream, shifted so every count of zero high bytes
+        // (0 through 8) shows up.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in 0..512 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            values.push(z.checked_shr(8 * (i % 9)).unwrap_or(0));
+        }
+        for seed in [0, 1, 0xdead_beef, u64::MAX] {
+            for &v in &values {
+                let (mut folded, mut bytewise) = (Fnv1a::seeded(seed), Fnv1a::seeded(seed));
+                folded.u64(v);
+                bytewise.bytes(&v.to_le_bytes());
+                assert_eq!(
+                    folded.finish(),
+                    bytewise.finish(),
+                    "v {v:#x}, seed {seed:#x}"
+                );
+            }
+        }
+        let (mut folded, mut bytewise) = (Fnv1a::new(), Fnv1a::new());
+        for &v in &values {
+            folded.u64(v);
+            bytewise.bytes(&v.to_le_bytes());
+        }
+        assert_eq!(folded.finish(), bytewise.finish());
     }
 }

@@ -201,7 +201,8 @@ impl Network {
     }
 
     /// Attaches a fresh transfer-learning head (GAP → FC/ReLU… → FC/Softmax)
-    /// to this network's output, returning the completed model.
+    /// to this network's output in place, returning the completed model.
+    /// A caller that still needs the headless network clones it first.
     ///
     /// If the output is already a flat vector the global-average-pool step is
     /// skipped.
@@ -210,12 +211,13 @@ impl Network {
     ///
     /// Panics on a multi-exit network — strip the exit table first
     /// ([`Network::backbone`]) or use [`Network::with_exit_heads`].
-    pub fn with_head(&self, spec: &HeadSpec) -> Network {
+    #[must_use]
+    pub fn with_head(self, spec: &HeadSpec) -> Network {
         assert!(
             self.exits.is_empty(),
             "with_head on a multi-exit network; take backbone() first"
         );
-        let mut net = self.clone();
+        let mut net = self;
         net.head_start = Some(NodeId(net.nodes.len()));
         let mut cur = net.output;
         let push = |net: &mut Network, kind, inputs: &[NodeId], name: &str| -> NodeId {

@@ -116,7 +116,7 @@ proptest! {
         classes in 2usize..20,
     ) {
         let net = build(&blocks);
-        let with = net.with_head(&HeadSpec::with_classes(classes));
+        let with = net.clone().with_head(&HeadSpec::with_classes(classes));
         prop_assert!(netcut_verify::validate(&with).is_ok());
         prop_assert_eq!(with.output_shape(), Shape::vector(classes));
         // The backbone round-trips through head attachment.

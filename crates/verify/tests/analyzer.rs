@@ -39,7 +39,7 @@ fn zoo_and_every_trn_are_clean() {
             let trn = net.cut_blocks(k).expect("zoo cutpoints are valid");
             let raw = structural.analyze(&trn);
             assert_eq!(raw.summary().total(), 0, "{}", raw.render_text());
-            let headed = trn.with_head(&HeadSpec::default());
+            let headed = trn.clone().with_head(&HeadSpec::default());
             let report = with_head.analyze(&headed);
             assert_eq!(report.summary().total(), 0, "{}", report.render_text());
             // A multi-exit network built over the *trimmed* backbone is
