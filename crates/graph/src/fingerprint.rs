@@ -241,7 +241,7 @@ impl Network {
             h.str(&node.name);
             h.kind(&node.kind);
             h.usize(node.inputs.len());
-            for &input in &node.inputs {
+            for &input in node.inputs.iter() {
                 h.usize(input.index());
             }
         }

@@ -3,6 +3,7 @@ use crate::layer::{Activation, LayerKind, Padding};
 use crate::shape::Shape;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node within its [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -28,12 +29,16 @@ impl fmt::Display for NodeId {
 }
 
 /// One operation in the network DAG.
+///
+/// The name and the input list are shared, immutable slices: cloning a
+/// node, or keeping it in a cut whose input ids do not move, copies two
+/// pointers rather than the text and the list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     pub(crate) id: NodeId,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) kind: LayerKind,
-    pub(crate) inputs: Vec<NodeId>,
+    pub(crate) inputs: Arc<[NodeId]>,
 }
 
 impl Node {
@@ -41,12 +46,17 @@ impl Node {
     /// verification tooling that reassemble graphs outside
     /// [`NetworkBuilder`]; nothing is checked here, so anything built this
     /// way should be run through the `netcut-verify` analyzer.
-    pub fn new(id: NodeId, name: impl Into<String>, kind: LayerKind, inputs: Vec<NodeId>) -> Self {
+    pub fn new(
+        id: NodeId,
+        name: impl Into<Arc<str>>,
+        kind: LayerKind,
+        inputs: impl Into<Arc<[NodeId]>>,
+    ) -> Self {
         Node {
             id,
             name: name.into(),
             kind,
-            inputs,
+            inputs: inputs.into(),
         }
     }
 
@@ -392,10 +402,10 @@ impl Network {
             return Err(GraphError::EmptyNetwork);
         }
         for node in &self.nodes {
-            for &inp in &node.inputs {
+            for &inp in node.inputs.iter() {
                 if inp.0 >= node.id.0 {
                     return Err(GraphError::InvalidInput {
-                        node: node.name.clone(),
+                        node: node.name().to_owned(),
                     });
                 }
             }
@@ -442,7 +452,7 @@ pub fn infer_shape(node: &Node, shapes: &[Shape], input_shape: Shape) -> Result<
         match s {
             Shape::Map { c, h, w } => Ok((c, h, w)),
             Shape::Vector { .. } => Err(GraphError::WrongRank {
-                node: node.name.clone(),
+                node: node.name().to_owned(),
             }),
         }
     };
@@ -491,7 +501,7 @@ pub fn infer_shape(node: &Node, shapes: &[Shape], input_shape: Shape) -> Result<
             Shape::Vector { .. } => Shape::vector(units),
             Shape::Map { .. } => {
                 return Err(GraphError::WrongRank {
-                    node: node.name.clone(),
+                    node: node.name().to_owned(),
                 })
             }
         },
@@ -522,7 +532,7 @@ pub fn infer_shape(node: &Node, shapes: &[Shape], input_shape: Shape) -> Result<
             for i in 1..node.inputs.len() {
                 if in_shape(i) != a {
                     return Err(GraphError::ShapeMismatch {
-                        node: node.name.clone(),
+                        node: node.name().to_owned(),
                         detail: format!("{a} vs {}", in_shape(i)),
                     });
                 }
@@ -536,7 +546,7 @@ pub fn infer_shape(node: &Node, shapes: &[Shape], input_shape: Shape) -> Result<
                 let (ci, hi, wi) = require_map(in_shape(i))?;
                 if (hi, wi) != (h0, w0) {
                     return Err(GraphError::ShapeMismatch {
-                        node: node.name.clone(),
+                        node: node.name().to_owned(),
                         detail: format!("{h0}x{w0} vs {hi}x{wi}"),
                     });
                 }
@@ -594,12 +604,7 @@ impl NetworkBuilder {
 
     fn push(&mut self, kind: LayerKind, inputs: &[NodeId], name: &str) -> NodeId {
         let id = NodeId(self.nodes.len());
-        let node = Node {
-            id,
-            name: name.to_owned(),
-            kind,
-            inputs: inputs.to_vec(),
-        };
+        let node = Node::new(id, name, kind, inputs);
         let shape = infer_shape(&node, &self.shapes, self.input_shape)
             .unwrap_or_else(|e| panic!("shape inference failed while building `{name}`: {e}"));
         self.nodes.push(node);

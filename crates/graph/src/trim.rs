@@ -5,6 +5,7 @@ use crate::error::GraphError;
 use crate::layer::Activation;
 use crate::network::{infer_shape, Block, Network, Node, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Specification of the transfer-learning classification head the paper
 /// attaches after cutting (§III-B-3): one global average pooling, a stack of
@@ -78,7 +79,7 @@ impl Network {
         keep[v.0] = true;
         for idx in (0..=v.0).rev() {
             if keep[idx] {
-                for &inp in &self.nodes[idx].inputs {
+                for &inp in self.nodes[idx].inputs.iter() {
                     keep[inp.0] = true;
                 }
             }
@@ -90,27 +91,36 @@ impl Network {
     /// renamed to `name`, with no classification head attached.
     ///
     /// Blocks that survive intact (all nodes kept) are preserved so the
-    /// result can be cut again.
+    /// result can be cut again. Every kept node shares its name with this
+    /// network, and so does its input list when none of its inputs changes
+    /// id, as in any cut that keeps a prefix of the nodes (every blockwise
+    /// cut of the zoo); only the other lists are remapped.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not a node of this network.
     pub fn cut_at_node(&self, v: NodeId, name: impl Into<String>) -> Network {
         let keep = self.ancestor_mask(v);
+        let kept = keep.iter().filter(|&&k| k).count();
         let mut remap = vec![usize::MAX; self.nodes.len()];
-        let mut nodes = Vec::new();
-        let mut shapes = Vec::new();
+        let mut nodes = Vec::with_capacity(kept);
+        let mut shapes = Vec::with_capacity(kept);
         for (idx, node) in self.nodes.iter().enumerate() {
             if !keep[idx] {
                 continue;
             }
             let new_id = NodeId(nodes.len());
             remap[idx] = new_id.0;
+            let inputs = if node.inputs.iter().all(|i| remap[i.0] == i.0) {
+                Arc::clone(&node.inputs)
+            } else {
+                node.inputs.iter().map(|i| NodeId(remap[i.0])).collect()
+            };
             nodes.push(Node {
                 id: new_id,
-                name: node.name.clone(),
+                name: Arc::clone(&node.name),
                 kind: node.kind,
-                inputs: node.inputs.iter().map(|i| NodeId(remap[i.0])).collect(),
+                inputs,
             });
             shapes.push(self.shapes[idx]);
         }
@@ -220,21 +230,20 @@ impl Network {
         let mut net = self;
         net.head_start = Some(NodeId(net.nodes.len()));
         let mut cur = net.output;
+        let gap = net.shapes[cur.0].is_map();
+        let head_len = usize::from(gap) + 2 * spec.hidden.len() + 2;
+        net.nodes.reserve_exact(head_len);
+        net.shapes.reserve_exact(head_len);
         let push = |net: &mut Network, kind, inputs: &[NodeId], name: &str| -> NodeId {
             let id = NodeId(net.nodes.len());
-            let node = Node {
-                id,
-                name: name.to_owned(),
-                kind,
-                inputs: inputs.to_vec(),
-            };
+            let node = Node::new(id, name, kind, inputs);
             let shape = infer_shape(&node, &net.shapes, net.input_shape)
                 .expect("head shape inference cannot fail on a valid backbone");
             net.nodes.push(node);
             net.shapes.push(shape);
             id
         };
-        if net.shapes[cur.0].is_map() {
+        if gap {
             cur = push(
                 &mut net,
                 crate::layer::LayerKind::GlobalAvgPool,
@@ -305,12 +314,7 @@ impl Network {
         net.head_start = Some(NodeId(net.nodes.len()));
         let push = |net: &mut Network, kind, inputs: &[NodeId], name: &str| -> NodeId {
             let id = NodeId(net.nodes.len());
-            let node = Node {
-                id,
-                name: name.to_owned(),
-                kind,
-                inputs: inputs.to_vec(),
-            };
+            let node = Node::new(id, name, kind, inputs);
             let shape = infer_shape(&node, &net.shapes, net.input_shape)
                 .expect("exit-head shape inference cannot fail on a valid backbone");
             net.nodes.push(node);
@@ -520,6 +524,105 @@ mod tests {
     fn with_head_rejects_multi_exit_networks() {
         let multi = chain(2).with_exit_heads(&HeadSpec::default());
         let _ = multi.with_head(&HeadSpec::default());
+    }
+
+    /// The loop `cut_at_node` ran before it shared nodes: every kept node
+    /// gets a fresh name and a remapped input list.
+    fn remapping_cut(net: &Network, v: NodeId, name: &str) -> Network {
+        let keep = net.ancestor_mask(v);
+        let mut remap = vec![usize::MAX; net.nodes.len()];
+        let mut nodes = Vec::new();
+        let mut shapes = Vec::new();
+        for (idx, node) in net.nodes.iter().enumerate() {
+            if !keep[idx] {
+                continue;
+            }
+            let new_id = NodeId(nodes.len());
+            remap[idx] = new_id.0;
+            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| NodeId(remap[i.0])).collect();
+            nodes.push(Node::new(new_id, node.name().to_owned(), node.kind, inputs));
+            shapes.push(net.shapes[idx]);
+        }
+        let blocks = net
+            .blocks
+            .iter()
+            .filter(|b| b.nodes.iter().all(|n| keep[n.0]))
+            .map(|b| Block {
+                name: b.name.clone(),
+                nodes: b.nodes.iter().map(|n| NodeId(remap[n.0])).collect(),
+                output: NodeId(remap[b.output.0]),
+            })
+            .collect();
+        Network {
+            name: name.to_owned(),
+            input_shape: net.input_shape,
+            nodes,
+            shapes,
+            output: NodeId(remap[v.0]),
+            blocks,
+            head_start: None,
+            exits: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn blockwise_cuts_share_every_kept_node_with_their_source() {
+        let head = HeadSpec::default();
+        let mut cuts = 0;
+        for source in crate::zoo::extended_networks() {
+            let nb = source.num_blocks();
+            for k in 0..nb {
+                let cut = source.cut_blocks(k).unwrap();
+                let at = cut.name().to_owned();
+                let reference = remapping_cut(&source, source.blocks[nb - 1 - k].output, &at);
+                assert_eq!(cut, reference, "{at}");
+                for (kept, node) in cut.nodes.iter().zip(&source.nodes) {
+                    assert!(Arc::ptr_eq(&kept.name, &node.name), "{at}: {}", node.name);
+                    assert!(
+                        Arc::ptr_eq(&kept.inputs, &node.inputs),
+                        "{at}: {}",
+                        node.name
+                    );
+                }
+                assert_eq!(cut.with_head(&head), reference.with_head(&head), "{at}");
+                cuts += 1;
+            }
+        }
+        assert_eq!(cuts, 163);
+    }
+
+    #[test]
+    fn layer_cuts_that_drop_a_branch_remap_their_inputs() {
+        // Fig. 4's per-layer cuts of Inception-v3: a cut inside an
+        // inception module keeps only some of its branches, so the nodes
+        // after a dropped branch move, and so do the ids some of them read.
+        let source = crate::zoo::inception_v3();
+        let cutpoints = source.layer_cutpoints();
+        let (mut gapped_cuts, mut remapped_cuts) = (0, 0);
+        for &v in &cutpoints {
+            let cut = source.cut_at_node(v, "inception_v3/layer");
+            assert_eq!(cut, remapping_cut(&source, v, "inception_v3/layer"), "{v}");
+            let keep = source.ancestor_mask(v);
+            let sources = source
+                .nodes
+                .iter()
+                .zip(keep)
+                .filter_map(|(n, k)| k.then_some(n));
+            let mut remapped = 0;
+            for (kept, node) in cut.nodes.iter().zip(sources) {
+                assert!(Arc::ptr_eq(&kept.name, &node.name), "{v}: {}", node.name);
+                if !Arc::ptr_eq(&kept.inputs, &node.inputs) {
+                    assert_ne!(kept.inputs, node.inputs, "{v}: {} kept its ids", node.name);
+                    remapped += 1;
+                }
+            }
+            gapped_cuts += usize::from(cut.len() < v.0 + 1);
+            remapped_cuts += usize::from(remapped > 0);
+        }
+        assert_eq!(
+            (remapped_cuts, gapped_cuts, cutpoints.len()),
+            (215, 246, 310)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! residual adds) collapse into single kernels, eliminating intermediate
 //! memory round-trips and kernel launches.
 
-use netcut_graph::{LayerKind, Network, NodeId};
+use netcut_graph::{layer_stats, LayerKind, Network, NodeId};
 
 /// One fused device kernel: a primary node plus the chain of elementwise
 /// nodes absorbed into it.
@@ -63,7 +63,20 @@ fn absorbable(kind: &LayerKind) -> bool {
 /// *latest* input in topological order is the fusion candidate (the residual
 /// branch computed last), matching TensorRT-style conv+add+relu fusion.
 pub fn fuse_network(net: &Network) -> Vec<FusedKernel> {
-    let stats = net.layer_stats();
+    let (mut kernels, owner) = fuse_costs(net);
+    for (node, kernel) in owner.iter().enumerate() {
+        if let Some(k) = *kernel {
+            kernels[k].members.push(NodeId::new(node));
+        }
+    }
+    kernels
+}
+
+/// The pass behind [`fuse_network`]: every kernel with its costs but an
+/// empty member list, and the kernel each node joined (`None` for the input
+/// placeholder). The latency sums read the costs alone, so they build no
+/// member lists.
+pub(crate) fn fuse_costs(net: &Network) -> (Vec<FusedKernel>, Vec<Option<usize>>) {
     let n = net.len();
     let mut consumers = vec![0usize; n];
     for node in net.nodes() {
@@ -71,8 +84,7 @@ pub fn fuse_network(net: &Network) -> Vec<FusedKernel> {
             consumers[inp.index()] += 1;
         }
     }
-    // kernel_of[node] = index into `kernels` whose tail is that node, if any.
-    let mut kernel_of: Vec<Option<usize>> = vec![None; n];
+    let mut owner: Vec<Option<usize>> = vec![None; n];
     let mut kernels: Vec<FusedKernel> = Vec::new();
     for node in net.nodes() {
         let id = node.id();
@@ -81,25 +93,20 @@ pub fn fuse_network(net: &Network) -> Vec<FusedKernel> {
             continue;
         }
         // Try to absorb into the kernel ending at the fusion-candidate
-        // input.
+        // input. A candidate with one consumer (this node) still ends its
+        // kernel: only a consumer of it could have been absorbed after it.
         let candidate = if absorbable(&kind) {
             node.inputs().iter().copied().max_by_key(|i| i.index())
         } else {
             None
         };
-        let absorbed = candidate.and_then(|cand| {
-            if consumers[cand.index()] != 1 {
-                return None;
-            }
-            let k_idx = kernel_of[cand.index()]?;
-            Some(k_idx)
-        });
-        match absorbed {
+        let absorbed = candidate
+            .filter(|cand| consumers[cand.index()] == 1)
+            .and_then(|cand| owner[cand.index()]);
+        let ls = layer_stats(net, id);
+        let k_idx = match absorbed {
             Some(k_idx) => {
-                let ls = stats[id.index()];
                 let kernel = &mut kernels[k_idx];
-                kernel_of[kernel.tail().index()] = None;
-                kernel.members.push(id);
                 kernel.flops += ls.flops;
                 // The absorbed node's weights still stream from memory, and
                 // any *other* inputs (e.g. the residual branch of an Add)
@@ -116,13 +123,12 @@ pub fn fuse_network(net: &Network) -> Vec<FusedKernel> {
                 // fused reduction (GAP/dense) shrinks the *output*, not the
                 // parallelism of the dominant operation.
                 kernel.output_elements = kernel.output_elements.max(ls.output_elements);
-                kernel_of[id.index()] = Some(k_idx);
+                k_idx
             }
             None => {
-                let ls = stats[id.index()];
                 kernels.push(FusedKernel {
                     primary: id,
-                    members: vec![id],
+                    members: Vec::new(),
                     flops: ls.flops,
                     bytes_read: ls.bytes_read,
                     weight_bytes: ls.params * 4,
@@ -130,11 +136,12 @@ pub fn fuse_network(net: &Network) -> Vec<FusedKernel> {
                     output_elements: ls.output_elements,
                     primary_kind: kind,
                 });
-                kernel_of[id.index()] = Some(kernels.len() - 1);
+                kernels.len() - 1
             }
-        }
+        };
+        owner[id.index()] = Some(k_idx);
     }
-    kernels
+    (kernels, owner)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Roofline latency evaluation of fused kernels.
 
 use crate::device::{DeviceModel, Precision};
-use crate::fusion::{fuse_network, FusedKernel};
+use crate::fusion::{fuse_costs, FusedKernel};
 use netcut_graph::Network;
 
 /// Noise-free latency of one fused kernel in milliseconds.
@@ -24,7 +24,8 @@ pub fn kernel_latency_ms(kernel: &FusedKernel, device: &DeviceModel, precision: 
 /// are transferred until they are ready to be transferred back", §IV-B-2 —
 /// host transfers are excluded, as in the paper).
 pub fn network_latency_ms(net: &Network, device: &DeviceModel, precision: Precision) -> f64 {
-    let steady: f64 = fuse_network(net)
+    let steady: f64 = fuse_costs(net)
+        .0
         .iter()
         .map(|k| kernel_latency_ms(k, device, precision))
         .sum();
@@ -49,7 +50,7 @@ pub fn batched_network_latency_ms(
     batch: usize,
 ) -> f64 {
     assert!(batch > 0, "batch must be positive");
-    batched_kernels_latency_ms(&fuse_network(net), device, precision, batch)
+    batched_kernels_latency_ms(&fuse_costs(net).0, device, precision, batch)
 }
 
 /// [`batched_network_latency_ms`] over an already-fused kernel list, so a
@@ -115,7 +116,7 @@ pub fn batch_curve_ppm(
     precision: Precision,
     batch_max: usize,
 ) -> Vec<u64> {
-    let kernels = fuse_network(net);
+    let (kernels, _) = fuse_costs(net);
     let base = batched_kernels_latency_ms(&kernels, device, precision, 1);
     (1..=batch_max)
         .map(|batch| {

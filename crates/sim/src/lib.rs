@@ -43,6 +43,7 @@ mod fusion;
 mod latency;
 mod measure;
 mod profile;
+mod rng;
 mod trace;
 
 pub use device::{DeviceModel, Precision};

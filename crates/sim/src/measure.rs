@@ -6,10 +6,9 @@ use crate::device::{DeviceModel, Precision};
 use crate::fusion::fuse_network;
 use crate::latency::{kernel_latency_ms, network_latency_ms};
 use crate::profile::{LatencyTable, LayerProfile};
+use crate::rng::{XorShift64Star, JUMP_DRAWS};
 use netcut_graph::{Fnv1a, Network};
 use netcut_obs as obs;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Short stable label for a precision, used in trace fields.
@@ -25,6 +24,22 @@ fn precision_label(precision: Precision) -> &'static str {
 pub const WARMUP_RUNS: usize = 200;
 /// Number of timed inferences averaged into a [`Measurement`].
 pub const TIMED_RUNS: usize = 800;
+
+/// Uniform draws behind one run's noise.
+pub(crate) const DRAWS_PER_RUN: usize = 4;
+/// Interleaved lanes the timed runs are drawn in: lane `k` draws runs
+/// `k * LANE_RUNS ..` from its own copy of the generator.
+pub(crate) const LANES: usize = 4;
+/// Timed runs per lane.
+const LANE_RUNS: usize = TIMED_RUNS / LANES;
+
+// One jump skips the warm-up's draws, and one more separates the starts of
+// consecutive lanes.
+const _: () = assert!(
+    WARMUP_RUNS * DRAWS_PER_RUN == JUMP_DRAWS
+        && LANE_RUNS * DRAWS_PER_RUN == JUMP_DRAWS
+        && LANE_RUNS * LANES == TIMED_RUNS
+);
 
 /// Result of timing a network on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -179,6 +194,12 @@ impl Session {
     /// Times `net` end to end: 200 warm-up runs followed by 800 timed runs
     /// whose mean and standard deviation are returned. The RNG is seeded
     /// from `seed` and the network name, so measurements are reproducible.
+    ///
+    /// The runs take their noise from one serial stream of draws. The
+    /// discarded warm-up is skipped with one jump, and the timed runs are
+    /// drawn in four interleaved lanes that start one jump apart, so every
+    /// run gets the draws a serial loop would give it and the sums run in
+    /// run order: the result is that loop's, bit for bit.
     pub fn measure(&self, net: &Network, seed: u64) -> Measurement {
         let mut span = obs::span("sim.measure");
         if span.is_recording() {
@@ -189,28 +210,30 @@ impl Session {
         }
         let base = self.ideal_latency_ms(net);
         let mut rng = self.rng(net, seed);
-        // Warm-up: the first runs are slower (cold caches, clock ramp);
-        // they are simulated and discarded exactly as the paper does.
+        // Warm-up: the first runs are slower (cold caches, clock ramp) and
+        // are discarded, as the paper does, so only their draws matter.
         {
             let mut warmup = obs::span("sim.measure.warmup");
             warmup.field("runs", WARMUP_RUNS);
-            let mut warm_penalty = 0.35;
-            for _ in 0..WARMUP_RUNS {
-                let _cold = base * (1.0 + warm_penalty + self.noise(&mut rng));
-                warm_penalty *= 0.97;
-            }
+            rng.jump();
         }
         let mut timed = obs::span("sim.measure.timed");
         timed.field("runs", TIMED_RUNS);
-        let mut samples = Vec::with_capacity(TIMED_RUNS);
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for _ in 0..TIMED_RUNS {
-            let run = base * (1.0 + self.noise(&mut rng));
-            sum += run;
-            sum_sq += run * run;
-            samples.push(run);
+        let mut lanes: [XorShift64Star; LANES] = std::array::from_fn(|k| {
+            if k > 0 {
+                rng.jump();
+            }
+            rng.clone()
+        });
+        let mut samples = vec![0.0; TIMED_RUNS];
+        for run in 0..LANE_RUNS {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                samples[k * LANE_RUNS + run] = base * (1.0 + self.noise(lane));
+            }
         }
+        let (sum, sum_sq) = samples.iter().fold((0.0, 0.0), |(sum, sum_sq), &run| {
+            (sum + run, sum_sq + run * run)
+        });
         drop(timed);
         let n = TIMED_RUNS as f64;
         let mean = sum / n;
@@ -285,15 +308,16 @@ impl Session {
         LatencyTable::new(net.name().to_owned(), layers, end_to_end)
     }
 
-    fn rng(&self, net: &Network, seed: u64) -> SmallRng {
+    fn rng(&self, net: &Network, seed: u64) -> XorShift64Star {
         let mut h = Fnv1a::new();
         h.bytes(net.name().as_bytes());
-        SmallRng::seed_from_u64(h.finish() ^ seed)
+        XorShift64Star::seed_from_u64(h.finish() ^ seed)
     }
 
-    fn noise(&self, rng: &mut SmallRng) -> f64 {
+    fn noise(&self, rng: &mut XorShift64Star) -> f64 {
         // Sum of uniforms ≈ Gaussian; cheap, deterministic, bounded.
-        let u: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0 - 0.5;
+        let sum = (0..DRAWS_PER_RUN).fold(0.0, |sum, _| sum + rng.next_f64());
+        let u = sum / DRAWS_PER_RUN as f64 - 0.5;
         u * 2.0 * 1.732 * self.device.jitter_rel
     }
 }
@@ -301,10 +325,124 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcut_graph::zoo;
+    use netcut_graph::{zoo, HeadSpec};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn session() -> Session {
         Session::new(DeviceModel::jetson_xavier(), Precision::Int8)
+    }
+
+    /// The serial loop `measure` and `profile` ran before the jump and the
+    /// lanes: every draw from the `rand` stand-in's `SmallRng`, in order.
+    mod serial {
+        use super::*;
+
+        fn rng(net: &Network, seed: u64) -> SmallRng {
+            let mut h = Fnv1a::new();
+            h.bytes(net.name().as_bytes());
+            SmallRng::seed_from_u64(h.finish() ^ seed)
+        }
+
+        fn noise(session: &Session, rng: &mut SmallRng) -> f64 {
+            let u: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0 - 0.5;
+            u * 2.0 * 1.732 * session.device.jitter_rel
+        }
+
+        pub(super) fn measure(session: &Session, net: &Network, seed: u64) -> Measurement {
+            let base = session.ideal_latency_ms(net);
+            let mut rng = rng(net, seed);
+            let mut warm_penalty = 0.35;
+            for _ in 0..WARMUP_RUNS {
+                let _cold = base * (1.0 + warm_penalty + noise(session, &mut rng));
+                warm_penalty *= 0.97;
+            }
+            let mut samples = Vec::with_capacity(TIMED_RUNS);
+            let mut sum = 0.0;
+            let mut sum_sq = 0.0;
+            for _ in 0..TIMED_RUNS {
+                let run = base * (1.0 + noise(session, &mut rng));
+                sum += run;
+                sum_sq += run * run;
+                samples.push(run);
+            }
+            let n = TIMED_RUNS as f64;
+            let mean = sum / n;
+            let var = (sum_sq / n - mean * mean).max(0.0) * n / (n - 1.0);
+            let (p95_ms, p99_ms, max_ms) = tail_order_statistics(&mut samples);
+            Measurement {
+                mean_ms: mean,
+                std_ms: var.sqrt(),
+                p95_ms,
+                p99_ms,
+                max_ms,
+                runs: TIMED_RUNS,
+            }
+        }
+
+        pub(super) fn profile(session: &Session, net: &Network, seed: u64) -> LatencyTable {
+            let (device, precision) = (&session.device, session.precision);
+            let kernels = fuse_network(net);
+            let mut rng = rng(net, seed ^ 0x9e3779b97f4a7c15);
+            let event_ms = device.event_overhead_us * 1e-3;
+            let steady: f64 = kernels
+                .iter()
+                .map(|k| kernel_latency_ms(k, device, precision))
+                .sum();
+            let ramp = device.ramp_factor(steady);
+            let layers = kernels
+                .iter()
+                .map(|k| {
+                    let base = kernel_latency_ms(k, device, precision) * ramp;
+                    LayerProfile {
+                        tail: k.tail(),
+                        name: net.node(k.primary).name().to_owned(),
+                        members: k.members.clone(),
+                        latency_ms: base * (1.0 + noise(session, &mut rng)) + event_ms,
+                    }
+                })
+                .collect();
+            let end_to_end = measure(session, net, seed).mean_ms;
+            LatencyTable::new(net.name().to_owned(), layers, end_to_end)
+        }
+    }
+
+    fn measurement_bits(m: &Measurement) -> [u64; 6] {
+        [
+            m.mean_ms.to_bits(),
+            m.std_ms.to_bits(),
+            m.p95_ms.to_bits(),
+            m.p99_ms.to_bits(),
+            m.max_ms.to_bits(),
+            m.runs as u64,
+        ]
+    }
+
+    fn table_bits(t: &LatencyTable) -> Vec<u64> {
+        let layers = t.layers().iter().map(|l| l.latency_ms.to_bits());
+        layers.chain([t.end_to_end_ms().to_bits()]).collect()
+    }
+
+    #[test]
+    fn measure_and_profile_equal_the_serial_loop_bit_for_bit() {
+        let s = session();
+        let head = HeadSpec::default();
+        let mut trns = 0;
+        for source in zoo::extended_networks() {
+            for k in 0..source.num_blocks() {
+                let trn = source.cut_blocks(k).unwrap().with_head(&head);
+                for seed in [0, 11, 13, 42, u64::MAX] {
+                    let at = format!("{} at seed {seed}", trn.name());
+                    let (m, reference) = (s.measure(&trn, seed), serial::measure(&s, &trn, seed));
+                    assert_eq!(measurement_bits(&m), measurement_bits(&reference), "{at}");
+                    let (t, reference) = (s.profile(&trn, seed), serial::profile(&s, &trn, seed));
+                    assert_eq!(t, reference, "{at}");
+                    assert_eq!(table_bits(&t), table_bits(&reference), "{at}");
+                }
+                trns += 1;
+            }
+        }
+        assert_eq!(trns, 163, "blockwise TRNs of the extended zoo");
     }
 
     #[test]

@@ -349,6 +349,30 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// Shared pointers serialize as their contents, as with real serde's `rc`
+/// feature: a shared value is written out once per pointer, and reading it
+/// back allocates a fresh one per field.
+#[cfg(feature = "rc")]
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+
+#[cfg(feature = "rc")]
+impl Deserialize for std::sync::Arc<str> {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        String::from_content(content).map(std::sync::Arc::from)
+    }
+}
+
+#[cfg(feature = "rc")]
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        Vec::<T>::from_content(content).map(std::sync::Arc::from)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_content(&self) -> Content {
         match self {

@@ -6,7 +6,7 @@ use netcut::eval::EvalContext;
 use netcut::explore::off_the_shelf_with;
 use netcut::netcut::NetCut;
 use netcut_estimate::ProfilerEstimator;
-use netcut_graph::{zoo, HeadSpec, Network};
+use netcut_graph::{zoo, Fnv1a, HeadSpec, Network};
 use netcut_sim::{DeviceModel, Precision, Session};
 use netcut_train::SurrogateRetrainer;
 
@@ -70,6 +70,22 @@ fn trimmed_network_round_trips() {
         session().measure(&back, 9).mean_ms,
         session().measure(&trn, 9).mean_ms
     );
+}
+
+#[test]
+fn trn_json_bytes_are_pinned() {
+    // Printed before node names and input lists became shared slices: the
+    // bytes must not depend on how a node holds them.
+    let trn = zoo::resnet50()
+        .cut_blocks(3)
+        .expect("valid cut")
+        .with_head(&HeadSpec::default());
+    let json = serde_json::to_string(&trn).expect("TRN serializes");
+    let mut h = Fnv1a::new();
+    h.bytes(json.as_bytes());
+    assert_eq!((json.len(), h.finish()), (18_236, 0xe5d0_a210_c46b_6f08));
+    let back: Network = serde_json::from_str(&json).expect("TRN deserializes");
+    assert_eq!(back, trn);
 }
 
 #[test]
