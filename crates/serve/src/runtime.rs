@@ -48,12 +48,12 @@
 //! The event loop only appends: a row per request to `OutcomeSoa`, a
 //! row per dispatch to `BatchSoa`, and each controller hot-swap to a
 //! swap log. Once the loop ends, finalization prices every batch and
-//! settles its members' rows, and everything the run reports is a
-//! projection of that `RunLedger`: the [`Timeline`], the once-per-run
-//! flush to the `obs` registry, and the [`RequestOutcome`]s. Batch
-//! pricing exists once (`BatchSoa::price`): the controller's watermark
-//! fold calls it, and so does finalization, which keeps each price in the
-//! ledger for the timeline.
+//! settles its members' rows. Everything the run reports is a projection
+//! of that `RunLedger`: the [`Timeline`] and the `obs` flush read the
+//! batch columns, which are then freed, and the [`RequestOutcome`]s are
+//! built from the per-request columns alone. Batch pricing exists once
+//! (`BatchSoa::price`): the controller's watermark fold calls it, and so
+//! does finalization, which keeps each price for the timeline.
 //!
 //! # Hot-path layout
 //!
@@ -289,7 +289,6 @@ struct OutcomeSoa {
     /// [`NONE_U32`] = no rung (EMG, rejected, dropped).
     rung: Vec<u32>,
     service_us: Vec<u64>,
-    latency_us: Vec<u64>,
     shard: Vec<u32>,
     batch_size: Vec<u32>,
     generation: Vec<u64>,
@@ -304,7 +303,6 @@ impl OutcomeSoa {
             queue_delay_us: Vec::with_capacity(n),
             rung: Vec::with_capacity(n),
             service_us: Vec::with_capacity(n),
-            latency_us: Vec::with_capacity(n),
             shard: Vec::with_capacity(n),
             batch_size: Vec::with_capacity(n),
             generation: Vec::with_capacity(n),
@@ -313,8 +311,35 @@ impl OutcomeSoa {
         }
     }
 
-    fn len(&self) -> usize {
-        self.status.len()
+    /// Row `i`'s latency: a completion's queue delay plus its service time
+    /// (start + service − arrival), 0 for a request that never started.
+    fn latency_us(&self, i: usize) -> u64 {
+        match self.status[i] {
+            Status::Served | Status::Missed => self.queue_delay_us[i] + self.service_us[i],
+            Status::Rejected | Status::Dropped => 0,
+        }
+    }
+
+    /// Assembles the public arrival-order outcome records: these columns
+    /// plus the identity fields of `requests`.
+    fn outcomes(self, requests: &[Request]) -> Vec<RequestOutcome> {
+        requests
+            .iter()
+            .enumerate()
+            .map(|(i, req)| RequestOutcome {
+                id: req.id,
+                kind: req.kind,
+                arrival_us: req.arrival_us,
+                queue_delay_us: self.queue_delay_us[i],
+                rung: (self.rung[i] != NONE_U32).then_some(self.rung[i] as usize),
+                service_us: self.service_us[i],
+                latency_us: self.latency_us(i),
+                shard: self.shard[i] as usize,
+                batch_size: self.batch_size[i] as usize,
+                generation: self.generation[i],
+                status: self.status[i],
+            })
+            .collect()
     }
 
     /// Appends a row; dispatched rows are finalized in place later.
@@ -322,7 +347,6 @@ impl OutcomeSoa {
         self.queue_delay_us.push(queue_delay_us);
         self.rung.push(NONE_U32);
         self.service_us.push(0);
-        self.latency_us.push(0);
         self.shard.push(shard);
         self.batch_size.push(0);
         self.generation.push(generation);
@@ -394,17 +418,18 @@ impl RunLedger<'_> {
     /// order-independently, so this leaves the registry exactly as
     /// per-event updates would. Zero counters are skipped (as are empty
     /// histograms, by `histogram_merge`), so no series appears that
-    /// per-event updates would not have created.
-    fn flush_metrics(&self) {
+    /// per-event updates would not have created. The flush is the batch
+    /// columns' last reader: it frees them and returns the per-request ones.
+    fn flush_metrics(self) -> OutcomeSoa {
         let out = &self.out;
         let mut by_status = [0u64; 4];
         let mut degraded = 0u64;
         let mut latency_us = obs::Histogram::default();
         let mut queue_delay_us = obs::Histogram::default();
-        for i in 0..out.len() {
+        for i in 0..self.requests.len() {
             by_status[out.status[i] as usize] += 1;
             if matches!(out.status[i], Status::Served | Status::Missed) {
-                latency_us.observe(out.latency_us[i]);
+                latency_us.observe(out.latency_us(i));
                 queue_delay_us.observe(out.queue_delay_us[i]);
             }
             degraded += u64::from(out.degraded[i]);
@@ -443,38 +468,15 @@ impl RunLedger<'_> {
         for swap in &self.swaps {
             obs::gauge_set("recalib.scale_ppm", swap.calib_ppm as i64);
         }
-    }
-
-    /// Assembles the public arrival-order outcome records: the SoA
-    /// columns plus the request identity fields.
-    fn outcomes(self) -> Vec<RequestOutcome> {
-        let out = self.out;
-        self.requests
-            .iter()
-            .enumerate()
-            .map(|(i, req)| RequestOutcome {
-                id: req.id,
-                kind: req.kind,
-                arrival_us: req.arrival_us,
-                queue_delay_us: out.queue_delay_us[i],
-                rung: (out.rung[i] != NONE_U32).then_some(out.rung[i] as usize),
-                service_us: out.service_us[i],
-                latency_us: out.latency_us[i],
-                shard: out.shard[i] as usize,
-                batch_size: out.batch_size[i] as usize,
-                generation: out.generation[i],
-                status: out.status[i],
-            })
-            .collect()
+        self.out
     }
 
     /// The timeline, then the registry flush, then the outcomes: the
-    /// timeline's working buffers are freed before the outcome records
-    /// are allocated.
+    /// timeline's working buffers and the batch columns are freed before
+    /// the outcome records are allocated.
     fn project(self, cfg: &TimelineConfig) -> (Vec<RequestOutcome>, Timeline) {
-        let timeline = self.timeline(cfg);
-        self.flush_metrics();
-        (self.outcomes(), timeline)
+        let (timeline, requests) = (self.timeline(cfg), self.requests);
+        (self.flush_metrics().outcomes(requests), timeline)
     }
 }
 
@@ -717,9 +719,9 @@ impl Server {
     /// # Panics
     /// Panics if `requests` is not sorted by `arrival_us`.
     pub fn run(&self, requests: &[Request]) -> Vec<RequestOutcome> {
-        let ledger = self.simulate(requests, None);
-        ledger.flush_metrics();
-        ledger.outcomes()
+        self.simulate(requests, None)
+            .flush_metrics()
+            .outcomes(requests)
     }
 
     /// Runs the simulation and additionally records the windowed
@@ -855,9 +857,8 @@ impl Server {
         let mut cands: Vec<Candidate> = Vec::with_capacity(self.shards.len() * 2);
         let mut plans: Vec<DispatchPlan> = Vec::with_capacity(self.shards.len() * 2);
 
-        for req in requests {
+        for (oi, req) in requests.iter().enumerate() {
             let now = req.arrival_us;
-            let oi = out.len();
             // Saturating: a deadline near `u64::MAX` means "never late",
             // not a wrapped instant in the past.
             let abs_deadline = now.saturating_add(deadline);
@@ -1116,7 +1117,6 @@ impl Server {
                 out.queue_delay_us[oi] = start - arrival;
                 out.rung[oi] = rung;
                 out.service_us[oi] = service;
-                out.latency_us[oi] = latency;
                 out.batch_size[oi] = size;
                 out.degraded[oi] = degraded;
                 out.status[oi] = if latency > deadline {
@@ -1139,7 +1139,7 @@ impl Server {
                 m = next_member[oi];
             }
         }
-        run_span.field("outcomes", out.len());
+        run_span.field("outcomes", out.status.len());
         run_span.field("batches", batches.len());
         RunLedger {
             server: self,
