@@ -21,7 +21,7 @@
 //! `--jobs 1` and `--jobs N` produce identical results: every task carries
 //! its own fixed seed, evaluation of one candidate never depends on another
 //! candidate's result, and [`EvalContext::par_map`] writes results into
-//! index-ordered slots, so only *wall-clock interleaving* varies with the
+//! index-ordered chunks, so only *wall-clock interleaving* varies with the
 //! worker count. When two workers race to fill the same cache key they
 //! compute the same value twice and the second insert is a no-op
 //! semantically. With `jobs <= 1` no thread is spawned at all — work runs
@@ -42,6 +42,11 @@ use std::time::Instant;
 /// Number of independently locked shards per sub-cache. A small power of
 /// two: contention is per-candidate (coarse work units), not per-lookup.
 const SHARDS: usize = 16;
+
+/// Chunks [`par_map_with_jobs`] cuts per worker: enough that a worker
+/// finishing early claims more, few enough that a million cheap items
+/// take a handful of locks.
+const CHUNKS_PER_WORKER: usize = 16;
 
 /// Full memo key: which session, which structure, which name, which seed.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -505,10 +510,10 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     ///
     /// With `jobs <= 1` (or a single item) everything runs inline on the
     /// caller's thread — no spawn, no span re-parenting — so sequential
-    /// callers keep their exact trace shape. Otherwise workers pull item
-    /// indices from a shared atomic counter and write results into
-    /// per-index slots; each worker runs under an `eval.worker` span
-    /// parented to the caller's innermost span.
+    /// callers keep their exact trace shape. Otherwise workers claim
+    /// contiguous chunks of items from a shared atomic counter and fill
+    /// each chunk's outputs in place; each worker runs under an
+    /// `eval.worker` span parented to the caller's innermost span.
     pub fn par_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
@@ -546,15 +551,19 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
+    // Chunk `c` holds items `c * size..`: its inputs until a worker claims
+    // it, then its outputs, so a chunk takes one lock, not two per item.
     let n = items.len();
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let size = n.div_ceil(workers * CHUNKS_PER_WORKER);
+    let mut items = items.into_iter();
+    let chunks: Vec<Mutex<(Vec<T>, Vec<U>)>> = (0..n.div_ceil(size))
+        .map(|_| Mutex::new((items.by_ref().take(size).collect(), Vec::new())))
+        .collect();
     let next = AtomicUsize::new(0);
     let parent = obs::current_span_id();
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let items = &items;
-            let slots = &slots;
+            let chunks = &chunks;
             let next = &next;
             let f = &f;
             scope.spawn(move || {
@@ -564,31 +573,28 @@ where
                 }
                 let mut done = 0u64;
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(chunk) = chunks.get(c) else {
                         break;
-                    }
-                    let item = items[i]
-                        .lock()
-                        .expect("eval work item")
-                        .take()
-                        .expect("each item is claimed exactly once");
-                    let out = f(i, item);
-                    *slots[i].lock().expect("eval result slot") = Some(out);
-                    done += 1;
+                    };
+                    let mut chunk = chunk.lock().expect("eval chunk");
+                    let todo = std::mem::take(&mut chunk.0);
+                    done += todo.len() as u64;
+                    chunk.1 = todo
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, t)| f(c * size + k, t))
+                        .collect();
                 }
                 span.field("tasks", done);
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("eval result slot")
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    for chunk in chunks {
+        out.append(&mut chunk.into_inner().expect("eval chunk").1);
+    }
+    out
 }
 
 impl<'a, R: Retrainer> netcut_estimate::ProfileProvider for EvalContext<'a, R> {
