@@ -238,15 +238,21 @@ fn verification_section(lab: &Lab, built: &[(&str, Option<Scenario>, Report)]) -
         let root = netcut_verify::detlint::workspace_root();
         netcut_verify::detlint::scan_workspace(&root).expect("detlint scan")
     });
+    // The lint's scope by crate, not by file count: adding or splitting a
+    // source file must not rewrite this document.
+    let scanned: Vec<&str> = netcut_verify::detlint::SCANNED_ROOTS
+        .iter()
+        .map(|root| root.trim_start_matches("crates/").trim_end_matches("/src"))
+        .collect();
     let _ = writeln!(
         md,
         "\nSV serve-plane rules over **{} reference scenarios** \
          (the bench matrix legs): {} error(s), {} warning(s). Determinism \
-         lint over **{} source files**: {} finding(s), {} allowed, {} stale.",
+         lint over `crates/{{{}}}/src`: {} finding(s), {} allowed, {} stale.",
         built.len(),
         serve_verify.errors,
         serve_verify.warnings,
-        detlint.files_scanned,
+        scanned.join(","),
         detlint.findings.len(),
         detlint.allowed.len(),
         detlint.stale.len()
