@@ -37,6 +37,9 @@ pub struct Request {
     pub noise_ppm: u64,
 }
 
+/// Mixed into [`Workload::seed`] to seed the arrival stream.
+const ARRIVAL_SALT: u64 = 0x7365_7276_655f_7771;
+
 /// Parameters of a simulated request stream.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -61,7 +64,7 @@ impl Workload {
     pub fn generate(&self) -> Vec<Request> {
         assert!(self.rps > 0, "workload needs a positive request rate");
         let mean_us = 1_000_000.0 / self.rps as f64;
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x7365_7276_655f_7771);
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ ARRIVAL_SALT);
         let mut requests = Vec::new();
         let mut t = 0u64;
         let mut id = 0u64;
@@ -69,7 +72,7 @@ impl Workload {
             // Exponential inter-arrival, clamped to at least 1 µs so ids
             // and arrival order coincide.
             let u: f64 = rng.gen();
-            let dt = (-(1.0 - u).ln() * mean_us).round().max(1.0) as u64;
+            let dt = round_half_away(-(1.0 - u).ln() * mean_us).max(1);
             t = t.saturating_add(dt);
             if t >= self.duration_us {
                 break;
@@ -89,6 +92,16 @@ impl Workload {
         }
         requests
     }
+}
+
+/// `x` rounded half away from zero — the same integer as
+/// `x.round() as u64` for `-0.0 ≤ x < 2⁵³`, without the libm call
+/// `f64::round` is on the x86-64 baseline. `x − trunc(x)` is exact in that
+/// range, so the half-way test has no rounding of its own. An
+/// inter-arrival time is at most `−ln(2⁻⁵³) · 10⁶ / rps` ≈ 3.7 × 10⁷ µs.
+fn round_half_away(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 /// Per-request service-time noise factor in parts per million, uniform in
@@ -159,6 +172,43 @@ mod tests {
         let emg = reqs.iter().filter(|r| r.kind == RequestKind::Emg).count();
         let share = emg as f64 / reqs.len() as f64;
         assert!((0.05..=0.16).contains(&share), "EMG share {share}");
+    }
+
+    /// The arrival rounding against the `f64::round` expression it
+    /// replaced, on the edge cases (`2⁵² + 1` catches `(x + 0.5) as u64`,
+    /// whose sum rounds to even there) and on 10⁶ inter-arrival draws of
+    /// the generator's own stream at three rates.
+    #[test]
+    fn round_half_away_matches_f64_round() {
+        let reference = |x: f64| x.round().max(1.0) as u64;
+        for x in [
+            -0.0,
+            0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_497.0,
+            9_007_199_254_740_991.0,
+        ] {
+            assert_eq!(round_half_away(x).max(1), reference(x), "x = {x:e}");
+        }
+        for rps in [1u64, 2_000, 210_000] {
+            let w = Workload { rps, ..workload() };
+            let mean_us = 1_000_000.0 / rps as f64;
+            let mut rng = SmallRng::seed_from_u64(w.seed ^ ARRIVAL_SALT);
+            for _ in 0..1_000_000 {
+                let u: f64 = rng.gen();
+                let x = -(1.0 - u).ln() * mean_us;
+                assert_eq!(
+                    round_half_away(x).max(1),
+                    reference(x),
+                    "rps {rps}, x = {x:e}"
+                );
+                rng.next_u64();
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! pure function of `(shards, requests, config)` and its summary is
 //! bit-identical across `--jobs` settings and host machines. A run is
 //! serial from first arrival to last projection; physical parallelism
-//! lives upstream, in scenario set-up (ladder construction and noise
-//! precomputation on `EvalContext`'s scoped-thread pool).
+//! lives upstream, in scenario set-up (ladder construction on
+//! `EvalContext`'s scoped-thread pool).
 //!
 //! Scheduling policy, per arrival:
 //!
@@ -63,12 +63,14 @@
 //!
 //! * **Struct-of-arrays ledgers** — parallel column vectors indexed by
 //!   outcome/batch id, with batch members threaded through a linked-list
-//!   arena (`first`/`last`/`next`) so a join is two index writes, never
-//!   an allocation.
+//!   arena (`first`/`next`) so a join is two index writes, never an
+//!   allocation. A batch row keeps only what outlives its dispatch: the
+//!   worker, the tightest deadline and the member-list tail live in the
+//!   shard's open-batch slot, the only place a join reads them.
 //! * **Ladder generation table** — hot-swaps append to a table of
-//!   ladders; batches hold a `u32` index into it, so admission under any
-//!   generation is an index copy, not an `Arc` clone, and in-flight
-//!   batches still price on their admission ladder.
+//!   ladders and their generations; batches hold a `u32` index into it,
+//!   so admission under any generation is an index copy, not an `Arc`
+//!   clone, and in-flight batches still price on their admission ladder.
 //! * **Sorted pending list** — the controller's batches awaiting a
 //!   watermark are a `(start, batch)` vector: each watermark stable-sorts
 //!   it on start, folds the due prefix and keeps the rest, so the fold
@@ -76,10 +78,12 @@
 //!   batches waiting, not with the run's virtual duration.
 //! * **Earliest-worker index** — every shard's worker free times sit in a
 //!   min segment tree, all shards' trees in one flat array
-//!   (`WorkerIndex`), so finding a shard's earliest worker and updating
-//!   one after a dispatch or join are O(log W) instead of a scan of the
-//!   pool. It picks exactly the worker the scan did: the leftmost with the
-//!   earliest start, the stalled prefix held to its release.
+//!   (`WorkerIndex`), so a shard's earliest start is one root read
+//!   without a stall (O(log W) with one) and updating a worker after a
+//!   dispatch or join is O(log W) instead of a scan of the pool. Only the
+//!   winning solo dispatch descends the tree to name its worker, exactly
+//!   the worker the scan picked: the leftmost with the earliest start, the
+//!   stalled prefix held to its release.
 //! * **Batch-latency table** — each ladder evaluates its rungs' batched
 //!   latencies once, when the curves are attached
 //!   ([`TrnLadder::with_batch_curves`]), so batch admission and pricing
@@ -196,28 +200,25 @@ const NONE_U32: u32 = u32::MAX;
 /// Struct-of-arrays ledger of scheduled executions: column `b` describes
 /// batch `b` (a solo dispatch is a batch of one; joins grow it until its
 /// virtual start passes). Members are threaded through the shared
-/// `next_member` arena in [`OutcomeSoa`]-index space, join order.
+/// `next_member` arena in [`OutcomeSoa`]-index space, join order. A row
+/// holds only what finalization and the projections read; what only a
+/// join needs lives in the shard's [`OpenBatch`] slot.
 #[derive(Debug, Default)]
 struct BatchSoa {
     shard: Vec<u32>,
-    worker: Vec<u32>,
     start_us: Vec<u64>,
     /// Rung of the shard's ladder ([`NONE_U32`] = EMG).
     rung: Vec<u32>,
-    /// Tightest absolute deadline across members.
-    tightest_abs_us: Vec<u64>,
     /// The first member's noise draw — one kernel, one draw.
     leader_noise_ppm: Vec<u64>,
     /// Fault service factor sampled at dispatch.
     fault_ppm: Vec<u64>,
-    /// Ladder generation the batch was admitted under.
-    generation: Vec<u64>,
     /// Index into the run's ladder table — finalization prices the batch
-    /// on this, so a hot-swap never touches in-flight work.
+    /// on this, so a hot-swap never touches in-flight work, and reads the
+    /// batch's admission generation from it.
     ladder_idx: Vec<u32>,
-    /// Head / tail of the member list, outcome-index space.
+    /// Head of the member list, outcome-index space.
     first_member: Vec<u32>,
-    last_member: Vec<u32>,
     /// Member count.
     members: Vec<u32>,
 }
@@ -231,28 +232,21 @@ impl BatchSoa {
     fn push_solo(
         &mut self,
         shard: u32,
-        worker: u32,
         start_us: u64,
         rung: u32,
-        tightest_abs_us: u64,
         leader_noise_ppm: u64,
         fault_ppm: u64,
-        generation: u64,
         ladder_idx: u32,
         leader: u32,
     ) -> usize {
         let b = self.len();
         self.shard.push(shard);
-        self.worker.push(worker);
         self.start_us.push(start_us);
         self.rung.push(rung);
-        self.tightest_abs_us.push(tightest_abs_us);
         self.leader_noise_ppm.push(leader_noise_ppm);
         self.fault_ppm.push(fault_ppm);
-        self.generation.push(generation);
         self.ladder_idx.push(ladder_idx);
         self.first_member.push(leader);
-        self.last_member.push(leader);
         self.members.push(1);
         b
     }
@@ -277,6 +271,19 @@ impl BatchSoa {
         let service = scaled_service(base_us, self.leader_noise_ppm[b], self.fault_ppm[b]);
         (service, predicted)
     }
+}
+
+/// A shard's joinable batch: its [`BatchSoa`] row plus the state only a
+/// join reads. The slot is the one way a join reaches a batch, so this
+/// state ends with it.
+#[derive(Debug, Clone, Copy)]
+struct OpenBatch {
+    batch: usize,
+    worker: usize,
+    /// Tightest absolute deadline across members.
+    tightest_abs_us: u64,
+    /// Tail of the member list, outcome-index space.
+    last_member: u32,
 }
 
 /// Struct-of-arrays ledger of per-request results, outcome-index order
@@ -373,8 +380,29 @@ struct RunLedger<'a> {
 }
 
 impl RunLedger<'_> {
-    /// Projects the windowed [`Timeline`] under `cfg`.
+    /// Projects the windowed [`Timeline`] under `cfg`. Each shard's ladder
+    /// batches feed the residual fold in (start, dispatch order). A shard's
+    /// batches start in dispatch order unless overlapping stall windows
+    /// release a worker before their merged release instant, so each
+    /// shard's stable sort is mostly one run check.
     fn timeline(&self, cfg: &TimelineConfig) -> Timeline {
+        let b = &self.batches;
+        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.server.shards.len()];
+        for i in 0..b.len() {
+            if b.rung[i] != NONE_U32 {
+                by_shard[b.shard[i] as usize].push(i as u32);
+            }
+        }
+        for list in &mut by_shard {
+            list.sort_by_key(|&i| b.start_us[i as usize]);
+        }
+        self.timeline_in(cfg, by_shard.into_iter().flatten())
+    }
+
+    /// The timeline under `cfg`, folding the ladder batches' residual
+    /// samples in `order`: every ladder batch once, each shard's in
+    /// (start, dispatch order), read straight from the ledger.
+    fn timeline_in(&self, cfg: &TimelineConfig, order: impl IntoIterator<Item = u32>) -> Timeline {
         let server = self.server;
         let mut tb = TimelineBuilder::new(*cfg, &server.shards, server.config.deadline_us);
         for &swap in &self.swaps {
@@ -394,12 +422,6 @@ impl RunLedger<'_> {
                 out.queue_delay_us[i],
             );
         }
-        // Ladder batches in (start, dispatch order), the residual fold
-        // order, read straight from the ledger.
-        let mut order: Vec<u32> = (0..b.len() as u32)
-            .filter(|&i| b.rung[i as usize] != NONE_U32)
-            .collect();
-        order.sort_by_key(|&i| b.start_us[i as usize]);
         tb.finish(order.into_iter().map(|i| {
             let i = i as usize;
             let (observed_us, predicted_us) = self.priced[i];
@@ -547,32 +569,42 @@ impl WorkerIndex {
         WorkerIndex { shards, tree }
     }
 
-    /// The worker of shard `s` that starts a request arriving at `now`
-    /// earliest, and that start: the leftmost worker minimizing
-    /// `max(free, now)`, where the first `stall_count` workers are also
-    /// held until `stall_until`. Stall faults hold a prefix of the pool,
-    /// so any other tie-break changes outcomes. With
-    /// `T = max(now, stall_until)` and `h` held workers,
-    /// the held prefix can start at `p = max(min free[..h], T)` and the
-    /// rest at `q = max(min free[h..], now)`; the prefix wins ties
-    /// because it lies left, and within either part the leftmost worker
-    /// whose free time is at most the part's start is the scan's pick.
-    fn earliest(&self, s: usize, now: u64, stall_count: u64, stall_until: u64) -> (usize, u64) {
+    /// The earliest start shard `s` offers a request arriving at `now`,
+    /// and the first worker [`Self::worker`] searches from: the start is
+    /// the least `max(free, now)` over the workers, where the first
+    /// `stall_count` are also held until `stall_until`. Stall faults hold
+    /// a prefix of the pool, so the worker is the leftmost one reaching
+    /// that start; any other tie-break changes outcomes. With
+    /// `T = max(now, stall_until)` and `h` held workers, the held prefix
+    /// can start at `p = max(min free[..h], T)` and the rest at
+    /// `q = max(min free[h..], now)`; the prefix wins ties because it
+    /// lies left, and within either part the leftmost worker whose free
+    /// time is at most the part's start is the scan's pick. Without a
+    /// stall this is one root read.
+    fn earliest(&self, s: usize, now: u64, stall_count: u64, stall_until: u64) -> (u64, usize) {
         let (base, cap, workers) = self.shards[s];
         let t = &self.tree[base..base + 2 * cap];
         let held = stall_count.min(workers as u64) as usize;
         let release = stall_until.max(now);
         if held == 0 || release == now {
-            let start = t[1].max(now);
-            return (leftmost_at_most(t, cap, 0, start), start);
+            return (t[1].max(now), 0);
         }
         let p = range_min(t, cap, 0, held).max(release);
         let q = range_min(t, cap, held, workers).max(now);
         if p <= q {
-            (leftmost_at_most(t, cap, 0, p), p)
+            (p, 0)
         } else {
-            (leftmost_at_most(t, cap, held, q), q)
+            (q, held)
         }
+    }
+
+    /// The worker behind [`Self::earliest`]'s `(start, from)`: the
+    /// leftmost worker of shard `s` at or right of `from` free by
+    /// `start`. It names the scan's pick while no [`Self::set`] ran in
+    /// between.
+    fn worker(&self, s: usize, from: usize, start: u64) -> usize {
+        let (base, cap, _) = self.shards[s];
+        leftmost_at_most(&self.tree[base..base + 2 * cap], cap, from, start)
     }
 
     /// Sets worker `w` of shard `s` free at `free_us`.
@@ -810,20 +842,20 @@ impl Server {
         // cost (see [`crate::faults::FaultTable`]).
         let fault_tables: Vec<crate::faults::FaultTable> =
             self.shards.iter().map(|s| s.faults.table()).collect();
-        // open[s]: index into the batch ledger of shard s's joinable
-        // batch, if any.
-        let mut open: Vec<Option<usize>> = vec![None; self.shards.len()];
+        // open[s]: shard s's joinable batch, if any.
+        let mut open: Vec<Option<OpenBatch>> = vec![None; self.shards.len()];
         let mut batches = BatchSoa::default();
         let mut out = OutcomeSoa::with_capacity(requests.len());
         // Batch-member linked-list arena: next member in join order,
         // outcome-index space ([`NONE_U32`] terminates).
         let mut next_member: Vec<u32> = vec![NONE_U32; requests.len()];
         // The generation-tagged serving state: admission reads the shard's
-        // current ladder through `cur_ladder`; hot-swaps append to the
-        // table and repoint the index, so in-flight batches keep pricing
-        // on their admission entry.
+        // current ladder and generation through `cur_ladder`; hot-swaps
+        // append to both tables and repoint the index, so in-flight
+        // batches keep pricing on their admission entry.
         let mut ladder_table: Vec<TrnLadder> =
             self.shards.iter().map(|s| s.ladder.clone()).collect();
+        let mut ladder_gen: Vec<u64> = vec![0; self.shards.len()];
         // Batch admission lists, one per ladder-table entry, built as the
         // entry is pushed (none when batching is off).
         let degrade = self.config.degrade;
@@ -836,7 +868,6 @@ impl Server {
             Vec::new()
         };
         let mut cur_ladder: Vec<u32> = (0..self.shards.len() as u32).collect();
-        let mut generations: Vec<u64> = vec![0; self.shards.len()];
         let mut swaps: Vec<Swap> = Vec::new();
         let mut triggers = 0u64;
         let mut controller = recalib.map(|(cfg, recalibrator)| {
@@ -899,7 +930,7 @@ impl Server {
                         let calib = ladder_table[cur_ladder[s] as usize].calib_ppm();
                         let new_calib = ((u128::from(calib) * u128::from(scale)) / u128::from(PPM))
                             .max(1) as u64;
-                        let generation = generations[s] + 1;
+                        let generation = ladder_gen[cur_ladder[s] as usize] + 1;
                         let Some(swapped) = ctl.recalibrator.recalibrate(s, generation, new_calib)
                         else {
                             continue;
@@ -908,8 +939,8 @@ impl Server {
                             admission.push(batcher.lists(&swapped, degrade));
                         }
                         ladder_table.push(swapped);
+                        ladder_gen.push(generation);
                         cur_ladder[s] = (ladder_table.len() - 1) as u32;
-                        generations[s] = generation;
                         swaps.push(Swap {
                             t_us: watermark,
                             shard: s,
@@ -926,7 +957,7 @@ impl Server {
 
             // Batches whose virtual start has passed can no longer grow.
             for slot in &mut open {
-                if slot.is_some_and(|b| batches.start_us[b] <= now) {
+                if slot.is_some_and(|o| batches.start_us[o.batch] <= now) {
                     *slot = None;
                 }
             }
@@ -938,7 +969,7 @@ impl Server {
             for (s, shard) in self.shards.iter().enumerate() {
                 let ladder = &ladder_table[cur_ladder[s] as usize];
                 let (stall_count, stall_until) = fault_tables[s].stall_at(now).unwrap_or((0, 0));
-                let (worker, start) = free_at.earliest(s, now, stall_count, stall_until);
+                let (start, from) = free_at.earliest(s, now, stall_count, stall_until);
                 let queue_delay = start - now;
                 let (rung, base_us) = match req.kind {
                     RequestKind::Emg => (None, self.config.emg_service_us),
@@ -962,7 +993,7 @@ impl Server {
                     admissible: queue_delay < deadline,
                 });
                 plans.push(DispatchPlan::Solo {
-                    worker,
+                    from,
                     rung,
                     service,
                     noise_ppm,
@@ -970,10 +1001,11 @@ impl Server {
                 });
 
                 if req.kind == RequestKind::Visual && batcher.enabled() {
-                    if let Some(b) = open[s] {
+                    if let Some(o) = open[s] {
+                        let b = o.batch;
                         let size = batches.members[b] as usize + 1;
                         let batch_start = batches.start_us[b];
-                        let tightest = batches.tightest_abs_us[b].min(abs_deadline);
+                        let tightest = o.tightest_abs_us.min(abs_deadline);
                         let admitted = match self.config.exit_pin {
                             Some(pin) => {
                                 batcher.admit_pinned(ladder, batch_start, tightest, size, pin)
@@ -999,7 +1031,6 @@ impl Server {
                                 admissible: true,
                             });
                             plans.push(DispatchPlan::Join {
-                                batch: b,
                                 rung: r,
                                 tightest_abs_us: tightest,
                                 service,
@@ -1012,9 +1043,10 @@ impl Server {
             let pick = ShardRouter::pick(&cands).expect("at least one shard offers a candidate");
             let cand = cands[pick];
             let s = cand.shard;
+            let generation = ladder_gen[cur_ladder[s] as usize];
 
             if fault_tables[s].should_drop(now, req.id) {
-                out.push(0, s as u32, generations[s], Status::Dropped);
+                out.push(0, s as u32, generation, Status::Dropped);
                 continue;
             }
 
@@ -1025,33 +1057,27 @@ impl Server {
             }
 
             if !cand.admissible {
-                out.push(
-                    cand.start_us - now,
-                    s as u32,
-                    generations[s],
-                    Status::Rejected,
-                );
+                out.push(cand.start_us - now, s as u32, generation, Status::Rejected);
                 continue;
             }
 
             match plans[pick] {
                 DispatchPlan::Solo {
-                    worker,
+                    from,
                     rung,
                     service,
                     noise_ppm,
                     fault_ppm,
                 } => {
+                    // The tree is as the candidate saw it: same worker.
+                    let worker = free_at.worker(s, from, cand.start_us);
                     free_at.set(s, worker, cand.start_us + service);
                     let b = batches.push_solo(
                         s as u32,
-                        worker as u32,
                         cand.start_us,
                         rung.map_or(NONE_U32, |r| r as u32),
-                        abs_deadline,
                         noise_ppm,
                         fault_ppm,
-                        generations[s],
                         cur_ladder[s],
                         oi as u32,
                     );
@@ -1064,24 +1090,28 @@ impl Server {
                     open[s] = (req.kind == RequestKind::Visual
                         && batcher.enabled()
                         && cand.start_us > now)
-                        .then_some(b);
+                        .then_some(OpenBatch {
+                            batch: b,
+                            worker,
+                            tightest_abs_us: abs_deadline,
+                            last_member: oi as u32,
+                        });
                 }
                 DispatchPlan::Join {
-                    batch,
                     rung,
                     tightest_abs_us,
                     service,
                 } => {
-                    next_member[batches.last_member[batch] as usize] = oi as u32;
-                    batches.last_member[batch] = oi as u32;
+                    let o = open[s]
+                        .as_mut()
+                        .expect("a join extends its shard's open batch");
+                    let batch = o.batch;
+                    next_member[o.last_member as usize] = oi as u32;
+                    o.last_member = oi as u32;
+                    o.tightest_abs_us = tightest_abs_us;
                     batches.members[batch] += 1;
                     batches.rung[batch] = rung as u32;
-                    batches.tightest_abs_us[batch] = tightest_abs_us;
-                    free_at.set(
-                        s,
-                        batches.worker[batch] as usize,
-                        batches.start_us[batch] + service,
-                    );
+                    free_at.set(s, o.worker, batches.start_us[batch] + service);
                     if batches.members[batch] as usize >= batcher.batch_max {
                         open[s] = None;
                     }
@@ -1090,7 +1120,7 @@ impl Server {
 
             // Deferred: a later join can still move this request's finish
             // time, so real numbers land in the finalization pass.
-            out.push(0, s as u32, generations[s], Status::Served);
+            out.push(0, s as u32, generation, Status::Served);
         }
 
         // Finalization: batch sizes are settled, so every batch prices
@@ -1101,15 +1131,15 @@ impl Server {
             let (service, predicted) = batches.price(b, &ladder_table, emg_us);
             priced.push((service, predicted));
             let (start, rung, size) = (batches.start_us[b], batches.rung[b], batches.members[b]);
-            let degraded = rung != NONE_U32
-                && (rung as usize) < ladder_table[batches.ladder_idx[b] as usize].top();
+            let entry = batches.ladder_idx[b] as usize;
+            let degraded = rung != NONE_U32 && (rung as usize) < ladder_table[entry].top();
             let mut m = batches.first_member[b];
             while m != NONE_U32 {
                 let oi = m as usize;
                 // Open batches close at a swap, so a member's admission
                 // generation is always its batch's generation.
                 assert_eq!(
-                    out.generation[oi], batches.generation[b],
+                    out.generation[oi], ladder_gen[entry],
                     "batch spans a hot-swap"
                 );
                 let arrival = requests[oi].arrival_us;
@@ -1158,14 +1188,14 @@ impl Server {
 #[derive(Debug, Clone, Copy)]
 enum DispatchPlan {
     Solo {
-        worker: usize,
+        /// Where [`WorkerIndex::worker`] starts its search.
+        from: usize,
         rung: Option<usize>,
         service: u64,
         noise_ppm: u64,
         fault_ppm: u64,
     },
     Join {
-        batch: usize,
         rung: usize,
         tightest_abs_us: u64,
         service: u64,
@@ -1313,7 +1343,9 @@ mod tests {
         (worker, start)
     }
 
-    /// The index picks exactly the scan's worker: pools of 1–70 sharing
+    /// The index offers exactly the scan's start, and a dispatch's
+    /// descent from `earliest`'s search start names exactly the scan's
+    /// worker: pools of 1–70 sharing
     /// one flat array with two neighbour shards, free times from a narrow
     /// range (ties are common), updates that raise and lower them
     /// interleaved with the queries, `now` below, among and above the free
@@ -1347,8 +1379,12 @@ mod tests {
                             for stall_until in
                                 [now.saturating_sub(7), now, now + 1, now + draw(50), 130]
                             {
+                                // The start first, the worker as a dispatch
+                                // names it.
+                                let (start, from) =
+                                    index.earliest(s, now, stall_count, stall_until);
                                 assert_eq!(
-                                    index.earliest(s, now, stall_count, stall_until),
+                                    (index.worker(s, from, start), start),
                                     scan_earliest(&mirror[s], now, stall_count, stall_until),
                                     "pool {pool} round {round} shard {s} now {now} \
                                      stall ({stall_count}, {stall_until}) free {:?}",
@@ -1361,6 +1397,117 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// How many ladder batches of `ledger` start before a ladder batch
+    /// their shard dispatched earlier.
+    fn residual_inversions(ledger: &RunLedger<'_>) -> usize {
+        let b = &ledger.batches;
+        let mut latest = vec![0u64; ledger.server.shards.len()];
+        let mut inversions = 0;
+        for i in (0..b.len()).filter(|&i| b.rung[i] != NONE_U32) {
+            let (s, start) = (b.shard[i] as usize, b.start_us[i]);
+            inversions += usize::from(start < latest[s]);
+            latest[s] = latest[s].max(start);
+        }
+        inversions
+    }
+
+    /// Overlapping stall windows release a worker before their merged
+    /// release instant, so a ladder batch can start before one its shard
+    /// dispatched earlier. The per-shard order must still fold each shard
+    /// in (start, dispatch order): the timeline equals the one folded in
+    /// the global stable sort on start the projection used to make.
+    #[test]
+    fn residual_order_survives_overlapping_stalls() {
+        let stall = |from_ms: u64, to_ms: u64, count: u64| FaultWindow {
+            kind: FaultKind::Stall,
+            start_us: from_ms * 1_000,
+            end_us: to_ms * 1_000,
+            magnitude: count,
+        };
+        let stalled = FaultPlan {
+            windows: vec![stall(100, 300, 1), stall(150, 200, 2)],
+            seed: 0,
+        };
+        let server = Server::with_shards(
+            vec![
+                shard("a", test_ladder(), 4, stalled),
+                shard("b", test_ladder(), 2, FaultPlan::none()),
+            ],
+            // A deadline long enough for the stalled shard to queue into
+            // the release at 200 ms.
+            ServerConfig {
+                workers: 6,
+                deadline_us: 5_000,
+                ..config()
+            },
+        );
+        let cfg = TimelineConfig { window_us: 10_000 };
+        for seed in 0..20 {
+            let mut reqs = Workload {
+                rps: 6_000,
+                duration_us: 400_000,
+                emg_share_ppm: 100_000,
+                seed,
+            }
+            .generate();
+            // Noisy service, so residual samples differ and their fold
+            // order shows in the EWMAs.
+            for r in &mut reqs {
+                r.noise_ppm = crate::request::service_noise_ppm(seed, r.id, 30_000);
+            }
+            let ledger = server.simulate(&reqs, None);
+            assert!(
+                residual_inversions(&ledger) > 0,
+                "seed {seed}: no inversion"
+            );
+            let b = &ledger.batches;
+            let mut global: Vec<u32> = (0..b.len() as u32)
+                .filter(|&i| b.rung[i as usize] != NONE_U32)
+                .collect();
+            global.sort_by_key(|&i| b.start_us[i as usize]);
+            assert_eq!(
+                ledger.timeline(&cfg),
+                ledger.timeline_in(&cfg, global),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Without overlapping stalls a shard's ladder batches start in
+    /// dispatch order, so the projection's per-shard sort finds one run:
+    /// every reference-matrix leg at two seeds and the stress scenario cut
+    /// to 0.1 s.
+    #[test]
+    fn shards_start_their_ladder_batches_in_dispatch_order() {
+        use crate::splane::{reference_matrix, stress_scenario};
+        use crate::{Scenario, ScenarioConfig};
+        let mut legs: Vec<(String, ScenarioConfig)> = Vec::new();
+        for seed in [11, 13] {
+            for (leg, cfg) in reference_matrix() {
+                legs.push((format!("{leg}@{seed}"), ScenarioConfig { seed, ..cfg }));
+            }
+        }
+        let (_, stress) = stress_scenario();
+        legs.push((
+            "stress@0.1s".to_owned(),
+            ScenarioConfig {
+                duration_us: 100_000,
+                ..stress
+            },
+        ));
+        for (leg, cfg) in legs {
+            let scenario = Scenario::build(cfg);
+            let (recalib, recalibrator) = (scenario.recalib_config(), scenario.recalibrator());
+            let armed = scenario.config().recalibrate;
+            let ledger = scenario.server().simulate(
+                &scenario.requests,
+                armed.then_some((&recalib, &recalibrator as &dyn Recalibrator)),
+            );
+            assert!(ledger.batches.rung.iter().any(|&r| r != NONE_U32), "{leg}");
+            assert_eq!(residual_inversions(&ledger), 0, "{leg}");
         }
     }
 

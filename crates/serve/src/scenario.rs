@@ -8,12 +8,13 @@
 //! — a slower edge device keeps fewer, faster rungs under the same
 //! deadline — attaches analytic batch-scaling curves when dynamic batching
 //! is on, generates the seeded workload, precomputes per-shard noise
-//! tables on a worker pool of the same size, and runs the serving
-//! simulation. The `jobs` knob only ever touches physically-parallel
-//! stages whose outputs are order-deterministic, so the final summary is
-//! bit-identical at any `jobs` value — the property the determinism
-//! acceptance check, the CI `--jobs` matrix leg, and the golden traces
-//! rely on.
+//! tables, and runs the serving simulation. The `jobs` knob only ever
+//! touches physically-parallel stages whose outputs are
+//! order-deterministic, so the final summary is bit-identical at any
+//! `jobs` value — the property the determinism acceptance check, the CI
+//! `--jobs` matrix leg, and the golden traces rely on. The noise tables
+//! are a plain loop at any `jobs`: a draw costs a few nanoseconds, less
+//! than handing it to a worker.
 //!
 //! Set-up builds each network once. One retrainer and one cache set serve
 //! every roster device. The scenario network is cut into its blockwise
@@ -33,7 +34,7 @@ use crate::runtime::{RequestOutcome, Server, ServerConfig};
 use crate::shard::Shard;
 use crate::summary::{RunMeta, ServeSummary};
 use crate::timeline::{Timeline, TimelineConfig};
-use netcut::eval::{par_map_with_jobs, EvalCaches, EvalContext};
+use netcut::eval::{EvalCaches, EvalContext};
 use netcut::explore::exhaustive_blockwise_of;
 use netcut::removal::blockwise_trns;
 use netcut_graph::{zoo, HeadSpec, Network};
@@ -124,7 +125,8 @@ pub struct ScenarioConfig {
     pub duration_us: u64,
     /// Seed for exploration, arrivals, noise, and faults.
     pub seed: u64,
-    /// Worker threads for ladder construction and noise precompute.
+    /// Worker threads for ladder construction (exploration and batch
+    /// curves).
     pub jobs: usize,
     /// Simulated serving workers (partitioned across shards).
     pub workers: usize,
@@ -424,20 +426,15 @@ impl Scenario {
             seed: cfg.seed,
         }
         .generate();
-        // Noise is a pure function of (seed, id): attach it on a worker
-        // pool — par_map_with_jobs preserves input order, so the result is
-        // identical at any `jobs`. Shard 0 reads the request's carried
-        // noise (bit-compatible with single-shard runs); shards ≥ 1 get
-        // their own decorrelated tables sized to their device's jitter.
+        // Noise is a pure function of (seed, id). Shard 0 reads the
+        // request's carried noise (bit-compatible with single-shard runs);
+        // shards ≥ 1 get their own decorrelated tables sized to their
+        // device's jitter.
         let seed = cfg.seed;
-        let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
         let worker_split = split_workers(cfg.workers, cfg.shards);
         let jitter0 = roster[0].jitter_ppm();
-        let noise0 = par_map_with_jobs(cfg.jobs, ids.clone(), move |_, id| {
-            service_noise_ppm(seed, id, jitter0)
-        });
-        for (r, n) in requests.iter_mut().zip(noise0) {
-            r.noise_ppm = n;
+        for r in &mut requests {
+            r.noise_ppm = service_noise_ppm(seed, r.id, jitter0);
         }
         let mut shards: Vec<Shard> = Vec::with_capacity(cfg.shards);
         for (i, device) in roster.iter().enumerate() {
@@ -446,9 +443,10 @@ impl Scenario {
                 Vec::new() // shard 0 uses the request-carried noise
             } else {
                 let jitter = device.jitter_ppm();
-                par_map_with_jobs(cfg.jobs, ids.clone(), move |_, id| {
-                    service_noise_ppm(shard_seed, id, jitter)
-                })
+                requests
+                    .iter()
+                    .map(|r| service_noise_ppm(shard_seed, r.id, jitter))
+                    .collect()
             };
             shards.push(Shard {
                 name: device.name.clone(),

@@ -448,9 +448,10 @@ impl TimelineBuilder {
 
     /// Folds everything into the finished [`Timeline`]: dense (window,
     /// shard) rows, alerts in (window, shard, code) order, and the
-    /// residual `samples` — one per ladder batch, which must come in
-    /// `(start_us, dispatch order)`, the order each window's residual
-    /// state folds them in.
+    /// residual `samples` — one per ladder batch. Each shard's samples
+    /// must come in `(start_us, dispatch order)`, the order its residual
+    /// state folds them in; samples of different shards may interleave in
+    /// any way, since a shard's residual cells never read another's.
     pub(crate) fn finish(mut self, samples: impl IntoIterator<Item = ResidualSample>) -> Timeline {
         let shards = self.shard_names.len();
         let last_fault = self.fault_entries.iter().map(|&(w, ..)| w).max();
@@ -477,19 +478,43 @@ impl TimelineBuilder {
         // extend the dense cells so every row reads a real (empty) cell.
         self.cells
             .resize_with((windows as usize) * shards, Cell::default);
-        let mut samples = samples.into_iter().peekable();
-        let slo = SloPolicy::default();
+        // Each shard's residual state as of each window's end, window-major
+        // like the cells: (blended EWMA, worst drift, samples). A shard's
+        // windows that end before its next sample starts are final, so the
+        // fold reads them off as it passes; samples past the last window
+        // are never folded.
+        let window_us = self.cfg.window_us;
         let mut residuals = ResidualTracker::new(&self.ladder_lens, obs::DEFAULT_ALPHA_PPM);
+        let read = |residuals: &ResidualTracker, s: usize| {
+            (
+                residuals.blended(s).ewma_ppm(),
+                residuals.max_drift_ppm(s),
+                residuals.shard_samples(s),
+            )
+        };
+        let mut states = vec![(0, 0, 0); (windows as usize) * shards];
+        // First window of each shard whose state is not read yet.
+        let mut unread = vec![0u64; shards];
+        for x in samples {
+            let w = &mut unread[x.shard];
+            while *w < windows && (*w + 1) * window_us <= x.start_us {
+                states[(*w as usize) * shards + x.shard] = read(&residuals, x.shard);
+                *w += 1;
+            }
+            if *w < windows {
+                residuals.observe(x.shard, x.rung, x.predicted_us, x.observed_us);
+            }
+        }
+        for (s, &first) in unread.iter().enumerate() {
+            for w in first..windows {
+                states[(w as usize) * shards + s] = read(&residuals, s);
+            }
+        }
+        let slo = SloPolicy::default();
         let mut rows = Vec::with_capacity((windows as usize) * shards);
         let mut alerts = Vec::new();
         let mut generations = vec![0u64; shards];
         for w in 0..windows {
-            // Residual state "as of the end of window w": fold every batch
-            // that started inside it before reading the EWMAs.
-            let window_end_us = (w + 1) * self.cfg.window_us - 1;
-            while let Some(s) = samples.next_if(|s| s.start_us <= window_end_us) {
-                residuals.observe(s.shard, s.rung, s.predicted_us, s.observed_us);
-            }
             let base = (w as usize) * shards;
             let fleet_arrivals: u64 = self.cells[base..base + shards]
                 .iter()
@@ -497,6 +522,7 @@ impl TimelineBuilder {
                 .sum();
             for (s, shard_generation) in generations.iter_mut().enumerate() {
                 let cell = &self.cells[base + s];
+                let (residual_ppm, drift_ppm, drift_samples) = states[base + s];
                 let queue = cell.queue.summary();
                 let arrivals = cell.arrivals;
                 let served = cell.served;
@@ -517,7 +543,7 @@ impl TimelineBuilder {
                 }
                 let row = WindowRow {
                     window: w,
-                    start_us: w * self.cfg.window_us,
+                    start_us: w * window_us,
                     shard: s,
                     arrivals,
                     served,
@@ -529,8 +555,8 @@ impl TimelineBuilder {
                     queue_p95_us: queue.p95,
                     queue_max_us: queue.max,
                     generation: *shard_generation,
-                    residual_ppm: residuals.blended(s).ewma_ppm(),
-                    drift_ppm: residuals.max_drift_ppm(s),
+                    residual_ppm,
+                    drift_ppm,
                     burn_ppm: obs::burn_rate_ppm(bad, arrivals, slo.miss_budget_ppm),
                 };
                 let fault = self
@@ -546,8 +572,8 @@ impl TimelineBuilder {
                     arrivals,
                     bad,
                     fleet_arrivals,
-                    max_drift_ppm: row.drift_ppm,
-                    drift_samples: residuals.shard_samples(s),
+                    max_drift_ppm: drift_ppm,
+                    drift_samples,
                     fault_entered_ppm: fault.map(|(_, magnitude)| magnitude),
                     recalibrated_ppm: recalib.map(|(_, calib_ppm)| calib_ppm),
                 });
