@@ -281,6 +281,28 @@ mod tests {
     /// The deadlines of the benchmark's `pipeline` workload, milliseconds.
     const PIPELINE_DEADLINES_MS: [f64; 7] = [0.5, 0.7, 0.9, 1.2, 1.5, 2.0, 3.0];
 
+    /// The `pipeline` workload's evaluations at seed 11 through one
+    /// context share exactly these cache entries: a change to how the
+    /// memo key names a network must keep every hit a hit and every miss
+    /// a miss.
+    #[test]
+    fn pipeline_evaluations_share_the_pinned_entries() {
+        let s = session();
+        let retrainer = SurrogateRetrainer::paper();
+        let ctx = EvalContext::new(&s, &retrainer).with_jobs(1);
+        let sources = zoo::paper_networks();
+        let estimator = ProfilerEstimator::profile_with(&ctx, &sources, 11);
+        NetCut::new(&estimator, &retrainer)
+            .with_seeds(11, 13)
+            .run_deadlines_with(&sources, &PIPELINE_DEADLINES_MS, &ctx);
+        crate::explore::exhaustive_blockwise_with(&ctx, &sources, &HeadSpec::default(), 11);
+        let stats = ctx.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.distinct_retrains),
+            (106, 338, 150)
+        );
+    }
+
     fn session() -> Session {
         Session::new(DeviceModel::jetson_xavier(), Precision::Int8)
     }
