@@ -32,8 +32,8 @@ pub mod paper;
 /// The three results several documents read (the off-the-shelf set, the
 /// exhaustive sweep and the estimator study) are computed on first use
 /// and shared for the rest of the run. Sharing cannot change a value: the
-/// evaluation cache keys cover the session, the network's structure and
-/// name, and the seed.
+/// evaluation cache keys cover the session, the network's structure (its
+/// fingerprint, or a blockwise cut's derivation) and name, and the seed.
 pub struct Lab {
     /// Deployment session (device + precision).
     pub session: Session,
@@ -707,6 +707,7 @@ pub mod simcore {
 /// paper's 20/80 split, and the three estimators of §V fitted on it.
 pub mod estimator_study {
     use super::Lab;
+    use netcut::eval::CutOrigin;
     use netcut::removal::blockwise_trns;
     use netcut_estimate::{
         mean_relative_error, AnalyticalEstimator, LatencyEstimator, LinearLatencyEstimator,
@@ -748,14 +749,19 @@ pub mod estimator_study {
     pub fn measure_all(lab: &Lab) -> MeasuredTrns {
         let ctx = lab.ctx();
         let mut trns = Vec::new();
+        let mut ids = Vec::new();
         let mut source_latency_ms = HashMap::new();
         for source in &lab.sources {
             let mut adapted = source.backbone().with_head(&lab.head);
             adapted.rename(source.name());
             source_latency_ms.insert(source.name().to_owned(), ctx.measure(&adapted, 11).mean_ms);
+            let origin = CutOrigin::new(source, &lab.head);
+            ids.extend((0..source.num_blocks()).map(|k| origin.cut(k)));
             trns.extend(blockwise_trns(source, &lab.head));
         }
-        let latency_ms = ctx.par_map(trns.iter().collect(), |_, trn| ctx.measure(trn, 13).mean_ms);
+        let latency_ms = ctx.par_map(trns.iter().zip(ids).collect(), |_, (trn, id)| {
+            ctx.measure_as(trn, id, 13).mean_ms
+        });
         MeasuredTrns {
             trns,
             latency_ms,

@@ -2,11 +2,13 @@
 
 use super::Document;
 use crate::{print_table, Lab, DEADLINE_MS};
-use netcut::eval::EvalContext;
+use netcut::eval::{CutOrigin, EvalContext, NetId};
 use netcut::netadapt::{netadapt_mobilenet_v1_05, NetAdaptConfig};
 use netcut::netcut::{NetCut, NetCutOutcome};
 use netcut::pareto::best_meeting_deadline;
-use netcut::removal::{blockwise_candidate_count, blockwise_trns, iterative_trns, stagewise_trns};
+use netcut::removal::{
+    blockwise_candidate_count, blockwise_trn, iterative_trns, stagewise_cutpoints,
+};
 use netcut::CandidatePoint;
 use netcut_estimate::{
     AnalyticalEstimator, PerFamilyLinear, ProfilerEstimator, SourceInfo, SvrParams, FEATURE_COUNT,
@@ -36,10 +38,13 @@ fn profiler_netcut(
 
 /// A NetCut proposal rebuilt as the network it names, head attached.
 fn proposal_network(lab: &Lab, p: &CandidatePoint) -> Network {
-    lab.source(&p.family)
-        .cut_blocks(p.cutpoint)
-        .expect("cutpoint valid")
-        .with_head(&lab.head)
+    blockwise_trn(lab.source(&p.family), p.cutpoint, &lab.head)
+}
+
+/// The evaluation cache's name for blockwise cut `k` of `family` under the
+/// lab's head: the name the exhaustive sweep and Algorithm 1 give it.
+fn cut_id(lab: &Lab, family: &str, k: usize) -> NetId {
+    CutOrigin::new(lab.source(family), &lab.head).cut(k)
 }
 
 #[derive(Serialize)]
@@ -563,12 +568,12 @@ struct GranularityResult {
 pub(super) fn granularity(lab: &Lab) -> Document {
     println!("Ablation — removal granularity at the {DEADLINE_MS} ms deadline");
     let ctx = lab.ctx();
-    let evaluate = |nets: Vec<Network>, label: &str| -> GranularityResult {
+    let evaluate = |nets: Vec<(NetId, Network)>, label: &str| -> GranularityResult {
         let mut points = Vec::new();
         let mut hours = 0.0;
-        for trn in &nets {
-            let m = ctx.measure(trn, 5);
-            let t = ctx.retrain(trn);
+        for (id, trn) in &nets {
+            let m = ctx.measure_as(trn, *id, 5);
+            let t = ctx.retrain_as(trn, *id);
             hours += t.train_hours;
             points.push(CandidatePoint {
                 name: trn.name().to_owned(),
@@ -594,9 +599,15 @@ pub(super) fn granularity(lab: &Lab) -> Document {
     let mut block_nets = Vec::new();
     let mut layer_nets = Vec::new();
     for source in &lab.sources {
-        stage_nets.extend(stagewise_trns(source, &lab.head));
-        block_nets.extend(blockwise_trns(source, &lab.head));
-        layer_nets.extend(iterative_trns(source, &lab.head));
+        let origin = CutOrigin::new(source, &lab.head);
+        let cut = |k| (origin.cut(k), blockwise_trn(source, k, &lab.head));
+        stage_nets.extend(stagewise_cutpoints(source).into_iter().map(cut));
+        block_nets.extend((0..source.num_blocks()).map(cut));
+        layer_nets.extend(
+            iterative_trns(source, &lab.head)
+                .into_iter()
+                .map(|trn| (NetId::of(&trn), trn)),
+        );
     }
     let results = vec![
         evaluate(stage_nets, "stage"),
@@ -759,13 +770,13 @@ pub(super) fn loop_reliability(lab: &Lab) -> Document {
     // Candidates on the Xavier (deadline-aware deployments) and on a
     // Nano-class board (the same models ported to weaker hardware) —
     // increasingly severe budget violations.
-    let make = |family: &str, cut: usize| -> Network {
-        lab.source(family)
-            .cut_blocks(cut)
-            .expect("valid cut")
-            .with_head(&lab.head)
+    let make = |family: &str, cut: usize| -> (NetId, Network) {
+        (
+            cut_id(lab, family, cut),
+            blockwise_trn(lab.source(family), cut, &lab.head),
+        )
     };
-    let candidates: Vec<(&str, Network, bool)> = vec![
+    let candidates: Vec<(&str, (NetId, Network), bool)> = vec![
         (
             "mobilenet_v1_0.50 @xavier",
             make("mobilenet_v1_0.50", 0),
@@ -778,11 +789,11 @@ pub(super) fn loop_reliability(lab: &Lab) -> Document {
         ("densenet121 @nano", make("densenet121", 0), true),
     ];
     let mut rows = Vec::new();
-    for (label, net, on_nano) in &candidates {
+    for (label, (id, net), on_nano) in &candidates {
         let ctx = if *on_nano { &nano_ctx } else { &xavier_ctx };
-        let latency = ctx.measure(net, 3).mean_ms;
+        let latency = ctx.measure_as(net, *id, 3).mean_ms;
         // Accuracy does not depend on the device: one retrain per network.
-        let accuracy = xavier_ctx.retrain(net).accuracy;
+        let accuracy = xavier_ctx.retrain_as(net, *id).accuracy;
         let reaches = reaches_for_accuracy(accuracy, 120, lp.budget.decisions_required, 7);
         let stats = lp.simulate_many(&reaches, latency);
         rows.push(ReliabilityRow {
@@ -1027,7 +1038,8 @@ pub(super) fn tail_latency(lab: &Lab) -> Document {
     println!("Ablation — mean-based vs p99-based deadline checking at {DEADLINE_MS} ms");
     let mut rows = Vec::new();
     for p in &outcome.proposals {
-        let m = ctx.measure(&proposal_network(lab, p), 13);
+        let id = cut_id(lab, &p.family, p.cutpoint);
+        let m = ctx.measure_as(&proposal_network(lab, p), id, 13);
         rows.push(TailRow {
             proposal: p.name.clone(),
             mean_ms: m.mean_ms,

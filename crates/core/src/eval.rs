@@ -6,10 +6,20 @@
 //! deadline sweep, the bench harness and the CLI — evaluates candidates
 //! through a context instead of calling [`Session`] / [`Retrainer`]
 //! directly. The context owns a sharded concurrent memo cache keyed by
-//! `(session fingerprint, structural fingerprint, network name, seed)`:
+//! `(session fingerprint, network identity, network name, seed)`:
 //! measurement, retraining and profiling live in *separate* sub-caches, so
 //! an estimator-only probe (which needs a profile or a measurement) never
 //! pays for retraining.
+//!
+//! A network's identity ([`NetId`]) names its structure in one of two
+//! ways. Most networks are named by their structural fingerprint, one FNV
+//! pass over the whole graph ([`NetId::of`]). A blockwise cut is named by
+//! its derivation instead: the structural fingerprint of its source, its
+//! cutpoint and its head ([`CutOrigin::cut`]). The source is hashed once
+//! for all of its cuts, and no cut is hashed. Every blockwise cut the
+//! workspace evaluates is named by its derivation, so two evaluations
+//! share an entry exactly when their networks have the same structure and
+//! name, as when every network was named by its fingerprint.
 //!
 //! The network *name* is part of the key on purpose: the simulator seeds
 //! its jitter RNG from the name, so two structurally identical networks
@@ -29,7 +39,7 @@
 //! single-threaded trace consumers.
 
 use crate::report::CandidatePoint;
-use netcut_graph::Network;
+use netcut_graph::{Fnv1a, HeadSpec, Network};
 use netcut_obs as obs;
 use netcut_sim::{LatencyTable, Measurement, Session};
 use netcut_train::{Retrainer, TrainedTrn};
@@ -48,22 +58,89 @@ const SHARDS: usize = 16;
 /// take a handful of locks.
 const CHUNKS_PER_WORKER: usize = 16;
 
+/// How a memo key names a network's structure: by the network's
+/// structural fingerprint ([`NetId::of`]) or, for a blockwise cut, by its
+/// derivation ([`CutOrigin::cut`]). An identity must determine the
+/// structure it names: a wrong one serves another network's entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct NetId(Named);
+
+/// The two ways a [`NetId`] names a structure; they never alias.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Named {
+    /// A [`Network::structural_fingerprint`].
+    Structure(u64),
+    /// Blockwise cut `cutpoint` of the source and head a [`CutOrigin`]
+    /// fingerprints.
+    Cut { origin: u64, cutpoint: u32 },
+}
+
+impl NetId {
+    /// Names `net` by its structural fingerprint: one pass over the graph.
+    pub fn of(net: &Network) -> Self {
+        NetId(Named::Structure(net.structural_fingerprint()))
+    }
+}
+
+/// What a blockwise cut derives from: the structural fingerprint of its
+/// source with the transfer head it carries folded in. Build one per
+/// source and head, then name each cut with [`CutOrigin::cut`], so the
+/// source is hashed once for all of its cuts.
+///
+/// A source's own head is part of its fingerprint, so a cut of a headed
+/// source and the same cut of its backbone are named apart and share no
+/// entry. Every caller in this workspace cuts headless sources.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CutOrigin(u64);
+
+impl CutOrigin {
+    /// Fingerprints `source` and feeds `head` after it. Two sources under
+    /// one head never share an origin: FNV-1a takes distinct start states
+    /// through the same bytes to distinct results.
+    pub fn new(source: &Network, head: &HeadSpec) -> Self {
+        let mut h = Fnv1a::seeded(source.structural_fingerprint());
+        h.u64(head.classes as u64);
+        h.u64(head.hidden.len() as u64);
+        for &units in &head.hidden {
+            h.u64(units as u64);
+        }
+        CutOrigin(h.finish())
+    }
+
+    /// Names this origin's blockwise cut at `cutpoint`,
+    /// `source.cut_blocks(cutpoint)?.with_head(head)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cutpoint` exceeds `u32::MAX`.
+    pub fn cut(self, cutpoint: usize) -> NetId {
+        let cutpoint = u32::try_from(cutpoint).expect("cutpoint fits in u32");
+        NetId(Named::Cut {
+            origin: self.0,
+            cutpoint,
+        })
+    }
+}
+
 /// Full memo key: which session, which structure, which name, which seed.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Key {
     session: u64,
-    net: u64,
+    net: NetId,
     name: String,
     seed: u64,
 }
 
 impl Key {
-    /// Shard index, derived from the cheap numeric key components (the
-    /// structural fingerprint already mixes the whole graph).
+    /// Shard index, derived from the cheap numeric key components (a
+    /// structural fingerprint mixes the whole graph, a cut origin its
+    /// source's, and a cutpoint tells the cuts of one origin apart).
     fn shard(&self) -> usize {
-        (self
-            .net
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        let net = match self.net.0 {
+            Named::Structure(fp) => fp,
+            Named::Cut { origin, cutpoint } => origin.wrapping_add(u64::from(cutpoint)),
+        };
+        (net.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(self.seed)
             >> 32) as usize
             % SHARDS
@@ -358,10 +435,18 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         }
     }
 
-    fn key(&self, net: &Network, seed: u64) -> Key {
+    fn key(&self, net: &Network, id: NetId, seed: u64) -> Key {
+        if let Named::Cut { cutpoint, .. } = id.0 {
+            debug_assert_eq!(
+                net.cutpoint(),
+                cutpoint as usize,
+                "`{}` is not the cut {id:?} names",
+                net.name()
+            );
+        }
         Key {
             session: self.session_fp,
-            net: net.structural_fingerprint(),
+            net: id,
             name: net.name().to_owned(),
             seed,
         }
@@ -401,7 +486,13 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
     /// Memoized [`Session::measure`].
     pub fn measure(&self, net: &Network, seed: u64) -> Measurement {
-        self.measure_keyed(net, self.key(net, seed))
+        self.measure_as(net, NetId::of(net), seed)
+    }
+
+    /// [`Self::measure`] with `net` named by `id`: [`NetId::of`]`(net)`,
+    /// or the [`CutOrigin::cut`] that names the blockwise cut `net` is.
+    pub fn measure_as(&self, net: &Network, id: NetId, seed: u64) -> Measurement {
+        self.measure_keyed(net, self.key(net, id, seed))
     }
 
     /// [`Self::measure`] under a key the caller already built; the
@@ -417,7 +508,8 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
     /// Memoized [`Session::profile`].
     pub fn profile(&self, net: &Network, seed: u64) -> LatencyTable {
-        self.lookup(&self.caches.profile, self.key(net, seed), || {
+        let key = self.key(net, NetId::of(net), seed);
+        self.lookup(&self.caches.profile, key, || {
             self.verify_boundary(net);
             self.session.profile(net, seed)
         })
@@ -428,7 +520,13 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// the key uses a fixed seed component and a hit is shared by every
     /// measurement seed probing the same TRN.
     pub fn retrain(&self, trn: &Network) -> TrainedTrn {
-        self.retrain_keyed(trn, self.key(trn, 0))
+        self.retrain_as(trn, NetId::of(trn))
+    }
+
+    /// [`Self::retrain`] with `trn` named by `id`, as in
+    /// [`Self::measure_as`].
+    pub fn retrain_as(&self, trn: &Network, id: NetId) -> TrainedTrn {
+        self.retrain_keyed(trn, self.key(trn, id, 0))
     }
 
     /// [`Self::retrain`] under a key the caller already built (seed 0).
@@ -454,19 +552,37 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// Measures and retrains one TRN into a [`CandidatePoint`], serving
     /// both steps from the cache when possible.
     pub fn evaluate(&self, trn: &Network, source: &Network, seed: u64) -> CandidatePoint {
-        self.evaluate_inner(trn, source.backbone_layer_count(), seed)
+        self.evaluate_as(trn, NetId::of(trn), source, seed)
     }
 
-    fn evaluate_inner(&self, trn: &Network, source_layers: usize, seed: u64) -> CandidatePoint {
+    /// [`Self::evaluate`] with `trn` named by `id`, as in
+    /// [`Self::measure_as`].
+    pub fn evaluate_as(
+        &self,
+        trn: &Network,
+        id: NetId,
+        source: &Network,
+        seed: u64,
+    ) -> CandidatePoint {
+        self.evaluate_inner(trn, id, source.backbone_layer_count(), seed)
+    }
+
+    fn evaluate_inner(
+        &self,
+        trn: &Network,
+        id: NetId,
+        source_layers: usize,
+        seed: u64,
+    ) -> CandidatePoint {
         let mut span = obs::span("explore.candidate");
         if span.is_recording() {
             span.field("candidate", trn.name());
             span.field("family", trn.base_name());
             span.field("cutpoint", trn.cutpoint());
         }
-        // One structural fingerprint serves both lookups: retrain entries
-        // are the measurement key at seed 0.
-        let key = self.key(trn, seed);
+        // One identity serves both lookups: retrain entries are the
+        // measurement key at seed 0.
+        let key = self.key(trn, id, seed);
         let retrain_key = Key {
             seed: 0,
             ..key.clone()
@@ -501,7 +617,12 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// points in task order regardless of completion order.
     pub fn evaluate_many(&self, tasks: Vec<EvalTask>) -> Vec<CandidatePoint> {
         self.par_map(tasks, |_, task| {
-            self.evaluate_inner(&task.trn, task.source_layers, task.seed)
+            self.evaluate_inner(
+                &task.trn,
+                NetId::of(&task.trn),
+                task.source_layers,
+                task.seed,
+            )
         })
     }
 
@@ -607,7 +728,8 @@ impl<'a, R: Retrainer> netcut_estimate::ProfileProvider for EvalContext<'a, R> {
 mod tests {
     use super::*;
     use crate::explore::{exhaustive_blockwise_with, Exploration};
-    use netcut_graph::{zoo, HeadSpec};
+    use crate::removal::blockwise_trn;
+    use netcut_graph::zoo;
     use netcut_sim::{DeviceModel, Precision};
     use netcut_train::SurrogateRetrainer;
 
@@ -742,6 +864,69 @@ mod tests {
         let mb = b.measure(&net, 3);
         assert_ne!(ma.mean_ms, mb.mean_ms);
         assert_eq!(caches.stats().hits, 0, "distinct sessions must not alias");
+    }
+
+    /// Every blockwise cut of the paper and extended zoos (the extended zoo
+    /// rebuilds the paper's seven) under three heads: cut identities and
+    /// `(structural fingerprint, name)` pairs are in one-to-one
+    /// correspondence, and evaluating through either gives the same point
+    /// and shares the same entries. A MobileNetV1 ×0.5 under ×0.25's name
+    /// makes cuts that only the source fingerprint tells apart.
+    #[test]
+    fn cut_identities_name_exactly_the_structures_they_cut() {
+        let s = session();
+        let r = SurrogateRetrainer::paper();
+        let heads = [
+            HeadSpec::default(),
+            HeadSpec::with_classes(10),
+            HeadSpec {
+                hidden: vec![512],
+                ..HeadSpec::default()
+            },
+        ];
+        let mut impostor = zoo::mobilenet_v1(0.5);
+        impostor.rename("mobilenet_v1_0.25");
+        let sources: Vec<Network> = zoo::paper_networks()
+            .into_iter()
+            .chain(zoo::extended_networks())
+            .chain([impostor])
+            .collect();
+        let by_id = EvalContext::new(&s, &r);
+        let by_structure = EvalContext::new(&s, &r);
+        let mut structure_of: HashMap<Key, (u64, String)> = HashMap::new();
+        let mut key_of: HashMap<(u64, String), Key> = HashMap::new();
+        let mut cuts = 0;
+        for head in &heads {
+            for source in &sources {
+                let origin = CutOrigin::new(source, head);
+                for k in 0..source.num_blocks() {
+                    let trn = blockwise_trn(source, k, head);
+                    let key = by_id.key(&trn, origin.cut(k), 0);
+                    let structure = (trn.structural_fingerprint(), trn.name().to_owned());
+                    let named = structure_of
+                        .entry(key.clone())
+                        .or_insert_with(|| structure.clone());
+                    assert_eq!(*named, structure, "one identity, two structures");
+                    let keyed = key_of.entry(structure).or_insert_with(|| key.clone());
+                    assert_eq!(*keyed, key, "one structure, two identities");
+                    assert_eq!(
+                        by_id.evaluate_as(&trn, origin.cut(k), source, 13),
+                        by_structure.evaluate(&trn, source, 13),
+                        "{}",
+                        trn.name()
+                    );
+                    cuts += 1;
+                }
+            }
+        }
+        assert_eq!(cuts, heads.len() * (145 + 163 + 13));
+        assert_eq!(structure_of.len(), heads.len() * (163 + 13));
+        let (a, b) = (by_id.stats(), by_structure.stats());
+        assert_eq!(
+            (a.hits, a.misses, a.distinct_retrains, a.entries),
+            (b.hits, b.misses, b.distinct_retrains, b.entries)
+        );
+        assert_eq!(a.hits, 2 * heads.len() as u64 * 145);
     }
 
     fn exploration(jobs: usize) -> Exploration {

@@ -3,7 +3,7 @@
 //! retrain each one — the sweep that NetCut's deadline-aware exploration
 //! avoids: 145 candidates here, 148 and 183 hours in the paper.
 
-use crate::eval::{EvalContext, EvalTask};
+use crate::eval::{CutOrigin, EvalContext, EvalTask};
 use crate::removal::blockwise_trn;
 use crate::report::CandidatePoint;
 use netcut_graph::{HeadSpec, Network};
@@ -50,8 +50,9 @@ impl Exploration {
 /// every TRN of every family is measured on the context's session and
 /// retrained by its retrainer. Each TRN is cut inside its own task on the
 /// context's worker pool and freed once evaluated, so the sweep holds one
-/// TRN per worker; candidates hit the context's memo caches, and point
-/// order matches the sequential sweep regardless of worker count.
+/// TRN per worker; candidates hit the context's memo caches under their
+/// derivation ([`CutOrigin::cut`]), and point order matches the
+/// sequential sweep regardless of worker count.
 ///
 /// # Example
 ///
@@ -76,34 +77,37 @@ pub fn exhaustive_blockwise_with<R: Retrainer>(
     seed: u64,
 ) -> Exploration {
     let cuts = sources.iter().map(Network::num_blocks);
-    explore_cuts(ctx, sources, cuts, seed, |i, k| {
+    explore_cuts(ctx, sources, head, cuts, seed, |i, k| {
         blockwise_trn(&sources[i], k, head)
     })
 }
 
 /// [`exhaustive_blockwise_with`] over TRNs the caller already cut:
 /// `trns[i]` holds the [`blockwise_trns`](crate::removal::blockwise_trns)
-/// of `sources[i]`. A caller that uses the TRNs after exploring them (the
-/// serve scenario sizes its exit tables from them) cuts each source once
-/// and keeps the networks.
+/// of `sources[i]` under `head`. A caller that uses the TRNs after
+/// exploring them (the serve scenario sizes its exit tables from them)
+/// cuts each source once and keeps the networks.
 pub fn exhaustive_blockwise_of<R: Retrainer>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
     trns: &[Vec<Network>],
+    head: &HeadSpec,
     seed: u64,
 ) -> Exploration {
     let cuts = trns.iter().map(Vec::len);
-    explore_cuts(ctx, sources, cuts, seed, |i, k| &trns[i][k])
+    explore_cuts(ctx, sources, head, cuts, seed, |i, k| &trns[i][k])
 }
 
 /// The evaluation loop of both exhaustive sweeps: one task per
 /// `(source, cutpoint)` pair, where `cuts` yields each source's number of
 /// cutpoints in order and `trn(i, k)` yields TRN `k` of `sources[i]`
-/// inside the task, owned (cut there, freed once evaluated) or borrowed
-/// (kept by the caller).
+/// under `head` inside the task, owned (cut there, freed once evaluated)
+/// or borrowed (kept by the caller). Each source is fingerprinted once;
+/// its TRNs are keyed by derivation.
 fn explore_cuts<R, N>(
     ctx: &EvalContext<'_, R>,
     sources: &[Network],
+    head: &HeadSpec,
     cuts: impl Iterator<Item = usize>,
     seed: u64,
     trn: impl Fn(usize, usize) -> N + Sync,
@@ -114,12 +118,13 @@ where
 {
     let mut span = obs::span("explore.exhaustive");
     span.field("sources", sources.len());
+    let origins: Vec<CutOrigin> = sources.iter().map(|s| CutOrigin::new(s, head)).collect();
     let pairs: Vec<(usize, usize)> = cuts
         .enumerate()
         .flat_map(|(i, n)| (0..n).map(move |k| (i, k)))
         .collect();
     let points = ctx.par_map(pairs, |_, (i, k)| {
-        ctx.evaluate(trn(i, k).borrow(), &sources[i], seed)
+        ctx.evaluate_as(trn(i, k).borrow(), origins[i].cut(k), &sources[i], seed)
     });
     let total_train_hours = points.iter().map(|p| p.train_hours).sum();
     span.field("candidates", points.len());
@@ -233,7 +238,7 @@ mod tests {
             let cut_ctx = EvalContext::new(&s, &r).with_jobs(jobs);
             let cut = exhaustive_blockwise_with(&cut_ctx, &sources, &head, 7);
             let kept_ctx = EvalContext::new(&s, &r).with_jobs(jobs);
-            let kept = exhaustive_blockwise_of(&kept_ctx, &sources, &trns, 7);
+            let kept = exhaustive_blockwise_of(&kept_ctx, &sources, &trns, &head, 7);
             assert_eq!(cut.points, kept.points, "jobs {jobs}");
             assert_eq!(cut.total_train_hours, kept.total_train_hours);
             let (a, b) = (cut_ctx.stats(), kept_ctx.stats());

@@ -15,8 +15,8 @@
 //!   only those (§V);
 //! * [`eval`] — the shared evaluation core: an [`eval::EvalContext`]
 //!   memoizes measurement / retraining / profiling behind structural
-//!   fingerprints and runs candidate batches on a deterministic
-//!   scoped-thread work queue.
+//!   fingerprints (blockwise cuts behind their derivation) and runs
+//!   candidate batches on a deterministic scoped-thread work queue.
 //!
 //! # Example
 //!

@@ -9,9 +9,11 @@
 //!
 //! Each step asks [`LatencyEstimator::estimate_cut_ms`] about a cutpoint,
 //! so an estimator that answers from per-source tables (the profiler)
-//! never builds the cuts it rejects; only the proposal is built.
+//! never builds the cuts it rejects; only the proposal is built, and the
+//! evaluation cache names it by derivation ([`CutOrigin::cut`]).
 
-use crate::eval::EvalContext;
+use crate::eval::{CutOrigin, EvalContext, NetId};
+use crate::removal::blockwise_trn;
 use crate::report::CandidatePoint;
 use netcut_estimate::LatencyEstimator;
 use netcut_graph::{HeadSpec, Network};
@@ -120,30 +122,36 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         self.run_adapted(&self.adapt(sources), deadline_ms, ctx)
     }
 
-    /// Pairs each source with its trained network: the backbone with this
-    /// explorer's transfer head, under the source's name.
-    fn adapt<'s>(&self, sources: &'s [Network]) -> Vec<(&'s Network, Network)> {
+    /// Pairs each source with its trained network (the backbone with this
+    /// explorer's transfer head, under the source's name) and names both
+    /// for the evaluation cache, fingerprinting each once.
+    fn adapt<'s>(&self, sources: &'s [Network]) -> Vec<Family<'s>> {
         sources
             .iter()
             .map(|source| {
                 let mut adapted = source.backbone().with_head(&self.head);
                 adapted.rename(source.name());
-                (source, adapted)
+                Family {
+                    source,
+                    adapted_id: NetId::of(&adapted),
+                    adapted,
+                    cuts: CutOrigin::new(source, &self.head),
+                }
             })
             .collect()
     }
 
     fn run_adapted(
         &self,
-        families: &[(&Network, Network)],
+        families: &[Family<'_>],
         deadline_ms: f64,
         ctx: &EvalContext<'_, R>,
     ) -> NetCutOutcome {
         let mut run_span = obs::span("netcut.run");
         run_span.field("deadline_ms", deadline_ms);
         run_span.field("sources", families.len());
-        let proposals = ctx.par_map(families.iter().collect(), |_, (source, adapted)| {
-            self.propose(source, adapted, deadline_ms, ctx)
+        let proposals = ctx.par_map(families.iter().collect(), |_, family| {
+            self.propose(family, deadline_ms, ctx)
         });
         let exploration_hours = proposals.iter().map(|p| p.train_hours).sum();
         run_span.field("proposals", proposals.len());
@@ -155,22 +163,23 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         }
     }
 
-    /// Algorithm 1 for a single source family; `adapted` is the trained
-    /// source network (backbone + transfer head).
+    /// Algorithm 1 for a single source family.
     fn propose(
         &self,
-        source: &Network,
-        adapted: &Network,
+        family: &Family<'_>,
         deadline_ms: f64,
         ctx: &EvalContext<'_, R>,
     ) -> CandidatePoint {
+        let source = family.source;
         let mut family_span = obs::span("netcut.family");
         if family_span.is_recording() {
             family_span.field("family", source.name());
         }
         // Algorithm 1 lines 2–4: start from the full network with its
         // *measured* latency.
-        let mut est_latency = ctx.measure(adapted, self.source_seed).mean_ms;
+        let mut est_latency = ctx
+            .measure_as(&family.adapted, family.adapted_id, self.source_seed)
+            .mean_ms;
         let mut cutpoint = 0usize;
         // Lines 5–9: cut until the estimate meets the deadline (or the
         // family runs out of blocks).
@@ -193,13 +202,10 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
         // Line 10: retrain the proposed TRN; also deploy it to record
         // ground truth.
         let mut point = if cutpoint == 0 {
-            ctx.evaluate(adapted, source, self.eval_seed)
+            ctx.evaluate_as(&family.adapted, family.adapted_id, source, self.eval_seed)
         } else {
-            let trn = source
-                .cut_blocks(cutpoint)
-                .expect("cutpoint below block count")
-                .with_head(&self.head);
-            ctx.evaluate(&trn, source, self.eval_seed)
+            let trn = blockwise_trn(source, cutpoint, &self.head);
+            ctx.evaluate_as(&trn, family.cuts.cut(cutpoint), source, self.eval_seed)
         };
         point.estimated_ms = Some(est_latency);
         let accept = est_latency <= deadline_ms;
@@ -230,6 +236,17 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
     }
 }
 
+/// One source family as Algorithm 1 explores it: the source, its trained
+/// network and the cache identities of both, computed once per call.
+struct Family<'s> {
+    source: &'s Network,
+    /// The backbone with the explorer's head, under the source's name.
+    adapted: Network,
+    adapted_id: NetId,
+    /// Names the source's blockwise cuts under the explorer's head.
+    cuts: CutOrigin,
+}
+
 /// Outcome of exploring several deadlines with shared retraining.
 #[derive(Debug, Clone)]
 pub struct DeadlineSweep {
@@ -249,6 +266,7 @@ impl<'a, E: LatencyEstimator, R: Retrainer> NetCut<'a, E, R> {
     /// evaluation cache — overlapping proposals hit the retrain sub-cache
     /// of `ctx` instead of being billed again. The sweep's cost accounting
     /// is the change in the context's cache statistics over the sweep.
+    /// Each adapted source is built and fingerprinted once per sweep.
     pub fn run_deadlines_with(
         &self,
         sources: &[Network],

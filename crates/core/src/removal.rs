@@ -28,12 +28,15 @@ pub fn blockwise_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
 }
 
 /// The blockwise TRN of `source` at cutpoint `k`, head attached: entry `k`
-/// of [`blockwise_trns`], built alone.
+/// of [`blockwise_trns`], built alone. The evaluation cache names it
+/// [`CutOrigin::new`]`(source, head).cut(k)`.
+///
+/// [`CutOrigin::new`]: crate::eval::CutOrigin::new
 ///
 /// # Panics
 ///
 /// Panics if `k` is not below `source.num_blocks()`.
-pub(crate) fn blockwise_trn(source: &Network, k: usize, head: &HeadSpec) -> Network {
+pub fn blockwise_trn(source: &Network, k: usize, head: &HeadSpec) -> Network {
     source
         .cut_blocks(k)
         .expect("cutpoint below block count")
@@ -61,11 +64,13 @@ pub fn iterative_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
         .collect()
 }
 
-/// Stage-wise TRNs: an even coarser granularity than blockwise, cutting
-/// only where the spatial resolution changes (a new stage begins at every
-/// block containing a strided operation). Used by the granularity
-/// ablation.
-pub fn stagewise_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
+/// The blockwise cutpoints of stage-wise TRNs, ascending: an even coarser
+/// granularity than blockwise, cutting only where the spatial resolution
+/// changes (a new stage begins at every block containing a strided
+/// operation). Cutpoint 0, the uncut network, comes first unless the
+/// source has no blocks. Used by the granularity ablation, which cuts
+/// each with [`blockwise_trn`].
+pub fn stagewise_cutpoints(source: &Network) -> Vec<usize> {
     let mut cuts = Vec::new();
     let blocks = source.blocks();
     for (i, block) in blocks.iter().enumerate() {
@@ -91,10 +96,8 @@ pub fn stagewise_trns(source: &Network, head: &HeadSpec) -> Vec<Network> {
     cuts.push(0); // the uncut network
     cuts.sort_unstable();
     cuts.dedup();
-    cuts.into_iter()
-        .filter(|&k| k < blocks.len())
-        .map(|k| blockwise_trn(source, k, head))
-        .collect()
+    cuts.retain(|&k| k < blocks.len());
+    cuts
 }
 
 /// The blockwise search-space size over a set of sources (the paper's

@@ -260,6 +260,8 @@ pub fn scenario_networks() -> Vec<Network> {
 /// cutpoint.
 struct ScenarioNets {
     source: Network,
+    /// The head every exit and TRN carries.
+    head: HeadSpec,
     /// The source with an exit head after every block.
     multi_exit: Network,
     /// `trns[k]` is the source cut at blockwise cutpoint `k`, head attached.
@@ -274,6 +276,7 @@ impl ScenarioNets {
             multi_exit: source.with_exit_heads(&head),
             trns: blockwise_trns(&source, &head),
             source,
+            head,
         }
     }
 }
@@ -321,6 +324,7 @@ fn build_ladder_in(
         ctx,
         slice::from_ref(&nets.source),
         slice::from_ref(&nets.trns),
+        &nets.head,
         cfg.seed,
     );
     let ladder = TrnLadder::from_points(&exploration.points)?;

@@ -149,7 +149,7 @@ impl Session {
     /// [`DeviceModel`] constant plus the precision. Two sessions with the
     /// same fingerprint produce bit-identical measurements for the same
     /// network and seed, so the value is usable as a memo-cache key
-    /// component alongside the network's structural fingerprint.
+    /// component alongside whatever names the network's structure.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         let d = &self.device;
