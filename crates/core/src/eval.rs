@@ -334,19 +334,6 @@ pub struct EvalContext<'a, R: Retrainer> {
     strict: bool,
 }
 
-/// One evaluation request for [`EvalContext::evaluate_many`]. The task
-/// owns its TRN, so the network is freed once evaluated.
-pub struct EvalTask {
-    /// The TRN to measure and retrain (head attached).
-    pub trn: Network,
-    /// Backbone layer count of the TRN's *source* network, for the
-    /// `layers_removed` accounting.
-    pub source_layers: usize,
-    /// Measurement seed for this candidate. Fixed per task — never derived
-    /// from execution order — so parallel runs stay bit-identical.
-    pub seed: u64,
-}
-
 impl<'a, R: Retrainer> EvalContext<'a, R> {
     /// Creates a sequential (`jobs = 1`) context with fresh private
     /// caches.
@@ -564,16 +551,6 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         source: &Network,
         seed: u64,
     ) -> CandidatePoint {
-        self.evaluate_inner(trn, id, source.backbone_layer_count(), seed)
-    }
-
-    fn evaluate_inner(
-        &self,
-        trn: &Network,
-        id: NetId,
-        source_layers: usize,
-        seed: u64,
-    ) -> CandidatePoint {
         let mut span = obs::span("explore.candidate");
         if span.is_recording() {
             span.field("candidate", trn.name());
@@ -605,25 +582,12 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
             family: trn.base_name().to_owned(),
             cutpoint: trn.cutpoint(),
             kept_layers: kept,
-            layers_removed: source_layers.saturating_sub(kept),
+            layers_removed: source.backbone_layer_count().saturating_sub(kept),
             latency_ms: measurement.mean_ms,
             estimated_ms: None,
             accuracy: trained.accuracy,
             train_hours: trained.train_hours,
         }
-    }
-
-    /// Evaluates a batch of tasks across the configured workers, returning
-    /// points in task order regardless of completion order.
-    pub fn evaluate_many(&self, tasks: Vec<EvalTask>) -> Vec<CandidatePoint> {
-        self.par_map(tasks, |_, task| {
-            self.evaluate_inner(
-                &task.trn,
-                NetId::of(&task.trn),
-                task.source_layers,
-                task.seed,
-            )
-        })
     }
 
     /// Runs `f` over `items` on a scoped-thread work queue with this
@@ -647,12 +611,11 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
 
 /// Runs `f` over `items` on a scoped-thread work queue with `jobs` workers,
 /// returning outputs in input order — the standalone form of
-/// [`EvalContext::par_map`] for callers with no evaluation context (e.g.
-/// the serve scenario's per-request noise precompute). `jobs == 0` means one
-/// worker per available CPU; `jobs <= 1` (or a single item) runs inline on
-/// the caller's thread with no spawning, preserving the caller's exact
-/// trace shape. Output order never depends on scheduling, so any `jobs`
-/// value yields identical results.
+/// [`EvalContext::par_map`] for callers with no evaluation context.
+/// `jobs == 0` means one worker per available CPU; `jobs <= 1` (or a
+/// single item) runs inline on the caller's thread with no spawning,
+/// preserving the caller's exact trace shape. Output order never depends
+/// on scheduling, so any `jobs` value yields identical results.
 pub fn par_map_with_jobs<T, U, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,

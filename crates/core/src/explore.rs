@@ -3,7 +3,7 @@
 //! retrain each one — the sweep that NetCut's deadline-aware exploration
 //! avoids: 145 candidates here, 148 and 183 hours in the paper.
 
-use crate::eval::{CutOrigin, EvalContext, EvalTask};
+use crate::eval::{CutOrigin, EvalContext};
 use crate::removal::blockwise_trn;
 use crate::report::CandidatePoint;
 use netcut_graph::{HeadSpec, Network};
@@ -143,19 +143,11 @@ pub fn off_the_shelf_with<R: Retrainer>(
     head: &HeadSpec,
     seed: u64,
 ) -> Exploration {
-    let tasks: Vec<EvalTask> = sources
-        .iter()
-        .map(|source| {
-            let mut adapted = source.backbone().with_head(head);
-            adapted.rename(source.name());
-            EvalTask {
-                trn: adapted,
-                source_layers: source.backbone_layer_count(),
-                seed,
-            }
-        })
-        .collect();
-    let points = ctx.evaluate_many(tasks);
+    let points = ctx.par_map(sources.iter().collect(), |_, source| {
+        let mut adapted = source.backbone().with_head(head);
+        adapted.rename(source.name());
+        ctx.evaluate(&adapted, source, seed)
+    });
     let total_train_hours = points.iter().map(|p| p.train_hours).sum();
     Exploration {
         points,

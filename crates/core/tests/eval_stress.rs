@@ -5,7 +5,7 @@
 //! The networks are deliberately tiny so the whole file stays tractable
 //! under `cargo miri test` (the CI nightly job runs exactly this target).
 
-use netcut::eval::{EvalCaches, EvalContext, EvalTask};
+use netcut::eval::{EvalCaches, EvalContext};
 use netcut::CandidatePoint;
 use netcut_graph::{HeadSpec, Network, NetworkBuilder, Padding, Shape};
 use netcut_sim::{DeviceModel, Precision, Session};
@@ -111,11 +111,12 @@ fn distinct_seeds_get_distinct_entries() {
     assert_eq!(ctx.stats().hits, 6);
 }
 
-/// Threads racing retrain on the same TRN: one cache entry, and the
-/// parallel `evaluate_many` path matches each task evaluated on a fresh
-/// context of its own, and the session and retrainer called directly.
+/// Threads racing retrain on the same TRN: one cache entry, and parallel
+/// evaluations (`par_map` over `evaluate`) match each evaluation on a
+/// fresh context of its own, and the session and retrainer called
+/// directly.
 #[test]
-fn parallel_evaluate_many_matches_serial() {
+fn parallel_evaluations_match_serial() {
     let s = session();
     let source = tiny_net();
     let r = tiny_retrainer(&source);
@@ -124,16 +125,10 @@ fn parallel_evaluate_many_matches_serial() {
         .expect("valid cutpoint")
         .with_head(&HeadSpec::default());
 
-    let tasks: Vec<EvalTask> = (0..16)
-        .map(|i| EvalTask {
-            trn: trn.clone(),
-            source_layers: source.backbone_layer_count(),
-            seed: (i % 4) as u64, // 4 distinct seeds, repeated
-        })
-        .collect();
-
+    let seeds: Vec<u64> = (0..16).map(|i| i % 4).collect(); // 4 distinct, repeated
     let parallel_ctx = EvalContext::new(&s, &r).with_jobs(8);
-    let parallel: Vec<CandidatePoint> = parallel_ctx.evaluate_many(tasks);
+    let parallel: Vec<CandidatePoint> =
+        parallel_ctx.par_map(seeds, |_, seed| parallel_ctx.evaluate(&trn, &source, seed));
 
     // Each distinct task on a fresh context of its own, and the session
     // and retrainer called directly.

@@ -23,7 +23,8 @@
 //!   microseconds, with the memoryless slack-based exit-selection policy
 //!   and the per-device memory accounting.
 //! * [`Workload`] — seeded Poisson arrivals of [`Request`]s (EMG +
-//!   visual mix) with pure-function service-time noise.
+//!   visual mix); [`service_noise_ppm`] is the pure per-request
+//!   service-time noise each shard draws.
 //! * [`FaultPlan`] — deterministic fault injection: device jitter
 //!   windows, worker stalls, and dropped requests.
 //! * [`Batcher`] — dynamic batching: coalesces queued visual requests
@@ -32,9 +33,9 @@
 //!   budget.
 //! * [`Shard`] / [`ShardRouter`] — multi-device sharding: the worker
 //!   pool partitioned across simulated devices, each with its own
-//!   per-device ladder, fault plan, and noise table; requests route to
-//!   the least predicted completion time, spilling away from full
-//!   shards.
+//!   per-device ladder, fault plan, and service-noise seed; requests
+//!   route to the least predicted completion time, spilling away from
+//!   full shards.
 //! * [`Server`] — the discrete-event simulation itself: candidate
 //!   dispatch (solo or batch join) per shard, routing, admission control
 //!   (reject when queueing alone reaches the deadline), ladder

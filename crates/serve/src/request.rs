@@ -2,9 +2,11 @@
 //! the serving runtime schedules.
 //!
 //! Arrivals are a seeded Poisson process (exponential inter-arrival times,
-//! rounded to integer microseconds); the EMG/visual split and the
-//! per-request service-time noise are likewise pure functions of the seed,
-//! so a workload is fully reproducible from `(rps, duration, seed)` alone.
+//! rounded to integer microseconds); the EMG/visual split is likewise a
+//! pure function of the seed, so a workload is fully reproducible from
+//! `(rps, duration, seed)` alone. Service-time noise is not part of a
+//! request: each shard draws it with [`service_noise_ppm`] when it prices
+//! the request.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -32,9 +34,6 @@ pub struct Request {
     pub arrival_us: u64,
     /// Request kind.
     pub kind: RequestKind,
-    /// Multiplicative service-time noise, parts per million of the
-    /// nominal service time (`PPM` = no noise).
-    pub noise_ppm: u64,
 }
 
 /// Mixed into [`Workload::seed`] to seed the arrival stream.
@@ -49,15 +48,13 @@ pub struct Workload {
     pub duration_us: u64,
     /// Fraction of requests that are EMG windows, parts per million.
     pub emg_share_ppm: u64,
-    /// Seed for arrivals, kind mix, and noise.
+    /// Seed for arrivals and the kind mix.
     pub seed: u64,
 }
 
 impl Workload {
     /// Generates the request stream: Poisson arrivals at `rps` over
     /// `duration_us`, each tagged EMG with probability `emg_share_ppm`.
-    /// `noise_ppm` starts neutral (`PPM`); attach noise separately with
-    /// [`service_noise_ppm`] (pure per-request, so it parallelizes).
     ///
     /// # Panics
     /// Panics if `rps` is zero.
@@ -86,7 +83,6 @@ impl Workload {
                 id,
                 arrival_us: t,
                 kind,
-                noise_ppm: PPM,
             });
             id += 1;
         }
@@ -106,8 +102,8 @@ fn round_half_away(x: f64) -> u64 {
 
 /// Per-request service-time noise factor in parts per million, uniform in
 /// `[PPM - jitter_ppm, PPM + jitter_ppm]`. A pure function of
-/// `(seed, id)`, so noise can be attached to requests in any order — or in
-/// parallel via `EvalContext::par_map` — with identical results.
+/// `(seed, id)`, so a shard draws it when it prices a request
+/// ([`crate::Shard::draw_noise_ppm`]) and nothing stores it.
 pub fn service_noise_ppm(seed: u64, id: u64, jitter_ppm: u64) -> u64 {
     let h = splitmix64(seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x006e_6f69_7365);
     let span = 2 * jitter_ppm + 1;

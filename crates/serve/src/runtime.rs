@@ -692,8 +692,8 @@ fn scaled_service(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
 
 impl Server {
     /// Builds a single-shard server — the unsharded path, bit-compatible
-    /// with runs from before sharding existed. The request's own carried
-    /// noise is used (no shard noise table).
+    /// with runs from before sharding existed. Its shard has zero jitter,
+    /// so every service-noise draw is exactly `PPM`.
     ///
     /// # Panics
     /// Panics if the configuration has zero workers or a zero deadline.
@@ -703,7 +703,8 @@ impl Server {
             ladder,
             workers: config.workers,
             faults,
-            noise_ppm: Vec::new(),
+            noise_seed: 0,
+            jitter_ppm: 0,
         };
         Server::with_shards(vec![shard], config)
     }
@@ -982,7 +983,7 @@ impl Server {
                         (Some(r), ladder.rung(r).latency_us)
                     }
                 };
-                let noise_ppm = shard.noise_for(req);
+                let noise_ppm = shard.draw_noise_ppm(req.id);
                 let fault_ppm = fault_tables[s].service_factor_ppm(start);
                 let service = scaled_service(base_us, noise_ppm, fault_ppm);
                 cands.push(Candidate {
@@ -1241,7 +1242,6 @@ mod tests {
             id,
             arrival_us,
             kind: RequestKind::Visual,
-            noise_ppm: PPM,
         }
     }
 
@@ -1263,7 +1263,8 @@ mod tests {
             ladder,
             workers,
             faults,
-            noise_ppm: Vec::new(),
+            noise_seed: 0,
+            jitter_ppm: 0,
         }
     }
 
@@ -1431,33 +1432,35 @@ mod tests {
             windows: vec![stall(100, 300, 1), stall(150, 200, 2)],
             seed: 0,
         };
-        let server = Server::with_shards(
-            vec![
-                shard("a", test_ladder(), 4, stalled),
-                shard("b", test_ladder(), 2, FaultPlan::none()),
-            ],
-            // A deadline long enough for the stalled shard to queue into
-            // the release at 200 ms.
-            ServerConfig {
-                workers: 6,
-                deadline_us: 5_000,
-                ..config()
-            },
-        );
+        // Noisy service, so residual samples differ and their fold order
+        // shows in the EWMAs.
+        let noisy = |name, workers, faults, seed| Shard {
+            noise_seed: seed,
+            jitter_ppm: 30_000,
+            ..shard(name, test_ladder(), workers, faults)
+        };
         let cfg = TimelineConfig { window_us: 10_000 };
         for seed in 0..20 {
-            let mut reqs = Workload {
+            let server = Server::with_shards(
+                vec![
+                    noisy("a", 4, stalled.clone(), seed),
+                    noisy("b", 2, FaultPlan::none(), seed),
+                ],
+                // A deadline long enough for the stalled shard to queue
+                // into the release at 200 ms.
+                ServerConfig {
+                    workers: 6,
+                    deadline_us: 5_000,
+                    ..config()
+                },
+            );
+            let reqs = Workload {
                 rps: 6_000,
                 duration_us: 400_000,
                 emg_share_ppm: 100_000,
                 seed,
             }
             .generate();
-            // Noisy service, so residual samples differ and their fold
-            // order shows in the EWMAs.
-            for r in &mut reqs {
-                r.noise_ppm = crate::request::service_noise_ppm(seed, r.id, 30_000);
-            }
             let ledger = server.simulate(&reqs, None);
             assert!(
                 residual_inversions(&ledger) > 0,
@@ -1661,7 +1664,6 @@ mod tests {
             id: 0,
             arrival_us: 0,
             kind: RequestKind::Emg,
-            noise_ppm: PPM,
         }]);
         assert_eq!(out[0].rung, None);
         assert_eq!(out[0].service_us, 800);
@@ -1671,10 +1673,15 @@ mod tests {
 
     #[test]
     fn noise_scales_service_time() {
-        let server = Server::new(test_ladder(), config(), FaultPlan::none());
-        let mut req = visual(0, 0);
-        req.noise_ppm = PPM + 100_000; // +10%
-        let out = server.run(&[req]);
+        // Seed 74332 draws the band's top for request 0: +10%.
+        let noisy = Shard {
+            noise_seed: 74_332,
+            jitter_ppm: 100_000,
+            ..shard("a", test_ladder(), 1, FaultPlan::none())
+        };
+        assert_eq!(noisy.draw_noise_ppm(0), PPM + 100_000);
+        let server = Server::with_shards(vec![noisy], config());
+        let out = server.run(&[visual(0, 0)]);
         assert_eq!(out[0].service_us, 825); // 750 × 1.1
     }
 
@@ -1891,14 +1898,17 @@ mod tests {
         // Every observation runs +50% over prediction: uncalibrated, the
         // top rung (750 µs predicted, 1125 µs actual) systematically
         // busts the 900 µs deadline.
-        let reqs: Vec<Request> = (0..30)
-            .map(|i| {
-                let mut r = visual(i, i * 2_000);
-                r.noise_ppm = 1_500_000;
-                r
-            })
-            .collect();
-        let server = Server::new(test_ladder(), config(), FaultPlan::none());
+        let reqs: Vec<Request> = (0..30).map(|i| visual(i, i * 2_000)).collect();
+        let slow = FaultPlan {
+            windows: vec![FaultWindow {
+                kind: FaultKind::Jitter,
+                start_us: 0,
+                end_us: 60_000,
+                magnitude: 1_500_000,
+            }],
+            seed: 0,
+        };
+        let server = Server::new(test_ladder(), config(), slow);
         let rc = RecalibConfig {
             drift_ppm: 200_000,
             cooldown_us: 1_000_000,

@@ -7,14 +7,13 @@
 //! evaluation), builds one TRN ladder per device from its Pareto frontier
 //! — a slower edge device keeps fewer, faster rungs under the same
 //! deadline — attaches analytic batch-scaling curves when dynamic batching
-//! is on, generates the seeded workload, precomputes per-shard noise
-//! tables, and runs the serving simulation. The `jobs` knob only ever
-//! touches physically-parallel stages whose outputs are
-//! order-deterministic, so the final summary is bit-identical at any
-//! `jobs` value — the property the determinism acceptance check, the CI
-//! `--jobs` matrix leg, and the golden traces rely on. The noise tables
-//! are a plain loop at any `jobs`: a draw costs a few nanoseconds, less
-//! than handing it to a worker.
+//! is on, generates the seeded workload, and runs the serving simulation.
+//! The `jobs` knob only ever touches physically-parallel stages whose
+//! outputs are order-deterministic, so the final summary is bit-identical
+//! at any `jobs` value — the property the determinism acceptance check,
+//! the CI `--jobs` matrix leg, and the golden traces rely on. Set-up draws
+//! no service noise: each shard draws its own when the run prices a
+//! request on it.
 //!
 //! Set-up builds each network once. One retrainer and one cache set serve
 //! every roster device. The scenario network is cut into its blockwise
@@ -22,14 +21,15 @@
 //! memory accounting and batch curves (one fusion pass per rung) from
 //! them by cutpoint.
 //!
-//! Shard 0 always runs the primary device with the *unsalted* seed and no
-//! shard noise table, so a `shards: 1, batch_max: 1` scenario reproduces
-//! the pre-sharding runtime bit-for-bit.
+//! Shard `i` draws its noise with the seed `seed ^ i·SHARD_SEED_SALT` and
+//! its device's jitter. Shard 0 always runs the primary device with the
+//! *unsalted* seed, so a `shards: 1, batch_max: 1` scenario reproduces the
+//! pre-sharding runtime bit-for-bit.
 
 use crate::faults::FaultPlan;
 use crate::ladder::{LadderError, LadderMemory, TrnLadder};
 use crate::recalib::{CalibrateOnly, RecalibConfig};
-use crate::request::{service_noise_ppm, Workload};
+use crate::request::Workload;
 use crate::runtime::{RequestOutcome, Server, ServerConfig};
 use crate::shard::Shard;
 use crate::summary::{RunMeta, ServeSummary};
@@ -242,7 +242,7 @@ impl ScenarioConfig {
 pub struct Scenario {
     /// The server: device shards plus the runtime configuration.
     server: Server,
-    /// The generated request stream, shard-0 noise attached.
+    /// The generated request stream.
     pub requests: Vec<crate::request::Request>,
     config: ScenarioConfig,
 }
@@ -363,8 +363,8 @@ impl Scenario {
         Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds the scenario: per-device exit tables, workload, noise
-    /// tables, fault plans.
+    /// Builds the scenario: per-device exit tables, workload, shards with
+    /// their fault plans and noise seeds.
     ///
     /// # Errors
     /// Whatever [`ScenarioConfig::validate`] rejects, before any
@@ -423,35 +423,17 @@ impl Scenario {
         };
         span.field("rungs", ladder_for(&roster[0].name).len());
 
-        let mut requests = Workload {
+        let requests = Workload {
             rps: cfg.rps,
             duration_us: cfg.duration_us,
             emg_share_ppm: cfg.emg_share_ppm,
             seed: cfg.seed,
         }
         .generate();
-        // Noise is a pure function of (seed, id). Shard 0 reads the
-        // request's carried noise (bit-compatible with single-shard runs);
-        // shards ≥ 1 get their own decorrelated tables sized to their
-        // device's jitter.
         let seed = cfg.seed;
         let worker_split = split_workers(cfg.workers, cfg.shards);
-        let jitter0 = roster[0].jitter_ppm();
-        for r in &mut requests {
-            r.noise_ppm = service_noise_ppm(seed, r.id, jitter0);
-        }
         let mut shards: Vec<Shard> = Vec::with_capacity(cfg.shards);
         for (i, device) in roster.iter().enumerate() {
-            let shard_seed = seed ^ (i as u64).wrapping_mul(SHARD_SEED_SALT);
-            let noise_ppm = if i == 0 {
-                Vec::new() // shard 0 uses the request-carried noise
-            } else {
-                let jitter = device.jitter_ppm();
-                requests
-                    .iter()
-                    .map(|r| service_noise_ppm(shard_seed, r.id, jitter))
-                    .collect()
-            };
             shards.push(Shard {
                 name: device.name.clone(),
                 ladder: ladder_for(&device.name).clone(),
@@ -474,7 +456,9 @@ impl Scenario {
                         plan
                     }
                 },
-                noise_ppm,
+                // Decorrelated per shard; shard 0's salt term is 0.
+                noise_seed: seed ^ (i as u64).wrapping_mul(SHARD_SEED_SALT),
+                jitter_ppm: device.jitter_ppm(),
             });
         }
 
@@ -797,15 +781,64 @@ mod tests {
         );
     }
 
+    /// FNV-1a-style fold of `draws`, to compare a shard's whole noise
+    /// stream with one constant.
+    fn digest(draws: impl Iterator<Item = u64>) -> u64 {
+        draws.fold(0xcbf2_9ce4_8422_2325, |acc, x| {
+            (acc ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// One noise rule for every shard: shard `i` draws
+    /// `service_noise_ppm(seed ^ i·SHARD_SEED_SALT, id, jitter_i)` for
+    /// every request, shard 0 included, and a `Server::new` shard is
+    /// neutral. The digests were computed from the draws this scenario
+    /// stored while set-up precomputed them.
     #[test]
-    fn noise_is_attached_to_every_request() {
-        let s = Scenario::build(quick());
-        assert!(!s.requests.is_empty());
-        // Noise is uniform around PPM; at least some requests deviate.
-        assert!(s.requests.iter().any(|r| r.noise_ppm != PPM));
-        let jitter = DeviceModel::jetson_xavier().jitter_ppm();
+    fn every_shard_draws_by_the_one_noise_rule() {
+        use crate::request::service_noise_ppm;
+        let s = Scenario::build(quick_with(|c| {
+            c.shards = 3;
+            c.workers = 3;
+        }));
+        let cfg = s.config();
+        let shards = s.server().shards();
+        let roster: Vec<&str> = shards.iter().map(|sh| sh.name.as_str()).collect();
+        assert_eq!(roster, ["jetson-xavier", "jetson-nano", "jetson-xavier"]);
+        assert_eq!(s.requests.len(), 630);
+        for (i, shard) in shards.iter().enumerate() {
+            let device = &cfg.devices[i % cfg.devices.len()];
+            let seed = cfg.seed ^ (i as u64).wrapping_mul(SHARD_SEED_SALT);
+            for r in &s.requests {
+                assert_eq!(
+                    shard.draw_noise_ppm(r.id),
+                    service_noise_ppm(seed, r.id, device.jitter_ppm()),
+                    "shard {i}, request {}",
+                    r.id
+                );
+            }
+            // Noise is uniform around PPM; at least some requests deviate.
+            assert!(s.requests.iter().any(|r| shard.draw_noise_ppm(r.id) != PPM));
+        }
+        let digests: Vec<u64> = shards
+            .iter()
+            .map(|sh| digest(s.requests.iter().map(|r| sh.draw_noise_ppm(r.id))))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x9708_aaec_e413_2657,
+                0x1489_02c2_1953_841c,
+                0xbbca_110a_05d9_f5fb
+            ]
+        );
+        let plain = Server::new(
+            s.ladder().clone(),
+            ServerConfig::default(),
+            FaultPlan::none(),
+        );
         for r in &s.requests {
-            assert!((PPM - jitter..=PPM + jitter).contains(&r.noise_ppm));
+            assert_eq!(plain.shards()[0].draw_noise_ppm(r.id), PPM);
         }
     }
 
@@ -861,9 +894,14 @@ mod tests {
             shards[1].ladder.rung(0).latency_us,
             shards[0].ladder.rung(0).latency_us
         );
-        // Shard 0 reads request-carried noise; shard 1 has its own table.
-        assert!(shards[0].noise_ppm.is_empty());
-        assert_eq!(shards[1].noise_ppm.len(), s.requests.len());
+        // Shard 0 draws with the unsalted seed; shard 1 with its own, at
+        // its own device's jitter.
+        assert_eq!(shards[0].noise_seed, s.config().seed);
+        assert_ne!(shards[1].noise_seed, shards[0].noise_seed);
+        assert_eq!(
+            shards[1].jitter_ppm,
+            DeviceModel::jetson_nano().jitter_ppm()
+        );
         // Batch curves attached: batch 8 amortizes (sublinear).
         let l = &shards[0].ladder;
         let top = l.top();

@@ -3,7 +3,7 @@
 //! A [`Shard`] is one device's slice of the runtime — its own TRN ladder
 //! (the Pareto set re-explored *on that device*: a Jetson Nano keeps fewer,
 //! faster rungs than a Xavier under the same deadline), its own fault plan,
-//! and its own precomputed per-request noise table. The [`ShardRouter`] is
+//! and its own service-noise seed and jitter. The [`ShardRouter`] is
 //! the placement policy: **least predicted completion time** over every
 //! dispatch candidate the shards offer, with spill — a request that one
 //! shard would reject at admission routes to any shard that can still take
@@ -15,7 +15,7 @@
 
 use crate::faults::FaultPlan;
 use crate::ladder::TrnLadder;
-use crate::request::Request;
+use crate::request::service_noise_ppm;
 
 /// One device's slice of a sharded server.
 #[derive(Debug, Clone)]
@@ -28,20 +28,18 @@ pub struct Shard {
     pub workers: usize,
     /// Fault plan injected on this shard's device.
     pub faults: FaultPlan,
-    /// Per-request service-noise table, indexed by request id, in parts
-    /// per million. Empty = fall back to the noise attached to the request
-    /// itself (the single-shard path, bit-compatible with pre-shard runs).
-    pub noise_ppm: Vec<u64>,
+    /// Seed of this shard's service-noise draws.
+    pub noise_seed: u64,
+    /// Half-width of this shard's service-noise band, ppm (its device's
+    /// jitter; 0 = no noise).
+    pub jitter_ppm: u64,
 }
 
 impl Shard {
-    /// Service noise this shard applies to `req`: its own table when one
-    /// is attached, the request's carried noise otherwise.
-    pub fn noise_for(&self, req: &Request) -> u64 {
-        self.noise_ppm
-            .get(req.id as usize)
-            .copied()
-            .unwrap_or(req.noise_ppm)
+    /// This shard's service-noise factor for request `id`, ppm: a pure
+    /// function of `(noise_seed, id)`, drawn when a request is priced.
+    pub fn draw_noise_ppm(&self, id: u64) -> u64 {
+        service_noise_ppm(self.noise_seed, id, self.jitter_ppm)
     }
 }
 
@@ -125,9 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_noise_table_overrides_request_noise() {
-        use crate::request::{RequestKind, PPM};
-        let shard = Shard {
+    fn a_shard_draws_its_own_noise() {
+        let shard = |noise_seed, jitter_ppm| Shard {
             name: "jetson-nano".into(),
             ladder: crate::ladder::TrnLadder::from_rungs(vec![crate::ladder::Rung {
                 name: "cut0".into(),
@@ -137,16 +134,14 @@ mod tests {
             }]),
             workers: 1,
             faults: FaultPlan::none(),
-            noise_ppm: vec![PPM + 5],
+            noise_seed,
+            jitter_ppm,
         };
-        let req = Request {
-            id: 0,
-            arrival_us: 0,
-            kind: RequestKind::Visual,
-            noise_ppm: PPM,
-        };
-        assert_eq!(shard.noise_for(&req), PPM + 5);
-        let late = Request { id: 9, ..req };
-        assert_eq!(shard.noise_for(&late), PPM); // past the table: fallback
+        let noisy = shard(7, 30_000);
+        for id in [0, 9, u64::from(u32::MAX) + 1] {
+            assert_eq!(noisy.draw_noise_ppm(id), service_noise_ppm(7, id, 30_000));
+            // Zero jitter is neutral at any id, past `u32` ones included.
+            assert_eq!(shard(7, 0).draw_noise_ppm(id), crate::request::PPM);
+        }
     }
 }

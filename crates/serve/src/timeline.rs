@@ -637,7 +637,8 @@ mod tests {
             ]),
             workers: 1,
             faults,
-            noise_ppm: Vec::new(),
+            noise_seed: 0,
+            jitter_ppm: 0,
         }
     }
 

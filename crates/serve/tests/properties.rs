@@ -464,7 +464,8 @@ fn symmetric_shards_never_starve() {
             ladder: ladder(),
             workers: 1,
             faults: FaultPlan::none(),
-            noise_ppm: Vec::new(),
+            noise_seed: 0,
+            jitter_ppm: 0,
         };
         let server = Server::with_shards(
             vec![shard("a"), shard("b")],
@@ -505,22 +506,26 @@ fn sharded_batched_summaries_identical_across_jobs() {
     }
 }
 
-/// Noise attachment happens on the `jobs`-parallel pool; the resulting
-/// request streams must nonetheless be identical (deterministic property,
-/// no randomness beyond the scenario seed — a plain test).
+/// Set-up runs on the `jobs`-parallel pool; the request streams and every
+/// shard's noise draws must nonetheless be identical (deterministic
+/// property, no randomness beyond the scenario seed — a plain test).
 #[test]
 fn scenario_requests_identical_across_jobs() {
     let cfg = |jobs| ScenarioConfig {
         duration_us: 150_000,
         jobs,
+        shards: 2,
         ..ScenarioConfig::default()
     };
     let a = Scenario::build(cfg(1));
     let b = Scenario::build(cfg(8));
     assert_eq!(a.requests.len(), b.requests.len());
-    for (x, y) in a.requests.iter().zip(&b.requests) {
-        assert_eq!(x.arrival_us, y.arrival_us);
-        assert_eq!(x.noise_ppm, y.noise_ppm);
+    let shards = a.server().shards().iter().zip(b.server().shards());
+    for (sa, sb) in shards {
+        for (x, y) in a.requests.iter().zip(&b.requests) {
+            assert_eq!(x.arrival_us, y.arrival_us);
+            assert_eq!(sa.draw_noise_ppm(x.id), sb.draw_noise_ppm(y.id));
+        }
+        assert!(a.requests.iter().any(|r| sa.draw_noise_ppm(r.id) != PPM));
     }
-    assert!(a.requests.iter().any(|r| r.noise_ppm != PPM));
 }

@@ -5,8 +5,8 @@
 //! bounded number of requests after the fault clears, and stays there for
 //! the rest of the stream.
 //!
-//! The streams use uniform arrivals and neutral noise so the baseline
-//! behaviour is exact: without faults every request is served at the top
+//! The streams use uniform arrivals and a `Server::new` shard, whose zero
+//! jitter draws neutral noise, so the baseline behaviour is exact: without faults every request is served at the top
 //! rung with zero queue delay, which makes "recovered" unambiguous.
 
 use netcut_serve::{
@@ -15,14 +15,13 @@ use netcut_serve::{
 };
 
 /// Uniform visual-only stream: one request every `gap_us` for
-/// `duration_us`, neutral noise.
+/// `duration_us`.
 fn steady_stream(gap_us: u64, duration_us: u64) -> Vec<Request> {
     (1..)
         .map(|i| Request {
             id: i - 1,
             arrival_us: i * gap_us,
             kind: RequestKind::Visual,
-            noise_ppm: PPM,
         })
         .take_while(|r| r.arrival_us < duration_us)
         .collect()
