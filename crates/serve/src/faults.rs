@@ -210,7 +210,7 @@ impl FaultPlan {
     }
 
     /// Compiles the plan into its piecewise-constant lookup table — the
-    /// event loop's fast path (see [`FaultTable`]).
+    /// event loop reads it through a [`FaultCursor`].
     pub fn table(&self) -> FaultTable {
         // Every window edge starts a new segment; between consecutive
         // edges the set of active windows — and so every per-class answer
@@ -222,11 +222,11 @@ impl FaultPlan {
             .collect();
         bounds.sort_unstable();
         bounds.dedup();
-        let segments = bounds.len().saturating_sub(1);
-        let mut factor_ppm = Vec::with_capacity(segments);
-        let mut stall = Vec::with_capacity(segments);
-        let mut drop_ppm = Vec::with_capacity(segments);
-        for &t in bounds.iter().take(segments) {
+        // Segment 0 lies before every window. Segment `i` starts at edge
+        // `i - 1`; the last one starts where the last window ends, so the
+        // plan's own queries make it inert too.
+        let (mut factor_ppm, mut stall, mut drop_ppm) = (vec![PPM], vec![(0, 0)], vec![0]);
+        for &t in &bounds {
             // Evaluate the scan-based queries once per segment; any instant
             // inside the segment sees the same active set, so the segment
             // start is representative. The jitter fold in particular runs
@@ -256,23 +256,26 @@ impl FaultPlan {
     }
 }
 
-/// A [`FaultPlan`] compiled to a piecewise-constant segment table.
+/// A [`FaultPlan`] compiled to a piecewise-constant segment table, read
+/// through a [`FaultCursor`].
 ///
 /// The plan's query methods scan every window (with a 128-bit multiply
-/// per active jitter window) on each call; the serving event loop makes
-/// several such calls per request, which made the scans a measurable
-/// slice of the simulator's per-request budget. The table pays one
-/// `O(windows log windows)` compile per run and answers each query with a
-/// binary search over the handful of window edges. Answers are
-/// bit-identical to the plan's by construction: each segment's values are
-/// produced by the plan's own queries at the segment start.
+/// per active jitter window) on each call; the serving event loop asks
+/// three such questions per request per shard, which made the scans a
+/// measurable slice of the simulator's per-request budget. The table pays
+/// one `O(windows log windows)` compile per run. Answers are
+/// bit-identical to the plan's by construction: each segment's values
+/// are produced by the plan's own queries at the segment start.
 #[derive(Debug, Clone)]
 pub struct FaultTable {
-    /// Segment edges, sorted; segment `i` covers `[bounds[i], bounds[i+1])`.
+    /// Segment edges, sorted. Segment `i` holds the instants with exactly
+    /// `i` edges at or before them: `[bounds[i - 1], bounds[i])`, with
+    /// segment 0 before the first edge and the last from the last edge on.
     bounds: Vec<u64>,
     /// Combined jitter factor per segment, ppm.
     factor_ppm: Vec<u64>,
-    /// `(stalled workers, release instant)` per segment; `(0, 0)` = none.
+    /// `(stalled workers, release instant)` per segment; a count of 0 is
+    /// no stall.
     stall: Vec<(u64, u64)>,
     /// Largest active drop magnitude per segment, ppm; `0` = none.
     drop_ppm: Vec<u64>,
@@ -280,39 +283,71 @@ pub struct FaultTable {
 }
 
 impl FaultTable {
-    /// Segment index covering `t_us`, or `None` outside every window.
-    #[inline]
-    fn segment(&self, t_us: u64) -> Option<usize> {
-        if self.bounds.first().is_none_or(|&first| t_us < first) {
-            return None;
+    /// A cursor at time 0, ready for [`FaultCursor::advance`].
+    pub fn cursor(&self) -> FaultCursor<'_> {
+        FaultCursor {
+            table: self,
+            edges: 0,
         }
-        let i = self.bounds.partition_point(|&b| b <= t_us);
-        // `t_us` at or past the last edge is past every window.
-        (i < self.bounds.len()).then(|| i - 1)
     }
 
-    /// [`FaultPlan::service_factor_ppm`], table form.
+    /// The number of edges at or before `t_us`, counted on from `edges`,
+    /// the count at an earlier instant.
+    #[inline]
+    fn edges_through(&self, mut edges: usize, t_us: u64) -> usize {
+        while self.bounds.get(edges).is_some_and(|&b| b <= t_us) {
+            edges += 1;
+        }
+        edges
+    }
+}
+
+/// A [`FaultTable`] read at nondecreasing instants, as the event loop's
+/// arrivals are. The cursor keeps the number of segment edges at or
+/// before its current instant, which names that instant's segment, and
+/// only moves forward, so an answer costs a comparison or two.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultCursor<'a> {
+    table: &'a FaultTable,
+    /// Edges at or before the current instant.
+    edges: usize,
+}
+
+impl FaultCursor<'_> {
+    /// Moves the cursor to `now_us`, which must not precede the instant
+    /// it last moved to.
+    #[inline]
+    pub fn advance(&mut self, now_us: u64) {
+        debug_assert!(
+            self.edges == 0 || self.table.bounds[self.edges - 1] <= now_us,
+            "fault cursor moved back to {now_us}"
+        );
+        self.edges = self.table.edges_through(self.edges, now_us);
+    }
+
+    /// [`FaultPlan::stall_at`] at the current instant: the stalled
+    /// workers and the instant they come back, `(0, 0)` outside every
+    /// stall window.
+    #[inline]
+    pub fn stall(&self) -> (u64, u64) {
+        self.table.stall[self.edges]
+    }
+
+    /// [`FaultPlan::should_drop`] at the current instant.
+    #[inline]
+    pub fn should_drop(&self, id: u64) -> bool {
+        let magnitude = self.table.drop_ppm[self.edges];
+        magnitude > 0
+            && splitmix64(self.table.seed ^ id.wrapping_mul(0xd6e8_feb8_6659_fd93)) % PPM
+                < magnitude
+    }
+
+    /// [`FaultPlan::service_factor_ppm`] at `t_us`, which must not
+    /// precede the current instant: a walk forward from the cursor's
+    /// segment that leaves the cursor where it is.
     #[inline]
     pub fn service_factor_ppm(&self, t_us: u64) -> u64 {
-        self.segment(t_us).map_or(PPM, |s| self.factor_ppm[s])
-    }
-
-    /// [`FaultPlan::stall_at`], table form.
-    #[inline]
-    pub fn stall_at(&self, t_us: u64) -> Option<(u64, u64)> {
-        let (count, until) = self.segment(t_us).map(|s| self.stall[s])?;
-        (count > 0).then_some((count, until))
-    }
-
-    /// [`FaultPlan::should_drop`], table form.
-    #[inline]
-    pub fn should_drop(&self, t_us: u64, id: u64) -> bool {
-        match self.segment(t_us).map(|s| self.drop_ppm[s]) {
-            None | Some(0) => false,
-            Some(magnitude) => {
-                splitmix64(self.seed ^ id.wrapping_mul(0xd6e8_feb8_6659_fd93)) % PPM < magnitude
-            }
-        }
+        self.table.factor_ppm[self.table.edges_through(self.edges, t_us)]
     }
 }
 
@@ -332,9 +367,11 @@ mod tests {
         assert!(!p.should_drop(123, 7));
         assert_eq!(p.quiet_after_us(), 0);
         let t = p.table();
-        assert_eq!(t.service_factor_ppm(123), PPM);
-        assert_eq!(t.stall_at(123), None);
-        assert!(!t.should_drop(123, 7));
+        let mut c = t.cursor();
+        c.advance(123);
+        assert_eq!(c.service_factor_ppm(123), PPM);
+        assert_eq!(c.stall(), (0, 0));
+        assert!(!c.should_drop(7));
     }
 
     #[test]
@@ -356,8 +393,8 @@ mod tests {
             end_us: 760_000,
             magnitude: 250_000,
         });
-        let t = p.table();
-        // Dense sweep plus every edge and its neighbours.
+        // Dense sweep plus every edge and its neighbours, in time order:
+        // the order the event loop's arrivals come in.
         let mut probes: Vec<u64> = (0..1_100_000).step_by(997).collect();
         for w in &p.windows {
             for d in [
@@ -369,18 +406,32 @@ mod tests {
                 probes.push(d);
             }
         }
-        for t_us in probes {
+        probes.sort_unstable();
+        let t = p.table();
+        let mut cursor = t.cursor();
+        for (k, &now) in probes.iter().enumerate() {
+            cursor.advance(now);
             assert_eq!(
-                t.service_factor_ppm(t_us),
-                p.service_factor_ppm(t_us),
-                "factor at {t_us}"
+                cursor.stall(),
+                p.stall_at(now).unwrap_or((0, 0)),
+                "stall at {now}"
             );
-            assert_eq!(t.stall_at(t_us), p.stall_at(t_us), "stall at {t_us}");
             for id in [0u64, 7, 8_191, 65_536] {
                 assert_eq!(
-                    t.should_drop(t_us, id),
-                    p.should_drop(t_us, id),
-                    "drop at {t_us} id {id}"
+                    cursor.should_drop(id),
+                    p.should_drop(now, id),
+                    "drop at {now} id {id}"
+                );
+            }
+            // Service starts at `now` and ahead of it, within the segment
+            // and across one or more edges, past the last one included.
+            let near = probes[k..].iter().take(12).copied();
+            let far = [50_000, 130_000, 400_000, u64::MAX - now].map(|d| now + d);
+            for start in near.chain(far) {
+                assert_eq!(
+                    cursor.service_factor_ppm(start),
+                    p.service_factor_ppm(start),
+                    "factor at {start}, cursor at {now}"
                 );
             }
         }

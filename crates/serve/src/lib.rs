@@ -84,7 +84,7 @@ pub mod summary;
 pub mod timeline;
 
 pub use batch::{AdmissionLists, Batcher};
-pub use faults::{FaultKind, FaultPlan, FaultTable, FaultWindow};
+pub use faults::{FaultCursor, FaultKind, FaultPlan, FaultTable, FaultWindow};
 pub use ladder::{ExitTable, LadderError, LadderMemory, Rung, TrnLadder};
 pub use recalib::{CalibrateOnly, RecalibConfig, Recalibrator};
 pub use request::{service_noise_ppm, Request, RequestKind, Workload, PPM};

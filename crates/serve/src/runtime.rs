@@ -21,7 +21,9 @@
 //!    rung whose batched latency fits the tightest member's deadline
 //!    within the per-batch slack budget.
 //! 2. **Routing** — [`ShardRouter`]: least predicted completion time,
-//!    admissible candidates first (spill), joins preferred on ties.
+//!    admissible candidates first (spill), joins preferred on ties. The
+//!    loop routes as the shards price: it keeps the best candidate so
+//!    far under [`ShardRouter::key`].
 //! 3. **Drop fault** — if the chosen shard's fault plan loses the
 //!    request, it is counted and never queued.
 //! 4. **Admission control** — if the winning candidate's queue delay
@@ -47,13 +49,16 @@
 //!
 //! The event loop only appends: a row per request to `OutcomeSoa`, a
 //! row per dispatch to `BatchSoa`, and each controller hot-swap to a
-//! swap log. Once the loop ends, finalization prices every batch and
-//! settles its members' rows. Everything the run reports is a projection
-//! of that `RunLedger`: the [`Timeline`] and the `obs` flush read the
-//! batch columns, which are then freed, and the [`RequestOutcome`]s are
-//! built from the per-request columns alone. Batch pricing exists once
-//! (`BatchSoa::price`): the controller's watermark fold calls it, and so
-//! does finalization, which keeps each price for the timeline.
+//! swap log. Once the loop ends, finalization settles every batch's
+//! members' rows. Everything the run reports is a projection of that
+//! `RunLedger`: the [`Timeline`] and the `obs` flush read the batch
+//! columns, which are then freed, and the [`RequestOutcome`]s are built
+//! from the per-request columns alone. A batch is priced where the loop
+//! prices its candidate: a solo dispatch stores its service, and each
+//! join overwrites it with the larger batch's. Finalization, the
+//! controller's watermark fold and the timeline read that stored
+//! service, and the fold and the timeline derive a ladder batch's
+//! prediction from its ladder-table entry (`BatchSoa::predicted_us`).
 //!
 //! # Hot-path layout
 //!
@@ -66,7 +71,9 @@
 //!   arena (`first`/`next`) so a join is two index writes, never an
 //!   allocation. A batch row keeps only what outlives its dispatch: the
 //!   worker, the tightest deadline and the member-list tail live in the
-//!   shard's open-batch slot, the only place a join reads them.
+//!   shard's open-batch slot, the only place a join reads them, and so
+//!   do the leader's noise draw and the fault factor a join reprices
+//!   with. A row is 36 B.
 //! * **Ladder generation table** — hot-swaps append to a table of
 //!   ladders and their generations; batches hold a `u32` index into it,
 //!   so admission under any generation is an index copy, not an `Arc`
@@ -80,16 +87,22 @@
 //!   min segment tree, all shards' trees in one flat array
 //!   (`WorkerIndex`), so a shard's earliest start is one root read
 //!   without a stall (O(log W) with one) and updating a worker after a
-//!   dispatch or join is O(log W) instead of a scan of the pool. Only the
-//!   winning solo dispatch descends the tree to name its worker, exactly
-//!   the worker the scan picked: the leftmost with the earliest start, the
+//!   dispatch or join is O(log W) instead of a scan of the pool; the
+//!   update carries the new minimum up in a register. Only the winning
+//!   solo dispatch descends the tree to name its worker, exactly the
+//!   worker the scan picked: the leftmost with the earliest start, the
 //!   stalled prefix held to its release.
+//! * **Fault cursors** — each shard reads its compiled fault table
+//!   through a [`FaultCursor`] that follows the nondecreasing arrivals:
+//!   the stall and the drop threshold at the arrival are one read, and
+//!   the service factor at a later start a short walk forward.
 //! * **Batch-latency table** — each ladder evaluates its rungs' batched
 //!   latencies once, when the curves are attached
 //!   ([`TrnLadder::with_batch_curves`]), so batch admission and pricing
 //!   read a table instead of a 128-bit multiply and divide per rung. A
-//!   solo dispatch reuses the noise draw and fault factor its candidate
-//!   already looked up.
+//!   solo dispatch reuses the price, noise draw and fault factor its
+//!   candidate already computed, and outside jitter windows
+//!   `scaled_service` skips the identity fault factor.
 //! * **Admission lists** — whether a rung's batching overhead fits
 //!   `batch_slack_us` depends only on the ladder and the batch size, so
 //!   every ladder-table entry gets its [`AdmissionLists`] when it is
@@ -98,7 +111,7 @@
 //!   latencies with its slack — on the stress scenario 0.67 rungs per join
 //!   instead of the scan's 12.3.
 use crate::batch::{AdmissionLists, Batcher};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultCursor, FaultPlan, FaultTable};
 use crate::ladder::TrnLadder;
 use crate::recalib::{RecalibConfig, Recalibrator};
 use crate::request::{Request, RequestKind, PPM};
@@ -209,13 +222,13 @@ struct BatchSoa {
     start_us: Vec<u64>,
     /// Rung of the shard's ladder ([`NONE_U32`] = EMG).
     rung: Vec<u32>,
-    /// The first member's noise draw — one kernel, one draw.
-    leader_noise_ppm: Vec<u64>,
-    /// Fault service factor sampled at dispatch.
-    fault_ppm: Vec<u64>,
-    /// Index into the run's ladder table — finalization prices the batch
-    /// on this, so a hot-swap never touches in-flight work, and reads the
-    /// batch's admission generation from it.
+    /// Service time, µs, as the dispatch or the latest join priced it:
+    /// the rung's batched latency on the admission ladder, scaled by the
+    /// leader's noise draw and the fault factor at the batch's start.
+    service_us: Vec<u64>,
+    /// Index into the run's ladder table: the admission ladder, which
+    /// the batch's prediction and generation are read from, so a
+    /// hot-swap never touches in-flight work.
     ladder_idx: Vec<u32>,
     /// Head of the member list, outcome-index space.
     first_member: Vec<u32>,
@@ -228,14 +241,12 @@ impl BatchSoa {
         self.start_us.len()
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn push_solo(
         &mut self,
         shard: u32,
         start_us: u64,
         rung: u32,
-        leader_noise_ppm: u64,
-        fault_ppm: u64,
+        service_us: u64,
         ladder_idx: u32,
         leader: u32,
     ) -> usize {
@@ -243,33 +254,20 @@ impl BatchSoa {
         self.shard.push(shard);
         self.start_us.push(start_us);
         self.rung.push(rung);
-        self.leader_noise_ppm.push(leader_noise_ppm);
-        self.fault_ppm.push(fault_ppm);
+        self.service_us.push(service_us);
         self.ladder_idx.push(ladder_idx);
         self.first_member.push(leader);
         self.members.push(1);
         b
     }
 
-    /// Batch `b`'s `(service, predicted)` latencies, µs: its rung's
-    /// batched latency on its admission ladder, scaled by the leader's
-    /// noise draw and the dispatch fault factor, against the calibrated
-    /// prediction — identical to the raw curve at generation 0, corrected
-    /// after a hot-swap so OBS002 sees the recovery. EMG batches run (and
-    /// predict) their fixed cost.
-    fn price(&self, b: usize, ladders: &[TrnLadder], emg_service_us: u64) -> (u64, u64) {
-        let (base_us, predicted) = if self.rung[b] == NONE_U32 {
-            (emg_service_us, emg_service_us)
-        } else {
-            let (r, size) = (self.rung[b] as usize, self.members[b] as usize);
-            let ladder = &ladders[self.ladder_idx[b] as usize];
-            (
-                ladder.batch_latency_us(r, size),
-                ladder.predicted_batch_latency_us(r, size),
-            )
-        };
-        let service = scaled_service(base_us, self.leader_noise_ppm[b], self.fault_ppm[b]);
-        (service, predicted)
+    /// Ladder batch `b`'s predicted latency, µs: its rung's batched
+    /// latency under its admission ladder's calibration — identical to
+    /// the raw curve at generation 0, corrected after a hot-swap so OBS002
+    /// sees the recovery.
+    fn predicted_us(&self, b: usize, ladders: &[TrnLadder]) -> u64 {
+        ladders[self.ladder_idx[b] as usize]
+            .predicted_batch_latency_us(self.rung[b] as usize, self.members[b] as usize)
     }
 }
 
@@ -284,6 +282,10 @@ struct OpenBatch {
     tightest_abs_us: u64,
     /// Tail of the member list, outcome-index space.
     last_member: u32,
+    /// The leader's noise draw: one kernel, one draw.
+    leader_noise_ppm: u64,
+    /// Fault service factor at the batch's start.
+    fault_ppm: u64,
 }
 
 /// Struct-of-arrays ledger of per-request results, outcome-index order
@@ -370,9 +372,9 @@ struct RunLedger<'a> {
     requests: &'a [Request],
     out: OutcomeSoa,
     batches: BatchSoa,
-    /// Each batch's `(service, predicted)` latencies, µs, dispatch order —
-    /// [`BatchSoa::price`] as finalization settled it.
-    priced: Vec<(u64, u64)>,
+    /// The run's ladder table, which `BatchSoa::ladder_idx` indexes: every
+    /// shard's starting ladder, then each hot-swapped one.
+    ladders: Vec<TrnLadder>,
     /// Hot-swaps in the order the controller made them.
     swaps: Vec<Swap>,
     /// Controller triggers, including those whose refit or swap declined.
@@ -424,13 +426,12 @@ impl RunLedger<'_> {
         }
         tb.finish(order.into_iter().map(|i| {
             let i = i as usize;
-            let (observed_us, predicted_us) = self.priced[i];
             ResidualSample {
                 start_us: b.start_us[i],
                 shard: b.shard[i] as usize,
                 rung: b.rung[i] as usize,
-                predicted_us,
-                observed_us,
+                predicted_us: b.predicted_us(i, &self.ladders),
+                observed_us: b.service_us[i],
             }
         }))
     }
@@ -607,15 +608,19 @@ impl WorkerIndex {
         leftmost_at_most(&self.tree[base..base + 2 * cap], cap, from, start)
     }
 
-    /// Sets worker `w` of shard `s` free at `free_us`.
+    /// Sets worker `w` of shard `s` free at `free_us`. The new minimum
+    /// of each subtree on the way up stays in a register: an ancestor is
+    /// the smaller of it and the sibling's, so no node stored on the walk
+    /// is read back.
     fn set(&mut self, s: usize, w: usize, free_us: u64) {
         let (base, cap, _) = self.shards[s];
         let t = &mut self.tree[base..base + 2 * cap];
-        let mut k = cap + w;
-        t[k] = free_us;
+        let (mut k, mut m) = (cap + w, free_us);
+        t[k] = m;
         while k > 1 {
+            m = m.min(t[k ^ 1]);
             k >>= 1;
-            t[k] = t[2 * k].min(t[2 * k + 1]);
+            t[k] = m;
         }
     }
 
@@ -676,13 +681,19 @@ pub struct Server {
     config: ServerConfig,
 }
 
-/// PR4-exact service scaling: `base × noise × fault`, both factors in ppm,
+/// Service scaling: `base × noise × fault`, both factors in ppm,
 /// truncating after each multiply, floor 1 µs. Runs in `u64` while both
 /// products fit (the same quotients, without a 128-bit divide), in
-/// `u128` otherwise.
+/// `u128` otherwise. Outside jitter windows the fault factor is exactly
+/// `PPM`, whose multiply and divide give back their operand, so they are
+/// skipped.
 fn scaled_service(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
     if let Some(product) = base_us.checked_mul(noise_ppm) {
-        if let Some(product) = (product / PPM).checked_mul(fault_ppm) {
+        let noisy = product / PPM;
+        if fault_ppm == PPM {
+            return noisy.max(1);
+        }
+        if let Some(product) = noisy.checked_mul(fault_ppm) {
             return (product / PPM).max(1);
         }
     }
@@ -821,7 +832,6 @@ impl Server {
         run_span.field("degrade", self.config.degrade);
 
         let deadline = self.config.deadline_us;
-        let emg_us = self.config.emg_service_us;
         // Labeled per-shard busy-gauge names, built once per run so every
         // shard reports — there is no fixed-size name table to fall off.
         let busy_gauges: Vec<String> = if obs::enabled() {
@@ -837,12 +847,13 @@ impl Server {
         };
         // When each shard's workers next idle, indexed for the earliest.
         let mut free_at = WorkerIndex::new(self.shards.iter().map(|s| s.workers));
-        // Fault plans compiled to segment tables: the admission loop
-        // queries them several times per request, and the table answers
-        // bit-identically to the plan's window scans at a fraction of the
-        // cost (see [`crate::faults::FaultTable`]).
-        let fault_tables: Vec<crate::faults::FaultTable> =
-            self.shards.iter().map(|s| s.faults.table()).collect();
+        // Fault plans compiled to segment tables, each read through a
+        // cursor that moves with the arrivals: the stall, the drop
+        // threshold and the service factor cost a comparison or two and
+        // match the plan's window scans bit for bit (see [`FaultTable`]).
+        let fault_tables: Vec<FaultTable> = self.shards.iter().map(|s| s.faults.table()).collect();
+        let mut faults: Vec<FaultCursor<'_>> =
+            fault_tables.iter().map(FaultTable::cursor).collect();
         // open[s]: shard s's joinable batch, if any.
         let mut open: Vec<Option<OpenBatch>> = vec![None; self.shards.len()];
         let mut batches = BatchSoa::default();
@@ -884,10 +895,6 @@ impl Server {
                 last_trigger_us: vec![None; self.shards.len()],
             }
         });
-        // Candidate scratch, reused across arrivals — with `obs` disabled
-        // the event loop allocates nothing per request.
-        let mut cands: Vec<Candidate> = Vec::with_capacity(self.shards.len() * 2);
-        let mut plans: Vec<DispatchPlan> = Vec::with_capacity(self.shards.len() * 2);
 
         for (oi, req) in requests.iter().enumerate() {
             let now = req.arrival_us;
@@ -909,8 +916,8 @@ impl Server {
                         let b = b as usize;
                         let (r, s) = (batches.rung[b], batches.shard[b] as usize);
                         if r != NONE_U32 && (r as usize) < tracker.rungs(s) {
-                            let (observed, predicted) = batches.price(b, &ladder_table, emg_us);
-                            tracker.observe(s, r as usize, predicted, observed);
+                            let predicted = batches.predicted_us(b, &ladder_table);
+                            tracker.observe(s, r as usize, predicted, batches.service_us[b]);
                         }
                     });
                     for s in 0..self.shards.len() {
@@ -964,12 +971,14 @@ impl Server {
             }
 
             // One solo candidate per shard, plus a join candidate where an
-            // open batch can legally absorb this request.
-            cands.clear();
-            plans.clear();
+            // open batch can legally absorb this request, each routed as
+            // it is priced: only the best so far is kept.
+            let mut best: Option<(Candidate, DispatchPlan)> = None;
             for (s, shard) in self.shards.iter().enumerate() {
                 let ladder = &ladder_table[cur_ladder[s] as usize];
-                let (stall_count, stall_until) = fault_tables[s].stall_at(now).unwrap_or((0, 0));
+                let fault = &mut faults[s];
+                fault.advance(now);
+                let (stall_count, stall_until) = fault.stall();
                 let (start, from) = free_at.earliest(s, now, stall_count, stall_until);
                 let queue_delay = start - now;
                 let (rung, base_us) = match req.kind {
@@ -984,22 +993,25 @@ impl Server {
                     }
                 };
                 let noise_ppm = shard.draw_noise_ppm(req.id);
-                let fault_ppm = fault_tables[s].service_factor_ppm(start);
+                let fault_ppm = fault.service_factor_ppm(start);
                 let service = scaled_service(base_us, noise_ppm, fault_ppm);
-                cands.push(Candidate {
-                    shard: s,
-                    join: false,
-                    start_us: start,
-                    completion_us: start + service,
-                    admissible: queue_delay < deadline,
-                });
-                plans.push(DispatchPlan::Solo {
-                    from,
-                    rung,
-                    service,
-                    noise_ppm,
-                    fault_ppm,
-                });
+                route(
+                    &mut best,
+                    Candidate {
+                        shard: s,
+                        join: false,
+                        start_us: start,
+                        completion_us: start + service,
+                        admissible: queue_delay < deadline,
+                    },
+                    DispatchPlan::Solo {
+                        from,
+                        rung,
+                        service,
+                        noise_ppm,
+                        fault_ppm,
+                    },
+                );
 
                 if req.kind == RequestKind::Visual && batcher.enabled() {
                     if let Some(o) = open[s] {
@@ -1021,32 +1033,34 @@ impl Server {
                         if let Some(r) = admitted {
                             let service = scaled_service(
                                 ladder.batch_latency_us(r, size),
-                                batches.leader_noise_ppm[b],
-                                batches.fault_ppm[b],
+                                o.leader_noise_ppm,
+                                o.fault_ppm,
                             );
-                            cands.push(Candidate {
-                                shard: s,
-                                join: true,
-                                start_us: batch_start,
-                                completion_us: batch_start + service,
-                                admissible: true,
-                            });
-                            plans.push(DispatchPlan::Join {
-                                rung: r,
-                                tightest_abs_us: tightest,
-                                service,
-                            });
+                            route(
+                                &mut best,
+                                Candidate {
+                                    shard: s,
+                                    join: true,
+                                    start_us: batch_start,
+                                    completion_us: batch_start + service,
+                                    admissible: true,
+                                },
+                                DispatchPlan::Join {
+                                    rung: r,
+                                    tightest_abs_us: tightest,
+                                    service,
+                                },
+                            );
                         }
                     }
                 }
             }
 
-            let pick = ShardRouter::pick(&cands).expect("at least one shard offers a candidate");
-            let cand = cands[pick];
+            let (cand, plan) = best.expect("at least one shard offers a candidate");
             let s = cand.shard;
             let generation = ladder_gen[cur_ladder[s] as usize];
 
-            if fault_tables[s].should_drop(now, req.id) {
+            if faults[s].should_drop(req.id) {
                 out.push(0, s as u32, generation, Status::Dropped);
                 continue;
             }
@@ -1062,7 +1076,7 @@ impl Server {
                 continue;
             }
 
-            match plans[pick] {
+            match plan {
                 DispatchPlan::Solo {
                     from,
                     rung,
@@ -1077,8 +1091,7 @@ impl Server {
                         s as u32,
                         cand.start_us,
                         rung.map_or(NONE_U32, |r| r as u32),
-                        noise_ppm,
-                        fault_ppm,
+                        service,
                         cur_ladder[s],
                         oi as u32,
                     );
@@ -1096,6 +1109,8 @@ impl Server {
                             worker,
                             tightest_abs_us: abs_deadline,
                             last_member: oi as u32,
+                            leader_noise_ppm: noise_ppm,
+                            fault_ppm,
                         });
                 }
                 DispatchPlan::Join {
@@ -1112,6 +1127,7 @@ impl Server {
                     o.tightest_abs_us = tightest_abs_us;
                     batches.members[batch] += 1;
                     batches.rung[batch] = rung as u32;
+                    batches.service_us[batch] = service;
                     free_at.set(s, o.worker, batches.start_us[batch] + service);
                     if batches.members[batch] as usize >= batcher.batch_max {
                         open[s] = None;
@@ -1124,14 +1140,13 @@ impl Server {
             out.push(0, s as u32, generation, Status::Served);
         }
 
-        // Finalization: batch sizes are settled, so every batch prices
-        // once on its *admission* generation's ladder — hot-swaps never
-        // touch in-flight work — and its members' rows are filled in.
-        let mut priced = Vec::with_capacity(batches.len());
+        // Finalization: batch sizes are settled, and so is each batch's
+        // service, priced on its *admission* generation's ladder by its
+        // dispatch or last join — hot-swaps never touch in-flight work.
+        // Its members' rows are filled in.
         for b in 0..batches.len() {
-            let (service, predicted) = batches.price(b, &ladder_table, emg_us);
-            priced.push((service, predicted));
             let (start, rung, size) = (batches.start_us[b], batches.rung[b], batches.members[b]);
+            let service = batches.service_us[b];
             let entry = batches.ladder_idx[b] as usize;
             let degraded = rung != NONE_U32 && (rung as usize) < ladder_table[entry].top();
             let mut m = batches.first_member[b];
@@ -1177,15 +1192,27 @@ impl Server {
             requests,
             out,
             batches,
-            priced,
+            ladders: ladder_table,
             swaps,
             triggers,
         }
     }
 }
 
+/// Keeps `(cand, plan)` if it routes strictly before the best so far
+/// under [`ShardRouter::key`], so of equal candidates the first offered
+/// stands, as in [`ShardRouter::pick`].
+fn route(best: &mut Option<(Candidate, DispatchPlan)>, cand: Candidate, plan: DispatchPlan) {
+    if best
+        .as_ref()
+        .is_none_or(|(b, _)| ShardRouter::key(&cand) < ShardRouter::key(b))
+    {
+        *best = Some((cand, plan));
+    }
+}
+
 /// What taking a candidate would actually do — precomputed alongside it,
-/// so dispatch reuses the candidate's noise draw and fault factor.
+/// so dispatch reuses the candidate's price, noise draw and fault factor.
 #[derive(Debug, Clone, Copy)]
 enum DispatchPlan {
     Solo {
@@ -1344,6 +1371,16 @@ mod tests {
         (worker, start)
     }
 
+    /// Every internal node of shard `s`'s tree is the smaller of its
+    /// children.
+    fn assert_min_tree(index: &WorkerIndex, s: usize) {
+        let (base, cap, _) = index.shards[s];
+        let t = &index.tree[base..base + 2 * cap];
+        for k in 1..cap {
+            assert_eq!(t[k], t[2 * k].min(t[2 * k + 1]), "shard {s} node {k}");
+        }
+    }
+
     /// The index offers exactly the scan's start, and a dispatch's
     /// descent from `earliest`'s search start names exactly the scan's
     /// worker: pools of 1–70 sharing
@@ -1351,7 +1388,8 @@ mod tests {
     /// range (ties are common), updates that raise and lower them
     /// interleaved with the queries, `now` below, among and above the free
     /// times, stall prefixes of 0, 1, W−1, W and more than W workers, and
-    /// stall releases before, at and after `now`.
+    /// stall releases before, at and after `now`. After every update each
+    /// internal node is the smaller of its children.
     #[test]
     fn worker_index_matches_the_linear_scan() {
         use crate::request::splitmix64;
@@ -1372,6 +1410,7 @@ mod tests {
                     let f = 100 + draw(40);
                     index.set(s, w, f);
                     mirror[s][w] = f;
+                    assert_min_tree(&index, s);
                 }
                 for s in 0..3 {
                     let w = sizes[s] as u64;
@@ -1479,12 +1518,10 @@ mod tests {
         }
     }
 
-    /// Without overlapping stalls a shard's ladder batches start in
-    /// dispatch order, so the projection's per-shard sort finds one run:
-    /// every reference-matrix leg at two seeds and the stress scenario cut
-    /// to 0.1 s.
-    #[test]
-    fn shards_start_their_ladder_batches_in_dispatch_order() {
+    /// Runs every reference-matrix leg at seeds 11 and 13, the closed
+    /// loop armed where the leg arms it, and the stress scenario cut to
+    /// 0.1 s, and hands `check` each leg's name, requests and ledger.
+    fn for_each_reference_ledger(mut check: impl FnMut(&str, &[Request], &RunLedger<'_>)) {
         use crate::splane::{reference_matrix, stress_scenario};
         use crate::{Scenario, ScenarioConfig};
         let mut legs: Vec<(String, ScenarioConfig)> = Vec::new();
@@ -1509,9 +1546,92 @@ mod tests {
                 &scenario.requests,
                 armed.then_some((&recalib, &recalibrator as &dyn Recalibrator)),
             );
-            assert!(ledger.batches.rung.iter().any(|&r| r != NONE_U32), "{leg}");
-            assert_eq!(residual_inversions(&ledger), 0, "{leg}");
+            check(&leg, &scenario.requests, &ledger);
         }
+    }
+
+    /// Without overlapping stalls a shard's ladder batches start in
+    /// dispatch order, so the projection's per-shard sort finds one run:
+    /// every reference-matrix leg at two seeds and the stress scenario cut
+    /// to 0.1 s.
+    #[test]
+    fn shards_start_their_ladder_batches_in_dispatch_order() {
+        for_each_reference_ledger(|leg, _, ledger| {
+            assert!(ledger.batches.rung.iter().any(|&r| r != NONE_U32), "{leg}");
+            assert_eq!(residual_inversions(ledger), 0, "{leg}");
+        });
+    }
+
+    /// `base × noise × fault` with both truncating quotients taken in
+    /// `u128`, floor 1 µs: what [`scaled_service`] computes on every path.
+    fn scaled_in_u128(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
+        let ppm = u128::from(PPM);
+        let noisy = u128::from(base_us) * u128::from(noise_ppm) / ppm;
+        (noisy * u128::from(fault_ppm) / ppm).max(1) as u64
+    }
+
+    #[test]
+    fn scaled_service_takes_the_u128_quotients() {
+        // Products that overflow `u64` at either multiply, none that
+        // overflow `u128`.
+        let bases = [0, 1, 750, 18_446_744_073_709, 1 << 40, u64::MAX / 3];
+        let noises = [0, 1, 970_000, PPM, 1_030_000, 2 * PPM];
+        let faults = [0, 1, 970_000, PPM, 1_300_000, u64::MAX];
+        for base in bases {
+            for noise in noises {
+                for fault in faults {
+                    assert_eq!(
+                        scaled_service(base, noise, fault),
+                        scaled_in_u128(base, noise, fault),
+                        "{base} × {noise} × {fault}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A batch is priced once per dispatch and join, and the ledger keeps
+    /// the last price. Recomputed here from the batch's final shape, that
+    /// price is its rung's batched latency at its member count on its
+    /// admission ladder (the fixed cost for EMG), scaled by the leader's
+    /// draw and by the fault plan's own window scan at the batch's start;
+    /// a ladder batch's prediction is that ladder's calibrated batched
+    /// latency. Every
+    /// reference leg at seeds 11 and 13, closed loop included, and the
+    /// stress scenario cut to 0.1 s.
+    #[test]
+    fn every_batch_keeps_the_price_of_its_final_shape() {
+        let (mut joined, mut swapped) = (0usize, 0usize);
+        for_each_reference_ledger(|leg, requests, ledger| {
+            let (b, server) = (&ledger.batches, ledger.server);
+            let emg_us = server.config.emg_service_us;
+            for i in 0..b.len() {
+                let shard = &server.shards[b.shard[i] as usize];
+                let ladder = &ledger.ladders[b.ladder_idx[i] as usize];
+                let base_us = if b.rung[i] == NONE_U32 {
+                    emg_us
+                } else {
+                    let (r, n) = (b.rung[i] as usize, b.members[i] as usize);
+                    assert_eq!(
+                        b.predicted_us(i, &ledger.ladders),
+                        ladder.predicted_batch_latency_us(r, n),
+                        "{leg} batch {i} prediction"
+                    );
+                    ladder.batch_latency_us(r, n)
+                };
+                let leader = requests[b.first_member[i] as usize].id;
+                let service_us = scaled_in_u128(
+                    base_us,
+                    shard.draw_noise_ppm(leader),
+                    shard.faults.service_factor_ppm(b.start_us[i]),
+                );
+                assert_eq!(b.service_us[i], service_us, "{leg} batch {i} service");
+                joined += usize::from(b.members[i] > 1);
+                swapped += usize::from(b.ladder_idx[i] as usize >= server.shards.len());
+            }
+        });
+        assert!(joined > 0, "no leg joined a batch");
+        assert!(swapped > 0, "no batch ran on a hot-swapped ladder");
     }
 
     /// A deadline near `u64::MAX` saturates the absolute deadline instead

@@ -72,12 +72,17 @@ pub struct Candidate {
 pub struct ShardRouter;
 
 impl ShardRouter {
+    /// The routing order: a candidate with a smaller key wins. The event
+    /// loop keeps the best candidate so far by this key as the shards
+    /// offer theirs, replacing it only on a strictly smaller one, which
+    /// is the choice [`Self::pick`] makes over the whole slate.
+    pub fn key(c: &Candidate) -> (bool, u64, bool, usize) {
+        (!c.admissible, c.completion_us, !c.join, c.shard)
+    }
+
     /// Picks the winning candidate's index, or `None` on an empty slate.
     pub fn pick(candidates: &[Candidate]) -> Option<usize> {
-        (0..candidates.len()).min_by_key(|&i| {
-            let c = &candidates[i];
-            (!c.admissible, c.completion_us, !c.join, c.shard)
-        })
+        (0..candidates.len()).min_by_key(|&i| Self::key(&candidates[i]))
     }
 }
 
