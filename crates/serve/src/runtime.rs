@@ -37,7 +37,7 @@
 //!    top exit; with `exit_pin` set they always run that exit (a free
 //!    choice at dispatch — the exits are heads of one resident network,
 //!    not separate models to swap in).
-//! 6. **Outcome** — finalized after the sweep from the batch ledger
+//! 6. **Outcome** — read off the request's batch row once the sweep ends
 //!    (members share the batch's finish time); completion after the
 //!    deadline is a miss; the result still ships (the prosthesis fuses
 //!    stale frames rather than none).
@@ -47,18 +47,22 @@
 //!
 //! # One run, one ledger
 //!
-//! The event loop only appends: a row per request to `OutcomeSoa`, a
-//! row per dispatch to `BatchSoa`, and each controller hot-swap to a
-//! swap log. Once the loop ends, finalization settles every batch's
-//! members' rows. Everything the run reports is a projection of that
-//! `RunLedger`: the [`Timeline`] and the `obs` flush read the batch
-//! columns, which are then freed, and the [`RequestOutcome`]s are built
-//! from the per-request columns alone. A batch is priced where the loop
-//! prices its candidate: a solo dispatch stores its service, and each
-//! join overwrites it with the larger batch's. Finalization, the
-//! controller's watermark fold and the timeline read that stored
-//! service, and the fold and the timeline derive a ladder batch's
-//! prediction from its ladder-table entry (`BatchSoa::predicted_us`).
+//! The event loop only appends: a row per dispatch to `BatchSoa`, the
+//! batch each request started in (a `u32`, or a small `Refusal` record
+//! in arrival order for a request rejected or dropped), and each
+//! controller hot-swap to a swap log. `BatchSoa` is the only result
+//! ledger: a started request's queue delay, rung, service, batch size,
+//! generation, degraded flag and status are read off its batch's row.
+//! Everything the run reports is a projection of that `RunLedger`, taken
+//! in one arrival-order pass over the requests (`RunLedger::settle`) that
+//! feeds the [`Timeline`]'s cells, the `obs` flush and the
+//! [`RequestOutcome`] records together; the batch starts and the residual
+//! fold are read off the batch rows before it. A batch is priced where
+//! the loop prices its candidate: a solo dispatch stores its service, and
+//! each join overwrites it with the larger batch's. The request pass, the
+//! controller's watermark fold and the timeline read that stored service,
+//! and the fold and the timeline derive a ladder batch's prediction from
+//! its ladder-table entry (`BatchSoa::predicted_us`).
 //!
 //! # Hot-path layout
 //!
@@ -66,14 +70,16 @@
 //! bookkeeping is structured for raw throughput without touching the
 //! decision logic:
 //!
-//! * **Struct-of-arrays ledgers** — parallel column vectors indexed by
-//!   outcome/batch id, with batch members threaded through a linked-list
-//!   arena (`first`/`next`) so a join is two index writes, never an
-//!   allocation. A batch row keeps only what outlives its dispatch: the
-//!   worker, the tightest deadline and the member-list tail live in the
-//!   shard's open-batch slot, the only place a join reads them, and so
-//!   do the leader's noise draw and the fault factor a join reprices
-//!   with. A row is 36 B.
+//! * **Struct-of-arrays ledger** — parallel column vectors indexed by
+//!   batch id, room for one row per request reserved up front (a run
+//!   dispatches at most one batch per request) and the unused capacity
+//!   given back before the projection. A request records only its batch
+//!   id, 4 B, so a join is a few index writes, never an allocation, and
+//!   membership needs no list. A batch row keeps only what outlives its
+//!   dispatch: the worker and the tightest deadline live in the shard's
+//!   open-batch slot, the only place a join reads them, and so do the
+//!   leader's noise draw and the fault factor a join reprices with. A
+//!   row is 32 B.
 //! * **Ladder generation table** — hot-swaps append to a table of
 //!   ladders and their generations; batches hold a `u32` index into it,
 //!   so admission under any generation is an index copy, not an `Arc`
@@ -207,16 +213,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Column sentinel for "no rung" / "no member" in the SoA ledgers.
+/// Column sentinel for "no rung" / "no batch" in the run ledger.
 const NONE_U32: u32 = u32::MAX;
 
-/// Struct-of-arrays ledger of scheduled executions: column `b` describes
-/// batch `b` (a solo dispatch is a batch of one; joins grow it until its
-/// virtual start passes). Members are threaded through the shared
-/// `next_member` arena in [`OutcomeSoa`]-index space, join order. A row
-/// holds only what finalization and the projections read; what only a
-/// join needs lives in the shard's [`OpenBatch`] slot.
-#[derive(Debug, Default)]
+/// Struct-of-arrays ledger of scheduled executions, and the run's only
+/// result ledger: column `b` describes batch `b` (a solo dispatch is a
+/// batch of one; joins grow it until its virtual start passes), and every
+/// request that started reads its result off the row of its batch. A row
+/// holds only what the projections read, 32 B; what only a join needs
+/// lives in the shard's [`OpenBatch`] slot.
+#[derive(Debug)]
 struct BatchSoa {
     shard: Vec<u32>,
     start_us: Vec<u64>,
@@ -230,13 +236,23 @@ struct BatchSoa {
     /// the batch's prediction and generation are read from, so a
     /// hot-swap never touches in-flight work.
     ladder_idx: Vec<u32>,
-    /// Head of the member list, outcome-index space.
-    first_member: Vec<u32>,
     /// Member count.
     members: Vec<u32>,
 }
 
 impl BatchSoa {
+    /// Room for `rows` batches, so the columns never grow past it.
+    fn with_capacity(rows: usize) -> Self {
+        BatchSoa {
+            shard: Vec::with_capacity(rows),
+            start_us: Vec::with_capacity(rows),
+            rung: Vec::with_capacity(rows),
+            service_us: Vec::with_capacity(rows),
+            ladder_idx: Vec::with_capacity(rows),
+            members: Vec::with_capacity(rows),
+        }
+    }
+
     fn len(&self) -> usize {
         self.start_us.len()
     }
@@ -248,7 +264,6 @@ impl BatchSoa {
         rung: u32,
         service_us: u64,
         ladder_idx: u32,
-        leader: u32,
     ) -> usize {
         let b = self.len();
         self.shard.push(shard);
@@ -256,9 +271,18 @@ impl BatchSoa {
         self.rung.push(rung);
         self.service_us.push(service_us);
         self.ladder_idx.push(ladder_idx);
-        self.first_member.push(leader);
         self.members.push(1);
         b
+    }
+
+    /// Gives back the capacity past the last row.
+    fn shrink_to_fit(&mut self) {
+        self.shard.shrink_to_fit();
+        self.start_us.shrink_to_fit();
+        self.rung.shrink_to_fit();
+        self.service_us.shrink_to_fit();
+        self.ladder_idx.shrink_to_fit();
+        self.members.shrink_to_fit();
     }
 
     /// Ladder batch `b`'s predicted latency, µs: its rung's batched
@@ -280,101 +304,39 @@ struct OpenBatch {
     worker: usize,
     /// Tightest absolute deadline across members.
     tightest_abs_us: u64,
-    /// Tail of the member list, outcome-index space.
-    last_member: u32,
     /// The leader's noise draw: one kernel, one draw.
     leader_noise_ppm: u64,
     /// Fault service factor at the batch's start.
     fault_ppm: u64,
 }
 
-/// Struct-of-arrays ledger of per-request results, outcome-index order
-/// (= arrival order). Identity columns (`id`, `kind`, `arrival_us`) are
-/// not stored — they are read back from the request slice when the
-/// [`RequestOutcome`]s are assembled at the end of the run.
-#[derive(Debug, Default)]
-struct OutcomeSoa {
-    queue_delay_us: Vec<u64>,
-    /// [`NONE_U32`] = no rung (EMG, rejected, dropped).
-    rung: Vec<u32>,
-    service_us: Vec<u64>,
-    shard: Vec<u32>,
-    batch_size: Vec<u32>,
-    generation: Vec<u64>,
-    /// Served below the admission generation's top rung.
-    degraded: Vec<bool>,
-    status: Vec<Status>,
+/// A request that never started — refused at admission or lost to a drop
+/// fault — as the loop recorded it. Refusals are kept in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct Refusal {
+    queue_delay_us: u64,
+    /// The shard's ladder generation at the request's arrival.
+    generation: u64,
+    shard: u32,
+    status: Status,
 }
 
-impl OutcomeSoa {
-    fn with_capacity(n: usize) -> Self {
-        OutcomeSoa {
-            queue_delay_us: Vec::with_capacity(n),
-            rung: Vec::with_capacity(n),
-            service_us: Vec::with_capacity(n),
-            shard: Vec::with_capacity(n),
-            batch_size: Vec::with_capacity(n),
-            generation: Vec::with_capacity(n),
-            degraded: Vec::with_capacity(n),
-            status: Vec::with_capacity(n),
-        }
-    }
-
-    /// Row `i`'s latency: a completion's queue delay plus its service time
-    /// (start + service − arrival), 0 for a request that never started.
-    fn latency_us(&self, i: usize) -> u64 {
-        match self.status[i] {
-            Status::Served | Status::Missed => self.queue_delay_us[i] + self.service_us[i],
-            Status::Rejected | Status::Dropped => 0,
-        }
-    }
-
-    /// Assembles the public arrival-order outcome records: these columns
-    /// plus the identity fields of `requests`.
-    fn outcomes(self, requests: &[Request]) -> Vec<RequestOutcome> {
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, req)| RequestOutcome {
-                id: req.id,
-                kind: req.kind,
-                arrival_us: req.arrival_us,
-                queue_delay_us: self.queue_delay_us[i],
-                rung: (self.rung[i] != NONE_U32).then_some(self.rung[i] as usize),
-                service_us: self.service_us[i],
-                latency_us: self.latency_us(i),
-                shard: self.shard[i] as usize,
-                batch_size: self.batch_size[i] as usize,
-                generation: self.generation[i],
-                status: self.status[i],
-            })
-            .collect()
-    }
-
-    /// Appends a row; dispatched rows are finalized in place later.
-    fn push(&mut self, queue_delay_us: u64, shard: u32, generation: u64, status: Status) {
-        self.queue_delay_us.push(queue_delay_us);
-        self.rung.push(NONE_U32);
-        self.service_us.push(0);
-        self.shard.push(shard);
-        self.batch_size.push(0);
-        self.generation.push(generation);
-        self.degraded.push(false);
-        self.status.push(status);
-    }
-}
-
-/// Everything one run decided, as the event loop appended it and
-/// finalization settled it. Outcomes, the timeline and the registry flush
-/// are projections of this ledger; none of them feeds back into a run.
+/// Everything one run decided, as the event loop appended it. Outcomes,
+/// the timeline and the registry flush are projections of this ledger;
+/// none of them feeds back into a run.
 struct RunLedger<'a> {
     server: &'a Server,
     requests: &'a [Request],
-    out: OutcomeSoa,
+    /// `batch_of[i]`: the batch request `i` started in, or [`NONE_U32`]
+    /// if it never started and has a [`Refusal`] instead.
+    batch_of: Vec<u32>,
+    refusals: Vec<Refusal>,
     batches: BatchSoa,
     /// The run's ladder table, which `BatchSoa::ladder_idx` indexes: every
     /// shard's starting ladder, then each hot-swapped one.
     ladders: Vec<TrnLadder>,
+    /// Each ladder-table entry's generation.
+    generations: Vec<u64>,
     /// Hot-swaps in the order the controller made them.
     swaps: Vec<Swap>,
     /// Controller triggers, including those whose refit or swap declined.
@@ -382,12 +344,13 @@ struct RunLedger<'a> {
 }
 
 impl RunLedger<'_> {
-    /// Projects the windowed [`Timeline`] under `cfg`. Each shard's ladder
-    /// batches feed the residual fold in (start, dispatch order). A shard's
-    /// batches start in dispatch order unless overlapping stall windows
-    /// release a worker before their merged release instant, so each
-    /// shard's stable sort is mostly one run check.
-    fn timeline(&self, cfg: &TimelineConfig) -> Timeline {
+    /// The outcomes and the windowed [`Timeline`] under `cfg`. Each
+    /// shard's ladder batches feed the residual fold in (start, dispatch
+    /// order). A shard's batches start in dispatch order unless
+    /// overlapping stall windows release a worker before their merged
+    /// release instant, so each shard's stable sort is mostly one run
+    /// check.
+    fn project(self, cfg: &TimelineConfig) -> (Vec<RequestOutcome>, Timeline) {
         let b = &self.batches;
         let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.server.shards.len()];
         for i in 0..b.len() {
@@ -398,13 +361,18 @@ impl RunLedger<'_> {
         for list in &mut by_shard {
             list.sort_by_key(|&i| b.start_us[i as usize]);
         }
-        self.timeline_in(cfg, by_shard.into_iter().flatten())
+        self.project_in(cfg, by_shard.into_iter().flatten())
     }
 
-    /// The timeline under `cfg`, folding the ladder batches' residual
-    /// samples in `order`: every ladder batch once, each shard's in
-    /// (start, dispatch order), read straight from the ledger.
-    fn timeline_in(&self, cfg: &TimelineConfig, order: impl IntoIterator<Item = u32>) -> Timeline {
+    /// [`Self::project`], folding the ladder batches' residual samples in
+    /// `order`: every ladder batch once, each shard's in (start, dispatch
+    /// order). The fold runs before the request pass, so `order`'s
+    /// buffers are freed before the outcome records are allocated.
+    fn project_in(
+        self,
+        cfg: &TimelineConfig,
+        order: impl IntoIterator<Item = u32>,
+    ) -> (Vec<RequestOutcome>, Timeline) {
         let server = self.server;
         let mut tb = TimelineBuilder::new(*cfg, &server.shards, server.config.deadline_us);
         for &swap in &self.swaps {
@@ -414,51 +382,103 @@ impl RunLedger<'_> {
         for i in 0..b.len() {
             tb.batch(b.start_us[i], b.shard[i] as usize);
         }
-        let out = &self.out;
-        for (i, req) in self.requests.iter().enumerate() {
-            tb.request(
-                req.arrival_us,
-                out.shard[i] as usize,
-                out.status[i],
-                out.degraded[i],
-                out.queue_delay_us[i],
-            );
-        }
-        tb.finish(order.into_iter().map(|i| {
-            let i = i as usize;
-            ResidualSample {
-                start_us: b.start_us[i],
-                shard: b.shard[i] as usize,
-                rung: b.rung[i] as usize,
-                predicted_us: b.predicted_us(i, &self.ladders),
-                observed_us: b.service_us[i],
-            }
-        }))
+        tb.fold_residuals(
+            self.requests.last().map(|r| r.arrival_us),
+            order.into_iter().map(|i| {
+                let i = i as usize;
+                ResidualSample {
+                    start_us: b.start_us[i],
+                    shard: b.shard[i] as usize,
+                    rung: b.rung[i] as usize,
+                    predicted_us: b.predicted_us(i, &self.ladders),
+                    observed_us: b.service_us[i],
+                }
+            }),
+        );
+        let outcomes = self.settle(Some(&mut tb));
+        (outcomes, tb.finish())
     }
 
-    /// Flushes the run to the global `obs` registry: one `counter_add` or
+    /// The one pass over the requests, in arrival order: settles each
+    /// from its batch row — a member's queue delay, rung, service, batch
+    /// size, generation and status are its batch's, and its latency is
+    /// queue delay plus service — or from its refusal record, feeds `tb`
+    /// if there is one, and builds the outcome records. Then flushes the
+    /// run to the global `obs` registry: one `counter_add` or
     /// `histogram_merge` per series. Counters sum and histograms fold
     /// order-independently, so this leaves the registry exactly as
     /// per-event updates would. Zero counters are skipped (as are empty
     /// histograms, by `histogram_merge`), so no series appears that
-    /// per-event updates would not have created. The flush is the batch
-    /// columns' last reader: it frees them and returns the per-request ones.
-    fn flush_metrics(self) -> OutcomeSoa {
-        let out = &self.out;
+    /// per-event updates would not have created.
+    fn settle(self, mut tb: Option<&mut TimelineBuilder>) -> Vec<RequestOutcome> {
+        let (b, deadline) = (&self.batches, self.server.config.deadline_us);
+        let mut refusals = self.refusals.iter();
         let mut by_status = [0u64; 4];
         let mut degraded = 0u64;
         let mut latency_us = obs::Histogram::default();
         let mut queue_delay_us = obs::Histogram::default();
-        for i in 0..self.requests.len() {
-            by_status[out.status[i] as usize] += 1;
-            if matches!(out.status[i], Status::Served | Status::Missed) {
-                latency_us.observe(out.latency_us(i));
-                queue_delay_us.observe(out.queue_delay_us[i]);
+        let mut outcomes = Vec::with_capacity(self.requests.len());
+        for (req, &batch) in self.requests.iter().zip(&self.batch_of) {
+            let (outcome, below_top) = if batch == NONE_U32 {
+                let r = refusals.next().expect("every refused request has a record");
+                let outcome = RequestOutcome {
+                    id: req.id,
+                    kind: req.kind,
+                    arrival_us: req.arrival_us,
+                    queue_delay_us: r.queue_delay_us,
+                    rung: None,
+                    service_us: 0,
+                    latency_us: 0,
+                    shard: r.shard as usize,
+                    batch_size: 0,
+                    generation: r.generation,
+                    status: r.status,
+                };
+                (outcome, false)
+            } else {
+                let i = batch as usize;
+                let (rung, entry) = (b.rung[i], b.ladder_idx[i] as usize);
+                let queue_delay = b.start_us[i] - req.arrival_us;
+                let latency = queue_delay + b.service_us[i];
+                latency_us.observe(latency);
+                queue_delay_us.observe(queue_delay);
+                let outcome = RequestOutcome {
+                    id: req.id,
+                    kind: req.kind,
+                    arrival_us: req.arrival_us,
+                    queue_delay_us: queue_delay,
+                    rung: (rung != NONE_U32).then_some(rung as usize),
+                    service_us: b.service_us[i],
+                    latency_us: latency,
+                    shard: b.shard[i] as usize,
+                    batch_size: b.members[i] as usize,
+                    generation: self.generations[entry],
+                    status: if latency > deadline {
+                        Status::Missed
+                    } else {
+                        Status::Served
+                    },
+                };
+                (
+                    outcome,
+                    rung != NONE_U32 && (rung as usize) < self.ladders[entry].top(),
+                )
+            };
+            by_status[outcome.status as usize] += 1;
+            degraded += u64::from(below_top);
+            if let Some(tb) = tb.as_deref_mut() {
+                tb.request(
+                    outcome.arrival_us,
+                    outcome.shard,
+                    outcome.status,
+                    below_top,
+                    outcome.queue_delay_us,
+                );
             }
-            degraded += u64::from(out.degraded[i]);
+            outcomes.push(outcome);
         }
         let mut batch_size = obs::Histogram::default();
-        for &members in &self.batches.members {
+        for &members in &b.members {
             batch_size.observe(u64::from(members));
         }
         let [served, missed, rejected, dropped] = by_status;
@@ -491,15 +511,43 @@ impl RunLedger<'_> {
         for swap in &self.swaps {
             obs::gauge_set("recalib.scale_ppm", swap.calib_ppm as i64);
         }
-        self.out
+        outcomes
     }
+}
 
-    /// The timeline, then the registry flush, then the outcomes: the
-    /// timeline's working buffers and the batch columns are freed before
-    /// the outcome records are allocated.
-    fn project(self, cfg: &TimelineConfig) -> (Vec<RequestOutcome>, Timeline) {
-        let (timeline, requests) = (self.timeline(cfg), self.requests);
-        (self.flush_metrics().outcomes(requests), timeline)
+/// Emits one `serve.request` span per started request: batch by batch in
+/// dispatch order, each batch's members in arrival order. A counting pass
+/// over `members` places each batch's members, so the order is rebuilt
+/// only when a trace sink is installed.
+fn trace_requests(requests: &[Request], batch_of: &[u32], b: &BatchSoa) {
+    // next[k]: where batch k's next member goes in `order`.
+    let mut next = Vec::with_capacity(b.len());
+    let mut started = 0usize;
+    for &members in &b.members {
+        next.push(started);
+        started += members as usize;
+    }
+    let mut order = vec![0usize; started];
+    for (i, &batch) in batch_of.iter().enumerate() {
+        if batch != NONE_U32 {
+            let slot = &mut next[batch as usize];
+            order[*slot] = i;
+            *slot += 1;
+        }
+    }
+    for i in order {
+        let (req, k) = (&requests[i], batch_of[i] as usize);
+        let queue_delay = b.start_us[k] - req.arrival_us;
+        let mut span = obs::span("serve.request");
+        span.field("id", req.id);
+        span.field("shard", b.shard[k] as usize);
+        span.field("batch_size", b.members[k] as usize);
+        span.field("queue_delay_us", queue_delay);
+        span.field("service_us", b.service_us[k]);
+        span.field("latency_us", queue_delay + b.service_us[k]);
+        if b.rung[k] != NONE_U32 {
+            span.field("rung", b.rung[k] as usize);
+        }
     }
 }
 
@@ -763,9 +811,7 @@ impl Server {
     /// # Panics
     /// Panics if `requests` is not sorted by `arrival_us`.
     pub fn run(&self, requests: &[Request]) -> Vec<RequestOutcome> {
-        self.simulate(requests, None)
-            .flush_metrics()
-            .outcomes(requests)
+        self.simulate(requests, None).settle(None)
     }
 
     /// Runs the simulation and additionally records the windowed
@@ -808,10 +854,9 @@ impl Server {
             .project(cfg)
     }
 
-    /// The event loop, then finalization: appends one [`OutcomeSoa`] row
-    /// per request, one [`BatchSoa`] row per dispatch and one swap-log
-    /// entry per hot-swap, then prices every batch and settles its
-    /// members' rows. Everything a run reports is projected from the
+    /// The event loop: records the batch each request started in (or a
+    /// [`Refusal`]), one [`BatchSoa`] row per dispatch and one swap-log
+    /// entry per hot-swap. Everything a run reports is projected from the
     /// returned ledger.
     fn simulate<'a>(
         &'a self,
@@ -856,11 +901,10 @@ impl Server {
             fault_tables.iter().map(FaultTable::cursor).collect();
         // open[s]: shard s's joinable batch, if any.
         let mut open: Vec<Option<OpenBatch>> = vec![None; self.shards.len()];
-        let mut batches = BatchSoa::default();
-        let mut out = OutcomeSoa::with_capacity(requests.len());
-        // Batch-member linked-list arena: next member in join order,
-        // outcome-index space ([`NONE_U32`] terminates).
-        let mut next_member: Vec<u32> = vec![NONE_U32; requests.len()];
+        // A run dispatches at most one batch per request.
+        let mut batches = BatchSoa::with_capacity(requests.len());
+        let mut batch_of: Vec<u32> = Vec::with_capacity(requests.len());
+        let mut refusals: Vec<Refusal> = Vec::new();
         // The generation-tagged serving state: admission reads the shard's
         // current ladder and generation through `cur_ladder`; hot-swaps
         // append to both tables and repoint the index, so in-flight
@@ -896,7 +940,7 @@ impl Server {
             }
         });
 
-        for (oi, req) in requests.iter().enumerate() {
+        for req in requests {
             let now = req.arrival_us;
             // Saturating: a deadline near `u64::MAX` means "never late",
             // not a wrapped instant in the past.
@@ -1061,7 +1105,13 @@ impl Server {
             let generation = ladder_gen[cur_ladder[s] as usize];
 
             if faults[s].should_drop(req.id) {
-                out.push(0, s as u32, generation, Status::Dropped);
+                refusals.push(Refusal {
+                    queue_delay_us: 0,
+                    generation,
+                    shard: s as u32,
+                    status: Status::Dropped,
+                });
+                batch_of.push(NONE_U32);
                 continue;
             }
 
@@ -1072,11 +1122,17 @@ impl Server {
             }
 
             if !cand.admissible {
-                out.push(cand.start_us - now, s as u32, generation, Status::Rejected);
+                refusals.push(Refusal {
+                    queue_delay_us: cand.start_us - now,
+                    generation,
+                    shard: s as u32,
+                    status: Status::Rejected,
+                });
+                batch_of.push(NONE_U32);
                 continue;
             }
 
-            match plan {
+            let batch = match plan {
                 DispatchPlan::Solo {
                     from,
                     rung,
@@ -1093,7 +1149,6 @@ impl Server {
                         rung.map_or(NONE_U32, |r| r as u32),
                         service,
                         cur_ladder[s],
-                        oi as u32,
                     );
                     if let Some(ctl) = controller.as_mut() {
                         ctl.pending.push((cand.start_us, b as u32));
@@ -1108,10 +1163,10 @@ impl Server {
                             batch: b,
                             worker,
                             tightest_abs_us: abs_deadline,
-                            last_member: oi as u32,
                             leader_noise_ppm: noise_ppm,
                             fault_ppm,
                         });
+                    b
                 }
                 DispatchPlan::Join {
                     rung,
@@ -1122,8 +1177,12 @@ impl Server {
                         .as_mut()
                         .expect("a join extends its shard's open batch");
                     let batch = o.batch;
-                    next_member[o.last_member as usize] = oi as u32;
-                    o.last_member = oi as u32;
+                    // Open batches close at a swap, so a member's admission
+                    // generation is always its batch's generation.
+                    assert_eq!(
+                        ladder_gen[batches.ladder_idx[batch] as usize], generation,
+                        "batch spans a hot-swap"
+                    );
                     o.tightest_abs_us = tightest_abs_us;
                     batches.members[batch] += 1;
                     batches.rung[batch] = rung as u32;
@@ -1132,67 +1191,29 @@ impl Server {
                     if batches.members[batch] as usize >= batcher.batch_max {
                         open[s] = None;
                     }
+                    batch
                 }
-            }
-
-            // Deferred: a later join can still move this request's finish
-            // time, so real numbers land in the finalization pass.
-            out.push(0, s as u32, generation, Status::Served);
+            };
+            // A later join can still move the batch's finish time, so the
+            // request's result is read off the batch row after the loop.
+            batch_of.push(batch as u32);
         }
 
-        // Finalization: batch sizes are settled, and so is each batch's
-        // service, priced on its *admission* generation's ladder by its
-        // dispatch or last join — hot-swaps never touch in-flight work.
-        // Its members' rows are filled in.
-        for b in 0..batches.len() {
-            let (start, rung, size) = (batches.start_us[b], batches.rung[b], batches.members[b]);
-            let service = batches.service_us[b];
-            let entry = batches.ladder_idx[b] as usize;
-            let degraded = rung != NONE_U32 && (rung as usize) < ladder_table[entry].top();
-            let mut m = batches.first_member[b];
-            while m != NONE_U32 {
-                let oi = m as usize;
-                // Open batches close at a swap, so a member's admission
-                // generation is always its batch's generation.
-                assert_eq!(
-                    out.generation[oi], ladder_gen[entry],
-                    "batch spans a hot-swap"
-                );
-                let arrival = requests[oi].arrival_us;
-                let latency = start + service - arrival;
-                out.queue_delay_us[oi] = start - arrival;
-                out.rung[oi] = rung;
-                out.service_us[oi] = service;
-                out.batch_size[oi] = size;
-                out.degraded[oi] = degraded;
-                out.status[oi] = if latency > deadline {
-                    Status::Missed
-                } else {
-                    Status::Served
-                };
-                if obs::enabled() {
-                    let mut span = obs::span("serve.request");
-                    span.field("id", requests[oi].id);
-                    span.field("shard", batches.shard[b] as usize);
-                    span.field("batch_size", size as usize);
-                    span.field("queue_delay_us", start - arrival);
-                    span.field("service_us", service);
-                    span.field("latency_us", latency);
-                    if rung != NONE_U32 {
-                        span.field("rung", rung as usize);
-                    }
-                }
-                m = next_member[oi];
-            }
+        if obs::enabled() {
+            trace_requests(requests, &batch_of, &batches);
         }
-        run_span.field("outcomes", out.status.len());
+        run_span.field("outcomes", batch_of.len());
         run_span.field("batches", batches.len());
+        batches.shrink_to_fit();
+        refusals.shrink_to_fit();
         RunLedger {
             server: self,
             requests,
-            out,
+            batch_of,
+            refusals,
             batches,
             ladders: ladder_table,
+            generations: ladder_gen,
             swaps,
             triggers,
         }
@@ -1510,11 +1531,8 @@ mod tests {
                 .filter(|&i| b.rung[i as usize] != NONE_U32)
                 .collect();
             global.sort_by_key(|&i| b.start_us[i as usize]);
-            assert_eq!(
-                ledger.timeline(&cfg),
-                ledger.timeline_in(&cfg, global),
-                "seed {seed}"
-            );
+            let (_, per_shard) = server.simulate(&reqs, None).project(&cfg);
+            assert_eq!(per_shard, ledger.project_in(&cfg, global).1, "seed {seed}");
         }
     }
 
@@ -1562,6 +1580,58 @@ mod tests {
         });
     }
 
+    /// The batch column is the run's result ledger, so it must name each
+    /// batch's members exactly: a batch counts as many members as requests
+    /// name it, every member arrived by its batch's start, batches are
+    /// numbered in their leaders' arrival order, and every request that
+    /// names no batch has one refusal record, rejected or dropped. Every
+    /// reference leg at seeds 11 and 13, closed loop included, and the
+    /// stress scenario cut to 0.1 s.
+    #[test]
+    fn the_batch_column_names_each_batch_exactly() {
+        let (mut joined, mut refused) = (0usize, 0usize);
+        for_each_reference_ledger(|leg, requests, ledger| {
+            let (b, batch_of) = (&ledger.batches, &ledger.batch_of);
+            assert_eq!(batch_of.len(), requests.len(), "{leg}");
+            let mut named = vec![0u32; b.len()];
+            let mut leaders = Vec::with_capacity(b.len());
+            for (r, &k) in batch_of.iter().enumerate() {
+                if k == NONE_U32 {
+                    continue;
+                }
+                let k = k as usize;
+                assert!(
+                    requests[r].arrival_us <= b.start_us[k],
+                    "{leg}: request {r} arrives after batch {k} starts"
+                );
+                if named[k] == 0 {
+                    leaders.push(k);
+                }
+                named[k] += 1;
+            }
+            if let Some(k) = (0..b.len()).find(|&k| named[k] != b.members[k]) {
+                panic!(
+                    "{leg}: batch {k} counts {} members, {} requests name it",
+                    b.members[k], named[k]
+                );
+            }
+            assert!(
+                leaders.iter().enumerate().all(|(n, &k)| n == k),
+                "{leg}: batch ids out of their leaders' arrival order"
+            );
+            let unstarted = batch_of.iter().filter(|&&k| k == NONE_U32).count();
+            assert_eq!(ledger.refusals.len(), unstarted, "{leg}: refusal records");
+            assert!(ledger
+                .refusals
+                .iter()
+                .all(|r| matches!(r.status, Status::Rejected | Status::Dropped)));
+            joined += b.members.iter().filter(|&&m| m > 1).count();
+            refused += unstarted;
+        });
+        assert!(joined > 0, "no leg joined a batch");
+        assert!(refused > 0, "no leg refused a request");
+    }
+
     /// `base × noise × fault` with both truncating quotients taken in
     /// `u128`, floor 1 µs: what [`scaled_service`] computes on every path.
     fn scaled_in_u128(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
@@ -1605,6 +1675,13 @@ mod tests {
         for_each_reference_ledger(|leg, requests, ledger| {
             let (b, server) = (&ledger.batches, ledger.server);
             let emg_us = server.config.emg_service_us;
+            // Each batch's leader: the first request that names it.
+            let mut leader = vec![NONE_U32; b.len()];
+            for (r, &k) in ledger.batch_of.iter().enumerate().rev() {
+                if k != NONE_U32 {
+                    leader[k as usize] = r as u32;
+                }
+            }
             for i in 0..b.len() {
                 let shard = &server.shards[b.shard[i] as usize];
                 let ladder = &ledger.ladders[b.ladder_idx[i] as usize];
@@ -1619,7 +1696,7 @@ mod tests {
                     );
                     ladder.batch_latency_us(r, n)
                 };
-                let leader = requests[b.first_member[i] as usize].id;
+                let leader = requests[leader[i] as usize].id;
                 let service_us = scaled_in_u128(
                     base_us,
                     shard.draw_noise_ppm(leader),

@@ -331,13 +331,15 @@ struct Cell {
 ///
 /// Cells are a dense window-major vector indexed `w × shards + s`, grown
 /// on first touch — every event is a bump of an indexed integer field,
-/// with no string keys or map lookups.
+/// with no string keys or map lookups. The projection feeds it in three
+/// steps: swaps and batches, then the residual fold
+/// ([`Self::fold_residuals`]), then the requests; [`Self::finish`] reads
+/// the rows and alerts off.
 #[derive(Debug)]
 pub(crate) struct TimelineBuilder {
     cfg: TimelineConfig,
     deadline_us: u64,
     shard_names: Vec<String>,
-    ladder_lens: Vec<usize>,
     /// Dense (window, shard) cells, window-major.
     cells: Vec<Cell>,
     /// Highest window any event touched (`None` when no event landed).
@@ -354,6 +356,13 @@ pub(crate) struct TimelineBuilder {
     fault_entries: Vec<(u64, usize, u64, u64)>,
     /// The run's hot-swaps, controller order.
     swaps: Vec<Swap>,
+    /// Dense window count, set by the residual fold.
+    windows: u64,
+    /// Residual state as of the last folded sample.
+    residuals: ResidualTracker,
+    /// Each shard's residual state as of each window's end, window-major
+    /// like the cells: (blended EWMA, worst drift, samples).
+    states: Vec<(u64, u64, u64)>,
 }
 
 impl TimelineBuilder {
@@ -369,11 +378,12 @@ impl TimelineBuilder {
             }
         }
         fault_entries.sort_unstable();
+        let ladder_lens: Vec<usize> = shards.iter().map(|s| s.ladder.len()).collect();
         TimelineBuilder {
             cfg,
             deadline_us,
             shard_names: shards.iter().map(|s| s.name.clone()).collect(),
-            ladder_lens: shards.iter().map(|s| s.ladder.len()).collect(),
+            residuals: ResidualTracker::new(&ladder_lens, obs::DEFAULT_ALPHA_PPM),
             cells: Vec::new(),
             last_window: None,
             cached_start_us: 0,
@@ -381,6 +391,8 @@ impl TimelineBuilder {
             cache_live: false,
             fault_entries,
             swaps: Vec::new(),
+            windows: 0,
+            states: Vec::new(),
         }
     }
 
@@ -446,45 +458,40 @@ impl TimelineBuilder {
         self.cell_mut(start_us, shard).batches += 1;
     }
 
-    /// Folds everything into the finished [`Timeline`]: dense (window,
-    /// shard) rows, alerts in (window, shard, code) order, and the
-    /// residual `samples` — one per ladder batch. Each shard's samples
-    /// must come in `(start_us, dispatch order)`, the order its residual
-    /// state folds them in; samples of different shards may interleave in
-    /// any way, since a shard's residual cells never read another's.
-    pub(crate) fn finish(mut self, samples: impl IntoIterator<Item = ResidualSample>) -> Timeline {
+    /// Folds the residual `samples` — one per ladder batch — and fixes
+    /// the dense window count. Each shard's samples must come in
+    /// `(start_us, dispatch order)`, the order its residual state folds
+    /// them in; samples of different shards may interleave in any way,
+    /// since a shard's residual cells never read another's. Every batch
+    /// and swap must be in by now; the requests may follow, and the last
+    /// of them arrives at `last_arrival_us`, whose window counts toward
+    /// the total.
+    pub(crate) fn fold_residuals(
+        &mut self,
+        last_arrival_us: Option<u64>,
+        samples: impl IntoIterator<Item = ResidualSample>,
+    ) {
         let shards = self.shard_names.len();
-        let last_fault = self.fault_entries.iter().map(|&(w, ..)| w).max();
-        // Hot-swaps landing per shard:
-        // `(window, shard, t_us, calib_ppm, generation)`, sorted.
-        let mut recalib_entries: Vec<(u64, usize, u64, u64, u64)> = self
-            .swaps
-            .iter()
-            .map(|sw| {
-                let w = sw.t_us / self.cfg.window_us;
-                (w, sw.shard, sw.t_us, sw.calib_ppm, sw.generation)
-            })
-            .collect();
-        recalib_entries.sort_unstable();
-        let last_recalib = recalib_entries.iter().map(|&(w, ..)| w).max();
+        let window_us = self.cfg.window_us;
         let windows = self
             .last_window
             .into_iter()
-            .chain(last_fault)
-            .chain(last_recalib)
+            .chain(last_arrival_us.map(|t| t / window_us))
+            .chain(self.fault_entries.iter().map(|&(w, ..)| w))
+            .chain(self.swaps.iter().map(|sw| sw.t_us / window_us))
             .max()
             .map_or(0, |w| w + 1);
-        // Fault/recalib entries can reach past the last event window:
-        // extend the dense cells so every row reads a real (empty) cell.
+        // Every cell the requests or the rows will read, and not one more:
+        // the cells stay live beside the outcome records. Fault/recalib
+        // entries can reach past the last event window, so every row reads
+        // a real (empty) cell.
         self.cells
             .resize_with((windows as usize) * shards, Cell::default);
-        // Each shard's residual state as of each window's end, window-major
-        // like the cells: (blended EWMA, worst drift, samples). A shard's
-        // windows that end before its next sample starts are final, so the
-        // fold reads them off as it passes; samples past the last window
-        // are never folded.
-        let window_us = self.cfg.window_us;
-        let mut residuals = ResidualTracker::new(&self.ladder_lens, obs::DEFAULT_ALPHA_PPM);
+        self.cells.shrink_to_fit();
+        // A shard's windows that end before its next sample starts are
+        // final, so the fold reads them off as it passes; samples past the
+        // last window are never folded.
+        let residuals = &mut self.residuals;
         let read = |residuals: &ResidualTracker, s: usize| {
             (
                 residuals.blended(s).ewma_ppm(),
@@ -498,7 +505,7 @@ impl TimelineBuilder {
         for x in samples {
             let w = &mut unread[x.shard];
             while *w < windows && (*w + 1) * window_us <= x.start_us {
-                states[(*w as usize) * shards + x.shard] = read(&residuals, x.shard);
+                states[(*w as usize) * shards + x.shard] = read(residuals, x.shard);
                 *w += 1;
             }
             if *w < windows {
@@ -507,9 +514,35 @@ impl TimelineBuilder {
         }
         for (s, &first) in unread.iter().enumerate() {
             for w in first..windows {
-                states[(w as usize) * shards + s] = read(&residuals, s);
+                states[(w as usize) * shards + s] = read(residuals, s);
             }
         }
+        self.windows = windows;
+        self.states = states;
+    }
+
+    /// Folds everything into the finished [`Timeline`]: dense (window,
+    /// shard) rows and alerts in (window, shard, code) order, over the
+    /// windows [`Self::fold_residuals`] fixed.
+    pub(crate) fn finish(self) -> Timeline {
+        let (shards, windows, window_us) =
+            (self.shard_names.len(), self.windows, self.cfg.window_us);
+        debug_assert!(
+            self.last_window.is_none_or(|w| w < windows),
+            "an event landed past the folded windows"
+        );
+        // Hot-swaps landing per shard:
+        // `(window, shard, t_us, calib_ppm, generation)`, sorted.
+        let mut recalib_entries: Vec<(u64, usize, u64, u64, u64)> = self
+            .swaps
+            .iter()
+            .map(|sw| {
+                let w = sw.t_us / window_us;
+                (w, sw.shard, sw.t_us, sw.calib_ppm, sw.generation)
+            })
+            .collect();
+        recalib_entries.sort_unstable();
+        let states = &self.states;
         let slo = SloPolicy::default();
         let mut rows = Vec::with_capacity((windows as usize) * shards);
         let mut alerts = Vec::new();
@@ -605,7 +638,7 @@ impl TimelineBuilder {
             slo,
             shard_names: self.shard_names,
             rows,
-            residuals,
+            residuals: self.residuals,
             alerts,
             swaps: self.swaps,
         }
@@ -646,6 +679,12 @@ mod tests {
         TimelineBuilder::new(TimelineConfig::default(), shards, 900)
     }
 
+    /// Folds `samples` after the events fed so far, then finishes.
+    fn finish(mut b: TimelineBuilder, samples: &[ResidualSample]) -> Timeline {
+        b.fold_residuals(None, samples.iter().copied());
+        b.finish()
+    }
+
     fn sample(start_us: u64, rung: usize, predicted_us: u64, observed_us: u64) -> ResidualSample {
         ResidualSample {
             start_us,
@@ -660,12 +699,16 @@ mod tests {
     fn dispositions_land_in_their_arrival_window() {
         let shards = vec![shard("a", FaultPlan::none())];
         let mut b = builder(&shards);
+        // In the projection's order: batches, the fold, then the requests.
+        // No batch starts in the last arrival's window, which counts all
+        // the same.
+        b.batch(10, 0);
+        b.fold_residuals(Some(250_000), [sample(10, 1, 700, 721)]);
         b.request(10, 0, Status::Served, false, 5);
         b.request(150_000, 0, Status::Missed, true, 800);
         b.request(160_000, 0, Status::Rejected, false, 0);
         b.request(250_000, 0, Status::Dropped, false, 0);
-        b.batch(10, 0);
-        let tl = b.finish([sample(10, 1, 700, 721)]);
+        let tl = b.finish();
         assert_eq!(tl.windows, 3);
         assert_eq!(tl.rows.len(), 3);
         let row0 = &tl.rows[0];
@@ -698,7 +741,7 @@ mod tests {
             seed: 0,
         };
         let shards = vec![shard("a", FaultPlan::none()), shard("b", faults)];
-        let tl = builder(&shards).finish([]);
+        let tl = finish(builder(&shards), &[]);
         // No traffic at all, but the fault entry still shapes the span.
         assert_eq!(tl.windows, 2);
         let obs004: Vec<&Alert> = tl
@@ -727,7 +770,7 @@ mod tests {
             calib_ppm: 1_300_000,
         };
         b.recalibrated(swap);
-        let tl = b.finish([]);
+        let tl = finish(b, &[]);
         assert_eq!(tl.swaps, vec![swap], "the swap log rides along");
         let obs005: Vec<&Alert> = tl
             .alerts
@@ -759,7 +802,7 @@ mod tests {
         for i in 0..20 {
             b.request(i * 1_000, 0, Status::Served, false, 0);
         }
-        let tl = b.finish([]);
+        let tl = finish(b, &[]);
         let starved: Vec<&Alert> = tl
             .alerts
             .iter()
@@ -784,7 +827,7 @@ mod tests {
             };
             b.request(i * 1_000, 0, status, false, 0);
         }
-        let tl = b.finish([]);
+        let tl = finish(b, &[]);
         assert_eq!(tl.rows[0].burn_ppm, 10_000_000);
         let burns: Vec<&Alert> = tl
             .alerts
@@ -802,7 +845,7 @@ mod tests {
         let mut b = builder(&shards);
         b.request(10, 0, Status::Served, false, 5);
         b.batch(10, 0);
-        let tl = b.finish([sample(10, 0, 100, 100)]);
+        let tl = finish(b, &[sample(10, 0, 100, 100)]);
         let doc = tl.to_jsonl();
         assert_eq!(doc, tl.to_jsonl());
         let lines: Vec<&str> = doc.lines().collect();
@@ -823,7 +866,7 @@ mod tests {
     #[test]
     fn empty_run_is_an_empty_timeline() {
         let shards = vec![shard("a", FaultPlan::none())];
-        let tl = builder(&shards).finish([]);
+        let tl = finish(builder(&shards), &[]);
         assert_eq!(tl.windows, 0);
         assert!(tl.rows.is_empty());
         assert!(tl.alerts.is_empty());

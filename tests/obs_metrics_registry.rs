@@ -109,7 +109,7 @@ fn the_hot_serve_metrics_are_actually_in_the_tree() {
 #[test]
 fn the_hot_flush_literals_are_scanned_and_registered() {
     // The runtime's registry series are projected from the run ledger and
-    // flushed once from `runtime.rs` (`RunLedger::flush_metrics`); pin
+    // flushed once from `runtime.rs` (`RunLedger::settle`); pin
     // them file-by-file so a rename there can't silently drop them out of
     // both the scan and the registry.
     let runtime: std::collections::HashSet<String> = metric_literals()

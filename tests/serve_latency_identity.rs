@@ -1,7 +1,9 @@
 //! A completion's latency is its queue delay plus its service time, and
 //! a request that never started reports zeros. The run ledger keeps no
-//! latency column: outcome assembly and the registry flush derive it from
-//! those two columns, so this identity is what every golden's latency
+//! per-request result: the one pass that builds the outcome records and
+//! the registry flush reads a completion's queue delay and service off its
+//! batch's row (start − arrival, and the batch's service) and derives the
+//! latency from those two, so this identity is what every golden's latency
 //! figures rest on. Checked on every reference-matrix leg (the closed-loop
 //! `drift` leg included) at two seeds, and on the stress scenario cut to
 //! 0.1 s, where batches of up to eight share one service time.
