@@ -696,6 +696,14 @@ mod tests {
             ),
             (&["--shards", "0"], "--shards must be at least 1"),
             (
+                &["--batch-max", "65536"],
+                "--batch-max must be at most 65535 (got 65536)",
+            ),
+            (
+                &["--shards", "65536"],
+                "--shards must be at most 65535 (got 65536)",
+            ),
+            (
                 &["--timeline-window-us", "0"],
                 "--timeline-window-us must be positive",
             ),

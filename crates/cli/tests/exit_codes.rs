@@ -55,6 +55,14 @@ fn config_errors_exit_2_with_the_usage_text() {
             &["--workers", "0"],
             "--shards 1 needs at least that many workers (got --workers 0)",
         ),
+        (
+            &["--batch-max", "65536"],
+            "--batch-max must be at most 65535 (got 65536)",
+        ),
+        (
+            &["--shards", "65536", "--workers", "65536"],
+            "--shards must be at most 65535 (got 65536)",
+        ),
     ] {
         assert_flag_error(&cli(&[&["serve"][..], args].concat()), message);
     }

@@ -132,12 +132,25 @@ pub struct TrnLadder {
     calib_ppm: u64,
 }
 
+/// Checks a new ladder's rung count against [`TrnLadder::MAX_RUNGS`].
+fn assert_rung_count(rungs: usize) {
+    assert!(
+        rungs <= TrnLadder::MAX_RUNGS,
+        "a ladder holds at most {} rungs (got {rungs})",
+        TrnLadder::MAX_RUNGS
+    );
+}
+
 /// The exit table *is* the ladder: every rung is one exit head of the
 /// single multi-exit network, so this alias names the same type by its
 /// post-refactor role.
 pub type ExitTable = TrnLadder;
 
 impl TrnLadder {
+    /// Most rungs a ladder holds: an outcome record names its rung in a
+    /// `u16`.
+    pub const MAX_RUNGS: usize = 1 << 16;
+
     /// Builds the exit table from evaluated candidates: Pareto-filter,
     /// then order ascending by measured latency. Rungs with identical
     /// integer microsecond latency collapse to the more accurate one.
@@ -146,6 +159,9 @@ impl TrnLadder {
     /// [`LadderError::NoCandidates`] when `points` is empty — a server
     /// needs at least one exit, and an empty sweep is an operator error to
     /// report, not a panic.
+    ///
+    /// # Panics
+    /// Panics if the frontier has more than [`Self::MAX_RUNGS`] rungs.
     pub fn from_points(points: &[CandidatePoint]) -> Result<Self, LadderError> {
         if points.is_empty() {
             return Err(LadderError::NoCandidates);
@@ -173,6 +189,7 @@ impl TrnLadder {
                 false
             }
         });
+        assert_rung_count(rungs.len());
         Ok(TrnLadder {
             rungs,
             batch_curves: Vec::new(),
@@ -188,9 +205,11 @@ impl TrnLadder {
     /// unique latencies.
     ///
     /// # Panics
-    /// Panics on an empty rung list or duplicate latencies.
+    /// Panics on an empty rung list, more than [`Self::MAX_RUNGS`] rungs,
+    /// or duplicate latencies.
     pub fn from_rungs(mut rungs: Vec<Rung>) -> Self {
         assert!(!rungs.is_empty(), "cannot build an empty ladder");
+        assert_rung_count(rungs.len());
         rungs.sort_by_key(|r| r.latency_us);
         for pair in rungs.windows(2) {
             assert!(

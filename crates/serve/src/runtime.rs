@@ -140,7 +140,12 @@ pub enum Status {
     Dropped,
 }
 
-/// Everything the runtime decided about one request.
+/// Everything the runtime decided about one request: 48 bytes. The
+/// narrow fields hold what the server bounds: at most
+/// [`Server::MAX_SHARDS`] shards, batches of at most
+/// [`Server::MAX_BATCH`], ladders of at most [`TrnLadder::MAX_RUNGS`]
+/// rungs, and generations below `u32::MAX` (every hot-swap appends to a
+/// `u32`-indexed ladder table).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestOutcome {
     /// Id of the request this outcome belongs to.
@@ -152,24 +157,33 @@ pub struct RequestOutcome {
     /// Time spent waiting for a worker (0 for dropped).
     pub queue_delay_us: u64,
     /// Ladder rung served (`None` for EMG, rejected, and dropped).
-    pub rung: Option<usize>,
+    pub rung: Option<u16>,
     /// Actual service time after noise and jitter faults (0 if never
     /// started). Batch members share the whole batch's service time.
     pub service_us: u64,
-    /// Arrival-to-completion latency (0 if never started).
-    pub latency_us: u64,
     /// Shard the request was routed to (the reject/drop shard for
     /// requests that never started).
-    pub shard: usize,
+    pub shard: u16,
     /// Size of the batch the request was served in (1 = solo, 0 if never
     /// started).
-    pub batch_size: usize,
+    pub batch_size: u16,
     /// Ladder generation of the request's shard at admission (0 until the
     /// closed-loop controller hot-swaps). Requests finish on the
     /// generation they were admitted under, even across a swap.
-    pub generation: u64,
+    pub generation: u32,
     /// Disposition.
     pub status: Status,
+}
+
+impl RequestOutcome {
+    /// Arrival-to-completion latency, microseconds: queue delay plus
+    /// service for a request that started, 0 for one rejected or dropped.
+    pub fn latency_us(&self) -> u64 {
+        match self.status {
+            Status::Served | Status::Missed => self.queue_delay_us + self.service_us,
+            Status::Rejected | Status::Dropped => 0,
+        }
+    }
 }
 
 /// Serving runtime parameters.
@@ -316,8 +330,8 @@ struct OpenBatch {
 struct Refusal {
     queue_delay_us: u64,
     /// The shard's ladder generation at the request's arrival.
-    generation: u64,
-    shard: u32,
+    generation: u32,
+    shard: u16,
     status: Status,
 }
 
@@ -336,7 +350,7 @@ struct RunLedger<'a> {
     /// shard's starting ladder, then each hot-swapped one.
     ladders: Vec<TrnLadder>,
     /// Each ladder-table entry's generation.
-    generations: Vec<u64>,
+    generations: Vec<u32>,
     /// Hot-swaps in the order the controller made them.
     swaps: Vec<Swap>,
     /// Controller triggers, including those whose refit or swap declined.
@@ -355,7 +369,7 @@ impl RunLedger<'_> {
         let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.server.shards.len()];
         for i in 0..b.len() {
             if b.rung[i] != NONE_U32 {
-                by_shard[b.shard[i] as usize].push(i as u32);
+                by_shard[b.shard[i] as usize].push(ledger_u32(i));
             }
         }
         for list in &mut by_shard {
@@ -403,8 +417,9 @@ impl RunLedger<'_> {
     /// from its batch row — a member's queue delay, rung, service, batch
     /// size, generation and status are its batch's, and its latency is
     /// queue delay plus service — or from its refusal record, feeds `tb`
-    /// if there is one, and builds the outcome records. Then flushes the
-    /// run to the global `obs` registry: one `counter_add` or
+    /// if there is one, and builds the outcome records, narrowing the
+    /// row's shard, rung and member count to the record's widths. Then
+    /// flushes the run to the global `obs` registry: one `counter_add` or
     /// `histogram_merge` per series. Counters sum and histograms fold
     /// order-independently, so this leaves the registry exactly as
     /// per-event updates would. Zero counters are skipped (as are empty
@@ -428,8 +443,7 @@ impl RunLedger<'_> {
                     queue_delay_us: r.queue_delay_us,
                     rung: None,
                     service_us: 0,
-                    latency_us: 0,
-                    shard: r.shard as usize,
+                    shard: r.shard,
                     batch_size: 0,
                     generation: r.generation,
                     status: r.status,
@@ -447,11 +461,14 @@ impl RunLedger<'_> {
                     kind: req.kind,
                     arrival_us: req.arrival_us,
                     queue_delay_us: queue_delay,
-                    rung: (rung != NONE_U32).then_some(rung as usize),
+                    rung: (rung != NONE_U32).then(|| {
+                        u16::try_from(rung).expect("a ladder has at most MAX_RUNGS rungs")
+                    }),
                     service_us: b.service_us[i],
-                    latency_us: latency,
-                    shard: b.shard[i] as usize,
-                    batch_size: b.members[i] as usize,
+                    shard: u16::try_from(b.shard[i])
+                        .expect("a server has at most MAX_SHARDS shards"),
+                    batch_size: u16::try_from(b.members[i])
+                        .expect("a batch has at most MAX_BATCH members"),
                     generation: self.generations[entry],
                     status: if latency > deadline {
                         Status::Missed
@@ -469,7 +486,7 @@ impl RunLedger<'_> {
             if let Some(tb) = tb.as_deref_mut() {
                 tb.request(
                     outcome.arrival_us,
-                    outcome.shard,
+                    usize::from(outcome.shard),
                     outcome.status,
                     below_top,
                     outcome.queue_delay_us,
@@ -750,6 +767,14 @@ fn scaled_service(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
 }
 
 impl Server {
+    /// Most shards a server takes: an outcome record names its shard in
+    /// a `u16`.
+    pub const MAX_SHARDS: usize = u16::MAX as usize;
+
+    /// Largest `batch_max` a server takes: an outcome record carries its
+    /// batch size in a `u16`.
+    pub const MAX_BATCH: usize = u16::MAX as usize;
+
     /// Builds a single-shard server — the unsharded path, bit-compatible
     /// with runs from before sharding existed. Its shard has zero jitter,
     /// so every service-noise draw is exactly `PPM`.
@@ -772,10 +797,16 @@ impl Server {
     /// `config.workers`.
     ///
     /// # Panics
-    /// Panics on zero shards, a shard with zero workers, a worker-count
-    /// mismatch, a zero deadline, or a zero `batch_max`.
+    /// Panics on zero shards or more than [`Self::MAX_SHARDS`], a shard
+    /// with zero workers, a worker-count mismatch, a zero deadline, or a
+    /// `batch_max` of zero or above [`Self::MAX_BATCH`].
     pub fn with_shards(shards: Vec<Shard>, config: ServerConfig) -> Self {
         assert!(!shards.is_empty(), "server needs at least one shard");
+        assert!(
+            shards.len() <= Self::MAX_SHARDS,
+            "a server takes at most {} shards",
+            Self::MAX_SHARDS
+        );
         assert!(
             shards.iter().all(|s| s.workers > 0),
             "every shard needs at least one worker"
@@ -787,6 +818,11 @@ impl Server {
         );
         assert!(config.deadline_us > 0, "deadline must be positive");
         assert!(config.batch_max > 0, "batch_max must be at least 1");
+        assert!(
+            config.batch_max <= Self::MAX_BATCH,
+            "batch_max must be at most {}",
+            Self::MAX_BATCH
+        );
         Server { shards, config }
     }
 
@@ -809,7 +845,8 @@ impl Server {
     /// time) and returns one outcome per request, in arrival order.
     ///
     /// # Panics
-    /// Panics if `requests` is not sorted by `arrival_us`.
+    /// Panics if `requests` is not sorted by `arrival_us`, or holds
+    /// `u32::MAX` requests or more (the run ledger's batch ids are `u32`).
     pub fn run(&self, requests: &[Request]) -> Vec<RequestOutcome> {
         self.simulate(requests, None).settle(None)
     }
@@ -821,7 +858,8 @@ impl Server {
     /// timeline is projected from the finished run, it never steers it.
     ///
     /// # Panics
-    /// Panics if `requests` is not sorted by `arrival_us`.
+    /// Panics if `requests` is not sorted by `arrival_us`, or holds
+    /// `u32::MAX` requests or more.
     pub fn run_with_timeline(
         &self,
         requests: &[Request],
@@ -841,8 +879,9 @@ impl Server {
     /// timeline gains an OBS005 alert per swap.
     ///
     /// # Panics
-    /// Panics if `requests` is not sorted by `arrival_us` or `recalib`
-    /// fails [`RecalibConfig::validate`].
+    /// Panics if `requests` is not sorted by `arrival_us`, holds
+    /// `u32::MAX` requests or more, or `recalib` fails
+    /// [`RecalibConfig::validate`].
     pub fn run_recalibrating(
         &self,
         requests: &[Request],
@@ -863,6 +902,12 @@ impl Server {
         requests: &'a [Request],
         recalib: Option<(&RecalibConfig, &dyn Recalibrator)>,
     ) -> RunLedger<'a> {
+        // Batch ids are `u32`s below the `NONE_U32` sentinel, and a run
+        // dispatches at most one batch per request.
+        assert!(
+            requests.len() < u32::MAX as usize,
+            "a run takes fewer than u32::MAX requests"
+        );
         assert!(
             requests
                 .windows(2)
@@ -911,7 +956,7 @@ impl Server {
         // batches keep pricing on their admission entry.
         let mut ladder_table: Vec<TrnLadder> =
             self.shards.iter().map(|s| s.ladder.clone()).collect();
-        let mut ladder_gen: Vec<u64> = vec![0; self.shards.len()];
+        let mut ladder_gen: Vec<u32> = vec![0; self.shards.len()];
         // Batch admission lists, one per ladder-table entry, built as the
         // entry is pushed (none when batching is off).
         let degrade = self.config.degrade;
@@ -923,7 +968,7 @@ impl Server {
         } else {
             Vec::new()
         };
-        let mut cur_ladder: Vec<u32> = (0..self.shards.len() as u32).collect();
+        let mut cur_ladder: Vec<u32> = (0..self.shards.len()).map(ledger_u32).collect();
         let mut swaps: Vec<Swap> = Vec::new();
         let mut triggers = 0u64;
         let mut controller = recalib.map(|(cfg, recalibrator)| {
@@ -982,8 +1027,14 @@ impl Server {
                         let calib = ladder_table[cur_ladder[s] as usize].calib_ppm();
                         let new_calib = ((u128::from(calib) * u128::from(scale)) / u128::from(PPM))
                             .max(1) as u64;
+                        // A generation never exceeds its entry's table index,
+                        // so the new entry's index bounds the bumped one.
+                        let entry = u32::try_from(ladder_table.len())
+                            .expect("ladder-table indices stay below u32::MAX");
                         let generation = ladder_gen[cur_ladder[s] as usize] + 1;
-                        let Some(swapped) = ctl.recalibrator.recalibrate(s, generation, new_calib)
+                        let Some(swapped) =
+                            ctl.recalibrator
+                                .recalibrate(s, u64::from(generation), new_calib)
                         else {
                             continue;
                         };
@@ -992,11 +1043,11 @@ impl Server {
                         }
                         ladder_table.push(swapped);
                         ladder_gen.push(generation);
-                        cur_ladder[s] = (ladder_table.len() - 1) as u32;
+                        cur_ladder[s] = entry;
                         swaps.push(Swap {
                             t_us: watermark,
                             shard: s,
-                            generation,
+                            generation: u64::from(generation),
                             calib_ppm: new_calib,
                         });
                         ctl.tracker.reset_shard(s);
@@ -1108,7 +1159,7 @@ impl Server {
                 refusals.push(Refusal {
                     queue_delay_us: 0,
                     generation,
-                    shard: s as u32,
+                    shard: u16::try_from(s).expect("a server has at most MAX_SHARDS shards"),
                     status: Status::Dropped,
                 });
                 batch_of.push(NONE_U32);
@@ -1125,7 +1176,7 @@ impl Server {
                 refusals.push(Refusal {
                     queue_delay_us: cand.start_us - now,
                     generation,
-                    shard: s as u32,
+                    shard: u16::try_from(s).expect("a server has at most MAX_SHARDS shards"),
                     status: Status::Rejected,
                 });
                 batch_of.push(NONE_U32);
@@ -1144,14 +1195,14 @@ impl Server {
                     let worker = free_at.worker(s, from, cand.start_us);
                     free_at.set(s, worker, cand.start_us + service);
                     let b = batches.push_solo(
-                        s as u32,
+                        ledger_u32(s),
                         cand.start_us,
-                        rung.map_or(NONE_U32, |r| r as u32),
+                        rung.map_or(NONE_U32, ledger_u32),
                         service,
                         cur_ladder[s],
                     );
                     if let Some(ctl) = controller.as_mut() {
-                        ctl.pending.push((cand.start_us, b as u32));
+                        ctl.pending.push((cand.start_us, ledger_u32(b)));
                     }
                     // Every dispatch supersedes the shard's open batch: the
                     // open batch must stay the last thing scheduled on its
@@ -1185,7 +1236,7 @@ impl Server {
                     );
                     o.tightest_abs_us = tightest_abs_us;
                     batches.members[batch] += 1;
-                    batches.rung[batch] = rung as u32;
+                    batches.rung[batch] = ledger_u32(rung);
                     batches.service_us[batch] = service;
                     free_at.set(s, o.worker, batches.start_us[batch] + service);
                     if batches.members[batch] as usize >= batcher.batch_max {
@@ -1196,7 +1247,7 @@ impl Server {
             };
             // A later join can still move the batch's finish time, so the
             // request's result is read off the batch row after the loop.
-            batch_of.push(batch as u32);
+            batch_of.push(ledger_u32(batch));
         }
 
         if obs::enabled() {
@@ -1218,6 +1269,14 @@ impl Server {
             triggers,
         }
     }
+}
+
+/// `x` as a run-ledger entry: a shard index, a rung or a batch id, each
+/// bounded below `u32::MAX` by [`Server::with_shards`],
+/// [`TrnLadder::from_rungs`] and the request-count check in
+/// [`Server::simulate`].
+fn ledger_u32(x: usize) -> u32 {
+    u32::try_from(x).expect("run-ledger entries stay below u32::MAX")
 }
 
 /// Keeps `(cand, plan)` if it routes strictly before the best so far
@@ -1737,6 +1796,13 @@ mod tests {
         assert_eq!(unbounded, run(1_000_000_000_000_000_000));
     }
 
+    /// The record's narrowed layout: four `u64`s, then the generation,
+    /// shard, batch size, rung, kind and status in 16 bytes.
+    #[test]
+    fn an_outcome_record_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<RequestOutcome>(), 48);
+    }
+
     #[test]
     fn default_config_matches_the_paper_budget() {
         let c = ServerConfig::default();
@@ -1755,7 +1821,7 @@ mod tests {
             assert_eq!(o.status, Status::Served);
             assert_eq!(o.rung, Some(3));
             assert_eq!(o.queue_delay_us, 0);
-            assert_eq!(o.latency_us, 750);
+            assert_eq!(o.latency_us(), 750);
             assert_eq!(o.batch_size, 1);
             assert_eq!(o.shard, 0);
         }
@@ -1831,7 +1897,7 @@ mod tests {
         );
         let out = server.run(&[visual(0, 0)]);
         assert_eq!(out[0].rung, Some(3));
-        assert_eq!(out[0].latency_us, 750);
+        assert_eq!(out[0].latency_us(), 750);
     }
 
     #[test]
@@ -1916,7 +1982,7 @@ mod tests {
         let server = Server::new(test_ladder(), config(), faults);
         let out = server.run(&[visual(0, 10)]);
         assert_eq!(out[0].status, Status::Dropped);
-        assert_eq!(out[0].latency_us, 0);
+        assert_eq!(out[0].latency_us(), 0);
         assert_eq!(out[0].batch_size, 0);
     }
 
@@ -1942,7 +2008,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.status, y.status);
-            assert_eq!(x.latency_us, y.latency_us);
+            assert_eq!(x.latency_us(), y.latency_us());
             assert_eq!(x.rung, y.rung);
         }
     }
@@ -1968,14 +2034,14 @@ mod tests {
         // becomes the open batch; r2 joins r1 instead of queueing again.
         let out = server.run(&[visual(0, 0), visual(1, 10), visual(2, 20)]);
         assert_eq!(out[0].batch_size, 1);
-        assert_eq!(out[0].latency_us, 750);
+        assert_eq!(out[0].latency_us(), 750);
         // r1: starts at 750 with 160 µs slack → rung 0; r2 joins: batch 2
         // at rung 0 costs 130 µs, finishing at 880.
         assert_eq!(out[1].batch_size, 2);
         assert_eq!(out[2].batch_size, 2);
         assert_eq!(out[1].rung, Some(0));
-        assert_eq!(out[1].latency_us, 880 - 10);
-        assert_eq!(out[2].latency_us, 880 - 20);
+        assert_eq!(out[1].latency_us(), 880 - 10);
+        assert_eq!(out[2].latency_us(), 880 - 20);
         assert_eq!(out[1].status, Status::Served);
         assert_eq!(out[2].status, Status::Served);
     }
@@ -2006,7 +2072,7 @@ mod tests {
         // overhead), so the run degenerates to the unbatched path exactly.
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.status, y.status);
-            assert_eq!(x.latency_us, y.latency_us);
+            assert_eq!(x.latency_us(), y.latency_us());
             assert_eq!(x.rung, y.rung);
             assert_eq!(x.batch_size, y.batch_size);
         }
@@ -2083,7 +2149,7 @@ mod tests {
             assert_eq!(o.batch_size, 3);
             assert_eq!(o.rung, Some(0));
             assert_eq!(o.status, Status::Served);
-            assert_eq!(o.latency_us, 900 - o.arrival_us); // finish at 900
+            assert_eq!(o.latency_us(), 900 - o.arrival_us); // finish at 900
         }
         assert_eq!(out[4].batch_size, 1, "join would bust the leader");
         assert_eq!(out[4].status, Status::Missed); // solo behind the batch

@@ -63,6 +63,15 @@ pub const MAX_DURATION_US: u64 = u32::MAX as u64;
 pub enum ConfigError {
     /// The field set by this flag is zero but must be positive.
     Zero(&'static str),
+    /// The field set by `flag` is above what an outcome record can carry.
+    TooLarge {
+        /// The CLI flag that sets the field.
+        flag: &'static str,
+        /// The configured value.
+        value: usize,
+        /// The largest value the runtime takes.
+        max: usize,
+    },
     /// Every shard needs at least one worker.
     ShardsExceedWorkers {
         /// Configured shard count.
@@ -89,6 +98,9 @@ impl fmt::Display for ConfigError {
                     _ => "must be positive",
                 };
                 write!(f, "{flag} {rule}")
+            }
+            ConfigError::TooLarge { flag, value, max } => {
+                write!(f, "{flag} must be at most {max} (got {value})")
             }
             ConfigError::ShardsExceedWorkers { shards, workers } => write!(
                 f,
@@ -198,9 +210,10 @@ impl Default for ScenarioConfig {
 
 impl ScenarioConfig {
     /// The one check of whether this configuration can run: every field
-    /// that must be positive is, in the CLI's flag order, then every shard
-    /// has a worker, the roster names a device, and the run fits
-    /// [`MAX_DURATION_US`]. An out-of-range `exit_pin` is found only after
+    /// that must be positive is, in the CLI's flag order, then the shard
+    /// count and `batch_max` fit [`Server::MAX_SHARDS`] and
+    /// [`Server::MAX_BATCH`], every shard has a worker, the roster names a
+    /// device, and the run fits [`MAX_DURATION_US`]. An out-of-range `exit_pin` is found only after
     /// exploration, as [`ConfigError::Ladder`].
     ///
     /// # Errors
@@ -218,6 +231,13 @@ impl ScenarioConfig {
         ];
         if let Some(&(flag, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
             return Err(ConfigError::Zero(flag));
+        }
+        let widths = [
+            ("--batch-max", self.batch_max, Server::MAX_BATCH),
+            ("--shards", self.shards, Server::MAX_SHARDS),
+        ];
+        if let Some(&(flag, value, max)) = widths.iter().find(|(_, value, max)| value > max) {
+            return Err(ConfigError::TooLarge { flag, value, max });
         }
         if self.shards > self.workers {
             return Err(ConfigError::ShardsExceedWorkers {
@@ -696,6 +716,39 @@ mod tests {
         assert_eq!(
             verdict(&with(3, 2)).as_deref(),
             Some("--shards 3 needs at least that many workers (got --workers 2)")
+        );
+    }
+
+    /// The record's `u16` fields bound `--batch-max` and `--shards`: the
+    /// widest values pass, one more fails, naming its flag. Only
+    /// `validate` runs; neither configuration is built.
+    #[test]
+    fn batch_max_and_shards_fit_the_record() {
+        assert_eq!((Server::MAX_BATCH, Server::MAX_SHARDS), (65_535, 65_535));
+        let with = |batch_max, shards| {
+            quick_with(|c| {
+                c.batch_max = batch_max;
+                c.shards = shards;
+                c.workers = shards;
+            })
+        };
+        assert_eq!(verdict(&with(65_535, 65_535)), None);
+        assert_eq!(
+            with(65_536, 1).validate(),
+            Err(ConfigError::TooLarge {
+                flag: "--batch-max",
+                value: 65_536,
+                max: 65_535
+            })
+        );
+        assert_eq!(
+            verdict(&with(1, 65_536)).as_deref(),
+            Some("--shards must be at most 65535 (got 65536)")
+        );
+        assert_eq!(
+            verdict(&with(65_536, 65_536)).as_deref(),
+            Some("--batch-max must be at most 65535 (got 65536)"),
+            "flags report in the CLI's order"
         );
     }
 

@@ -381,4 +381,24 @@ mod tests {
         assert_eq!(report.first_error().unwrap().code.as_str(), "SV002");
         assert!(report.first_error().unwrap().message.contains("99"));
     }
+
+    #[test]
+    fn an_oversized_config_lints_as_sv002_without_building() {
+        let cfg = ScenarioConfig {
+            shards: 65_536,
+            workers: 65_536,
+            ..ScenarioConfig::default()
+        };
+        let (scenario, report) = lint_leg("oversized", cfg);
+        assert!(scenario.is_none());
+        let first = report.first_error().expect("an SV002 finding");
+        assert_eq!(first.code.as_str(), "SV002");
+        assert!(
+            first
+                .message
+                .contains("--shards must be at most 65535 (got 65536)"),
+            "{}",
+            first.message
+        );
+    }
 }

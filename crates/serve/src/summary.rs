@@ -16,11 +16,13 @@
 //!
 //! **One pass.** [`ServeSummary::from_outcomes`] reads each outcome record
 //! once: it folds the status counts, histograms, admission generations and
-//! accuracy sum as it goes, and collects only the completion latencies and
-//! the rejected queue delays. The percentiles are then selected from those
-//! on nested prefixes (p99 first, then p95 and p50 inside it), never
-//! sorted. [`ServeSummary::attach_timeline`] adds the windowed facts and
-//! the recalibration block, which it reads from the timeline's swap log.
+//! accuracy sum as it goes, and counts the completion latencies and the
+//! rejected queue delays instead of collecting them. Each population has
+//! a dense count table over `[0, 2¹³)` µs and a spill list for larger
+//! values; a percentile is one walk over the table, and the spill list is
+//! selected from only when a rank lands in it, so nothing is sorted.
+//! [`ServeSummary::attach_timeline`] adds the windowed facts and the
+//! recalibration block, which it reads from the timeline's swap log.
 
 use crate::request::PPM;
 use crate::runtime::{RequestOutcome, Server, Status};
@@ -201,7 +203,16 @@ pub struct ServeSummary {
 impl ServeSummary {
     /// Aggregates `outcomes` into a summary under `meta`'s run
     /// configuration, in one pass over the records.
+    ///
+    /// # Panics
+    /// Panics if `outcomes` holds `u32::MAX` records or more (a run
+    /// returns fewer), or if a record names a shard, rung or batch size
+    /// outside `meta`.
     pub fn from_outcomes(outcomes: &[RequestOutcome], meta: &RunMeta) -> Self {
+        assert!(
+            outcomes.len() < u32::MAX as usize,
+            "a summary counts fewer than u32::MAX outcomes"
+        );
         let mut by_status = [0u64; 4];
         let mut degraded = 0u64;
         let mut shard_histogram = vec![0u64; meta.shards.len()];
@@ -212,45 +223,48 @@ impl ServeSummary {
             .collect();
         let mut batch_histogram = vec![0u64; meta.batch_max.max(1)];
         let mut generations = vec![0u64; meta.shards.len()];
-        let mut latencies: Vec<u64> = Vec::with_capacity(outcomes.len());
+        let mut latencies = RankCounter::default();
         let mut latency_max_us = 0u64;
-        let mut rejected_delays: Vec<u64> = Vec::new();
+        let mut rejected_delays = RankCounter::default();
         // Accuracy-weighted goodput: Σ over served requests of the exit's
         // accuracy fraction, per second. In ppm arithmetic that is
         // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
         let mut acc_sum_ppm: u128 = 0;
         for o in outcomes {
+            let s = usize::from(o.shard);
             by_status[o.status as usize] += 1;
-            shard_histogram[o.shard] += 1;
-            generations[o.shard] = generations[o.shard].max(o.generation);
-            let shard = &meta.shards[o.shard];
-            if let Some(r) = o.rung {
-                rung_histograms[o.shard][r] += 1;
+            shard_histogram[s] += 1;
+            generations[s] = generations[s].max(u64::from(o.generation));
+            let shard = &meta.shards[s];
+            let rung = o.rung.map(usize::from);
+            if let Some(r) = rung {
+                rung_histograms[s][r] += 1;
                 if r + 1 < shard.ladder_len {
                     degraded += 1;
                 }
             }
             if o.batch_size > 0 {
-                batch_histogram[o.batch_size - 1] += 1;
+                batch_histogram[usize::from(o.batch_size) - 1] += 1;
             }
             match o.status {
                 Status::Served | Status::Missed => {
-                    latencies.push(o.latency_us);
-                    latency_max_us = latency_max_us.max(o.latency_us);
+                    let latency = o.latency_us();
+                    latencies.push(latency);
+                    latency_max_us = latency_max_us.max(latency);
                 }
                 Status::Rejected => rejected_delays.push(o.queue_delay_us),
                 Status::Dropped => {}
             }
             if o.status == Status::Served {
-                acc_sum_ppm += u128::from(o.rung.map_or(PPM, |r| {
+                acc_sum_ppm += u128::from(rung.map_or(PPM, |r| {
                     shard.exit_accuracy_ppm.get(r).copied().unwrap_or(PPM)
                 }));
             }
         }
         let [served, missed, rejected, dropped] = by_status;
         let [latency_p99_us, latency_p95_us, latency_p50_us] =
-            nearest_ranks(&mut latencies, [99, 95, 50]);
-        let [rejected_queue_p99_us] = nearest_ranks(&mut rejected_delays, [99]);
+            latencies.nearest_ranks([99, 95, 50]);
+        let [rejected_queue_p99_us] = rejected_delays.nearest_ranks([99]);
         let model_bytes: Vec<u64> = meta.shards.iter().map(|s| s.model_bytes).collect();
         let baseline_model_bytes: Vec<u64> =
             meta.shards.iter().map(|s| s.baseline_model_bytes).collect();
@@ -567,25 +581,67 @@ impl ServeSummary {
     }
 }
 
-/// Nearest-rank percentiles of `values` (all 0 when it is empty): for
-/// each of `percentiles`, which must be descending, the value at rank
-/// `ceil(n·p/100)` (at least 1) of `values` in ascending order. Each is a
-/// selection on the prefix the previous one left at or below its rank, so
-/// `values` is partitioned in place, never sorted.
-fn nearest_ranks<const N: usize>(values: &mut [u64], percentiles: [u64; N]) -> [u64; N] {
-    let n = values.len() as u64;
-    let mut picked = [0u64; N];
-    let mut prefix = values;
-    for (slot, p) in picked.iter_mut().zip(percentiles) {
-        if prefix.is_empty() {
-            break;
+/// Values below this many microseconds are counted in a [`RankCounter`]'s
+/// dense table. At seed 11 every completion latency and rejected queue
+/// delay of the reference, stress and drift runs is below it.
+const DENSE_US: u64 = 1 << 13;
+
+/// An exact nearest-rank selector over `u64` samples, by counting: a
+/// dense `u32` count per value below [`DENSE_US`] (allocated at the first
+/// such sample), and the larger samples in a spill list.
+#[derive(Debug, Default)]
+struct RankCounter {
+    counts: Vec<u32>,
+    spill: Vec<u64>,
+}
+
+impl RankCounter {
+    fn push(&mut self, value: u64) {
+        if value < DENSE_US {
+            if self.counts.is_empty() {
+                self.counts = vec![0; DENSE_US as usize];
+            }
+            self.counts[value as usize] += 1;
+        } else {
+            self.spill.push(value);
         }
-        let k = ((n * p).div_ceil(100).max(1) - 1) as usize;
-        let below = std::mem::take(&mut prefix);
-        *slot = *below.select_nth_unstable(k).1;
-        prefix = &mut below[..=k];
     }
-    picked
+
+    /// Nearest-rank percentiles of the samples (all 0 when there are
+    /// none): for each of `percentiles`, the sample at rank `ceil(n·p/100)`
+    /// (at least 1) in ascending order. Ranks within the dense count are
+    /// read off one walk of the table; a rank past it is a selection in
+    /// the spill list, which is partitioned in place, never sorted.
+    fn nearest_ranks<const N: usize>(mut self, percentiles: [u64; N]) -> [u64; N] {
+        let dense: u64 = self.counts.iter().map(|&c| u64::from(c)).sum();
+        let n = dense + self.spill.len() as u64;
+        let mut picked = [0u64; N];
+        if n == 0 {
+            return picked;
+        }
+        let ranks = percentiles.map(|p| (n * p).div_ceil(100).max(1));
+        for (slot, &rank) in picked.iter_mut().zip(&ranks) {
+            if rank > dense {
+                let k = usize::try_from(rank - dense - 1).expect("the rank is in the spill list");
+                *slot = *self.spill.select_nth_unstable(k).1;
+            }
+        }
+        // One walk: the value whose cumulative count first reaches a rank.
+        let mut below = 0u64;
+        for (value, &count) in (0..).zip(&self.counts) {
+            if count == 0 {
+                continue;
+            }
+            let through = below + u64::from(count);
+            for (slot, &rank) in picked.iter_mut().zip(&ranks) {
+                if below < rank && rank <= through {
+                    *slot = value;
+                }
+            }
+            below = through;
+        }
+        picked
+    }
 }
 
 #[cfg(test)]
@@ -614,21 +670,22 @@ mod tests {
             .collect();
         let mut batch_histogram = vec![0u64; meta.batch_max.max(1)];
         for o in outcomes {
-            shard_histogram[o.shard] += 1;
-            if let Some(r) = o.rung {
-                rung_histograms[o.shard][r] += 1;
-                if r + 1 < meta.shards[o.shard].ladder_len {
+            let s = usize::from(o.shard);
+            shard_histogram[s] += 1;
+            if let Some(r) = o.rung.map(usize::from) {
+                rung_histograms[s][r] += 1;
+                if r + 1 < meta.shards[s].ladder_len {
                     degraded += 1;
                 }
             }
             if o.batch_size > 0 {
-                batch_histogram[o.batch_size - 1] += 1;
+                batch_histogram[usize::from(o.batch_size) - 1] += 1;
             }
         }
         let mut latencies: Vec<u64> = outcomes
             .iter()
             .filter(|o| matches!(o.status, Status::Served | Status::Missed))
-            .map(|o| o.latency_us)
+            .map(RequestOutcome::latency_us)
             .collect();
         latencies.sort_unstable();
         let pct = |p: u64| nearest_rank(&latencies, p);
@@ -646,9 +703,9 @@ mod tests {
             .filter(|o| o.status == Status::Served)
             .map(|o| {
                 u128::from(o.rung.map_or(PPM, |r| {
-                    meta.shards[o.shard]
+                    meta.shards[usize::from(o.shard)]
                         .exit_accuracy_ppm
-                        .get(r)
+                        .get(usize::from(r))
                         .copied()
                         .unwrap_or(PPM)
                 }))
@@ -661,7 +718,8 @@ mod tests {
         let fleet_baseline: u128 = baseline_model_bytes.iter().map(|&b| u128::from(b)).sum();
         let mut generations = vec![0u64; meta.shards.len()];
         for o in outcomes {
-            generations[o.shard] = generations[o.shard].max(o.generation);
+            let s = usize::from(o.shard);
+            generations[s] = generations[s].max(u64::from(o.generation));
         }
         ServeSummary {
             deadline_us: meta.deadline_us,
@@ -747,7 +805,7 @@ mod tests {
         }
     }
 
-    fn outcome(id: u64, rung: Option<usize>, latency_us: u64, status: Status) -> RequestOutcome {
+    fn outcome(id: u64, rung: Option<u16>, latency_us: u64, status: Status) -> RequestOutcome {
         RequestOutcome {
             id,
             kind: RequestKind::Visual,
@@ -755,9 +813,8 @@ mod tests {
             queue_delay_us: 0,
             rung,
             service_us: latency_us,
-            latency_us,
             shard: 0,
-            batch_size: usize::from(!matches!(status, Status::Rejected | Status::Dropped)),
+            batch_size: u16::from(!matches!(status, Status::Rejected | Status::Dropped)),
             generation: 0,
             status,
         }
@@ -881,23 +938,52 @@ mod tests {
         assert!(text.contains("jetson-xavier"));
     }
 
+    /// The counting selector's nearest ranks of `values`.
+    fn counted<const N: usize>(values: &[u64], percentiles: [u64; N]) -> [u64; N] {
+        let mut counter = RankCounter::default();
+        for &v in values {
+            counter.push(v);
+        }
+        counter.nearest_ranks(percentiles)
+    }
+
     #[test]
     fn nearest_rank_handles_edges() {
-        assert_eq!(nearest_ranks(&mut [], [99, 50]), [0, 0]);
-        assert_eq!(nearest_ranks(&mut [7], [1]), [7]);
-        assert_eq!(nearest_ranks(&mut [4, 1, 3, 2], [100, 50]), [4, 2]);
-        assert_eq!(nearest_ranks(&mut [4, 1, 3, 2], [50, 50, 1]), [2, 2, 1]);
+        assert_eq!(counted(&[], [99, 50]), [0, 0]);
+        assert_eq!(counted(&[7], [1]), [7]);
+        assert_eq!(counted(&[4, 1, 3, 2], [100, 50]), [4, 2]);
+        assert_eq!(counted(&[4, 1, 3, 2], [50, 50, 1]), [2, 2, 1]);
+        assert_eq!(counted(&[4, 1, 3, 2], [1, 50, 100]), [1, 2, 4]);
         // The reference agrees, and both read rank ceil(n·p/100) ≥ 1 at
         // the lengths where that rank steps.
         assert_eq!(nearest_rank(&[], 50), 0);
         assert_eq!(nearest_rank(&[1, 2, 3, 4], 50), 2);
+        // Runs of values inside the table, across its bound, past it, and
+        // near `u64::MAX / 2`, each read in both directions.
+        let starts = [
+            1,
+            DENSE_US - 60,
+            DENSE_US - 50,
+            DENSE_US,
+            u64::MAX / 2 - 200,
+        ];
         for n in [1u64, 2, 99, 100, 101] {
-            let sorted: Vec<u64> = (1..=n).collect();
-            let mut shuffled: Vec<u64> = sorted.iter().rev().copied().collect();
-            let picked = nearest_ranks(&mut shuffled, [99, 95, 50, 1]);
-            let expected = [99, 95, 50, 1].map(|p| nearest_rank(&sorted, p));
-            assert_eq!(picked, expected, "n = {n}");
+            for start in starts {
+                let sorted: Vec<u64> = (start..start + n).collect();
+                let expected = [99, 95, 50, 1].map(|p| nearest_rank(&sorted, p));
+                let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+                for values in [&sorted, &reversed] {
+                    let picked = counted(values, [99, 95, 50, 1]);
+                    assert_eq!(picked, expected, "n = {n} from {start}");
+                }
+            }
         }
+        // Ties straddling the bound: each rank reads its own side.
+        let tied = [DENSE_US - 1, DENSE_US - 1, DENSE_US, DENSE_US];
+        assert_eq!(
+            counted(&tied, [50, 51, 75, 100]),
+            [DENSE_US - 1, DENSE_US, DENSE_US, DENSE_US]
+        );
     }
 
     /// Two shards of three exits, batches of up to two: the shape the
@@ -921,10 +1007,32 @@ mod tests {
         }
     }
 
+    /// Where a vector's completion latencies and rejected queue delays
+    /// fall: `lo + (0..width)`. Inside the counting table (one value,
+    /// three, or a spread of up to 5,000 µs), straddling its 2¹³ µs bound
+    /// (ties just under, at and over it), at and just over it, far above
+    /// it, and near `u64::MAX / 2`.
+    fn band() -> impl Strategy<Value = (u64, u64)> {
+        prop_oneof![
+            Just((0u64, 1u64)),
+            Just((0u64, 3u64)),
+            (1u64..5_000).prop_map(|w| (0, w)),
+            Just((DENSE_US - 2, 4)),
+            Just((DENSE_US - 1, 2)),
+            Just((DENSE_US, 3)),
+            (1u64..1_000_000_000).prop_map(|w| (DENSE_US, w)),
+            (1u64..8).prop_map(|w| (u64::MAX / 2 - 4, w)),
+        ]
+    }
+
     /// Random outcome records: lengths at the nearest-rank steps (1, 2,
     /// 99, 100, 101) or anywhere up to 300, statuses mixed or all one
-    /// kind (all rejected, all dropped, all completions), and latencies
-    /// spread wide or over a handful of values, so many tie.
+    /// kind (all rejected, all dropped, all completions). Each record's
+    /// latency (or, if rejected, queue delay) comes from one of two
+    /// [`band`]s drawn per vector, so a vector's values lie all inside the
+    /// counting table, all past it, or on both sides, with many ties; a
+    /// completion splits its latency into a queue delay of 0–2 µs and the
+    /// service.
     fn outcomes_strategy() -> impl Strategy<Value = Vec<RequestOutcome>> {
         let len = prop_oneof![
             Just(0usize),
@@ -935,17 +1043,19 @@ mod tests {
             Just(101usize),
             0usize..300,
         ];
-        let spread = prop_oneof![Just(1u64), Just(3u64), 1u64..5_000];
-        (len, 0u8..4, spread).prop_flat_map(|(len, mode, spread)| {
+        (len, 0u8..4, band(), band()).prop_flat_map(|(len, mode, a, b)| {
             let record = (
-                (0u8..4, 0usize..2, 0usize..3, 0u64..spread, 0u64..spread),
-                (1usize..3, 0u64..3, any::<bool>()),
+                (0u8..4, 0u16..2, 0u16..3, any::<u64>(), any::<bool>()),
+                (1u16..3, 0u32..3, any::<bool>(), 0u64..3),
             );
             prop::collection::vec(record, len..=len).prop_map(move |raw| {
                 raw.into_iter()
                     .enumerate()
                     .map(
-                        |(i, ((pick, shard, rung, latency, queue), (batch, generation, emg)))| {
+                        |(
+                            i,
+                            ((pick, shard, rung, draw, lane), (batch, generation, emg, queue)),
+                        )| {
                             let status = match (mode, pick) {
                                 (1, _) => Status::Rejected,
                                 (2, _) => Status::Dropped,
@@ -956,7 +1066,10 @@ mod tests {
                                 (_, 2) => Status::Rejected,
                                 _ => Status::Dropped,
                             };
+                            let (lo, width) = if lane { a } else { b };
+                            let value = lo + draw % width;
                             let ran = matches!(status, Status::Served | Status::Missed);
+                            let queue_delay_us = if ran { queue.min(value) } else { value };
                             RequestOutcome {
                                 id: i as u64,
                                 kind: if emg {
@@ -965,10 +1078,9 @@ mod tests {
                                     RequestKind::Visual
                                 },
                                 arrival_us: i as u64,
-                                queue_delay_us: queue,
+                                queue_delay_us,
                                 rung: (ran && !emg).then_some(rung),
-                                service_us: if ran { latency } else { 0 },
-                                latency_us: if ran { latency } else { 0 },
+                                service_us: if ran { value - queue_delay_us } else { 0 },
                                 shard,
                                 batch_size: if ran { batch } else { 0 },
                                 generation,

@@ -127,15 +127,15 @@ proptest! {
         for o in &outcomes {
             match o.status {
                 Status::Served => prop_assert!(
-                    o.latency_us <= deadline,
-                    "id {} served at {} µs past deadline {}", o.id, o.latency_us, deadline
+                    o.latency_us() <= deadline,
+                    "id {} served at {} µs past deadline {}", o.id, o.latency_us(), deadline
                 ),
                 Status::Missed => prop_assert!(
-                    o.latency_us > deadline,
-                    "id {} counted missed at {} µs within deadline {}", o.id, o.latency_us, deadline
+                    o.latency_us() > deadline,
+                    "id {} counted missed at {} µs within deadline {}", o.id, o.latency_us(), deadline
                 ),
                 Status::Rejected | Status::Dropped => {
-                    prop_assert_eq!(o.latency_us, 0);
+                    prop_assert_eq!(o.latency_us(), 0);
                     prop_assert_eq!(o.service_us, 0);
                     prop_assert!(o.rung.is_none());
                 }
@@ -188,7 +188,7 @@ proptest! {
             },
             FaultPlan::none(),
         );
-        let mut by_delay: Vec<(u64, usize)> = server
+        let mut by_delay: Vec<(u64, u16)> = server
             .run(&requests)
             .iter()
             .filter_map(|o| o.rung.map(|r| (o.queue_delay_us, r)))
@@ -264,7 +264,7 @@ proptest! {
         let b = no_slack.run(&requests);
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(&x.status, &y.status);
-            prop_assert_eq!(x.latency_us, y.latency_us);
+            prop_assert_eq!(x.latency_us(), y.latency_us());
             prop_assert_eq!(x.rung, y.rung);
             prop_assert_eq!(x.batch_size, y.batch_size);
         }
@@ -475,7 +475,7 @@ fn symmetric_shards_never_starve() {
             },
         );
         let outcomes = server.run(&requests);
-        let per_shard = [0usize, 1].map(|s| outcomes.iter().filter(|o| o.shard == s).count());
+        let per_shard = [0u16, 1].map(|s| outcomes.iter().filter(|o| o.shard == s).count());
         let total = outcomes.len();
         for (s, &n) in per_shard.iter().enumerate() {
             assert!(

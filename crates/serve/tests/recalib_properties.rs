@@ -84,15 +84,14 @@ fn outcomes_carry_their_admission_generation() {
     let shard_count = timeline.shard_names.len();
     let mut last_gen = vec![0u64; shard_count];
     for o in &outcomes {
+        let (s, generation) = (usize::from(o.shard), u64::from(o.generation));
         assert!(
-            o.generation >= last_gen[o.shard],
-            "request {} regressed shard {} from generation {} to {}",
+            generation >= last_gen[s],
+            "request {} regressed shard {s} from generation {} to {generation}",
             o.id,
-            o.shard,
-            last_gen[o.shard],
-            o.generation
+            last_gen[s],
         );
-        last_gen[o.shard] = o.generation;
+        last_gen[s] = generation;
     }
     assert!(
         last_gen.iter().any(|&g| g > 0),
@@ -104,11 +103,11 @@ fn outcomes_carry_their_admission_generation() {
     // at, and at least the generation the previous window ended at.
     for o in &outcomes {
         let w = (o.arrival_us / timeline.window_us).min(timeline.windows - 1);
-        let row = |win: u64| &timeline.rows[(win as usize) * shard_count + o.shard];
+        let row = |win: u64| &timeline.rows[(win as usize) * shard_count + usize::from(o.shard)];
         let upper = row(w).generation;
         let lower = if w == 0 { 0 } else { row(w - 1).generation };
         assert!(
-            o.generation >= lower && o.generation <= upper,
+            (lower..=upper).contains(&u64::from(o.generation)),
             "request {} (arrival {} µs) has generation {}, outside window {}'s [{lower}, {upper}]",
             o.id,
             o.arrival_us,

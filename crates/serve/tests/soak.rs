@@ -96,7 +96,7 @@ fn assert_bounded_recovery(after: &[&netcut_serve::RequestOutcome]) {
     let top = ladder().top();
     let recovered = after
         .iter()
-        .position(|o| o.rung == Some(top))
+        .position(|o| o.rung.map(usize::from) == Some(top))
         .expect("server never returned to the top rung");
     assert!(
         recovered < RECOVERY_BOUND,
@@ -104,7 +104,7 @@ fn assert_bounded_recovery(after: &[&netcut_serve::RequestOutcome]) {
     );
     for o in &after[recovered..] {
         assert_eq!(
-            o.rung,
+            o.rung.map(usize::from),
             Some(top),
             "relapsed below the top rung at t={} µs (id {})",
             o.arrival_us,
@@ -121,7 +121,7 @@ fn baseline_without_faults_never_degrades() {
     assert!(outcomes.len() > 3500);
     for o in &outcomes {
         assert_eq!(o.status, Status::Served);
-        assert_eq!(o.rung, Some(ladder().top()));
+        assert_eq!(o.rung.map(usize::from), Some(ladder().top()));
         assert_eq!(o.queue_delay_us, 0);
     }
 }
@@ -140,7 +140,7 @@ fn recovers_from_device_jitter() {
     let (during, after) = split_at_clear(&outcomes);
     let degraded = during
         .iter()
-        .filter(|o| o.rung.is_some_and(|r| r < ladder().top()))
+        .filter(|o| o.rung.is_some_and(|r| usize::from(r) < ladder().top()))
         .count();
     assert!(
         degraded > 10,
@@ -196,7 +196,7 @@ fn recovers_from_dropped_requests() {
     );
     for o in &during {
         if o.status != Status::Dropped {
-            assert_eq!(o.rung, Some(ladder().top()));
+            assert_eq!(o.rung.map(usize::from), Some(ladder().top()));
             assert_eq!(o.status, Status::Served);
         }
     }

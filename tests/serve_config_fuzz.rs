@@ -10,7 +10,9 @@
 //! past those a run can exhaust memory in the timeline instead of
 //! panicking (ROADMAP item 3, scale envelope).
 
-use netcut_serve::{serve_artifact, ConfigError, Scenario, ScenarioConfig, MAX_DURATION_US, PPM};
+use netcut_serve::{
+    serve_artifact, ConfigError, Scenario, ScenarioConfig, Server, MAX_DURATION_US, PPM,
+};
 use netcut_sim::DeviceModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const CONFIGS: u64 = 400;
 
 /// Rules a config may break, by index; any larger draw breaks none.
-const RULES: u64 = 12;
+const RULES: u64 = 14;
 
 /// A runnable config, small enough to build and run in milliseconds.
 fn runnable(rng: &mut SmallRng) -> ScenarioConfig {
@@ -78,6 +80,8 @@ fn break_rule(cfg: &mut ScenarioConfig, rule: u64, rng: &mut SmallRng) {
         9 => cfg.devices.clear(),
         10 => cfg.duration_us = rng.gen_range(MAX_DURATION_US + 1..=u64::MAX / 2),
         11 => cfg.exit_pin = Some(rng.gen_range(100..1_000)),
+        12 => cfg.batch_max = rng.gen_range(Server::MAX_BATCH + 1..=usize::MAX / 2),
+        13 => cfg.shards = rng.gen_range(Server::MAX_SHARDS + 1..=usize::MAX / 2),
         _ => {}
     }
 }
@@ -85,6 +89,7 @@ fn break_rule(cfg: &mut ScenarioConfig, rule: u64, rng: &mut SmallRng) {
 fn variant(err: &ConfigError) -> &'static str {
     match err {
         ConfigError::Zero(_) => "Zero",
+        ConfigError::TooLarge { .. } => "TooLarge",
         ConfigError::ShardsExceedWorkers { .. } => "ShardsExceedWorkers",
         ConfigError::EmptyRoster => "EmptyRoster",
         ConfigError::DurationTooLong(_) => "DurationTooLong",
@@ -146,6 +151,7 @@ fn every_config_builds_and_runs_or_is_a_typed_error() {
             "EmptyRoster",
             "Ladder",
             "ShardsExceedWorkers",
+            "TooLarge",
             "Zero"
         ]
     );

@@ -1,12 +1,13 @@
 //! A completion's latency is its queue delay plus its service time, and
-//! a request that never started reports zeros. The run ledger keeps no
-//! per-request result: the one pass that builds the outcome records and
-//! the registry flush reads a completion's queue delay and service off its
-//! batch's row (start − arrival, and the batch's service) and derives the
-//! latency from those two, so this identity is what every golden's latency
-//! figures rest on. Checked on every reference-matrix leg (the closed-loop
-//! `drift` leg included) at two seeds, and on the stress scenario cut to
-//! 0.1 s, where batches of up to eight share one service time.
+//! a request that never started reports zeros. Neither the run ledger nor
+//! the outcome record stores a latency: the one pass that builds the
+//! records and the registry flush reads a completion's queue delay and
+//! service off its batch's row (start − arrival, and the batch's service),
+//! and `RequestOutcome::latency_us` derives the latency from those two, so
+//! this identity is what every golden's latency figures rest on. Checked
+//! on every reference-matrix leg (the closed-loop `drift` leg included) at
+//! two seeds, and on the stress scenario cut to 0.1 s, where batches of up
+//! to eight share one service time.
 
 use netcut_repro::serve::{reference_matrix, stress_scenario, Scenario, ScenarioConfig, Status};
 
@@ -22,23 +23,23 @@ fn check(leg: &str, cfg: ScenarioConfig) -> [usize; 4] {
         match o.status {
             Status::Served | Status::Missed => {
                 assert_eq!(
-                    o.latency_us,
+                    o.latency_us(),
                     o.queue_delay_us + o.service_us,
                     "{leg}: request {} latency is not queue delay plus service",
                     o.id
                 );
                 assert_eq!(
                     o.status == Status::Missed,
-                    o.latency_us > deadline_us,
+                    o.latency_us() > deadline_us,
                     "{leg}: request {} is {:?} at {} µs against a {deadline_us} µs deadline",
                     o.id,
                     o.status,
-                    o.latency_us
+                    o.latency_us()
                 );
             }
             Status::Rejected | Status::Dropped => {
                 assert_eq!(
-                    (o.latency_us, o.service_us, o.batch_size, o.rung),
+                    (o.latency_us(), o.service_us, o.batch_size, o.rung),
                     (0, 0, 0, None),
                     "{leg}: request {} was {:?} but reports work",
                     o.id,

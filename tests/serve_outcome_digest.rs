@@ -27,11 +27,11 @@ fn fields(o: &RequestOutcome) -> [u64; 11] {
         o.arrival_us,
         o.queue_delay_us,
         o.service_us,
-        o.latency_us,
-        o.shard as u64,
-        o.batch_size as u64,
-        o.generation,
-        o.rung.map_or(u64::MAX, |r| r as u64),
+        o.latency_us(),
+        u64::from(o.shard),
+        u64::from(o.batch_size),
+        u64::from(o.generation),
+        o.rung.map_or(u64::MAX, u64::from),
         o.status as u64,
     ]
 }

@@ -44,12 +44,19 @@ fn flushed(leg: &str, scenario: &Scenario) -> (ServeSummary, Timeline, MetricsSn
         Histogram::default(),
         Histogram::default(),
     );
-    let mut members = vec![0u64; 1 + outcomes.iter().map(|o| o.batch_size).max().unwrap_or(0)];
+    let mut members = vec![
+        0u64;
+        1 + outcomes
+            .iter()
+            .map(|o| usize::from(o.batch_size))
+            .max()
+            .unwrap_or(0)
+    ];
     for o in &outcomes {
         if matches!(o.status, Status::Served | Status::Missed) {
-            latency.observe(o.latency_us);
+            latency.observe(o.latency_us());
             queue_delay.observe(o.queue_delay_us);
-            members[o.batch_size] += 1;
+            members[usize::from(o.batch_size)] += 1;
         }
     }
     for (size, &n) in members.iter().enumerate().skip(1) {

@@ -120,7 +120,7 @@ fn request_spans_match_the_outcomes_and_their_order_is_pinned() {
         );
         assert_eq!(
             field(span, "latency_us"),
-            Some(o.latency_us),
+            Some(o.latency_us()),
             "request {id}"
         );
         assert_eq!(
