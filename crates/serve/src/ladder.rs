@@ -449,6 +449,26 @@ mod tests {
         .expect("non-empty candidate set")
     }
 
+    /// An outcome record names its rung in a `u16`: a ladder of 2¹⁶ rungs
+    /// builds, one more does not.
+    #[test]
+    #[should_panic(expected = "a ladder holds at most 65536 rungs (got 65537)")]
+    fn a_ladder_holds_at_most_max_rungs() {
+        let rungs = |n: usize| -> Vec<Rung> {
+            (1..=n as u64)
+                .map(|latency_us| Rung {
+                    name: String::new(),
+                    cutpoint: 0,
+                    latency_us,
+                    accuracy: 0.5,
+                })
+                .collect()
+        };
+        let widest = TrnLadder::from_rungs(rungs(TrnLadder::MAX_RUNGS));
+        assert_eq!(widest.top(), usize::from(u16::MAX));
+        let _ = TrnLadder::from_rungs(rungs(TrnLadder::MAX_RUNGS + 1));
+    }
+
     #[test]
     fn ladder_orders_fastest_first() {
         let l = ladder();

@@ -801,10 +801,9 @@ impl Server {
     /// with zero workers, a worker-count mismatch, a zero deadline, or a
     /// `batch_max` of zero or above [`Self::MAX_BATCH`].
     pub fn with_shards(shards: Vec<Shard>, config: ServerConfig) -> Self {
-        assert!(!shards.is_empty(), "server needs at least one shard");
         assert!(
-            shards.len() <= Self::MAX_SHARDS,
-            "a server takes at most {} shards",
+            (1..=Self::MAX_SHARDS).contains(&shards.len()),
+            "a server takes 1 to {} shards",
             Self::MAX_SHARDS
         );
         assert!(
@@ -817,10 +816,9 @@ impl Server {
             "shard workers must sum to the configured pool size"
         );
         assert!(config.deadline_us > 0, "deadline must be positive");
-        assert!(config.batch_max > 0, "batch_max must be at least 1");
         assert!(
-            config.batch_max <= Self::MAX_BATCH,
-            "batch_max must be at most {}",
+            (1..=Self::MAX_BATCH).contains(&config.batch_max),
+            "batch_max must be 1 to {}",
             Self::MAX_BATCH
         );
         Server { shards, config }
@@ -1801,6 +1799,19 @@ mod tests {
     #[test]
     fn an_outcome_record_is_48_bytes() {
         assert_eq!(std::mem::size_of::<RequestOutcome>(), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_max must be 1 to 65535")]
+    fn a_batch_wider_than_the_record_is_refused() {
+        let _ = Server::new(
+            test_ladder(),
+            ServerConfig {
+                batch_max: Server::MAX_BATCH + 1,
+                ..config()
+            },
+            FaultPlan::none(),
+        );
     }
 
     #[test]

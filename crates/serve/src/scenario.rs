@@ -213,8 +213,9 @@ impl ScenarioConfig {
     /// that must be positive is, in the CLI's flag order, then the shard
     /// count and `batch_max` fit [`Server::MAX_SHARDS`] and
     /// [`Server::MAX_BATCH`], every shard has a worker, the roster names a
-    /// device, and the run fits [`MAX_DURATION_US`]. An out-of-range `exit_pin` is found only after
-    /// exploration, as [`ConfigError::Ladder`].
+    /// device, and the run fits [`MAX_DURATION_US`]. An out-of-range
+    /// `exit_pin` is found only after exploration, as
+    /// [`ConfigError::Ladder`].
     ///
     /// # Errors
     /// The first rule the configuration breaks.
